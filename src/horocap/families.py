@@ -198,15 +198,13 @@ class SphereCapSurface(ProfileSurface):
     """Spherical cap of center height a and Euclidean radius r."""
 
     def __init__(self, n: int, a: float, r: float):
-        self.a = float(a)
-        self.r = float(r)
-        t1 = math.acos((1.0 - self.a) / self.r)
+        self.a = a = float(a)
+        self.r = r = float(r)
+        t1 = math.acos((1.0 - a) / r)
 
-        def jet(t: float):
+        def jet(t: float):  # closes over a and r, not self: no ref cycle
             st, ct = math.sin(t), math.cos(t)
-            r_ = self.r
-            return (r_ * st, self.a + r_ * ct, r_ * ct, -r_ * st,
-                    -r_ * st, -r_ * ct)
+            return (r * st, a + r * ct, r * ct, -r * st, -r * st, -r * ct)
 
         super().__init__(n, t1, jet)
 
@@ -319,9 +317,9 @@ def solve_for_angle(kind: CapKind, theta_target: float,
                     n: int = 2, r: Optional[float] = None) -> CapSpec:
     """CapSpec whose built surface meets the support at theta_target.
 
-    Bisection on the Euclidean parameters against the derived angle of
-    the built surface; H_target (when given) must be consistent with the
-    family's feasibility region.
+    Sphere families use the closed form a = 1 - r cos(theta), checked
+    against the derived angle of the built surface; H_target (when given)
+    must be consistent with the family's feasibility region.
     """
     if not 0.0 < theta_target < math.pi:
         raise InfeasibleError("contact angle must lie in (0, pi)")
@@ -367,32 +365,18 @@ def solve_for_angle(kind: CapKind, theta_target: float,
                 f"region (a={a0}, r={r})"
             )
 
-    # restrict to the a >= 0 branch: the positive-H orientation flips the
-    # normal at a = 0, making the derived angle non-monotone across it;
-    # for r > 1 this leaves angles below arccos(1/r) unreachable
+    # cos(theta) = (1 - a)/r; keep to the a > 0 branch: the positive-H
+    # orientation flips the normal at a = 0, making the derived angle
+    # non-monotone across it; for r > 1 this leaves angles below
+    # arccos(1/r) unreachable
+    a = 1.0 - r * math.cos(theta_target)
     lo = max(1.0 - r * (1.0 - 1e-12), 1e-12)
-    hi = 1.0 + r * (1.0 - 1e-12)
-    theta_lo = _derived_theta(CapSpec(kind=kind, n=n, a=lo, r=r))
-    if theta_target < theta_lo - 1e-12:
+    if a < lo:
+        theta_lo = _derived_theta(CapSpec(kind=kind, n=n, a=lo, r=r))
         raise InfeasibleError(
             f"{kind.value} members of radius {r} only reach contact angles "
             f">= {theta_lo:.6g} under the positive-mean-curvature orientation"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        spec = CapSpec(kind=kind, n=n, a=mid, r=r)
-        try:
-            th = _derived_theta(spec)
-        except ConstructionError:
-            hi = mid
-            continue
-        if th < theta_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    a = 0.5 * (lo + hi)
     spec = CapSpec(kind=kind, n=n, a=a, r=r)
     try:
         spec.validate()

@@ -9,6 +9,7 @@ nodal grids (used by the discrete operators) integrate with the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,9 +41,18 @@ class QuadratureSpec:
         return QuadratureSpec(order=2 * self.order)
 
 
-def gauss_legendre(order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [lo, hi]."""
+@functools.lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only reference rule on [-1, 1], computed once per order."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [lo, hi], as fresh arrays."""
+    x, w = _leggauss(order)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 

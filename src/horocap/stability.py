@@ -26,8 +26,11 @@ enforced by null-space projection.
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,7 +40,7 @@ from scipy.interpolate import CubicSpline
 from .quadrature import (QuadratureSpec, fd_weights, gauss_legendre,
                          gregory_weights, unit_sphere_area)
 from .halfspace import PotentialV
-from .surfaces import ParamSurface, ProfileSurface, SurfaceFields, fields_at
+from .surfaces import ParamSurface, ProfileSurface, fields_at
 
 __all__ = [
     "ScalarField",
@@ -92,7 +95,9 @@ class _ProfileGrid:
             raise GridError(
                 f"grid resolution {resolution} < minimum {MIN_RESOLUTION}"
             )
-        self.S = S
+        # weak: S caches its grids, and a cycle would keep their dense
+        # matrices alive until the cyclic garbage collector runs
+        self.S = weakref.proxy(S)
         self.N = resolution
         self.h = S.t1 / resolution
         self.nodes = np.linspace(0.0, S.t1, resolution + 1)
@@ -140,6 +145,37 @@ class _ProfileGrid:
                 for o, c in zip(np.arange(-2, 3), central):
                     D[j, abs(j + o)] += c  # fold: even extension across t=0
         return D
+
+    @functools.cached_property
+    def elements(self) -> SimpleNamespace:
+        """Mode-independent parts of the P1 matrices, built on first use.
+
+        Four Gauss points per element.  Mode l has stiffness
+        K0 + l(l+n-2) P, where P is the mass matrix of the weight 1/B^2;
+        K0 carries the Robin term of the cached boundary frame.
+        """
+        S, n = self.S, self.S.n
+        xi, wq = gauss_legendre(4, 0.0, 1.0)
+        he = np.diff(self.nodes)[:, None]
+        t = (self.nodes[:-1, None] + he * xi).ravel()
+        A, B = np.array([S.metric_coeffs(u)[:2] for u in t]).T.reshape(2, -1, 4)
+        h2 = np.array([fields_at(S, u).h2 for u in t]).reshape(self.N, 4)
+        W = unit_sphere_area(n - 1) * A * B ** (n - 1) * he * wq
+        shp = np.stack([1.0 - xi, xi])
+
+        def mass(f):  # sum over Gauss points of W f phi_a phi_b
+            return _scatter(np.einsum("eq,aq,bq->eab", W * f, shp, shp))
+
+        stiff = np.sum(W / (A * A), axis=1) / he[:, 0] ** 2
+        K0 = (_scatter(stiff[:, None, None] * np.array([[1.0, -1.0],
+                                                         [-1.0, 1.0]]))
+              + mass(n - h2))
+        q = 1.0 / math.sin(self.theta) + self.hmumu / math.tan(self.theta)
+        K0[-1, -1] -= q * self.boundary_measure
+        M = mass(1.0)
+        # the hat functions sum to one, so the row sums of M are int phi_a
+        return SimpleNamespace(K0=K0, P=mass(1.0 / (B * B)), M=M,
+                               c=M.sum(axis=1))
 
     def laplacian_matrix(self) -> np.ndarray:
         n = self.S.n
@@ -417,39 +453,23 @@ class SpectrumResult:
     modes_used: int
 
 
+def _scatter(blocks: np.ndarray) -> np.ndarray:
+    """Global matrix of per-element 2x2 blocks on consecutive node pairs."""
+    N = blocks.shape[0]
+    out = np.zeros((N + 1, N + 1))
+    e = np.arange(N)
+    for a in range(2):
+        for b in range(2):
+            out[e + a, e + b] += blocks[:, a, b]
+    return out
+
+
 def _mode_matrices(g: _ProfileGrid, l: int) -> tuple[np.ndarray, np.ndarray,
                                                      np.ndarray]:
     """(K, M, volume-constraint row) of the P1 discretization of mode l."""
-    S = g.S
-    n = S.n
-    N = g.N
-    lam = l * (l + n - 2)
-    omega = unit_sphere_area(n - 1)
-    K = np.zeros((N + 1, N + 1))
-    M = np.zeros((N + 1, N + 1))
-    c = np.zeros(N + 1)
-    glx, glw = gauss_legendre(4, 0.0, 1.0)
-    for e in range(N):
-        t0, t1 = g.nodes[e], g.nodes[e + 1]
-        he = t1 - t0
-        for xi, wq in zip(glx, glw):
-            t = t0 + he * xi
-            A, B, _, _ = S.metric_coeffs(t)
-            fl = fields_at(S, t)
-            Wt = omega * A * B ** (n - 1) * he * wq
-            shp = np.array([1.0 - xi, xi])
-            dsh = np.array([-1.0, 1.0]) / he
-            idx = (e, e + 1)
-            pot = (S.n - fl.h2) + (lam / (B * B) if l > 0 else 0.0)
-            for a in range(2):
-                c[idx[a]] += Wt * shp[a]
-                for b in range(2):
-                    K[idx[a], idx[b]] += Wt * (dsh[a] * dsh[b] / (A * A)
-                                               + pot * shp[a] * shp[b])
-                    M[idx[a], idx[b]] += Wt * shp[a] * shp[b]
-    q = robin_q(S).q
-    K[N, N] -= q * g.boundary_measure
-    return K, M, c
+    el = g.elements
+    K = el.K0 + l * (l + g.S.n - 2) * el.P
+    return K, el.M.copy(), el.c.copy()
 
 
 def constrained_spectrum(S: ParamSurface, constraint: str = "VOLUME",
@@ -526,7 +546,9 @@ class _Variation:
 
     Y = phi*nu + eta*mu with eta a boundary-collar ramp chosen so the
     vertical component of Y vanishes at the boundary: the displaced
-    boundary slides inside the flat support exactly.
+    boundary slides inside the flat support exactly.  Y is independent
+    of s, so Y, Y' and the profile jet are evaluated once per quadrature
+    order on that rule's nodes and every functional of s reuses them.
     """
 
     def __init__(self, S: ProfileSurface, phi: ScalarField):
@@ -535,64 +557,64 @@ class _Variation:
         self.g = g
         self.spline = CubicSpline(g.nodes, phi.values)
         self.sign = S.orientation_sign()
-        nu1 = self._nu(S.t1)
-        mu1 = self._mu(S.t1)
-        if abs(mu1[1]) < 1e-12:
-            raise ValueError("conormal is horizontal; boundary slide undefined")
-        self.eta1 = -phi.values[-1] * nu1[1] / mu1[1]
         self.t_ramp = 0.8 * S.t1
+        _, nu1, mu1 = self._frame(np.array([S.t1]))
+        if abs(mu1[1, 0]) < 1e-12:
+            raise ValueError("conormal is horizontal; boundary slide undefined")
+        self.eta1 = -phi.values[-1] * nu1[1, 0] / mu1[1, 0]
+        self.Y1 = self._displacement(np.array([S.t1]))[0][:, 0]
+        self._nodes: dict[int, SimpleNamespace] = {}
 
-    def _nu(self, t: float) -> np.ndarray:
-        rho, z, dr, dz, *_ = self.S.profile_jet(t)
-        s = math.hypot(dr, dz)
-        return self.sign * z * np.array([dz, -dr]) / s
+    def _frame(self, t: np.ndarray):
+        """Profile jet (rho, z, rho', z'), nu and mu, each (radial, vertical)."""
+        jet = np.array([self.S.profile_jet(u)[:4] for u in t]).T
+        _, z, dr, dz = jet
+        s = np.hypot(dr, dz)
+        nu = self.sign * z * np.array([dz, -dr]) / s
+        mu = z * np.array([dr, dz]) / s
+        return jet, nu, mu
 
-    def _mu(self, t: float) -> np.ndarray:
-        rho, z, dr, dz, *_ = self.S.profile_jet(t)
-        s = math.hypot(dr, dz)
-        return z * np.array([dr, dz]) / s
-
-    def _ramp(self, t: float) -> float:
-        u = (t - self.t_ramp) / (self.S.t1 - self.t_ramp)
-        if u <= 0.0:
-            return 0.0
-        if u >= 1.0:
-            return 1.0
-        a = math.exp(-1.0 / u)
-        b = math.exp(-1.0 / (1.0 - u))
+    def _ramp(self, t: np.ndarray) -> np.ndarray:
+        u = np.clip((t - self.t_ramp) / (self.S.t1 - self.t_ramp), 0.0, 1.0)
+        with np.errstate(divide="ignore"):  # exactly 0 at u = 0, 1 at u = 1
+            a = np.exp(-1.0 / u)
+            b = np.exp(-1.0 / (1.0 - u))
         return a / (a + b)
 
-    def displacement(self, t: float) -> np.ndarray:
-        """(radial, vertical) Euclidean displacement at parameter t."""
-        return (self.spline(t) * self._nu(t)
-                + self.eta1 * self._ramp(t) * self._mu(t))
+    def _displacement(self, t: np.ndarray):
+        """(radial, vertical) Euclidean displacement Y at t, with jet and nu."""
+        jet, nu, mu = self._frame(t)
+        return (self.spline(t) * nu + self.eta1 * self._ramp(t) * mu,
+                jet, nu)
 
-    def meridian(self, t: float, s: float, dt: float = 1e-6
-                 ) -> tuple[float, float, float, float]:
-        """(rho, z, rho', z') of the displaced profile via fine differencing."""
-        rho, z, dr, dz, *_ = self.S.profile_jet(t)
-        Y = self.displacement(t)
-        Yp = (self.displacement(t + dt) - self.displacement(t - dt)) / (2 * dt)
-        return (rho + s * Y[0], z + s * Y[1], dr + s * Yp[0], dz + s * Yp[1])
+    def at_nodes(self, Q: QuadratureSpec) -> SimpleNamespace:
+        """Y, Y', the jet, nu and H on the nodes of Q's rule, cached by order."""
+        cached = self._nodes.get(Q.order)
+        if cached is None:
+            t, w = Q.rule(0.0, self.S.t1)
+            Y, jet, nu = self._displacement(t)
+            dt = 1e-6
+            Yp = (self._displacement(t + dt)[0]
+                  - self._displacement(t - dt)[0]) / (2 * dt)
+            H = np.array([fields_at(self.S, u).H for u in t])
+            cached = self._nodes[Q.order] = SimpleNamespace(
+                w=w, Y=Y, Yp=Yp, jet=jet, nu=nu, H=H)
+        return cached
 
     # -- functionals of the deformed surface ---------------------------
     def area(self, s: float, Q: QuadratureSpec) -> float:
         n = self.S.n
-        omega = unit_sphere_area(n - 1)
-        nodes, wts = Q.rule(0.0, self.S.t1)
-        total = 0.0
-        for t, wq in zip(nodes, wts):
-            rho, z, dr, dz = self.meridian(t, s)
-            total += wq * math.hypot(dr, dz) * rho ** (n - 1) / z ** n
-        return omega * total
+        c = self.at_nodes(Q)
+        rho, z, dr, dz = c.jet + s * np.concatenate([c.Y, c.Yp])
+        return unit_sphere_area(n - 1) * float(np.sum(
+            c.w * np.hypot(dr, dz) * rho ** (n - 1) / z ** n))
 
     def wetting_area(self, s: float) -> float:
         """Signed flat area swept on the support relative to s = 0."""
         n = self.S.n
         omega = unit_sphere_area(n - 1)
         rho1 = self.S.boundary_radius
-        Y1 = self.displacement(self.S.t1)
-        rho_s = rho1 + s * Y1[0]
+        rho_s = rho1 + s * self.Y1[0]
         nubar_rad = self.g.frame.nubar.components[0]
         sgn = 1.0 if nubar_rad > 0 else -1.0
         return sgn * omega * (rho_s ** n - rho1 ** n) / n
@@ -602,19 +624,15 @@ class _Variation:
         if s == 0.0:
             return 0.0
         n = self.S.n
-        omega = unit_sphere_area(n - 1)
-        nodes, wts = Q.rule(0.0, self.S.t1)
-        snodes, swts = gauss_legendre(8, 0.0, s) if s > 0 else \
-            gauss_legendre(8, s, 0.0)
-        ssign = 1.0 if s > 0 else -1.0
-        total = 0.0
-        for t, wq in zip(nodes, wts):
-            Y = self.displacement(t)
-            for sv, sw in zip(snodes, swts):
-                rho, z, dr, dz = self.meridian(t, sv)
-                total += wq * sw * (Y[0] * dz - Y[1] * dr) \
-                    * rho ** (n - 1) / z ** (n + 1)
-        return self.sign * ssign * omega * total
+        c = self.at_nodes(Q)
+        snodes, swts = gauss_legendre(8, min(s, 0.0), max(s, 0.0))
+        # axis 1 runs over the inner s-nodes
+        rho, z, dr, dz = (c.jet + snodes[:, None, None]
+                          * np.concatenate([c.Y, c.Yp])).transpose(1, 2, 0)
+        f = ((c.Y[0][:, None] * dz - c.Y[1][:, None] * dr)
+             * rho ** (n - 1) / z ** (n + 1))
+        return (self.sign * math.copysign(1.0, s) * unit_sphere_area(n - 1)
+                * float(c.w @ f @ swts))
 
     def energy(self, s: float, Q: QuadratureSpec) -> float:
         return self.area(s, Q) - math.cos(self.g.theta) * self.wetting_area(s)
@@ -624,33 +642,20 @@ def _first_variation_formula(var: _Variation, functional: str,
                              Q: QuadratureSpec) -> float:
     """The printed first-variation integral for the constructed Y."""
     S, g = var.S, var.g
-    nodes, wts = Q.rule(0.0, S.t1)
-    omega = unit_sphere_area(S.n - 1)
-
-    def g_Y_nu(t):
-        # hyperbolic normal component of Y: phi by construction away from
-        # the collar, phi plus the tangential ramp contribution inside it
-        Y = var.displacement(t)
-        nu = var._nu(t)
-        _, z, *_ = S.profile_jet(t)
-        return float(np.dot(Y, nu)) / (z * z)
-
-    def dAw(t):
-        rho, z, dr, dz, *_ = S.profile_jet(t)
-        return omega * math.hypot(dr, dz) * rho ** (S.n - 1) / z ** S.n
-
-    def H_at(t):
-        return fields_at(S, t).H
-
-    bulk_phi = sum(wq * g_Y_nu(t) * dAw(t) for t, wq in zip(nodes, wts))
-    bulk_Hphi = sum(wq * H_at(t) * g_Y_nu(t) * dAw(t)
-                    for t, wq in zip(nodes, wts))
+    c = var.at_nodes(Q)
+    rho, z, dr, dz = c.jet
+    # hyperbolic normal component of Y: phi by construction away from the
+    # collar, phi plus the tangential ramp contribution inside it
+    g_Y_nu = np.sum(c.Y * c.nu, axis=0) / (z * z)
+    dAw = (unit_sphere_area(S.n - 1) * np.hypot(dr, dz) * rho ** (S.n - 1)
+           / z ** S.n)
+    bulk_phi = float(np.sum(c.w * g_Y_nu * dAw))
+    bulk_Hphi = float(np.sum(c.w * c.H * g_Y_nu * dAw))
     # boundary terms: g(Y, mu) = eta1 and g(Y, nubar) at t1
-    Y1 = var.displacement(S.t1)
     mu1 = g.frame.mu.components[[0, -1]]
     nubar1 = g.frame.nubar.components[[0, -1]]
-    gYmu = float(np.dot(Y1, mu1))
-    gYnubar = float(np.dot(Y1, nubar1))
+    gYmu = float(np.dot(var.Y1, mu1))
+    gYnubar = float(np.dot(var.Y1, nubar1))
     bm = g.boundary_measure
     if functional == "AREA":
         return bulk_Hphi + bm * gYmu

@@ -31,6 +31,25 @@ class TestGaussLegendre:
     def test_refined_doubles_order(self):
         assert QuadratureSpec(16).refined().order == 32
 
+    @pytest.mark.parametrize("order, lo, hi", [(4, 0.0, 1.0), (8, -0.3, 0.0),
+                                               (128, 0.0, 2.1), (256, 1.0, 1.5)])
+    def test_matches_leggauss_bit_for_bit(self, order, lo, hi):
+        x, w = np.polynomial.legendre.leggauss(order)
+        half = 0.5 * (hi - lo)
+        for _ in range(2):  # computed, then memoized
+            got_x, got_w = gauss_legendre(order, lo, hi)
+            assert np.array_equal(got_x, lo + half * (x + 1.0))
+            assert np.array_equal(got_w, half * w)
+
+    def test_returned_arrays_do_not_alias_the_memo(self):
+        x, w = gauss_legendre(16, 0.0, 2.0)
+        x_again, w_again = x.copy(), w.copy()
+        x[:] = -1.0
+        w *= 3.0
+        x2, w2 = gauss_legendre(16, 0.0, 2.0)
+        assert np.array_equal(x2, x_again)
+        assert np.array_equal(w2, w_again)
+
     @given(st.integers(8, 64))
     @settings(max_examples=20, deadline=None)
     def test_smooth_integrand_convergence(self, order):
