@@ -15,7 +15,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,8 +98,7 @@ def _suite_spectrum(entry: SurfaceEntry, cfg: RunConfig):
     else:
         # a declared non-CMC control may legitimately be unstable
         status = "EXPECTED_FAIL" if entry.is_control else "FAIL"
-    theta = S.boundary_frame_at().theta if S.chart_kind == "profile" \
-        else S.boundary_frame_at(np.zeros(S.n - 1)).theta
+    theta = S.boundary_frame_at(np.zeros(S.n - 1)).theta  # profiles ignore s
     row = _spec_columns(entry) + [
         theta, res.constraint, res.resolution, lowest, res.morse_index,
         res.zero_modes, res.modes_used,
@@ -177,24 +176,35 @@ def _suite_deficit(entry: SurfaceEntry, cfg: RunConfig):
 DEFICIT_HEADER = SPEC_HEADER + ["deficit", "boundary_cancellation", "status"]
 
 
+@dataclass(frozen=True)
+class _SweepMember(SurfaceEntry):
+    """A sweep point; the suite solves spec (kind, n, r) for theta, so an
+    infeasible member becomes an ERROR row instead of failing the run."""
+
+    theta: float = math.pi / 2
+
+
 def _sweep_entries(cfg: RunConfig) -> list[SurfaceEntry]:
     sw = cfg.sweep
     if sw is None:
         raise ConfigError("sweep", "the sweep command needs a 'sweep' section")
     kind = CapKind(sw.get("kind", "sphere_cap"))
-    n = int(sw.get("n", 2))
+    n = sw.get("n", 2)
     entries = []
     for th in sw["thetas"]:
         for r in sw["radii"]:
-            spec = solve_for_angle(kind, float(th), n=n, r=float(r))
             label = f"sweep-theta-{float(th):.6f}-r-{float(r):.6f}"
-            entries.append(SurfaceEntry(label=label, spec=spec))
+            entries.append(_SweepMember(label=label, theta=float(th),
+                                        spec=CapSpec(kind, n, r=float(r))))
     return entries
 
 
-def _suite_sweep(entry: SurfaceEntry, cfg: RunConfig):
+def _suite_sweep(entry: _SweepMember, cfg: RunConfig):
     num = cfg.numerics
     Q = QuadratureSpec(num.quad_order)
+    spec = entry.spec
+    entry = replace(entry, spec=solve_for_angle(spec.kind, entry.theta,
+                                                n=spec.n, r=spec.r))
     S = _build_surface(entry, Q)
     theta = S.boundary_frame_at().theta
     reports = identity_suite(S, Q)

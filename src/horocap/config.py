@@ -11,8 +11,7 @@ Schema (JSON, versioned):
       ],
       "sweep": {                       # optional, used by the sweep command
         "kind": "sphere_cap", "n": 2,
-        "thetas": [...], "radii": [...],
-        "constraint": "VOLUME"
+        "thetas": [...], "radii": [...]
       },
       "numerics": {"quad_order": 128, "grid": 128, "eig_count": 10,
                    "stability_tol": 1e-6, "constraint": "VOLUME"},
@@ -23,11 +22,12 @@ Schema (JSON, versioned):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .families import CapKind, CapSpec, PerturbationSpec
+from .families import FAMILY_REGISTRY, CapKind, CapSpec, PerturbationSpec
 
 __all__ = ["ConfigError", "SurfaceEntry", "Numerics", "OutputSpec",
            "RunConfig", "load_config", "parse_config"]
@@ -198,10 +198,22 @@ def parse_config(raw: dict) -> RunConfig:
     if sweep is not None:
         if not isinstance(sweep, dict):
             raise ConfigError("sweep", "must be an object")
+        if sweep.get("kind", "sphere_cap") not in FAMILY_REGISTRY:
+            raise ConfigError("sweep.kind", "unknown family "
+                              f"{sweep['kind']!r}; valid: "
+                              + ", ".join(FAMILY_REGISTRY))
+        n = sweep.get("n", 2)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+            raise ConfigError("sweep.n", "must be an integer >= 2")
         for key in ("thetas", "radii"):
             vals = _require(sweep, key, "sweep")
             if not isinstance(vals, list) or not vals:
                 raise ConfigError(f"sweep.{key}", "must be a non-empty list")
+            for i, v in enumerate(vals):
+                if (isinstance(v, bool) or not isinstance(v, (int, float))
+                        or not math.isfinite(v)):
+                    raise ConfigError(f"sweep.{key}[{i}]",
+                                      f"must be a finite number, got {v!r}")
 
     return RunConfig(surfaces=tuple(surfaces), numerics=numerics,
                      output=output, sweep=sweep,

@@ -168,22 +168,23 @@ FAMILY_REGISTRY = {k.value: k for k in CapKind}
 # smooth bump profile
 # ----------------------------------------------------------------------
 
-def bump_jet(t: float, lo: float, hi: float) -> tuple[float, float, float]:
+def bump_jet(t, lo: float, hi: float) -> tuple:
     """(b, b', b'') of the C-infinity bump exp(4 - 1/(u(1-u))), u=(t-lo)/(hi-lo).
 
-    Hard zero (with all derivatives) outside (lo, hi); peak value 1.
+    Componentwise on arrays of t.  Hard zero (with all derivatives)
+    outside (lo, hi), up to a 1e-9 margin in u; peak value 1.
     """
     width = hi - lo
-    u = (t - lo) / width
     margin = 1e-9
-    if u <= margin or u >= 1.0 - margin:
-        return 0.0, 0.0, 0.0
+    u = (np.asarray(t, dtype=float) - lo) / width
+    inside = (u > margin) & (u < 1.0 - margin)
+    u = np.where(inside, u, 0.5)  # keeps the formulas finite outside
     p = u * (1.0 - u)
     dp = 1.0 - 2.0 * u
     g = 1.0 / p
     dg = -dp / (p * p)
     d2g = (2.0 * dp * dp + 2.0 * p) / (p ** 3)
-    b = math.exp(4.0 - g)
+    b = np.where(inside, np.exp(4.0 - g), 0.0)
     db = -dg * b
     d2b = (dg * dg - d2g) * b
     s = 1.0 / width
@@ -202,8 +203,8 @@ class SphereCapSurface(ProfileSurface):
         self.r = r = float(r)
         t1 = math.acos((1.0 - a) / r)
 
-        def jet(t: float):  # closes over a and r, not self: no ref cycle
-            st, ct = math.sin(t), math.cos(t)
+        def jet(t):  # closes over a and r, not self: no ref cycle
+            st, ct = np.sin(t), np.cos(t)
             return (r * st, a + r * ct, r * ct, -r * st, -r * st, -r * ct)
 
         super().__init__(n, t1, jet)
@@ -219,12 +220,12 @@ class BumpedCapSurface(ProfileSurface):
         lo, hi = pspec.support[0] * t1, pspec.support[1] * t1
         eps = pspec.amplitude
 
-        def jet(t: float):
+        def jet(t):
             b, db, d2b = bump_jet(t, lo, hi)
             R = r + eps * b
             dR = eps * db
             d2R = eps * d2b
-            st, ct = math.sin(t), math.cos(t)
+            st, ct = np.sin(t), np.cos(t)
             rho = R * st
             z = a + R * ct
             drho = dR * st + R * ct

@@ -23,13 +23,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .quadrature import QuadratureSpec
-from .surfaces import (ParamSurface, SurfaceFields, fields_at, integrate_M,
-                       integrate_dM)
+from .surfaces import ParamSurface, integrate_M, integrate_dM, node_set
 
 __all__ = [
     "IDENTITY_IDS",
@@ -71,126 +69,72 @@ class IdentityReport:
     theta: float
 
 
-class _FieldCache:
-    """Memoized pointwise/boundary data for one surface."""
-
-    def __init__(self, S: ParamSurface):
-        self.S = S
-        self._interior: dict = {}
-        self._boundary: dict = {}
-
-    def interior(self, u) -> SurfaceFields:
-        key = u if np.isscalar(u) else tuple(np.atleast_1d(u))
-        if key not in self._interior:
-            self._interior[key] = fields_at(self.S, u)
-        return self._interior[key]
-
-    def boundary(self, s) -> dict:
-        key = tuple(np.atleast_1d(s))
-        if key not in self._boundary:
-            bf = self.S.boundary_frame_at(s)
-            x = bf.shape.position.coords
-            w = x[-1]
-            self._boundary[key] = {
-                "theta": bf.theta,
-                "Hhat": bf.Hhat,
-                "H": bf.shape.H,
-                "gxnubar": float(np.dot(x, bf.nubar.components) / (w * w)),
-            }
-        return self._boundary[key]
-
-
 def angle_stats(S: ParamSurface, num_samples: int = 32) -> tuple[float, float]:
     """(mean, standard deviation) of the contact angle over boundary samples."""
     if S.chart_kind == "profile":
-        th = S.boundary_frame_at().theta
-        return th, 0.0
-    thetas = []
-    for pt in _boundary_samples(S, num_samples):
-        thetas.append(S.boundary_frame_at(pt).theta)
-    th = np.asarray(thetas)
+        return S.boundary_frame_at().theta, 0.0
+    per_axis = max(2, int(round(num_samples ** (1.0 / (S.n - 1)))))
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in S.box[1:]]
+    th = S.boundary_frames(np.array(list(itertools.product(*axes)))).theta
     return float(th.mean()), float(th.std())
 
 
-def _boundary_samples(S: ParamSurface, num: int) -> list[np.ndarray]:
-    k = S.n - 1
-    per_axis = max(2, int(round(num ** (1.0 / k))))
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in S.box[1:]]
-    return [np.array(pt) for pt in itertools.product(*axes)]
-
-
-def cmc_stats(S: ParamSurface, Q: QuadratureSpec,
-              cache: Optional[_FieldCache] = None) -> tuple[float, float]:
+def cmc_stats(S: ParamSurface, Q: QuadratureSpec) -> tuple[float, float]:
     """Area-weighted mean of H and the max-node spread |H - mean|."""
-    cache = cache or _FieldCache(S)
+    H = node_set(S, Q).fields.H
     area = integrate_M(S, lambda u: 1.0, Q)
-    h_int = integrate_M(S, lambda u: cache.interior(u).H, Q)
-    H_mean = h_int / area
-    if S.chart_kind == "profile":
-        nodes, _ = Q.rule(0.0, S.t1)
-        hs = np.array([cache.interior(t).H for t in nodes])
-    else:
-        hs = np.array([cache.interior(u).H
-                       for u in _grid_nodes(S, Q)])
-    return float(H_mean), float(np.max(np.abs(hs - H_mean)))
-
-
-def _grid_nodes(S: ParamSurface, Q: QuadratureSpec) -> list[np.ndarray]:
-    axes = [Q.rule(lo, hi)[0] for lo, hi in S.box]
-    return [np.array(pt) for pt in itertools.product(*axes)]
+    H_mean = integrate_M(S, lambda u: H, Q) / area
+    return float(H_mean), float(np.max(np.abs(H - H_mean)))
 
 
 def _evaluate(S: ParamSurface, identity_id: str, Q: QuadratureSpec,
-              cache: _FieldCache, theta: float, H_mean: float
-              ) -> tuple[float, float]:
+              theta: float, H_mean: float) -> tuple[float, float]:
     """(lhs, rhs) of one identity at the given quadrature."""
     n = S.n
     ct, st = math.cos(theta), math.sin(theta)
+    # fl and the boundary data hold the fields on the very node arrays that
+    # integrate_M and integrate_dM pass to the integrands below
+    fl = node_set(S, Q).fields
+    bf = (S.boundary_frame_at() if S.chart_kind == "profile"
+          else node_set(S, Q, face=True).frames)
+    gxnubar = bf.gxnubar
     if identity_id == "I_BOUNDARY_MINK":
-        lhs = integrate_dM(
-            S, lambda s: cache.boundary(s)["gxnubar"] * cache.boundary(s)["Hhat"]
-            - (n - 1), Q)
+        lhs = integrate_dM(S, lambda s: gxnubar * bf.Hhat - (n - 1), Q)
         return lhs, 0.0
     if identity_id == "I_HX_NU":
-        lhs = integrate_M(
-            S, lambda u: cache.interior(u).gxnu * cache.interior(u).H, Q)
-        rhs = integrate_dM(
-            S, lambda s: -ct * cache.boundary(s)["gxnubar"] + st, Q)
+        lhs = integrate_M(S, lambda u: fl.gxnu * fl.H, Q)
+        rhs = integrate_dM(S, lambda s: -ct * gxnubar + st, Q)
         return lhs, rhs
     if identity_id == "I_X_NU":
-        lhs = integrate_M(S, lambda u: n * cache.interior(u).gxnu, Q)
-        rhs = integrate_dM(S, lambda s: cache.boundary(s)["gxnubar"], Q)
+        lhs = integrate_M(S, lambda u: n * fl.gxnu, Q)
+        rhs = integrate_dM(S, lambda s: gxnubar, Q)
         return lhs, rhs
     if identity_id == "I_COR":
         lhs = integrate_dM(
-            S, lambda s: n * st - cache.boundary(s)["gxnubar"] * H_mean
-            - n * ct * cache.boundary(s)["gxnubar"], Q)
+            S, lambda s: n * st - gxnubar * H_mean - n * ct * gxnubar, Q)
         return lhs, 0.0
     if identity_id == "I_MINK1":
-        def f(u):
-            fl = cache.interior(u)
-            return n * fl.V - fl.gXnu * fl.H - n * ct * fl.gxnu
-        return integrate_M(S, f, Q), 0.0
+        return integrate_M(
+            S, lambda u: n * fl.V - fl.gXnu * fl.H - n * ct * fl.gxnu, Q), 0.0
     raise ValueError(f"unknown identity id {identity_id!r}")
 
 
-def verify(S: ParamSurface, identity_id: str, Q: QuadratureSpec,
-           cache: Optional[_FieldCache] = None) -> IdentityReport:
+def verify(S: ParamSurface, identity_id: str, Q: QuadratureSpec
+           ) -> IdentityReport:
     """Evaluate one identity and grade its residual against the scheme tolerance."""
     if identity_id not in IDENTITY_IDS:
         raise ValueError(f"unknown identity id {identity_id!r}")
-    cache = cache or _FieldCache(S)
     theta, theta_spread = angle_stats(S)
     if theta_spread > ANGLE_SPREAD_TOL:
         raise AngleError(
             f"contact angle varies along the boundary (std {theta_spread:.3e})"
         )
-    H_mean, H_spread = cmc_stats(S, Q, cache)
+    H_mean, H_spread = cmc_stats(S, Q)
     requires_cmc = identity_id in REQUIRES_CMC
     cmc_ok = H_spread <= max(CMC_SPREAD_TOL, CMC_SPREAD_TOL * abs(H_mean))
 
-    lhs, rhs = _evaluate(S, identity_id, Q, cache, theta, H_mean)
-    lhs2, rhs2 = _evaluate(S, identity_id, Q.refined(), cache, theta, H_mean)
+    lhs, rhs = _evaluate(S, identity_id, Q, theta, H_mean)
+    lhs2, rhs2 = _evaluate(S, identity_id, Q.refined(), theta, H_mean)
     abs_res = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), 1.0)
     rel_res = abs_res / scale
@@ -225,5 +169,4 @@ def verify(S: ParamSurface, identity_id: str, Q: QuadratureSpec,
 
 def suite(S: ParamSurface, Q: QuadratureSpec) -> list[IdentityReport]:
     """All five identities in deterministic (alphabetical) order."""
-    cache = _FieldCache(S)
-    return [verify(S, iid, Q, cache) for iid in IDENTITY_IDS]
+    return [verify(S, iid, Q) for iid in IDENTITY_IDS]

@@ -39,8 +39,9 @@ from scipy.interpolate import CubicSpline
 
 from .quadrature import (QuadratureSpec, fd_weights, gauss_legendre,
                          gregory_weights, unit_sphere_area)
-from .halfspace import PotentialV
-from .surfaces import ParamSurface, ProfileSurface, fields_at
+from .halfspace import HPoint, PotentialV
+from .surfaces import (ParamSurface, ProfileSurface, SurfaceFields, fields_at,
+                       integrate_dM, integrate_M)
 
 __all__ = [
     "ScalarField",
@@ -103,16 +104,10 @@ class _ProfileGrid:
         self.nodes = np.linspace(0.0, S.t1, resolution + 1)
         n = S.n
 
-        coeffs = np.array([S.metric_coeffs(t) for t in self.nodes])
-        self.A, self.B, self.dA, self.dB = coeffs.T
-        flds = [fields_at(S, t) for t in self.nodes]
-        self.V = np.array([f.V for f in flds])
-        self.gxnu = np.array([f.gxnu for f in flds])
-        self.gEnu = np.array([f.gEnu for f in flds])
-        self.gXnu = np.array([f.gXnu for f in flds])
-        self.H = np.array([f.H for f in flds])
-        self.h2 = np.array([f.h2 for f in flds])
-        self.E_tan_sq = np.array([f.E_tan_sq for f in flds])
+        self.A, self.B, self.dA, self.dB = S.metric_coeffs(self.nodes)
+        fl = fields_at(S, self.nodes)
+        self.V, self.gxnu, self.gEnu, self.gXnu = fl.V, fl.gxnu, fl.gEnu, fl.gXnu
+        self.H, self.h2, self.E_tan_sq = fl.H, fl.h2, fl.E_tan_sq
 
         omega = unit_sphere_area(n - 1)
         # nodal area weights; the pole weight carries B(0) = 0
@@ -158,8 +153,8 @@ class _ProfileGrid:
         xi, wq = gauss_legendre(4, 0.0, 1.0)
         he = np.diff(self.nodes)[:, None]
         t = (self.nodes[:-1, None] + he * xi).ravel()
-        A, B = np.array([S.metric_coeffs(u)[:2] for u in t]).T.reshape(2, -1, 4)
-        h2 = np.array([fields_at(S, u).h2 for u in t]).reshape(self.N, 4)
+        A, B = (c.reshape(self.N, 4) for c in S.metric_coeffs(t)[:2])
+        h2 = S.shapes(t).h2.reshape(self.N, 4)
         W = unit_sphere_area(n - 1) * A * B ** (n - 1) * he * wq
         shp = np.stack([1.0 - xi, xi])
 
@@ -257,8 +252,7 @@ class RobinData:
 
 def robin_q(S: ParamSurface) -> RobinData:
     """q = csc(theta) + cot(theta) h(mu,mu) at the (constant-angle) boundary."""
-    bf = S.boundary_frame_at() if S.chart_kind == "profile" \
-        else S.boundary_frame_at(np.zeros(S.n - 1))
+    bf = S.boundary_frame_at(np.zeros(S.n - 1))  # profiles ignore s
     th = bf.theta
     q = 1.0 / math.sin(th) + bf.hmumu / math.tan(th)
     return RobinData(theta=th, hmumu=bf.hmumu, q=q)
@@ -359,12 +353,11 @@ def jacobi_field_residuals(S: ParamSurface, resolution: int = 128) -> dict:
     f_X = ScalarField(S, g.gXnu)
     # gradient form of the conformal-field right-hand side: grad V = -E_d,
     # so g(grad V, nu) = -g(E, nu) exactly
+    sd = S.shapes(g.nodes)
     grad_form = np.array([
-        -n * float(np.dot(PotentialV(n + 1).gradient(
-            S.shape_at(t).position).components,
-            S.shape_at(t).nu.components))
-        / S.shape_at(t).position.height ** 2
-        for t in g.nodes
+        -n * float(np.dot(PotentialV(n + 1).gradient(HPoint(x)).components,
+                          nu)) / x[-1] ** 2
+        for x, nu in zip(sd.coords, sd.normal)
     ])
     return {
         "position": float(np.max(np.abs(jacobi_apply(f_x).values))),
@@ -394,20 +387,19 @@ def boundary_identity_residuals(S: ParamSurface, resolution: int = 128
     f2 = ScalarField(S, g.gXnu)
     f3 = ScalarField(S, g.gxnu)
     bf = g.frame
-    x = bf.shape.position.coords
+    x = bf.shape.coords
     w = x[-1]
-    gxnubar = float(np.dot(x, bf.nubar.components) / (w * w))
-    gxmu = float(np.dot(x, bf.mu.components) / (w * w))
+    gxmu = float(np.dot(x, bf.conormal) / (w * w))
     e_d = np.zeros_like(x)
     e_d[-1] = 1.0
     X = x - e_d
-    gXmu = float(np.dot(X, bf.mu.components) / (w * w))
-    gXnu_b = float(np.dot(X, bf.nu.components) / (w * w))
+    gXmu = float(np.dot(X, bf.conormal) / (w * w))
+    gXnu_b = float(np.dot(X, bf.shape.normal) / (w * w))
     return {
         "robin_potential": abs(normal_derivative(f1) - q * f1.values[-1]),
         "robin_conformal": abs(normal_derivative(f2) - q * f2.values[-1]),
         "position": abs(normal_derivative(f3)
-                        - (gxnubar + g.hmumu * gxmu)),
+                        - (bf.gxnubar + g.hmumu * gxmu)),
         "tangency": abs(gXmu - gXnu_b / math.tan(g.theta)),
     }
 
@@ -552,7 +544,7 @@ class _Variation:
     """
 
     def __init__(self, S: ProfileSurface, phi: ScalarField):
-        self.S = S
+        self.S = weakref.proxy(S)  # S caches its variations
         g = _grid(S, phi.resolution)
         self.g = g
         self.spline = CubicSpline(g.nodes, phi.values)
@@ -567,7 +559,7 @@ class _Variation:
 
     def _frame(self, t: np.ndarray):
         """Profile jet (rho, z, rho', z'), nu and mu, each (radial, vertical)."""
-        jet = np.array([self.S.profile_jet(u)[:4] for u in t]).T
+        jet = np.array(self.S.profile_jet(t)[:4])
         _, z, dr, dz = jet
         s = np.hypot(dr, dz)
         nu = self.sign * z * np.array([dz, -dr]) / s
@@ -596,7 +588,7 @@ class _Variation:
             dt = 1e-6
             Yp = (self._displacement(t + dt)[0]
                   - self._displacement(t - dt)[0]) / (2 * dt)
-            H = np.array([fields_at(self.S, u).H for u in t])
+            H = self.S.shapes(t).H
             cached = self._nodes[Q.order] = SimpleNamespace(
                 w=w, Y=Y, Yp=Yp, jet=jet, nu=nu, H=H)
         return cached
@@ -615,7 +607,7 @@ class _Variation:
         omega = unit_sphere_area(n - 1)
         rho1 = self.S.boundary_radius
         rho_s = rho1 + s * self.Y1[0]
-        nubar_rad = self.g.frame.nubar.components[0]
+        nubar_rad = self.g.frame.boundary_normal[0]
         sgn = 1.0 if nubar_rad > 0 else -1.0
         return sgn * omega * (rho_s ** n - rho1 ** n) / n
 
@@ -638,6 +630,15 @@ class _Variation:
         return self.area(s, Q) - math.cos(self.g.theta) * self.wetting_area(s)
 
 
+def _variation(S: ProfileSurface, phi: ScalarField) -> _Variation:
+    """The variation of phi on S, cached on S by field resolution and values."""
+    cache = S.__dict__.setdefault("_variations", {})
+    key = (phi.resolution, phi.values.tobytes())
+    if key not in cache:
+        cache[key] = _Variation(S, phi)
+    return cache[key]
+
+
 def _first_variation_formula(var: _Variation, functional: str,
                              Q: QuadratureSpec) -> float:
     """The printed first-variation integral for the constructed Y."""
@@ -652,8 +653,8 @@ def _first_variation_formula(var: _Variation, functional: str,
     bulk_phi = float(np.sum(c.w * g_Y_nu * dAw))
     bulk_Hphi = float(np.sum(c.w * c.H * g_Y_nu * dAw))
     # boundary terms: g(Y, mu) = eta1 and g(Y, nubar) at t1
-    mu1 = g.frame.mu.components[[0, -1]]
-    nubar1 = g.frame.nubar.components[[0, -1]]
+    mu1 = g.frame.conormal[[0, -1]]
+    nubar1 = g.frame.boundary_normal[[0, -1]]
     gYmu = float(np.dot(var.Y1, mu1))
     gYnubar = float(np.dot(var.Y1, nubar1))
     bm = g.boundary_measure
@@ -676,7 +677,7 @@ def fd_variation_check(S: ParamSurface, phi: ScalarField, functional: str,
     S = _require_profile(S)
     # the boundary-collar ramp has large high derivatives; resolve it
     Q = Q or QuadratureSpec(256)
-    var = _Variation(S, phi)
+    var = _variation(S, phi)
     fns = {
         "AREA": lambda s: var.area(s, Q),
         "WETTING_AREA": var.wetting_area,
@@ -709,7 +710,7 @@ def energy_second_difference(S: ParamSurface, phi: ScalarField,
     """
     S = _require_profile(S)
     Q = Q or QuadratureSpec(256)
-    var = _Variation(S, phi)
+    var = _variation(S, phi)
     H = var.g.H_mean
 
     def L(s):
@@ -726,54 +727,47 @@ def energy_second_difference(S: ParamSurface, phi: ScalarField,
 # umbilicity deficit
 # ----------------------------------------------------------------------
 
-def _phi_aux_value(S: ParamSurface, H_mean: float, u) -> float:
-    fl = fields_at(S, u)
-    return -H_mean * fl.V - S.n * fl.gEnu
-
-
 def umbilicity_deficit(S: ParamSurface,
                        Q: Optional[QuadratureSpec] = None) -> float:
     """D(S) = int_M n g(E^T,E^T)(n|h|^2 - H^2) + |grad Phi|^2 dA.
 
     The Cauchy-Schwarz term uses the pointwise mean curvature (keeping
     the integrand nonnegative on non-CMC controls); Phi uses the
-    area-weighted mean.  D vanishes exactly on umbilical caps.
+    area-weighted mean.  D vanishes exactly on umbilical caps.  grad Phi
+    is the 5-point central difference with step 1e-4 along each chart
+    axis, evaluated for all nodes in one batch.
     """
     Q = Q or QuadratureSpec()
-    from .surfaces import integrate_M
     n = S.n
     area = integrate_M(S, lambda u: 1.0, Q)
     H_mean = integrate_M(S, lambda u: fields_at(S, u).H, Q) / area
+    step = 1e-4
+    w5 = fd_weights(np.arange(-2, 3), 1) / step
+
+    def dphi(points):
+        """Derivative of Phi from the 5 stencil points on the last point axis."""
+        fl = fields_at(S, points)
+        phi = -H_mean * fl.V - n * fl.gEnu
+        return sum(c * phi[..., k] for k, c in enumerate(w5))
 
     if S.chart_kind == "profile":
-        dt = 1e-4
-        w5 = fd_weights(np.arange(-2, 3), 1) / dt
-
         def integrand(t):
             fl = fields_at(S, t)
             cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)
-            dphi = sum(c * _phi_aux_value(S, H_mean, t + o * dt)
-                       for o, c in zip(range(-2, 3), w5))
             A, _, _, _ = S.metric_coeffs(t)
-            return cs + (dphi / A) ** 2
+            return cs + (dphi(t[:, None] + np.arange(-2, 3) * step) / A) ** 2
 
         return integrate_M(S, integrand, Q)
 
-    du = 1e-4
-    w5 = fd_weights(np.arange(-2, 3), 1) / du
-
     def integrand(u):
-        fl = fields_at(S, u)
+        sd = S.shapes(u)
+        fl = SurfaceFields.from_shape(sd)
         cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)
-        grad = np.zeros(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = du
-            grad[i] = sum(c * _phi_aux_value(S, H_mean, u + o * e)
-                          for o, c in zip(range(-2, 3), w5))
-        sd = S.shape_at(u)
+        # offsets o * step * e_i, as (axis i, stencil point, coordinate)
+        offs = np.arange(-2, 3)[None, :, None] * (step * np.eye(n))[:, None, :]
+        grad = dphi(u[:, None, None, :] + offs)
         ginv = np.linalg.inv(sd.g)
-        return cs + float(grad @ ginv @ grad)
+        return cs + np.einsum("mi,mij,mj->m", grad, ginv, grad)
 
     return integrate_M(S, integrand, Q)
 
@@ -786,16 +780,12 @@ def boundary_cancellation(S: ParamSurface,
     the stability argument).
     """
     Q = Q or QuadratureSpec()
-    from .surfaces import integrate_dM
 
     def f(s):
-        bf = S.boundary_frame_at(s) if S.chart_kind != "profile" \
+        bf = S.boundary_frames(s) if S.chart_kind != "profile" \
             else S.boundary_frame_at()
-        x = bf.shape.position.coords
-        w = x[-1]
-        gxnubar = float(np.dot(x, bf.nubar.components) / (w * w))
+        gxnubar = bf.gxnubar
         th = bf.theta
-        return (-math.sin(th) + math.cos(th) * gxnubar
-                + bf.hmumu * gxnubar)
+        return -np.sin(th) + np.cos(th) * gxnubar + bf.hmumu * gxnubar
 
     return integrate_dM(S, f, Q)

@@ -13,6 +13,10 @@ Two chart kinds are supported:
   artificial cuts (flagged), in which case divergence-theorem identities
   are not expected to close.
 
+Geometry is array-native: ``shapes`` and ``GridSurface.boundary_frames``
+evaluate arrays of chart points in one pass; ``shape_at``,
+``boundary_frame_at`` and ``fields_at`` are that pass at one point.
+
 Curvature conventions: the second fundamental form is h(X, Y) =
 g(nabla_X nu, Y), computed from embedding jets through the conformal
 connection, and the unit normal nu is oriented so that the mean
@@ -22,11 +26,14 @@ tie for minimal surfaces.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .halfspace import GeometryError, HPoint, HVector
 from .quadrature import QuadratureSpec, unit_sphere_area
@@ -46,7 +53,7 @@ __all__ = [
     "check_immersion",
 ]
 
-SUPPORT_TOL = 1e-12
+HHAT_STEP = 1e-4  # central-difference step of the boundary shape operator
 
 
 class ImmersionError(ValueError):
@@ -61,37 +68,90 @@ class EvaluationError(ValueError):
     """Non-finite value encountered during integration."""
 
 
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
 @dataclass(frozen=True)
 class ShapeData:
-    """First/second fundamental data at one chart point."""
+    """First/second fundamental data at chart points, as a struct of arrays.
 
-    position: HPoint
-    nu: HVector
+    The leading axes of every field index the points (none at one point).
+    coords and normal are the Euclidean components of the position and
+    of the unit normal nu; principal curvatures are ascending.
+    """
+
+    coords: np.ndarray
+    normal: np.ndarray
     g: np.ndarray
     h: np.ndarray
-    H: float
-    h2: float
+    H: np.ndarray
+    h2: np.ndarray
     principal_curvatures: np.ndarray
+
+    def __getitem__(self, index) -> "ShapeData":
+        """The points picked by indexing the leading axes."""
+        return ShapeData(*(getattr(self, f.name)[index]
+                           for f in dataclasses.fields(self)))
+
+    @property
+    def position(self) -> HPoint:
+        return HPoint(self.coords)
+
+    @property
+    def nu(self) -> HVector:
+        return HVector(self.position, self.normal)
 
 
 @dataclass(frozen=True)
 class BoundaryFrame:
-    """Frame and contact data at one boundary point.
+    """Frame and contact data at boundary points, as a struct of arrays.
 
-    mu is the outward conormal in the surface, nubar the normal of the
-    boundary inside the (flat) horosphere, Nbar the outward support
-    normal -E_d, and theta the contact angle fixed by
-    cos(theta) = -g(nu, Nbar).
+    mu (Euclidean components ``conormal``) is the outward conormal in the
+    surface, nubar (``boundary_normal``) the normal of the boundary inside
+    the (flat) horosphere, Nbar the outward support normal -E_d, and theta
+    the contact angle fixed by cos(theta) = -g(nu, Nbar).
     """
 
-    mu: HVector
-    nubar: HVector
-    Nbar: HVector
-    theta: float
-    hmumu: float
-    Hhat: float
-    nu: HVector
     shape: ShapeData
+    conormal: np.ndarray
+    boundary_normal: np.ndarray
+    theta: np.ndarray
+    hmumu: np.ndarray
+    Hhat: np.ndarray
+
+    @property
+    def gxnubar(self) -> np.ndarray:
+        """g(x, nubar) of the position field."""
+        x = self.shape.coords
+        return np.sum(x * self.boundary_normal, axis=-1) / x[..., -1] ** 2
+
+    @property
+    def mu(self) -> HVector:
+        return HVector(self.shape.position, self.conormal)
+
+    @property
+    def nubar(self) -> HVector:
+        return HVector(self.shape.position, self.boundary_normal)
+
+    @property
+    def Nbar(self) -> HVector:
+        e = np.zeros_like(self.conormal)
+        e[-1] = -1.0
+        return HVector(self.shape.position, e)
+
+    @property
+    def nu(self) -> HVector:
+        return self.shape.nu
+
+
+def _contact(shape: ShapeData, mu: np.ndarray):
+    """(theta, nubar) from cos(theta) = -g(nu, Nbar) with Nbar = -E_d."""
+    w = shape.coords[..., -1]
+    cos_t = np.clip(shape.normal[..., -1] / (w * w), -1.0, 1.0)
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t ** 2))
+    return (np.arccos(cos_t),
+            cos_t[..., None] * mu + sin_t[..., None] * shape.normal)
 
 
 class ParamSurface:
@@ -104,71 +164,71 @@ class ParamSurface:
 
     _sign_cache: Optional[int] = None
 
-    # -- orientation ---------------------------------------------------
-    def _probe_center(self):
+    def _center(self):
         raise NotImplementedError
 
+    def _shapes(self, u, sign: int) -> ShapeData:
+        raise NotImplementedError
+
+    # -- orientation ---------------------------------------------------
     def orientation_sign(self) -> int:
         """Global normal sign making H > 0 (flag-tie-broken when H = 0)."""
         if self._sign_cache is None:
-            H_trial, nu_z_trial = self._probe_center()
-            if abs(H_trial) > 1e-9:
-                sign = 1 if H_trial > 0 else -1
+            probe = self._shapes(self._center(), +1)
+            if abs(probe.H) > 1e-9:
+                sign = 1 if probe.H > 0 else -1
             else:
-                up = 1 if nu_z_trial >= 0 else -1
+                up = 1 if probe.normal[-1] >= 0 else -1
                 sign = self.orientation * up
             self._sign_cache = sign
         return self._sign_cache
 
-    def shape_at(self, u) -> ShapeData:
-        raise NotImplementedError
-
-    def boundary_frame_at(self, s=None) -> BoundaryFrame:
-        raise NotImplementedError
+    def shapes(self, u) -> ShapeData:
+        """Shape data at an array of chart points, in one batched pass."""
+        return self._shapes(u, self.orientation_sign())
 
 
-def _shape_from_jet(x: np.ndarray, J: np.ndarray, Hess: np.ndarray,
-                    sign: int) -> ShapeData:
-    """Shape data from an embedding jet (point, tangents, second derivatives).
+def _jet_shapes(x: np.ndarray, J: np.ndarray, Hess: np.ndarray,
+                sign: int) -> ShapeData:
+    """Shape data from stacked embedding jets.
 
-    J has shape (d, n) with tangent columns; Hess has shape (d, n, n).
+    x has shape (..., d), the tangent columns J (..., d, n) and Hess
+    (..., d, n, n).
     """
-    d, n = J.shape
-    w = x[-1]
-    g = (J.T @ J) / (w * w)
+    w = x[..., -1]
+    if np.any(w <= 0):
+        raise GeometryError("chart leaves the upper half-space")
+    w2 = (w * w)[..., None, None]
+    G = _swap(J) @ J
+    g = G / w2
     try:
-        scipy.linalg.cholesky(g)
-    except scipy.linalg.LinAlgError as exc:
+        L = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
         raise ImmersionError("induced metric is not positive definite") from exc
-    # Euclidean unit normal with chart-orientation-continuous sign.
-    U, _, _ = np.linalg.svd(J, full_matrices=True)
-    m = U[:, -1]
-    if np.linalg.det(np.column_stack([J, m])) < 0:
-        m = -m
-    nu_comp = sign * w * m
-    # Conformal-connection correction of the flat second derivatives.
-    dlnw = J[-1, :] / w
-    e_d = np.zeros(d)
-    e_d[-1] = 1.0
-    h = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            T = (Hess[:, i, j] - dlnw[i] * J[:, j] - dlnw[j] * J[:, i]
-                 + np.dot(J[:, i], J[:, j]) * e_d / w)
-            h[i, j] = -np.dot(nu_comp, T) / (w * w)
-    kappa = scipy.linalg.eigh(h, g, eigvals_only=True)
-    H = float(np.sum(kappa))
-    h2 = float(np.sum(kappa * kappa))
-    p = HPoint(x)
-    return ShapeData(p, HVector(p, nu_comp), g, h, H, h2, kappa)
+    # Euclidean unit normal with chart-orientation-continuous sign
+    m = np.linalg.svd(J, full_matrices=True)[0][..., -1]
+    flip = np.linalg.det(np.concatenate([J, m[..., None]], axis=-1)) < 0
+    nu = (sign * w)[..., None] * np.where(flip[..., None], -m, m)
+    # conformal-connection correction of the flat second derivatives
+    dlnw = J[..., -1, :] / w[..., None]
+    nuJ = np.einsum("...k,...ki->...i", nu, J)
+    h = -(np.einsum("...k,...kij->...ij", nu, Hess)
+          - dlnw[..., :, None] * nuJ[..., None, :]
+          - nuJ[..., :, None] * dlnw[..., None, :]
+          + G * (nu[..., -1] / w)[..., None, None]) / w2
+    Linv = np.linalg.inv(L)
+    kappa = np.linalg.eigvalsh(Linv @ h @ _swap(Linv))
+    return ShapeData(x, nu, g, h, np.sum(kappa, axis=-1),
+                     np.sum(kappa * kappa, axis=-1), kappa)
 
 
 class ProfileSurface(ParamSurface):
     """Axisymmetric surface from a meridian profile on [0, t1].
 
-    ``profile_jet(t)`` returns (rho, z, rho', z', rho'', z'').  The axis
-    point is t = 0 (rho(0) = 0) and the boundary t = t1 must satisfy
-    z(t1) = 1 to support tolerance.
+    ``profile_jet(t)`` returns (rho, z, rho', z', rho'', z'') and must
+    accept an array of t (componentwise).  The axis point is t = 0
+    (rho(0) = 0) and the boundary t = t1 must satisfy z(t1) = 1 to
+    support tolerance.
     """
 
     chart_kind = "profile"
@@ -193,55 +253,50 @@ class ProfileSurface(ParamSurface):
         x[-1] = z
         return x
 
-    def _meridian_shape(self, t: float, sign: int):
-        """Meridian normal and principal curvatures at parameter t."""
-        rho, z, dr, dz, d2r, d2z = self.profile_jet(t)
+    def _center(self):
+        return 0.5 * self.t1
+
+    def _shapes(self, t, sign: int) -> ShapeData:
+        """Meridian normal and the meridian/azimuthal principal curvatures."""
+        rho, z, dr, dz, d2r, d2z = np.broadcast_arrays(
+            *(np.asarray(c, dtype=float) for c in self.profile_jet(t)))
         w = z
-        if w <= 0:
+        if np.any(w <= 0):
             raise GeometryError("profile leaves the upper half-space")
         s2 = dr * dr + dz * dz
         s = np.sqrt(s2)
-        if s <= 0:
+        if np.any(s <= 0):
             raise ImmersionError("profile tangent vanishes")
-        m = np.array([dz, -dr]) / s  # meridian-plane unit normal (radial, vertical)
+        m0, m1 = dz / s, -dr / s  # meridian-plane unit normal (radial, vertical)
         # meridian curvature via the conformal connection
         g_tt = s2 / (w * w)
         T_rad = d2r - 2.0 * (dz / w) * dr
         T_ver = d2z - 2.0 * (dz / w) * dz + s2 / w
-        h_tt = -sign * w * (m[0] * T_rad + m[1] * T_ver) / (w * w)
-        kappa_m = h_tt / g_tt
+        kappa_m = -sign * w * (m0 * T_rad + m1 * T_ver) / (w * w) / g_tt
         # azimuthal curvature; smoothness forces the meridian value at the axis
-        if rho > 1e-13:
-            kappa_a = sign * (w * m[0] / rho - m[1])
-        else:
-            kappa_a = kappa_m
-        return m, kappa_m, kappa_a, (rho, z, dr, dz, s, w)
-
-    def _probe_center(self):
-        t_c = 0.5 * self.t1
-        m, kappa_m, kappa_a, (rho, z, dr, dz, s, w) = self._meridian_shape(t_c, +1)
-        H_trial = kappa_m + (self.n - 1) * kappa_a
-        return H_trial, w * m[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kappa_a = np.where(rho > 1e-13, sign * (w * m0 / rho - m1), kappa_m)
+        n = self.n
+        x = np.zeros(w.shape + (n + 1,))
+        x[..., 0], x[..., -1] = rho, z
+        nu = np.zeros_like(x)
+        nu[..., 0], nu[..., -1] = sign * w * m0, sign * w * m1
+        eye = np.eye(n)
+        g = np.stack([s * s / (w * w)] + [rho * rho / (w * w)] * (n - 1),
+                     axis=-1)[..., None] * eye
+        h = np.stack([kappa_m * s * s / (w * w)]
+                     + [kappa_a * rho * rho / (w * w)] * (n - 1),
+                     axis=-1)[..., None] * eye
+        kappa = np.sort(np.stack([kappa_m] + [kappa_a] * (n - 1), axis=-1),
+                        axis=-1)
+        return ShapeData(x, nu, g, h, kappa_m + (n - 1) * kappa_a,
+                         kappa_m ** 2 + (n - 1) * kappa_a ** 2, kappa)
 
     def shape_at(self, t: float) -> ShapeData:
-        sign = self.orientation_sign()
-        m, kappa_m, kappa_a, (rho, z, dr, dz, s, w) = self._meridian_shape(t, sign)
-        n = self.n
-        x = self.embed(t)
-        nu_comp = np.zeros(n + 1)
-        nu_comp[0] = sign * w * m[0]
-        nu_comp[-1] = sign * w * m[1]
-        g = np.diag([s * s / (w * w)] + [rho * rho / (w * w)] * (n - 1))
-        h = np.diag([kappa_m * s * s / (w * w)]
-                    + [kappa_a * rho * rho / (w * w)] * (n - 1))
-        kappa = np.sort(np.array([kappa_m] + [kappa_a] * (n - 1)))
-        H = kappa_m + (n - 1) * kappa_a
-        h2 = kappa_m ** 2 + (n - 1) * kappa_a ** 2
-        p = HPoint(x)
-        return ShapeData(p, HVector(p, nu_comp), g, h, float(H), float(h2), kappa)
+        return self.shapes(float(t))
 
     # -- metric coefficients for the intrinsic grid operators ----------
-    def metric_coeffs(self, t: float) -> tuple[float, float, float, float]:
+    def metric_coeffs(self, t):
         """(A, B, A', B') of the induced metric A^2 dt^2 + B^2 dsigma^2."""
         rho, z, dr, dz, d2r, d2z = self.profile_jet(t)
         w = z
@@ -257,40 +312,20 @@ class ProfileSurface(ParamSurface):
     def boundary_frame_at(self, s=None) -> BoundaryFrame:
         t1 = self.t1
         shape = self.shape_at(t1)
-        x = shape.position.coords
-        w = x[-1]
+        w = shape.coords[-1]
         if abs(w - 1.0) > 1e-9:
             raise SupportError(f"boundary point height {w} is off the horosphere")
-        n = self.n
         rho, z, dr, dz, *_ = self.profile_jet(t1)
         sn = np.sqrt(dr * dr + dz * dz)
-        mu_comp = np.zeros(n + 1)
-        mu_comp[0] = w * dr / sn
-        mu_comp[-1] = w * dz / sn
-        Nbar_comp = np.zeros(n + 1)
-        Nbar_comp[-1] = -1.0
-        nu_comp = shape.nu.components
-        cos_theta = -float(np.dot(nu_comp, Nbar_comp)) / (w * w)
-        cos_theta = min(1.0, max(-1.0, cos_theta))
-        theta = float(np.arccos(cos_theta))
-        sin_theta = np.sqrt(max(0.0, 1.0 - cos_theta ** 2))
-        nubar_comp = cos_theta * mu_comp + sin_theta * nu_comp
+        mu = np.zeros(self.n + 1)
+        mu[0] = w * dr / sn
+        mu[-1] = w * dz / sn
+        theta, nubar = _contact(shape, mu)
         # boundary sphere of Euclidean radius rho in the flat horosphere;
         # its curvature w.r.t. nubar follows from the radial component
-        Hhat = (n - 1) * nubar_comp[0] / rho
-        g_tt = shape.g[0, 0]
-        hmumu = shape.h[0, 0] / g_tt
-        p = shape.position
-        return BoundaryFrame(
-            mu=HVector(p, mu_comp),
-            nubar=HVector(p, nubar_comp),
-            Nbar=HVector(p, Nbar_comp),
-            theta=theta,
-            hmumu=float(hmumu),
-            Hhat=float(Hhat),
-            nu=shape.nu,
-            shape=shape,
-        )
+        return BoundaryFrame(shape=shape, conormal=mu, boundary_normal=nubar,
+                             theta=theta, hmumu=shape.h[0, 0] / shape.g[0, 0],
+                             Hhat=(self.n - 1) * nubar[0] / rho)
 
     @property
     def boundary_radius(self) -> float:
@@ -301,9 +336,10 @@ class ProfileSurface(ParamSurface):
 class GridSurface(ParamSurface):
     """Box chart u in [0, L_0] x ... with the face u_0 = 0 on the horosphere.
 
-    ``embed_jet(u)`` returns (x, J, Hess) with J of shape (d, n) and Hess
-    of shape (d, n, n).  Faces other than u_0 = 0 are artificial cuts
-    unless the embedding closes them on the support.
+    ``embed_jet(u)`` returns (x, J, Hess) at one chart point u, with J of
+    shape (d, n) and Hess of shape (d, n, n); batches call it once per
+    point and stack the results.  Faces other than u_0 = 0 are artificial
+    cuts unless the embedding closes them on the support.
     """
 
     chart_kind = "grid"
@@ -322,96 +358,73 @@ class GridSurface(ParamSurface):
         self.orientation = orientation
         self._sign_cache = None
 
-    def _probe_center(self):
-        u_c = np.array([0.5 * (lo + hi) for lo, hi in self.box])
-        x, J, Hess = self.embed_jet(u_c)
-        sd = _shape_from_jet(x, J, Hess, +1)
-        return sd.H, sd.nu.components[-1]
+    def _center(self):
+        return np.array([0.5 * (lo + hi) for lo, hi in self.box])
+
+    def jets(self, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked (x, J, Hess) at chart points u of shape (..., n)."""
+        u = np.asarray(u, dtype=float)
+        lead, n = u.shape[:-1], self.n
+        x, J, Hess = (np.array(a, dtype=float) for a in zip(
+            *(self.embed_jet(p) for p in u.reshape(-1, n))))
+        d = x.shape[-1]
+        return (x.reshape(lead + (d,)), J.reshape(lead + (d, n)),
+                Hess.reshape(lead + (d, n, n)))
+
+    def _shapes(self, u, sign: int) -> ShapeData:
+        return _jet_shapes(*self.jets(u), sign)
 
     def shape_at(self, u) -> ShapeData:
-        u = np.asarray(u, dtype=float)
-        x, J, Hess = self.embed_jet(u)
-        return _shape_from_jet(x, J, Hess, self.orientation_sign())
+        return self.shapes(u)
 
-    def _boundary_chart_point(self, s) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        u = np.empty(self.n)
-        u[0] = self.box[0][0]
-        u[1:] = s
-        return u
+    def _boundary_chart_point(self, s: np.ndarray) -> np.ndarray:
+        lo = np.full(s.shape[:-1] + (1,), self.box[0][0])
+        return np.concatenate([lo, s], axis=-1)
 
-    def boundary_frame_at(self, s) -> BoundaryFrame:
-        u = self._boundary_chart_point(s)
-        shape = self.shape_at(u)
-        x = shape.position.coords
-        w = x[-1]
-        if abs(w - 1.0) > 1e-9:
-            raise SupportError(f"boundary point height {w} is off the horosphere")
-        _, J, _ = self.embed_jet(u)
+    def boundary_frames(self, s) -> BoundaryFrame:
+        """Frames at support-face points s of shape (..., n-1), batched.
+
+        Hhat, the trace of the flat boundary shape operator, is the
+        central difference of nubar with step HHAT_STEP along each face
+        axis; the neighbours go into the same batch.
+        """
+        s = np.asarray(s, dtype=float)
+        k = self.n - 1
+        offsets = np.concatenate([np.zeros((1, k)), HHAT_STEP * np.eye(k),
+                                  -HHAT_STEP * np.eye(k)])
+        pts = s + offsets.reshape((2 * k + 1,) + (1,) * (s.ndim - 1) + (k,))
+        x, J, Hess = self.jets(self._boundary_chart_point(pts))
+        shape = _jet_shapes(x, J, Hess, self.orientation_sign())
+        w = x[..., -1]
+        off = np.abs(w[0] - 1.0) > 1e-9
+        if np.any(off):
+            raise SupportError(f"boundary point height {w[0][off][0]} "
+                               "is off the horosphere")
         # outward conormal: tangent to the surface, orthogonal to the
         # boundary tangents, pointing against the u_0 axis
-        v = -J[:, 0].astype(float)
-        for k in range(1, self.n):
-            tk = J[:, k]
-            v -= np.dot(v, tk) / np.dot(tk, tk) * tk
-        mu_comp = v / (np.linalg.norm(v) / w)
-        Nbar_comp = np.zeros(self.n + 1)
-        Nbar_comp[-1] = -1.0
-        nu_comp = shape.nu.components
-        cos_theta = -float(np.dot(nu_comp, Nbar_comp)) / (w * w)
-        cos_theta = min(1.0, max(-1.0, cos_theta))
-        theta = float(np.arccos(cos_theta))
-        sin_theta = np.sqrt(max(0.0, 1.0 - cos_theta ** 2))
-        nubar_comp = cos_theta * mu_comp + sin_theta * nu_comp
-        Hhat = self._boundary_mean_curvature(np.atleast_1d(s), nubar_comp)
+        v = -J[..., 0]
+        for i in range(1, self.n):
+            tk = J[..., i]
+            v = v - (np.sum(v * tk, axis=-1)
+                     / np.sum(tk * tk, axis=-1))[..., None] * tk
+        mu = v / (np.linalg.norm(v, axis=-1) / w)[..., None]
+        theta, nubar = _contact(shape, mu)
+        Hhat = 0.0
+        for i in range(k):
+            dnb = (nubar[1 + i] - nubar[1 + k + i]) / (2.0 * HHAT_STEP)
+            tangent = J[0, ..., :-1, 1 + i]
+            Hhat = Hhat + (np.sum(dnb[..., :-1] * tangent, axis=-1)
+                           / np.sum(tangent * tangent, axis=-1))
         # conormal second fundamental value h(mu, mu)
-        mu_chart = np.linalg.lstsq(J, mu_comp, rcond=None)[0]
-        hmumu = float(mu_chart @ shape.h @ mu_chart)
-        p = shape.position
-        return BoundaryFrame(
-            mu=HVector(p, mu_comp),
-            nubar=HVector(p, nubar_comp),
-            Nbar=HVector(p, Nbar_comp),
-            theta=theta,
-            hmumu=hmumu,
-            Hhat=float(Hhat),
-            nu=shape.nu,
-            shape=shape,
-        )
+        mu_chart = (np.linalg.pinv(J[0]) @ mu[0][..., None])[..., 0]
+        hmumu = np.einsum("...i,...ij,...j->...", mu_chart, shape.h[0],
+                          mu_chart)
+        return BoundaryFrame(shape=shape[0], conormal=mu[0],
+                             boundary_normal=nubar[0], theta=theta[0],
+                             hmumu=hmumu, Hhat=Hhat)
 
-    def _nubar_at(self, s) -> np.ndarray:
-        u = self._boundary_chart_point(s)
-        shape = self.shape_at(u)
-        _, J, _ = self.embed_jet(u)
-        w = shape.position.coords[-1]
-        v = -J[:, 0].astype(float)
-        for k in range(1, self.n):
-            tk = J[:, k]
-            v -= np.dot(v, tk) / np.dot(tk, tk) * tk
-        mu_comp = v / (np.linalg.norm(v) / w)
-        nu_comp = shape.nu.components
-        Nbar_comp = np.zeros(self.n + 1)
-        Nbar_comp[-1] = -1.0
-        cos_theta = -float(np.dot(nu_comp, Nbar_comp)) / (w * w)
-        sin_theta = np.sqrt(max(0.0, 1.0 - cos_theta ** 2))
-        return cos_theta * mu_comp + sin_theta * nu_comp
-
-    def _boundary_mean_curvature(self, s: np.ndarray, nubar_comp: np.ndarray) -> float:
-        """Trace of the flat boundary shape operator via central differences."""
-        k_dim = self.n - 1
-        step = 1e-4
-        total = 0.0
-        u0 = self._boundary_chart_point(s)
-        _, J0, _ = self.embed_jet(u0)
-        for k in range(k_dim):
-            e = np.zeros(k_dim)
-            e[k] = step
-            nb_p = self._nubar_at(s + e)
-            nb_m = self._nubar_at(s - e)
-            dnb = (nb_p - nb_m) / (2.0 * step)
-            tangent = J0[:, 1 + k]
-            total += np.dot(dnb[:-1], tangent[:-1]) / np.dot(tangent[:-1], tangent[:-1])
-        return total
+    def boundary_frame_at(self, s) -> BoundaryFrame:
+        return self.boundary_frames(np.atleast_1d(np.asarray(s, dtype=float)))
 
 
 # ----------------------------------------------------------------------
@@ -420,109 +433,140 @@ class GridSurface(ParamSurface):
 
 @dataclass(frozen=True)
 class SurfaceFields:
-    """Scalar fields of the distinguished ambient quantities at a chart point."""
+    """Scalar fields of the distinguished ambient quantities at chart points.
 
-    w: float
-    V: float           # 1 / x_d
-    gxnu: float        # g(x, nu)
-    gEnu: float        # g(E_d, nu)
-    gXnu: float        # g(x - E_d, nu)
-    H: float
-    h2: float
-    E_tan_sq: float    # g(E_d^T, E_d^T), tangential part of the vertical field
+    A struct of arrays with the point axes of the ShapeData it comes from.
+    """
+
+    w: np.ndarray
+    V: np.ndarray         # 1 / x_d
+    gxnu: np.ndarray      # g(x, nu)
+    gEnu: np.ndarray      # g(E_d, nu)
+    gXnu: np.ndarray      # g(x - E_d, nu)
+    H: np.ndarray
+    h2: np.ndarray
+    E_tan_sq: np.ndarray  # g(E_d^T, E_d^T), tangential part of the vertical field
 
     @staticmethod
     def from_shape(sd: ShapeData) -> "SurfaceFields":
-        x = sd.position.coords
-        w = x[-1]
-        nu = sd.nu.components
-        gxnu = float(np.dot(x, nu) / (w * w))
-        gEnu = float(nu[-1] / (w * w))
-        nu_hat_z = nu[-1] / w
-        return SurfaceFields(
-            w=float(w),
-            V=1.0 / float(w),
-            gxnu=gxnu,
-            gEnu=gEnu,
-            gXnu=gxnu - gEnu,
-            H=sd.H,
-            h2=sd.h2,
-            E_tan_sq=float((1.0 - nu_hat_z ** 2) / (w * w)),
-        )
+        x, nu = sd.coords, sd.normal
+        w = x[..., -1]
+        gxnu = np.sum(x * nu, axis=-1) / (w * w)
+        gEnu = nu[..., -1] / (w * w)
+        nu_hat_z = nu[..., -1] / w
+        return SurfaceFields(w=w, V=1.0 / w, gxnu=gxnu, gEnu=gEnu,
+                             gXnu=gxnu - gEnu, H=sd.H, h2=sd.h2,
+                             E_tan_sq=(1.0 - nu_hat_z ** 2) / (w * w))
 
 
 def fields_at(S: ParamSurface, u) -> SurfaceFields:
-    return SurfaceFields.from_shape(S.shape_at(u))
+    return SurfaceFields.from_shape(S.shapes(u))
 
 
 # ----------------------------------------------------------------------
-# integration
+# quadrature node sets and integration
 # ----------------------------------------------------------------------
+
+class NodeSet:
+    """Gauss-Legendre nodes on a chart (or a box chart's support face), the
+    weights times the area element, and shapes, fields and frames computed
+    on first use.  The surface caches its node sets and is held weakly.
+    """
+
+    def __init__(self, S: ParamSurface, Q: QuadratureSpec, face: bool):
+        self.S = weakref.proxy(S)
+        if S.chart_kind == "profile":
+            self.nodes, wt = Q.rule(0.0, S.t1)
+            A, B, _, _ = S.metric_coeffs(self.nodes)
+            self.weights = (wt * A * B ** (S.n - 1)
+                            * unit_sphere_area(S.n - 1))
+            return
+        axes = [Q.rule(lo, hi) for lo, hi in S.box[1 if face else 0:]]
+        self.nodes = np.array(list(itertools.product(*(a[0] for a in axes))))
+        wt = functools.reduce(np.multiply.outer, [a[1] for a in axes]).ravel()
+        if face:  # flat measure: the boundary sits at height 1
+            T = S.jets(S._boundary_chart_point(self.nodes))[1][..., 1:]
+            self.weights = wt * np.sqrt(np.linalg.det(_swap(T) @ T))
+        else:
+            self.jets = S.jets(self.nodes)
+            x, J, _ = self.jets
+            g = (_swap(J) @ J) / (x[..., -1] ** 2)[..., None, None]
+            self.weights = wt * np.sqrt(np.linalg.det(g))
+
+    @functools.cached_property
+    def shapes(self) -> ShapeData:
+        if self.S.chart_kind == "profile":
+            return self.S.shapes(self.nodes)
+        return _jet_shapes(*self.jets, self.S.orientation_sign())
+
+    @functools.cached_property
+    def fields(self) -> SurfaceFields:
+        return SurfaceFields.from_shape(self.shapes)
+
+    @functools.cached_property
+    def frames(self) -> BoundaryFrame:
+        return self.S.boundary_frames(self.nodes)
+
+
+def node_set(S: ParamSurface, Q: QuadratureSpec, face: bool = False) -> NodeSet:
+    """The node set of Q's order on S (face: the box chart's support face)."""
+    cache = S.__dict__.setdefault("_node_sets", {})
+    key = (Q.order, face)
+    if key not in cache:
+        cache[key] = NodeSet(S, Q, face)
+    return cache[key]
+
+
+def _integrand(f, nodes: np.ndarray, count: int, label: str) -> np.ndarray:
+    """f on the node array as m finite values; label names the first bad node."""
+    val = np.broadcast_to(np.asarray(f(nodes) if callable(f) else f,
+                                     dtype=float), (count,))
+    bad = np.flatnonzero(~np.isfinite(val))
+    if bad.size:
+        raise EvaluationError(f"non-finite {label}{nodes[bad[0]]}")
+    return val
+
 
 def integrate_M(S: ParamSurface, f, Q: QuadratureSpec) -> float:
-    """Integral of the chart scalar field f over the surface."""
-    if S.chart_kind == "profile":
-        nodes, wts = Q.rule(0.0, S.t1)
-        total = 0.0
-        omega = unit_sphere_area(S.n - 1)
-        for t, wt in zip(nodes, wts):
-            A, B, _, _ = S.metric_coeffs(t)
-            val = f(t)
-            if not np.isfinite(val):
-                raise EvaluationError(f"non-finite integrand at t={t}")
-            total += wt * val * A * B ** (S.n - 1)
-        return total * omega
-    # grid chart: tensor-product Gauss-Legendre
-    axes = [Q.rule(lo, hi) for lo, hi in S.box]
-    total = 0.0
-    for idx in np.ndindex(*(len(a[0]) for a in axes)):
-        u = np.array([axes[k][0][i] for k, i in enumerate(idx)])
-        wt = np.prod([axes[k][1][i] for k, i in enumerate(idx)])
-        x, J, _ = S.embed_jet(u)
-        w = x[-1]
-        g = (J.T @ J) / (w * w)
-        val = f(u)
-        if not np.isfinite(val):
-            raise EvaluationError(f"non-finite integrand at u={u}")
-        total += wt * val * np.sqrt(np.linalg.det(g))
-    return total
+    """Integral of the chart scalar field f over the surface.
+
+    f is called once with the whole node array: t of shape (m,) on
+    profile charts, u of shape (m, n) on box charts (tensor-product
+    Gauss-Legendre); it returns m values or one constant.
+    """
+    ns = node_set(S, Q)
+    name = "t" if S.chart_kind == "profile" else "u"
+    val = _integrand(f, ns.nodes, ns.weights.size, f"integrand at {name}=")
+    return float(ns.weights @ val)
 
 
 def integrate_dM(S: ParamSurface, f, Q: QuadratureSpec) -> float:
-    """Integral of the boundary scalar field f over the on-support boundary."""
+    """Integral of the boundary scalar field f over the on-support boundary.
+
+    f (or a constant) is called once with the support-face nodes s, shape
+    (m, n-1), of box charts, and at s = 0 on a profile chart's boundary orbit.
+    """
     if S.chart_kind == "profile":
         rho1 = S.boundary_radius
         omega = unit_sphere_area(S.n - 1)
         val = f(np.zeros(S.n - 1)) if callable(f) else float(f)
         if not np.isfinite(val):
             raise EvaluationError("non-finite boundary integrand")
-        return val * rho1 ** (S.n - 1) * omega
-    # grid chart: the support face u_0 = lo, flat measure at height 1
-    axes = [Q.rule(lo, hi) for lo, hi in S.box[1:]]
-    total = 0.0
-    for idx in np.ndindex(*(len(a[0]) for a in axes)):
-        s = np.array([axes[k][0][i] for k, i in enumerate(idx)])
-        wt = np.prod([axes[k][1][i] for k, i in enumerate(idx)])
-        u = S._boundary_chart_point(s)
-        x, J, _ = S.embed_jet(u)
-        gb = J[:, 1:].T @ J[:, 1:]  # flat: boundary sits at height 1
-        val = f(s) if callable(f) else float(f)
-        if not np.isfinite(val):
-            raise EvaluationError(f"non-finite boundary integrand at s={s}")
-        total += wt * val * np.sqrt(np.linalg.det(gb))
-    return total
+        return float(val * rho1 ** (S.n - 1) * omega)
+    ns = node_set(S, Q, face=True)
+    val = _integrand(f, ns.nodes, ns.weights.size, "boundary integrand at s=")
+    return float(ns.weights @ val)
 
 
 def check_immersion(S: ParamSurface, Q: QuadratureSpec) -> None:
     """Raise ImmersionError if the induced metric degenerates at any node."""
     if S.chart_kind == "profile":
         nodes, _ = Q.rule(0.0, S.t1)
-        for t in nodes:
-            A, B, _, _ = S.metric_coeffs(t)
-            if not (A > 0 and B > 0 and np.isfinite(A) and np.isfinite(B)):
-                raise ImmersionError(f"degenerate induced metric at t={t}")
+        A, B, _, _ = S.metric_coeffs(nodes)
+        bad = np.flatnonzero(~((A > 0) & (B > 0) & np.isfinite(A)
+                               & np.isfinite(B)))
+        if bad.size:
+            raise ImmersionError(
+                f"degenerate induced metric at t={nodes[bad[0]]}")
     else:
-        axes = [Q.rule(lo, hi) for lo, hi in S.box]
-        for idx in np.ndindex(*(len(a[0]) for a in axes)):
-            u = np.array([axes[k][0][i] for k, i in enumerate(idx)])
-            S.shape_at(u)  # raises on degenerate metric
+        node_set(S, Q).shapes  # raises on a degenerate metric

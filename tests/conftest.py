@@ -7,6 +7,7 @@ import pytest
 
 from horocap.families import CapKind, CapSpec, PerturbationSpec, build, perturb
 from horocap.quadrature import QuadratureSpec
+from horocap.surfaces import GridSurface
 
 
 def cap(kind=CapKind.SPHERE_CAP, n=2, a=1.0, r=0.5, **kw):
@@ -50,6 +51,21 @@ def vertical_plane():
 def tilted_plane():
     return build(CapSpec(kind=CapKind.TILTED_PLANE_CAP, n=2,
                          beta=math.pi / 3, extent=1.0))
+
+
+@pytest.fixture(scope="session")
+def saddle_chart():
+    """Saddle-like box chart whose contact angle varies along the cut."""
+    def embed_jet(u):
+        x = np.array([u[0], u[1], 1.0 + u[0] * (1.0 + 0.5 * u[1])])
+        J = np.array([[1.0, 0.0],
+                      [0.0, 1.0],
+                      [1.0 + 0.5 * u[1], 0.5 * u[0]]])
+        Hess = np.zeros((3, 2, 2))
+        Hess[2, 0, 1] = Hess[2, 1, 0] = 0.5
+        return x, J, Hess
+
+    return GridSurface(2, [(0.0, 0.5), (0.1, 0.6)], embed_jet)
 
 
 @pytest.fixture(scope="session")

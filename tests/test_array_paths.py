@@ -1,23 +1,249 @@
-"""Array paths of the stability layer against per-node scalar references.
+"""Array paths of the geometry and stability layers against per-node
+scalar references.
 
-The references below are the straightforward loops: one profile-jet,
-spline and ramp evaluation per node and per variation parameter s, and
-one metric/shape evaluation per element Gauss point and per angular
-mode.  The array code must reproduce them up to rounding.
+The references below are the straightforward loops: one shape-data
+evaluation per chart point (SVD normal, Cholesky check and generalized
+eigenproblem on box charts, the meridian formulas on profile charts),
+one boundary frame per support point, one profile-jet, spline and ramp
+evaluation per node and per variation parameter s, and one metric/shape
+evaluation per element Gauss point and per angular mode.  The array code
+must reproduce them up to rounding.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from horocap.halfspace import GeometryError
 from horocap.quadrature import QuadratureSpec, gauss_legendre, unit_sphere_area
 from horocap.stability import (ScalarField, _grid, _mode_matrices,
                                _Variation, robin_q)
-from horocap.surfaces import fields_at
+from horocap.surfaces import (EvaluationError, GridSurface, ImmersionError,
+                              ProfileSurface, fields_at, integrate_M)
 
 REL = 1e-12
 CAPS = ("ortho_cap", "tilted_cap", "cap_3d", "bumped_cap")
+CHARTS = ("vertical_plane", "tilted_plane", "saddle_chart")
+
+
+# -- per-point shape and frame references ------------------------------
+
+def ref_shape_from_jet(x, J, Hess, sign):
+    """Shape data of one box-chart point from its embedding jet."""
+    d, n = J.shape
+    w = x[-1]
+    g = (J.T @ J) / (w * w)
+    try:
+        scipy.linalg.cholesky(g)
+    except scipy.linalg.LinAlgError as exc:
+        raise ImmersionError("induced metric is not positive definite") from exc
+    U, _, _ = np.linalg.svd(J, full_matrices=True)
+    m = U[:, -1]
+    if np.linalg.det(np.column_stack([J, m])) < 0:
+        m = -m
+    nu = sign * w * m
+    dlnw = J[-1, :] / w
+    e_d = np.zeros(d)
+    e_d[-1] = 1.0
+    h = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            T = (Hess[:, i, j] - dlnw[i] * J[:, j] - dlnw[j] * J[:, i]
+                 + np.dot(J[:, i], J[:, j]) * e_d / w)
+            h[i, j] = -np.dot(nu, T) / (w * w)
+    kappa = scipy.linalg.eigh(h, g, eigvals_only=True)
+    return SimpleNamespace(x=np.asarray(x, dtype=float), nu=nu, g=g, h=h,
+                           H=float(np.sum(kappa)),
+                           h2=float(np.sum(kappa * kappa)), kappa=kappa)
+
+
+def ref_meridian_shape(S, t, sign):
+    """Shape data of one profile-chart point from the meridian formulas."""
+    rho, z, dr, dz, d2r, d2z = S.profile_jet(t)
+    w = z
+    s2 = dr * dr + dz * dz
+    s = np.sqrt(s2)
+    m = np.array([dz, -dr]) / s
+    g_tt = s2 / (w * w)
+    T_rad = d2r - 2.0 * (dz / w) * dr
+    T_ver = d2z - 2.0 * (dz / w) * dz + s2 / w
+    h_tt = -sign * w * (m[0] * T_rad + m[1] * T_ver) / (w * w)
+    kappa_m = h_tt / g_tt
+    kappa_a = sign * (w * m[0] / rho - m[1]) if rho > 1e-13 else kappa_m
+    n = S.n
+    x = np.zeros(n + 1)
+    x[0], x[-1] = rho, z
+    nu = np.zeros(n + 1)
+    nu[0], nu[-1] = sign * w * m[0], sign * w * m[1]
+    return SimpleNamespace(
+        x=x, nu=nu,
+        g=np.diag([s * s / (w * w)] + [rho * rho / (w * w)] * (n - 1)),
+        h=np.diag([kappa_m * s * s / (w * w)]
+                  + [kappa_a * rho * rho / (w * w)] * (n - 1)),
+        H=kappa_m + (n - 1) * kappa_a,
+        h2=kappa_m ** 2 + (n - 1) * kappa_a ** 2,
+        kappa=np.sort([kappa_m] + [kappa_a] * (n - 1)))
+
+
+def ref_fields(sd):
+    w = sd.x[-1]
+    gxnu = np.dot(sd.x, sd.nu) / (w * w)
+    gEnu = sd.nu[-1] / (w * w)
+    return {"w": w, "V": 1.0 / w, "gxnu": gxnu, "gEnu": gEnu,
+            "gXnu": gxnu - gEnu, "H": sd.H, "h2": sd.h2,
+            "E_tan_sq": (1.0 - (sd.nu[-1] / w) ** 2) / (w * w)}
+
+
+def ref_chart_shape(S, u):
+    return ref_shape_from_jet(*S.embed_jet(np.asarray(u, dtype=float)),
+                              S.orientation_sign())
+
+
+def ref_boundary_point(S, s):
+    u = np.empty(S.n)
+    u[0] = S.box[0][0]
+    u[1:] = s
+    return u
+
+
+def ref_nubar(S, s):
+    """(nubar, mu, theta, shape) at one support point."""
+    u = ref_boundary_point(S, s)
+    sd = ref_chart_shape(S, u)
+    _, J, _ = S.embed_jet(u)
+    w = sd.x[-1]
+    v = -J[:, 0].astype(float)
+    for k in range(1, S.n):
+        tk = J[:, k]
+        v -= np.dot(v, tk) / np.dot(tk, tk) * tk
+    mu = v / (np.linalg.norm(v) / w)
+    cos_t = min(1.0, max(-1.0, sd.nu[-1] / (w * w)))
+    sin_t = math.sqrt(max(0.0, 1.0 - cos_t ** 2))
+    return cos_t * mu + sin_t * sd.nu, mu, math.acos(cos_t), sd
+
+
+def ref_boundary_frame(S, s, step=1e-4):
+    """theta, Hhat (central differences of nubar), h(mu, mu) and nubar."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    nubar, mu, theta, sd = ref_nubar(S, s)
+    _, J0, _ = S.embed_jet(ref_boundary_point(S, s))
+    Hhat = 0.0
+    for k in range(S.n - 1):
+        e = np.zeros(S.n - 1)
+        e[k] = step
+        dnb = (ref_nubar(S, s + e)[0] - ref_nubar(S, s - e)[0]) / (2 * step)
+        tangent = J0[:-1, 1 + k]
+        Hhat += np.dot(dnb[:-1], tangent) / np.dot(tangent, tangent)
+    mu_chart = np.linalg.lstsq(J0, mu, rcond=None)[0]
+    return SimpleNamespace(theta=theta, Hhat=Hhat, hmumu=mu_chart @ sd.h @ mu_chart,
+                           nubar=nubar)
+
+
+def profile_nodes(S):
+    """Axis node, interior nodes and the bump's support edges (bumped cap)."""
+    t1 = S.t1
+    edges = [f * t1 + o for f in (0.1, 0.9)
+             for o in (-1e-9 * t1, 0.0, 0.8e-9 * t1, 1e-7 * t1)]
+    return np.concatenate([[0.0], np.linspace(0.0, t1, 17)[1:], edges])
+
+
+def chart_nodes(S):
+    axes = [np.linspace(lo, hi, 5) for lo, hi in S.box]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, S.n)
+
+
+def assert_shape_matches(got, i, want):
+    for field, ref in (("coords", want.x), ("normal", want.nu), ("g", want.g),
+                       ("h", want.h), ("H", want.H), ("h2", want.h2),
+                       ("principal_curvatures", want.kappa)):
+        np.testing.assert_allclose(getattr(got, field)[i], ref, rtol=REL,
+                                   atol=REL, err_msg=field)
+
+
+def assert_fields_match(got, i, want):
+    for field, ref in ref_fields(want).items():
+        np.testing.assert_allclose(getattr(got, field)[i], ref, rtol=REL,
+                                   atol=REL, err_msg=field)
+
+
+# -- batched geometry --------------------------------------------------
+
+@pytest.mark.parametrize("name", CAPS)
+def test_profile_batch_matches_meridian_formulas(name, request):
+    S = request.getfixturevalue(name)
+    t = profile_nodes(S)
+    shapes, fields = S.shapes(t), fields_at(S, t)
+    sign = S.orientation_sign()
+    for i, ti in enumerate(t):
+        want = ref_meridian_shape(S, ti, sign)
+        assert_shape_matches(shapes, i, want)
+        assert_fields_match(fields, i, want)
+
+
+@pytest.mark.parametrize("name", CHARTS)
+def test_box_batch_matches_per_point_shape(name, request):
+    S = request.getfixturevalue(name)
+    u = chart_nodes(S)
+    shapes, fields = S.shapes(u), fields_at(S, u)
+    for i, ui in enumerate(u):
+        want = ref_chart_shape(S, ui)
+        assert_shape_matches(shapes, i, want)
+        assert_fields_match(fields, i, want)
+        single = S.shape_at(ui)
+        np.testing.assert_allclose(single.nu.components, want.nu, atol=REL)
+
+
+@pytest.mark.parametrize("name", CHARTS)
+def test_box_boundary_frames_match_per_point_frame(name, request):
+    S = request.getfixturevalue(name)
+    lo, hi = S.box[1]
+    s = np.linspace(lo, hi, 9)
+    frames = S.boundary_frames(s[:, None])
+    for i, si in enumerate(s):
+        want = ref_boundary_frame(S, si)
+        assert frames.theta[i] == pytest.approx(want.theta, rel=REL, abs=REL)
+        assert frames.hmumu[i] == pytest.approx(want.hmumu, rel=REL, abs=REL)
+        # Hhat divides nubar differences by 2e-4: rounding grows by 1e4
+        assert frames.Hhat[i] == pytest.approx(want.Hhat, abs=1e-11)
+        np.testing.assert_allclose(frames.boundary_normal[i], want.nubar,
+                                   rtol=REL, atol=REL)
+        assert S.boundary_frame_at(si).Hhat == frames.Hhat[i]
+
+
+def test_degenerate_node_in_a_batch_raises():
+    # the second tangent column vanishes on the line u_1 = 0.25 only
+    def embed_jet(u):
+        J = np.array([[1.0, 0.0], [0.0, u[1] - 0.25], [0.0, 0.0]])
+        return np.array([u[0], 0.0, 1.0 + u[1]]), J, np.zeros((3, 2, 2))
+
+    S = GridSurface(2, [(0.0, 1.0), (0.0, 1.0)], embed_jet)
+    u = np.array([[0.2, 0.5], [0.4, 0.25], [0.6, 0.9]])
+    S.shapes(u[[0, 2]])
+    with pytest.raises(ImmersionError):
+        S.shapes(u)
+
+    def profile_jet(t, height):  # a straight meridian, stopped at t = 0.3
+        zero = np.zeros_like(t)
+        return t, height - t, np.where(t == 0.3, 0.0, 1.0), \
+            np.where(t == 0.3, 0.0, -1.0), zero, zero
+
+    t = np.array([0.1, 0.3, 0.4])
+    P = ProfileSurface(2, 0.5, lambda t: profile_jet(t, 1.5))
+    P.shapes(t[[0, 2]])
+    with pytest.raises(ImmersionError):
+        P.shapes(t)
+    with pytest.raises(GeometryError):  # z = 0.4 - t leaves the half-space
+        ProfileSurface(2, 0.5, lambda t: profile_jet(t, 0.4)).shapes(t)
+
+
+def test_non_finite_integrand_names_first_bad_node(ortho_cap):
+    Q = QuadratureSpec(16)
+    t, _ = Q.rule(0.0, ortho_cap.t1)
+    with pytest.raises(EvaluationError, match=f"t={t[5]}"):
+        integrate_M(ortho_cap, lambda u: np.where(u >= t[5], np.nan, 1.0), Q)
 
 
 # -- scalar references -------------------------------------------------

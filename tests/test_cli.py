@@ -92,6 +92,20 @@ class TestConfigSchema:
             parse_config({"schema_version": 1, "surfaces": [],
                           "sweep": {"thetas": []}})
 
+    @pytest.mark.parametrize("key,bad", [("thetas", float("nan")),
+                                         ("thetas", "1.0"),
+                                         ("radii", float("inf")),
+                                         ("radii", None)])
+    def test_sweep_values_named_by_index(self, key, bad, tmp_path, capsys):
+        sweep = {"thetas": [0.5, 1.0], "radii": [0.5, 0.8]}
+        sweep[key] = [sweep[key][0], bad]
+        with pytest.raises(ConfigError, match=rf"sweep\.{key}\[1\]"):
+            parse_config({"schema_version": 1, "surfaces": [],
+                          "sweep": sweep})
+        p = write_config(tmp_path, sweep=sweep)
+        assert main(["sweep", "--config", str(p)]) == 2
+        assert f"sweep.{key}[1]" in capsys.readouterr().err
+
 
 class TestReports:
     def test_float_format_round_trips(self):
@@ -154,6 +168,23 @@ class TestRun:
         assert not manifest.ok
         errors = (cfg.output.directory / "verify_errors.csv").read_text()
         assert "bad" in errors
+
+    def test_infeasible_sweep_member_is_an_error_row(self, tmp_path):
+        # radius 2 reaches no angle below arccos(1/2) on the a > 0 branch
+        cfg = load_config(write_config(
+            tmp_path, surfaces=[],
+            sweep={"kind": "sphere_cap", "thetas": [0.2, 1.5],
+                   "radii": [2.0]},
+            numerics={"quad_order": 32, "grid": 32, "eig_count": 4}))
+        manifest = run(cfg, "sweep")
+        assert manifest.statuses == {
+            "sweep-theta-0.200000-r-2.000000": "ERROR",
+            "sweep-theta-1.500000-r-2.000000": "PASS"}
+        out = cfg.output.directory
+        errors = (out / "sweep_errors.csv").read_text().splitlines()
+        assert len(errors) == 2
+        assert "InfeasibleError" in errors[1] and "contact angles" in errors[1]
+        assert len((out / "sweep.csv").read_text().splitlines()) == 2
 
     def test_sweep_requires_section(self, tmp_path):
         cfg = load_config(write_config(tmp_path))

@@ -9,7 +9,6 @@ from horocap.families import CapKind, CapSpec, build, solve_for_angle
 from horocap.identities import (IDENTITY_IDS, AngleError, angle_stats,
                                 cmc_stats, suite, verify)
 from horocap.quadrature import QuadratureSpec
-from horocap.surfaces import GridSurface
 
 
 class TestSingleIdentity:
@@ -124,19 +123,6 @@ class TestBoundaryPointwiseReduction:
 
 
 class TestVaryingAngleRejection:
-    def test_non_constant_angle_raises(self, quad_fast):
-        # a saddle-like grid chart whose contact angle varies along the cut
-        d = 3
-
-        def embed_jet(u):
-            x = np.array([u[0], u[1], 1.0 + u[0] * (1.0 + 0.5 * u[1])])
-            J = np.array([[1.0, 0.0],
-                          [0.0, 1.0],
-                          [1.0 + 0.5 * u[1], 0.5 * u[0]]])
-            Hess = np.zeros((d, 2, 2))
-            Hess[2, 0, 1] = Hess[2, 1, 0] = 0.5
-            return x, J, Hess
-
-        S = GridSurface(2, [(0.0, 0.5), (0.1, 0.6)], embed_jet)
+    def test_non_constant_angle_raises(self, saddle_chart, quad_fast):
         with pytest.raises(AngleError):
-            verify(S, "I_X_NU", quad_fast)
+            verify(saddle_chart, "I_X_NU", quad_fast)

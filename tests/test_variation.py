@@ -1,14 +1,18 @@
 """Finite-difference cross-checks of the first and second variation."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from horocap.families import CapKind, CapSpec, build
+from horocap.identities import suite
 from horocap.quadrature import QuadratureSpec
 from horocap.stability import (ScalarField, energy_second_difference,
                                fd_variation_check, phi_test, quadratic_form,
-                               _grid)
+                               umbilicity_deficit, _grid, _variation)
 
 FUNCTIONALS = ("AREA", "WETTING_AREA", "VOLUME", "ENERGY")
 
@@ -98,3 +102,35 @@ class TestSecondVariation:
                                    Q=QuadratureSpec(16))
         assert rel_err(fine) < 1e-6
         assert rel_err(fine) <= rel_err(crude)
+
+
+class TestCaching:
+    def test_one_variation_per_surface_and_field(self):
+        S = build(CapSpec(kind=CapKind.SPHERE_CAP, a=0.6, r=0.7))
+        phi = smooth_field(S)
+        var = _variation(S, phi)
+        # a new field object with the same values shares the cached nodes
+        assert _variation(S, ScalarField(S, phi.values.copy())) is var
+        assert _variation(S, ScalarField(S, phi.values + 1e-3)) is not var
+        Q = QuadratureSpec(64)
+        fd_variation_check(S, phi, "AREA", Q=Q)
+        fd_variation_check(S, phi, "ENERGY", Q=Q)
+        assert list(var._nodes) == [64]
+
+    def test_surfaces_freed_without_the_cyclic_collector(self):
+        """Node sets, grids and variations cached on a surface hold it weakly."""
+        Q = QuadratureSpec(32)
+        cap = build(CapSpec(kind=CapKind.SPHERE_CAP, a=0.6, r=0.7))
+        phi = smooth_field(cap, 32)
+        fd_variation_check(cap, phi, "AREA", Q=Q)
+        suite(cap, Q)
+        plane = build(CapSpec(kind=CapKind.TILTED_PLANE_CAP, beta=1.0))
+        suite(plane, Q)
+        umbilicity_deficit(plane, Q)
+        refs = [weakref.ref(cap), weakref.ref(plane)]
+        gc.disable()
+        try:
+            del cap, plane, phi
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
