@@ -14,7 +14,6 @@ import argparse
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -98,7 +97,7 @@ def _suite_spectrum(entry: SurfaceEntry, cfg: RunConfig):
     else:
         # a declared non-CMC control may legitimately be unstable
         status = "EXPECTED_FAIL" if entry.is_control else "FAIL"
-    theta = S.boundary_frame_at(np.zeros(S.n - 1)).theta  # profiles ignore s
+    theta = S.boundary_frame_at().theta
     row = _spec_columns(entry) + [
         theta, res.constraint, res.resolution, lowest, res.morse_index,
         res.zero_modes, res.modes_used,
@@ -299,7 +298,7 @@ fig.savefig("{csv_path.stem}.png", dpi=150)
 # runner
 # ----------------------------------------------------------------------
 
-def run(config: RunConfig, command: str, jobs: int = 1) -> RunManifest:
+def run(config: RunConfig, command: str) -> RunManifest:
     """Execute one suite over all configured surfaces and persist reports."""
     if command not in _SUITES:
         raise ValueError(f"unknown command {command!r}")
@@ -313,21 +312,14 @@ def run(config: RunConfig, command: str, jobs: int = 1) -> RunManifest:
                            tool_version=__version__)
     t0 = time.perf_counter()
 
-    def task(entry):
-        try:
-            return suite_fn(entry, config)
-        except Exception as exc:  # numeric failure: record, keep running
-            return ([[entry.label, "ERROR", f"{type(exc).__name__}: {exc}"]],
-                    "ERROR")
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(task, entries))
-    else:
-        results = [task(e) for e in entries]
-
     rows, errors = [], []
-    for entry, (entry_rows, status) in zip(entries, results):
+    for entry in entries:
+        try:
+            entry_rows, status = suite_fn(entry, config)
+        except Exception as exc:  # numeric failure: record, keep running
+            entry_rows = [[entry.label, "ERROR",
+                           f"{type(exc).__name__}: {exc}"]]
+            status = "ERROR"
         manifest.record(entry.label, status)
         if status == "ERROR" and len(entry_rows[0]) != len(header):
             errors.append(entry_rows[0])
@@ -370,8 +362,6 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", type=int, help="grid resolution override")
     parser.add_argument("--quad", type=int, help="quadrature order override")
     parser.add_argument("--seed", type=int, help="seed for random test fields")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads (deterministic ordered output)")
     args = parser.parse_args(argv)
 
     try:
@@ -391,12 +381,9 @@ def main(argv=None) -> int:
         out = replace(out, formats=tuple(dict.fromkeys(args.formats)))
     cfg = replace(cfg, numerics=num, output=out,
                   seed=args.seed if args.seed is not None else cfg.seed)
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
 
     try:
-        manifest = run(cfg, args.command, jobs=args.jobs)
+        manifest = run(cfg, args.command)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

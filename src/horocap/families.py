@@ -256,7 +256,9 @@ class PlaneCapSurface(GridSurface):
         Hess = np.zeros((d, n, n))
 
         def embed_jet(u: np.ndarray):
-            return origin + J @ u, J, Hess
+            lead = u.shape[:-1]
+            return (origin + u @ J.T, np.broadcast_to(J, lead + J.shape),
+                    np.broadcast_to(Hess, lead + Hess.shape))
 
         box = [(0.0, extent)] + [(-extent / 2.0, extent / 2.0)] * (n - 1)
         super().__init__(n, box, embed_jet)

@@ -95,8 +95,7 @@ def _evaluate(S: ParamSurface, identity_id: str, Q: QuadratureSpec,
     # fl and the boundary data hold the fields on the very node arrays that
     # integrate_M and integrate_dM pass to the integrands below
     fl = node_set(S, Q).fields
-    bf = (S.boundary_frame_at() if S.chart_kind == "profile"
-          else node_set(S, Q, face=True).frames)
+    bf = node_set(S, Q, face=True).frames
     gxnubar = bf.gxnubar
     if identity_id == "I_BOUNDARY_MINK":
         lhs = integrate_dM(S, lambda s: gxnubar * bf.Hhat - (n - 1), Q)

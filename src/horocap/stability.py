@@ -40,8 +40,8 @@ from scipy.interpolate import CubicSpline
 from .quadrature import (QuadratureSpec, fd_weights, gauss_legendre,
                          gregory_weights, unit_sphere_area)
 from .halfspace import HPoint, PotentialV
-from .surfaces import (ParamSurface, ProfileSurface, SurfaceFields, fields_at,
-                       integrate_dM, integrate_M)
+from .surfaces import (ParamSurface, ProfileSurface, fields_at, integrate_dM,
+                       integrate_M, node_set)
 
 __all__ = [
     "ScalarField",
@@ -252,7 +252,7 @@ class RobinData:
 
 def robin_q(S: ParamSurface) -> RobinData:
     """q = csc(theta) + cot(theta) h(mu,mu) at the (constant-angle) boundary."""
-    bf = S.boundary_frame_at(np.zeros(S.n - 1))  # profiles ignore s
+    bf = S.boundary_frame_at()
     th = bf.theta
     q = 1.0 / math.sin(th) + bf.hmumu / math.tan(th)
     return RobinData(theta=th, hmumu=bf.hmumu, q=q)
@@ -739,8 +739,11 @@ def umbilicity_deficit(S: ParamSurface,
     """
     Q = Q or QuadratureSpec()
     n = S.n
+    ns = node_set(S, Q)
+    fl = ns.fields
     area = integrate_M(S, lambda u: 1.0, Q)
-    H_mean = integrate_M(S, lambda u: fields_at(S, u).H, Q) / area
+    H_mean = integrate_M(S, lambda u: fl.H, Q) / area
+    cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)  # Cauchy-Schwarz term
     step = 1e-4
     w5 = fd_weights(np.arange(-2, 3), 1) / step
 
@@ -752,21 +755,16 @@ def umbilicity_deficit(S: ParamSurface,
 
     if S.chart_kind == "profile":
         def integrand(t):
-            fl = fields_at(S, t)
-            cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)
             A, _, _, _ = S.metric_coeffs(t)
             return cs + (dphi(t[:, None] + np.arange(-2, 3) * step) / A) ** 2
 
         return integrate_M(S, integrand, Q)
 
     def integrand(u):
-        sd = S.shapes(u)
-        fl = SurfaceFields.from_shape(sd)
-        cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)
         # offsets o * step * e_i, as (axis i, stencil point, coordinate)
         offs = np.arange(-2, 3)[None, :, None] * (step * np.eye(n))[:, None, :]
         grad = dphi(u[:, None, None, :] + offs)
-        ginv = np.linalg.inv(sd.g)
+        ginv = np.linalg.inv(ns.shapes.g)
         return cs + np.einsum("mi,mij,mj->m", grad, ginv, grad)
 
     return integrate_M(S, integrand, Q)
@@ -780,12 +778,7 @@ def boundary_cancellation(S: ParamSurface,
     the stability argument).
     """
     Q = Q or QuadratureSpec()
-
-    def f(s):
-        bf = S.boundary_frames(s) if S.chart_kind != "profile" \
-            else S.boundary_frame_at()
-        gxnubar = bf.gxnubar
-        th = bf.theta
-        return -np.sin(th) + np.cos(th) * gxnubar + bf.hmumu * gxnubar
-
-    return integrate_dM(S, f, Q)
+    bf = node_set(S, Q, face=True).frames
+    gxnubar, th = bf.gxnubar, bf.theta
+    return integrate_dM(
+        S, lambda s: -np.sin(th) + np.cos(th) * gxnubar + bf.hmumu * gxnubar, Q)

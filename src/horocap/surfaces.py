@@ -13,9 +13,14 @@ Two chart kinds are supported:
   artificial cuts (flagged), in which case divergence-theorem identities
   are not expected to close.
 
-Geometry is array-native: ``shapes`` and ``GridSurface.boundary_frames``
-evaluate arrays of chart points in one pass; ``shape_at``,
-``boundary_frame_at`` and ``fields_at`` are that pass at one point.
+Both chart kinds answer the same array calls: ``shapes`` takes an array
+of chart points and ``boundary_frames`` an array of support-face points,
+each evaluated in one pass; ``shape_at``, ``boundary_frame_at`` and
+``fields_at`` are that pass at one point.  The jets are array-native too:
+``profile_jet(t)`` and ``embed_jet(u)`` take arrays of chart points.  A
+profile chart's boundary is one rotation orbit, so its support-face node
+set is the single node s = 0 weighted by the orbit's measure, and the
+boundary integrals run the same way on both kinds.
 
 Curvature conventions: the second fundamental form is h(X, Y) =
 g(nabla_X nu, Y), computed from embedding jets through the conformal
@@ -35,7 +40,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .halfspace import GeometryError, HPoint, HVector
+from .halfspace import GeometryError
 from .quadrature import QuadratureSpec, unit_sphere_area
 
 __all__ = [
@@ -54,6 +59,10 @@ __all__ = [
 ]
 
 HHAT_STEP = 1e-4  # central-difference step of the boundary shape operator
+
+_JET_CONTRACT = ("embed_jet(u) must take chart points u of shape (..., n) "
+                 "and return x (..., n+1), J (..., n+1, n) and "
+                 "Hess (..., n+1, n, n)")
 
 
 class ImmersionError(ValueError):
@@ -94,23 +103,16 @@ class ShapeData:
         return ShapeData(*(getattr(self, f.name)[index]
                            for f in dataclasses.fields(self)))
 
-    @property
-    def position(self) -> HPoint:
-        return HPoint(self.coords)
-
-    @property
-    def nu(self) -> HVector:
-        return HVector(self.position, self.normal)
-
 
 @dataclass(frozen=True)
 class BoundaryFrame:
     """Frame and contact data at boundary points, as a struct of arrays.
 
-    mu (Euclidean components ``conormal``) is the outward conormal in the
-    surface, nubar (``boundary_normal``) the normal of the boundary inside
-    the (flat) horosphere, Nbar the outward support normal -E_d, and theta
-    the contact angle fixed by cos(theta) = -g(nu, Nbar).
+    The Euclidean components of the outward conormal mu in the surface
+    (``conormal``) and of the normal nubar of the boundary inside the
+    (flat) horosphere (``boundary_normal``); theta is the contact angle
+    fixed by cos(theta) = -g(nu, Nbar), with Nbar = -E_d the outward
+    support normal.
     """
 
     shape: ShapeData
@@ -125,24 +127,6 @@ class BoundaryFrame:
         """g(x, nubar) of the position field."""
         x = self.shape.coords
         return np.sum(x * self.boundary_normal, axis=-1) / x[..., -1] ** 2
-
-    @property
-    def mu(self) -> HVector:
-        return HVector(self.shape.position, self.conormal)
-
-    @property
-    def nubar(self) -> HVector:
-        return HVector(self.shape.position, self.boundary_normal)
-
-    @property
-    def Nbar(self) -> HVector:
-        e = np.zeros_like(self.conormal)
-        e[-1] = -1.0
-        return HVector(self.shape.position, e)
-
-    @property
-    def nu(self) -> HVector:
-        return self.shape.nu
 
 
 def _contact(shape: ShapeData, mu: np.ndarray):
@@ -190,7 +174,7 @@ class ParamSurface:
 
 def _jet_shapes(x: np.ndarray, J: np.ndarray, Hess: np.ndarray,
                 sign: int) -> ShapeData:
-    """Shape data from stacked embedding jets.
+    """Shape data from embedding jets.
 
     x has shape (..., d), the tangent columns J (..., d, n) and Hess
     (..., d, n, n).
@@ -309,23 +293,35 @@ class ProfileSurface(ParamSurface):
         return A, B, dA, dB
 
     # -- boundary ------------------------------------------------------
-    def boundary_frame_at(self, s=None) -> BoundaryFrame:
-        t1 = self.t1
-        shape = self.shape_at(t1)
-        w = shape.coords[-1]
-        if abs(w - 1.0) > 1e-9:
-            raise SupportError(f"boundary point height {w} is off the horosphere")
-        rho, z, dr, dz, *_ = self.profile_jet(t1)
+    def boundary_frames(self, s) -> BoundaryFrame:
+        """Frames at support-face points s of shape (..., n-1), batched.
+
+        The boundary is the rotation orbit of t = t1, so every point
+        carries the frame on the representative meridian.
+        """
+        t = np.full(np.shape(s)[:-1], self.t1)
+        shape = self.shapes(t)
+        w = shape.coords[..., -1]
+        off = np.abs(w - 1.0) > 1e-9
+        if np.any(off):
+            raise SupportError(f"boundary point height {w[off][0]} "
+                               "is off the horosphere")
+        rho, z, dr, dz, *_ = self.profile_jet(t)
         sn = np.sqrt(dr * dr + dz * dz)
-        mu = np.zeros(self.n + 1)
-        mu[0] = w * dr / sn
-        mu[-1] = w * dz / sn
+        mu = np.zeros_like(shape.coords)
+        mu[..., 0] = w * dr / sn
+        mu[..., -1] = w * dz / sn
         theta, nubar = _contact(shape, mu)
         # boundary sphere of Euclidean radius rho in the flat horosphere;
         # its curvature w.r.t. nubar follows from the radial component
         return BoundaryFrame(shape=shape, conormal=mu, boundary_normal=nubar,
-                             theta=theta, hmumu=shape.h[0, 0] / shape.g[0, 0],
-                             Hhat=(self.n - 1) * nubar[0] / rho)
+                             theta=theta,
+                             hmumu=shape.h[..., 0, 0] / shape.g[..., 0, 0],
+                             Hhat=(self.n - 1) * nubar[..., 0] / rho)
+
+    def boundary_frame_at(self, s=None) -> BoundaryFrame:
+        """The frame at one boundary point; every s gives the same one."""
+        return self.boundary_frames(np.zeros(self.n - 1))
 
     @property
     def boundary_radius(self) -> float:
@@ -336,10 +332,10 @@ class ProfileSurface(ParamSurface):
 class GridSurface(ParamSurface):
     """Box chart u in [0, L_0] x ... with the face u_0 = 0 on the horosphere.
 
-    ``embed_jet(u)`` returns (x, J, Hess) at one chart point u, with J of
-    shape (d, n) and Hess of shape (d, n, n); batches call it once per
-    point and stack the results.  Faces other than u_0 = 0 are artificial
-    cuts unless the embedding closes them on the support.
+    ``embed_jet(u)`` takes chart points u of shape (..., n) and returns
+    (x, J, Hess) of shapes (..., d), (..., d, n) and (..., d, n, n), with
+    d = n + 1; a batch is one call.  Faces other than u_0 = 0 are
+    artificial cuts unless the embedding closes them on the support.
     """
 
     chart_kind = "grid"
@@ -362,14 +358,25 @@ class GridSurface(ParamSurface):
         return np.array([0.5 * (lo + hi) for lo, hi in self.box])
 
     def jets(self, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked (x, J, Hess) at chart points u of shape (..., n)."""
+        """(x, J, Hess) at chart points u of shape (..., n), in one call.
+
+        A ValueError names the array contract when embed_jet fails on the
+        points or returns arrays without the leading axes of u (a per-point
+        jet fed a batch).
+        """
         u = np.asarray(u, dtype=float)
         lead, n = u.shape[:-1], self.n
-        x, J, Hess = (np.array(a, dtype=float) for a in zip(
-            *(self.embed_jet(p) for p in u.reshape(-1, n))))
-        d = x.shape[-1]
-        return (x.reshape(lead + (d,)), J.reshape(lead + (d, n)),
-                Hess.reshape(lead + (d, n, n)))
+        want = [lead + (n + 1,) + (n,) * k for k in range(3)]
+        try:
+            jet = [np.asarray(a, dtype=float) for a in self.embed_jet(u)]
+        except (ValueError, IndexError, TypeError) as exc:
+            raise ValueError(f"{_JET_CONTRACT}; it failed on u of shape "
+                             f"{u.shape}") from exc
+        got = [a.shape for a in jet]
+        if got != want:
+            raise ValueError(f"{_JET_CONTRACT}; for u of shape {u.shape} "
+                             f"it returned shapes {got}, not {want}")
+        return tuple(jet)
 
     def _shapes(self, u, sign: int) -> ShapeData:
         return _jet_shapes(*self.jets(u), sign)
@@ -423,7 +430,10 @@ class GridSurface(ParamSurface):
                              boundary_normal=nubar[0], theta=theta[0],
                              hmumu=hmumu, Hhat=Hhat)
 
-    def boundary_frame_at(self, s) -> BoundaryFrame:
+    def boundary_frame_at(self, s=None) -> BoundaryFrame:
+        """The frame at one support-face point (default: the face centre)."""
+        if s is None:
+            s = self._center()[1:]
         return self.boundary_frames(np.atleast_1d(np.asarray(s, dtype=float)))
 
 
@@ -468,36 +478,39 @@ def fields_at(S: ParamSurface, u) -> SurfaceFields:
 # ----------------------------------------------------------------------
 
 class NodeSet:
-    """Gauss-Legendre nodes on a chart (or a box chart's support face), the
-    weights times the area element, and shapes, fields and frames computed
-    on first use.  The surface caches its node sets and is held weakly.
+    """Gauss-Legendre nodes on a chart or on its support face, the weights
+    times the area element, and shapes, fields and frames computed on first
+    use.  A profile chart's face is its boundary orbit: one node, s = 0,
+    weighted by the orbit's measure.  The surface caches its node sets and
+    is held weakly.
     """
 
     def __init__(self, S: ParamSurface, Q: QuadratureSpec, face: bool):
         self.S = weakref.proxy(S)
-        if S.chart_kind == "profile":
+        n = S.n
+        if S.chart_kind == "profile" and face:
+            self.nodes = np.zeros((1, n - 1))
+            self.weights = np.array([unit_sphere_area(n - 1)
+                                     * S.boundary_radius ** (n - 1)])
+        elif S.chart_kind == "profile":
             self.nodes, wt = Q.rule(0.0, S.t1)
             A, B, _, _ = S.metric_coeffs(self.nodes)
-            self.weights = (wt * A * B ** (S.n - 1)
-                            * unit_sphere_area(S.n - 1))
-            return
-        axes = [Q.rule(lo, hi) for lo, hi in S.box[1 if face else 0:]]
-        self.nodes = np.array(list(itertools.product(*(a[0] for a in axes))))
-        wt = functools.reduce(np.multiply.outer, [a[1] for a in axes]).ravel()
-        if face:  # flat measure: the boundary sits at height 1
-            T = S.jets(S._boundary_chart_point(self.nodes))[1][..., 1:]
-            self.weights = wt * np.sqrt(np.linalg.det(_swap(T) @ T))
+            self.weights = wt * A * B ** (n - 1) * unit_sphere_area(n - 1)
         else:
-            self.jets = S.jets(self.nodes)
-            x, J, _ = self.jets
-            g = (_swap(J) @ J) / (x[..., -1] ** 2)[..., None, None]
-            self.weights = wt * np.sqrt(np.linalg.det(g))
+            axes = [Q.rule(lo, hi) for lo, hi in S.box[1 if face else 0:]]
+            self.nodes = np.array(list(itertools.product(
+                *(a[0] for a in axes))))
+            wt = functools.reduce(np.multiply.outer,
+                                  [a[1] for a in axes]).ravel()
+            if face:  # flat measure: the boundary sits at height 1
+                T = S.jets(S._boundary_chart_point(self.nodes))[1][..., 1:]
+                self.weights = wt * np.sqrt(np.linalg.det(_swap(T) @ T))
+            else:
+                self.weights = wt * np.sqrt(np.linalg.det(self.shapes.g))
 
     @functools.cached_property
     def shapes(self) -> ShapeData:
-        if self.S.chart_kind == "profile":
-            return self.S.shapes(self.nodes)
-        return _jet_shapes(*self.jets, self.S.orientation_sign())
+        return self.S.shapes(self.nodes)
 
     @functools.cached_property
     def fields(self) -> SurfaceFields:
@@ -509,7 +522,7 @@ class NodeSet:
 
 
 def node_set(S: ParamSurface, Q: QuadratureSpec, face: bool = False) -> NodeSet:
-    """The node set of Q's order on S (face: the box chart's support face)."""
+    """The node set of Q's order on S (face: on its support face)."""
     cache = S.__dict__.setdefault("_node_sets", {})
     key = (Q.order, face)
     if key not in cache:
@@ -544,15 +557,9 @@ def integrate_dM(S: ParamSurface, f, Q: QuadratureSpec) -> float:
     """Integral of the boundary scalar field f over the on-support boundary.
 
     f (or a constant) is called once with the support-face nodes s, shape
-    (m, n-1), of box charts, and at s = 0 on a profile chart's boundary orbit.
+    (m, n-1); on a profile chart that is the one node s = 0 of its
+    boundary orbit.
     """
-    if S.chart_kind == "profile":
-        rho1 = S.boundary_radius
-        omega = unit_sphere_area(S.n - 1)
-        val = f(np.zeros(S.n - 1)) if callable(f) else float(f)
-        if not np.isfinite(val):
-            raise EvaluationError("non-finite boundary integrand")
-        return float(val * rho1 ** (S.n - 1) * omega)
     ns = node_set(S, Q, face=True)
     val = _integrand(f, ns.nodes, ns.weights.size, "boundary integrand at s=")
     return float(ns.weights @ val)

@@ -56,16 +56,20 @@ def tilted_plane():
 @pytest.fixture(scope="session")
 def saddle_chart():
     """Saddle-like box chart whose contact angle varies along the cut."""
-    def embed_jet(u):
-        x = np.array([u[0], u[1], 1.0 + u[0] * (1.0 + 0.5 * u[1])])
-        J = np.array([[1.0, 0.0],
-                      [0.0, 1.0],
-                      [1.0 + 0.5 * u[1], 0.5 * u[0]]])
-        Hess = np.zeros((3, 2, 2))
-        Hess[2, 0, 1] = Hess[2, 1, 0] = 0.5
-        return x, J, Hess
+    return GridSurface(2, [(0.0, 0.5), (0.1, 0.6)], saddle_jet)
 
-    return GridSurface(2, [(0.0, 0.5), (0.1, 0.6)], embed_jet)
+
+def saddle_jet(u):
+    """Jet of x = (u0, u1, 1 + u0 (1 + u1/2)) at chart points u (..., 2)."""
+    u0, u1 = u[..., 0], u[..., 1]
+    x = np.stack([u0, u1, 1.0 + u0 * (1.0 + 0.5 * u1)], axis=-1)
+    J = np.zeros(u.shape[:-1] + (3, 2))
+    J[..., 0, 0] = J[..., 1, 1] = 1.0
+    J[..., 2, 0] = 1.0 + 0.5 * u1
+    J[..., 2, 1] = 0.5 * u0
+    Hess = np.zeros(u.shape[:-1] + (3, 2, 2))
+    Hess[..., 2, 0, 1] = Hess[..., 2, 1, 0] = 0.5
+    return x, J, Hess
 
 
 @pytest.fixture(scope="session")

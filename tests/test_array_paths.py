@@ -22,7 +22,8 @@ from horocap.quadrature import QuadratureSpec, gauss_legendre, unit_sphere_area
 from horocap.stability import (ScalarField, _grid, _mode_matrices,
                                _Variation, robin_q)
 from horocap.surfaces import (EvaluationError, GridSurface, ImmersionError,
-                              ProfileSurface, fields_at, integrate_M)
+                              ProfileSurface, fields_at, integrate_dM,
+                              integrate_M)
 
 REL = 1e-12
 CAPS = ("ortho_cap", "tilted_cap", "cap_3d", "bumped_cap")
@@ -193,7 +194,7 @@ def test_box_batch_matches_per_point_shape(name, request):
         assert_shape_matches(shapes, i, want)
         assert_fields_match(fields, i, want)
         single = S.shape_at(ui)
-        np.testing.assert_allclose(single.nu.components, want.nu, atol=REL)
+        np.testing.assert_allclose(single.normal, want.nu, atol=REL)
 
 
 @pytest.mark.parametrize("name", CHARTS)
@@ -216,8 +217,12 @@ def test_box_boundary_frames_match_per_point_frame(name, request):
 def test_degenerate_node_in_a_batch_raises():
     # the second tangent column vanishes on the line u_1 = 0.25 only
     def embed_jet(u):
-        J = np.array([[1.0, 0.0], [0.0, u[1] - 0.25], [0.0, 0.0]])
-        return np.array([u[0], 0.0, 1.0 + u[1]]), J, np.zeros((3, 2, 2))
+        u0, u1 = u[..., 0], u[..., 1]
+        J = np.zeros(u.shape[:-1] + (3, 2))
+        J[..., 0, 0] = 1.0
+        J[..., 1, 1] = u1 - 0.25
+        x = np.stack([u0, np.zeros_like(u0), 1.0 + u1], axis=-1)
+        return x, J, np.zeros(u.shape[:-1] + (3, 2, 2))
 
     S = GridSurface(2, [(0.0, 1.0), (0.0, 1.0)], embed_jet)
     u = np.array([[0.2, 0.5], [0.4, 0.25], [0.6, 0.9]])
@@ -237,6 +242,63 @@ def test_degenerate_node_in_a_batch_raises():
         P.shapes(t)
     with pytest.raises(GeometryError):  # z = 0.4 - t leaves the half-space
         ProfileSurface(2, 0.5, lambda t: profile_jet(t, 0.4)).shapes(t)
+
+
+def old_saddle_jet(u):
+    """The saddle chart's jet written for one chart point at a time."""
+    x = np.array([u[0], u[1], 1.0 + u[0] * (1.0 + 0.5 * u[1])])
+    J = np.array([[1.0, 0.0],
+                  [0.0, 1.0],
+                  [1.0 + 0.5 * u[1], 0.5 * u[0]]])
+    Hess = np.zeros((3, 2, 2))
+    Hess[2, 0, 1] = Hess[2, 1, 0] = 0.5
+    return x, J, Hess
+
+
+def test_per_point_jets_break_the_array_contract(saddle_chart):
+    u = chart_nodes(saddle_chart)
+    contract = r"embed_jet\(u\) must take chart points u of shape"
+    # one point at a time it is the saddle chart's jet; a batch breaks it
+    S = GridSurface(2, saddle_chart.box, old_saddle_jet)
+    for ui in u:
+        assert_shape_matches(S.shape_at(ui), (),
+                             ref_chart_shape(saddle_chart, ui))
+    with pytest.raises(ValueError, match=contract + ".*failed on u of shape"):
+        S.shapes(u)
+    # a plane jet whose J and Hess lack the point axes
+    J = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    origin = np.array([0.0, 0.0, 1.0])
+    P = GridSurface(2, [(0.0, 1.0), (0.0, 1.0)],
+                    lambda u: (origin + u @ J.T, J, np.zeros((3, 2, 2))))
+    P.shape_at(np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match=contract + ".*returned shapes"):
+        P.shapes(u[:2])
+
+
+@pytest.mark.parametrize("name", CAPS)
+def test_profile_boundary_frames_repeat_the_orbit_frame(name, request):
+    S = request.getfixturevalue(name)
+    s = np.linspace(-1.0, 1.0, 6 * (S.n - 1)).reshape(6, S.n - 1)
+    frames, one = S.boundary_frames(s), S.boundary_frame_at()
+    pairs = [(getattr(frames, f), getattr(one, f)) for f in
+             ("conormal", "boundary_normal", "theta", "hmumu", "Hhat")]
+    pairs += [(frames.shape.coords, one.shape.coords),
+              (frames.shape.normal, one.shape.normal)]
+    for got, want in pairs:
+        assert got.shape == (6,) + np.shape(want)
+        np.testing.assert_allclose(got, np.broadcast_to(want, got.shape),
+                                   rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", CAPS)
+def test_profile_boundary_integral_is_the_orbit_measure(name, request):
+    S = request.getfixturevalue(name)
+    Q = QuadratureSpec(16)
+    measure = S.boundary_radius ** (S.n - 1) * unit_sphere_area(S.n - 1)
+    assert integrate_dM(S, 2.5, Q) == pytest.approx(2.5 * measure, rel=1e-15)
+    gxnubar = S.boundary_frame_at().gxnubar
+    got = integrate_dM(S, lambda s: S.boundary_frames(s).gxnubar, Q)
+    assert got == pytest.approx(gxnubar * measure, rel=1e-15)
 
 
 def test_non_finite_integrand_names_first_bad_node(ortho_cap):

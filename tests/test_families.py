@@ -108,9 +108,8 @@ class TestPerturb:
         assert bf1.theta == bf0.theta
         assert bf1.hmumu == bf0.hmumu
         assert bf1.Hhat == bf0.Hhat
-        np.testing.assert_array_equal(bf1.mu.components, bf0.mu.components)
-        np.testing.assert_array_equal(bf1.nubar.components,
-                                      bf0.nubar.components)
+        np.testing.assert_array_equal(bf1.conormal, bf0.conormal)
+        np.testing.assert_array_equal(bf1.boundary_normal, bf0.boundary_normal)
 
     def test_collar_jet_values_identical(self, ortho_cap, bumped_cap):
         # inside the 10% collars the profile jets agree exactly

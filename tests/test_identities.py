@@ -106,15 +106,15 @@ class TestBoundaryPointwiseReduction:
             n = S.n
             bf = S.boundary_frame_at()
             th = bf.theta
-            x = bf.shape.position.coords
+            x = bf.shape.coords
             w = x[-1]
-            nu = bf.nu.components
+            nu = bf.shape.normal
             e_d = np.zeros_like(x)
             e_d[-1] = 1.0
             V = 1.0 / w
             gXnu = float(np.dot(x - e_d, nu) / (w * w))
             gxnu = float(np.dot(x, nu) / (w * w))
-            gxnubar = float(np.dot(x, bf.nubar.components) / (w * w))
+            gxnubar = float(np.dot(x, bf.boundary_normal) / (w * w))
             H = bf.shape.H
             phi = n * V - gXnu * H - n * math.cos(th) * gxnu
             reduced = math.sin(th) * (n * math.sin(th) - gxnubar * H

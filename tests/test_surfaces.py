@@ -18,6 +18,13 @@ def sphere_cap(n=2, a=1.0, r=0.5):
     return build(CapSpec(kind=CapKind.SPHERE_CAP, n=n, a=a, r=r))
 
 
+def support_normal(bf):
+    """Euclidean components of the outward support normal Nbar = -E_d."""
+    e = np.zeros_like(bf.conormal)
+    e[-1] = -1.0
+    return e
+
+
 def fd_normal_transport_curvature(S, t, delta=1e-6):
     """Independent meridian-curvature oracle.
 
@@ -26,7 +33,7 @@ def fd_normal_transport_curvature(S, t, delta=1e-6):
     kappa = g(nabla_T nu, T) / g(T, T) with T the chart tangent.
     """
     def nu(tt):
-        return S.shape_at(tt).nu.components
+        return S.shape_at(tt).normal
 
     x = S.embed(t)
     w = x[-1]
@@ -121,24 +128,20 @@ class TestBoundaryFrame:
                   tilted_plane.boundary_frame_at(np.array([0.2]))]
         for bf in frames:
             st_, ct = math.sin(bf.theta), math.cos(bf.theta)
-            np.testing.assert_allclose(
-                bf.Nbar.components,
-                st_ * bf.mu.components - ct * bf.nu.components, atol=1e-10)
-            np.testing.assert_allclose(
-                bf.nubar.components,
-                ct * bf.mu.components + st_ * bf.nu.components, atol=1e-10)
+            mu, nu, nubar = bf.conormal, bf.shape.normal, bf.boundary_normal
+            Nbar = support_normal(bf)
+            np.testing.assert_allclose(Nbar, st_ * mu - ct * nu, atol=1e-10)
+            np.testing.assert_allclose(nubar, ct * mu + st_ * nu, atol=1e-10)
             # inverse: mu = sin(theta) Nbar + cos(theta) nubar
-            np.testing.assert_allclose(
-                bf.mu.components,
-                st_ * bf.Nbar.components + ct * bf.nubar.components,
-                atol=1e-10)
+            np.testing.assert_allclose(mu, st_ * Nbar + ct * nubar,
+                                       atol=1e-10)
 
     def test_position_field_pairing_with_support_normal(self, tilted_cap):
         """g(x, Nbar) = -1 at every boundary point of the support."""
         bf = tilted_cap.boundary_frame_at()
-        x = bf.shape.position.coords
+        x = bf.shape.coords
         w = x[-1]
-        assert np.dot(x, bf.Nbar.components) / (w * w) == pytest.approx(
+        assert np.dot(x, support_normal(bf)) / (w * w) == pytest.approx(
             -1.0, abs=1e-12)
 
     def test_boundary_off_support_rejected(self):
@@ -176,8 +179,8 @@ class TestIntegration:
             tilted_cap,
             lambda t: fields_at(tilted_cap, t).gxnu
             * fields_at(tilted_cap, t).H, quad)
-        x = bf.shape.position.coords
-        gxnubar = float(np.dot(x, bf.nubar.components) / x[-1] ** 2)
+        x = bf.shape.coords
+        gxnubar = float(np.dot(x, bf.boundary_normal) / x[-1] ** 2)
         rhs = integrate_dM(
             tilted_cap, lambda s: -math.cos(th) * gxnubar + math.sin(th),
             quad)
