@@ -366,23 +366,19 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    num = cfg.numerics
-    if args.grid is not None:
-        num = replace(num, grid=args.grid)
-    if args.quad is not None:
-        num = replace(num, quad_order=args.quad)
-    out = cfg.output
-    if args.out is not None:
-        out = replace(out, directory=Path(args.out))
-    if args.formats:
-        out = replace(out, formats=tuple(dict.fromkeys(args.formats)))
-    cfg = replace(cfg, numerics=num, output=out,
-                  seed=args.seed if args.seed is not None else cfg.seed)
-
-    try:
+        num = cfg.numerics
+        # replace() re-runs the Numerics checks on the overridden values
+        if args.grid is not None:
+            num = replace(num, grid=args.grid)
+        if args.quad is not None:
+            num = replace(num, quad_order=args.quad)
+        out = cfg.output
+        if args.out is not None:
+            out = replace(out, directory=Path(args.out))
+        if args.formats:
+            out = replace(out, formats=tuple(dict.fromkeys(args.formats)))
+        cfg = replace(cfg, numerics=num, output=out,
+                      seed=args.seed if args.seed is not None else cfg.seed)
         manifest = run(cfg, args.command)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

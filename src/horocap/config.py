@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -64,13 +64,42 @@ class SurfaceEntry:
         return d
 
 
+def _integer(path: str, value, minimum: Optional[int] = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(path, f"must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(path, f"must be >= {minimum}")
+    return value
+
+
+def _finite(path: str, value) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(path, f"must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Numerics:
+    """Numerical resolution; every instance, overrides included, is checked."""
+
     quad_order: int = 128
     grid: int = 128
     eig_count: int = 10
     stability_tol: float = 1e-6
     constraint: str = "VOLUME"
+
+    def __post_init__(self):
+        _integer("numerics.quad_order", self.quad_order, 8)
+        _integer("numerics.grid", self.grid, 16)
+        _integer("numerics.eig_count", self.eig_count, 1)
+        tol = _finite("numerics.stability_tol", self.stability_tol)
+        if tol <= 0:
+            raise ConfigError("numerics.stability_tol", "must be positive")
+        object.__setattr__(self, "stability_tol", tol)
+        if self.constraint not in VALID_CONSTRAINTS:
+            raise ConfigError("numerics.constraint",
+                              f"must be one of {VALID_CONSTRAINTS}")
 
     def to_dict(self) -> dict:
         return {
@@ -164,24 +193,8 @@ def parse_config(raw: dict) -> RunConfig:
     num_raw = raw.get("numerics", {})
     if not isinstance(num_raw, dict):
         raise ConfigError("numerics", "must be an object")
-    numerics = Numerics(
-        quad_order=int(num_raw.get("quad_order", 128)),
-        grid=int(num_raw.get("grid", 128)),
-        eig_count=int(num_raw.get("eig_count", 10)),
-        stability_tol=float(num_raw.get("stability_tol", 1e-6)),
-        constraint=str(num_raw.get("constraint", "VOLUME")),
-    )
-    if numerics.quad_order < 8:
-        raise ConfigError("numerics.quad_order", "must be >= 8")
-    if numerics.grid < 16:
-        raise ConfigError("numerics.grid", "must be >= 16")
-    if numerics.eig_count < 1:
-        raise ConfigError("numerics.eig_count", "must be >= 1")
-    if numerics.stability_tol <= 0:
-        raise ConfigError("numerics.stability_tol", "must be positive")
-    if numerics.constraint not in VALID_CONSTRAINTS:
-        raise ConfigError("numerics.constraint",
-                          f"must be one of {VALID_CONSTRAINTS}")
+    numerics = Numerics(**{f.name: num_raw[f.name] for f in fields(Numerics)
+                           if f.name in num_raw})
 
     out_raw = raw.get("output", {})
     if not isinstance(out_raw, dict):
@@ -202,22 +215,17 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError("sweep.kind", "unknown family "
                               f"{sweep['kind']!r}; valid: "
                               + ", ".join(FAMILY_REGISTRY))
-        n = sweep.get("n", 2)
-        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-            raise ConfigError("sweep.n", "must be an integer >= 2")
+        _integer("sweep.n", sweep.get("n", 2), 2)
         for key in ("thetas", "radii"):
             vals = _require(sweep, key, "sweep")
             if not isinstance(vals, list) or not vals:
                 raise ConfigError(f"sweep.{key}", "must be a non-empty list")
             for i, v in enumerate(vals):
-                if (isinstance(v, bool) or not isinstance(v, (int, float))
-                        or not math.isfinite(v)):
-                    raise ConfigError(f"sweep.{key}[{i}]",
-                                      f"must be a finite number, got {v!r}")
+                _finite(f"sweep.{key}[{i}]", v)
 
     return RunConfig(surfaces=tuple(surfaces), numerics=numerics,
                      output=output, sweep=sweep,
-                     seed=int(raw.get("seed", 0)))
+                     seed=_integer("seed", raw.get("seed", 0)))
 
 
 def load_config(path: Path | str) -> RunConfig:

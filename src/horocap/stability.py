@@ -34,8 +34,10 @@ from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.interpolate import CubicSpline
+# only the bare package: scipy.linalg and scipy.interpolate load lazily on
+# first attribute access, so commands that never solve or interpolate
+# start without them
+import scipy
 
 from .quadrature import (QuadratureSpec, fd_weights, gauss_legendre,
                          gregory_weights, unit_sphere_area)
@@ -547,7 +549,7 @@ class _Variation:
         self.S = weakref.proxy(S)  # S caches its variations
         g = _grid(S, phi.resolution)
         self.g = g
-        self.spline = CubicSpline(g.nodes, phi.values)
+        self.spline = scipy.interpolate.CubicSpline(g.nodes, phi.values)
         self.sign = S.orientation_sign()
         self.t_ramp = 0.8 * S.t1
         _, nu1, mu1 = self._frame(np.array([S.t1]))

@@ -74,12 +74,25 @@ class TestConfigSchema:
             parse_config({"schema_version": 1, "surfaces": [surf, dict(surf)]})
 
     def test_numeric_bounds(self):
+        # out of range, and of the wrong type: never truncated or coerced
         for field, value in [("quad_order", 2), ("grid", 4),
-                             ("eig_count", 0), ("stability_tol", -1.0)]:
+                             ("eig_count", 0), ("stability_tol", -1.0),
+                             ("quad_order", "abc"), ("quad_order", 12.7),
+                             ("quad_order", True), ("grid", 64.0),
+                             ("eig_count", None), ("stability_tol", "1e-6"),
+                             ("stability_tol", math.nan),
+                             ("stability_tol", False)]:
             with pytest.raises(ConfigError, match=f"numerics.{field}"):
                 parse_config({"schema_version": 1,
                               "surfaces": BASE_CONFIG["surfaces"][:1],
                               "numerics": {field: value}})
+
+    def test_seed_must_be_integer(self):
+        for value in ("x", 1.5, True):
+            with pytest.raises(ConfigError, match="'seed'"):
+                parse_config({"schema_version": 1,
+                              "surfaces": BASE_CONFIG["surfaces"][:1],
+                              "seed": value})
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError, match="output.formats"):
@@ -201,6 +214,17 @@ class TestMain:
         p.write_text("{not json")
         assert main(["verify", "--config", str(p)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,value,field",
+                             [("spectrum", "--grid", "4", "numerics.grid"),
+                              ("verify", "--quad", "0",
+                               "numerics.quad_order")])
+    def test_overrides_are_validated(self, tmp_path, capsys, command, flag,
+                                     value, field):
+        p = write_config(tmp_path)
+        assert main([command, "--config", str(p), flag, value]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_exit_one_on_error_status(self, tmp_path, capsys):
         p = write_config(tmp_path, surfaces=[

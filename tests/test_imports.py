@@ -1,0 +1,49 @@
+"""Start-up cost: which scipy submodules each command loads."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import horocap
+
+SCRIPT = """
+import json, sys
+import horocap, horocap.cli
+from horocap.config import load_config
+
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.interpolate")
+            if m in sys.modules]
+
+seen = {"import": loaded()}
+cfg = load_config(sys.argv[1])
+seen["load_config"] = loaded()
+for command in ("verify", "deficit", "spectrum"):
+    horocap.cli.run(cfg, command)
+    seen[command] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_submodules_load_only_where_used(tmp_path):
+    cfg = {
+        "schema_version": 1,
+        "surfaces": [{"label": "cap", "kind": "sphere_cap", "n": 2,
+                      "a": 1.0, "r": 0.5}],
+        "numerics": {"quad_order": 16, "grid": 16, "eig_count": 4},
+        "output": {"dir": str(tmp_path / "out"), "formats": ["csv"]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    src = str(Path(horocap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import": [], "load_config": [], "verify": [],
+                    "deficit": [], "spectrum": ["scipy.linalg"]}

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from horocap import stability
 from horocap.families import CapKind, CapSpec, build
 from horocap.quadrature import QuadratureSpec
 from horocap.stability import (GridError, ScalarField, boundary_cancellation,
@@ -235,6 +236,21 @@ class TestSpectra:
     def test_zero_modes_counted_separately(self, ortho_cap):
         res = constrained_spectrum(ortho_cap, "VOLUME", 96, 8)
         assert res.morse_index + res.zero_modes <= len(res.eigenvalues)
+
+    def test_eigensolves_go_through_module_scipy(self, tilted_cap,
+                                                 monkeypatch):
+        # the benchmark's stability.eigh span wraps this attribute
+        linalg = stability.scipy.linalg
+        eigh, calls = linalg.eigh, []
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eigh", counting_eigh)
+        res = constrained_spectrum(tilted_cap, "VOLUME", 32, 6)
+        assert res.modes_used > 0
+        assert len(calls) == res.modes_used
 
 
 class TestDeficit:
