@@ -41,7 +41,6 @@ import scipy
 
 from .quadrature import (QuadratureSpec, fd_weights, gauss_legendre,
                          gregory_weights, unit_sphere_area)
-from .halfspace import HPoint, PotentialV
 from .surfaces import (ParamSurface, ProfileSurface, fields_at, integrate_dM,
                        integrate_M, node_set)
 
@@ -149,7 +148,7 @@ class _ProfileGrid:
 
         Four Gauss points per element.  Mode l has stiffness
         K0 + l(l+n-2) P, where P is the mass matrix of the weight 1/B^2;
-        K0 carries the Robin term of the cached boundary frame.
+        K0 carries the Robin term robin_q(S).
         """
         S, n = self.S, self.S.n
         xi, wq = gauss_legendre(4, 0.0, 1.0)
@@ -167,8 +166,7 @@ class _ProfileGrid:
         K0 = (_scatter(stiff[:, None, None] * np.array([[1.0, -1.0],
                                                          [-1.0, 1.0]]))
               + mass(n - h2))
-        q = 1.0 / math.sin(self.theta) + self.hmumu / math.tan(self.theta)
-        K0[-1, -1] -= q * self.boundary_measure
+        K0[-1, -1] -= robin_q(S).q * self.boundary_measure
         M = mass(1.0)
         # the hat functions sum to one, so the row sums of M are int phi_a
         return SimpleNamespace(K0=K0, P=mass(1.0 / (B * B)), M=M,
@@ -343,9 +341,7 @@ def jacobi_field_residuals(S: ParamSurface, resolution: int = 128) -> dict:
     """Jacobi-equation residuals of the distinguished normal components.
 
     On a CMC surface: J g(x,nu) = 0, J g(E,nu) = -H V - n g(E,nu), and
-    J g(X,nu) = H V + n g(E,nu).  The last right-hand side is also
-    checked in its gradient form -n g(grad V, nu), which must agree with
-    +n g(E,nu) pointwise.
+    J g(X,nu) = H V + n g(E,nu).
     """
     S = _require_profile(S)
     g = _grid(S, resolution)
@@ -353,22 +349,12 @@ def jacobi_field_residuals(S: ParamSurface, resolution: int = 128) -> dict:
     f_x = ScalarField(S, g.gxnu)
     f_E = ScalarField(S, g.gEnu)
     f_X = ScalarField(S, g.gXnu)
-    # gradient form of the conformal-field right-hand side: grad V = -E_d,
-    # so g(grad V, nu) = -g(E, nu) exactly
-    sd = S.shapes(g.nodes)
-    grad_form = np.array([
-        -n * float(np.dot(PotentialV(n + 1).gradient(HPoint(x)).components,
-                          nu)) / x[-1] ** 2
-        for x, nu in zip(sd.coords, sd.normal)
-    ])
     return {
         "position": float(np.max(np.abs(jacobi_apply(f_x).values))),
         "vertical": float(np.max(np.abs(
             jacobi_apply(f_E).values - (-H * g.V - n * g.gEnu)))),
         "conformal": float(np.max(np.abs(
             jacobi_apply(f_X).values - (H * g.V + n * g.gEnu)))),
-        "rhs_forms_agree": float(np.max(np.abs(
-            grad_form - (n * g.gEnu)))),
         "H_mean": H,
         "H_spread": g.H_spread,
     }
@@ -734,42 +720,24 @@ def umbilicity_deficit(S: ParamSurface,
     """D(S) = int_M n g(E^T,E^T)(n|h|^2 - H^2) + |grad Phi|^2 dA.
 
     The Cauchy-Schwarz term uses the pointwise mean curvature (keeping
-    the integrand nonnegative on non-CMC controls); Phi uses the
-    area-weighted mean.  D vanishes exactly on umbilical caps.  grad Phi
-    is the 5-point central difference with step 1e-4 along each chart
-    axis, evaluated for all nodes in one batch.
+    the integrand nonnegative on non-CMC controls); Phi = -H V - n g(E,nu)
+    uses the area-weighted mean.  D vanishes exactly on umbilical caps.
+    grad Phi is closed form on both chart kinds: grad V = -E^T and, by
+    Weingarten, d g(E,nu) = h(E^T, .), so with e = dw / w^2 (the chart
+    components of g(E, .)) the chart differential is
+    dPhi = H e - n h g^-1 e, read off the cached node-set shape data.
     """
     Q = Q or QuadratureSpec()
     n = S.n
     ns = node_set(S, Q)
-    fl = ns.fields
-    area = integrate_M(S, lambda u: 1.0, Q)
-    H_mean = integrate_M(S, lambda u: fl.H, Q) / area
+    sd, fl = ns.shapes, ns.fields
+    area = integrate_M(S, 1.0, Q)
+    H_mean = integrate_M(S, fl.H, Q) / area
     cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)  # Cauchy-Schwarz term
-    step = 1e-4
-    w5 = fd_weights(np.arange(-2, 3), 1) / step
-
-    def dphi(points):
-        """Derivative of Phi from the 5 stencil points on the last point axis."""
-        fl = fields_at(S, points)
-        phi = -H_mean * fl.V - n * fl.gEnu
-        return sum(c * phi[..., k] for k, c in enumerate(w5))
-
-    if S.chart_kind == "profile":
-        def integrand(t):
-            A, _, _, _ = S.metric_coeffs(t)
-            return cs + (dphi(t[:, None] + np.arange(-2, 3) * step) / A) ** 2
-
-        return integrate_M(S, integrand, Q)
-
-    def integrand(u):
-        # offsets o * step * e_i, as (axis i, stencil point, coordinate)
-        offs = np.arange(-2, 3)[None, :, None] * (step * np.eye(n))[:, None, :]
-        grad = dphi(u[:, None, None, :] + offs)
-        ginv = np.linalg.inv(ns.shapes.g)
-        return cs + np.einsum("mi,mij,mj->m", grad, ginv, grad)
-
-    return integrate_M(S, integrand, Q)
+    e = (sd.dw / (fl.w * fl.w)[..., None])[..., None]  # column vectors
+    dphi = H_mean * e - n * sd.h @ np.linalg.solve(sd.g, e)
+    grad_sq = np.sum(dphi * np.linalg.solve(sd.g, dphi), axis=(-2, -1))
+    return integrate_M(S, cs + grad_sq, Q)
 
 
 def boundary_cancellation(S: ParamSurface,

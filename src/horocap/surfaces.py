@@ -20,7 +20,10 @@ each evaluated in one pass; ``shape_at``, ``boundary_frame_at`` and
 ``profile_jet(t)`` and ``embed_jet(u)`` take arrays of chart points.  A
 profile chart's boundary is one rotation orbit, so its support-face node
 set is the single node s = 0 weighted by the orbit's measure, and the
-boundary integrals run the same way on both kinds.
+boundary integrals run the same way on both kinds.  Every derivative is
+read off the jets, with no finite differences: the shape data carry the
+chart gradient dw of the height, and a box chart's boundary curvature
+Hhat comes from the chart Hessian.
 
 Curvature conventions: the second fundamental form is h(X, Y) =
 g(nabla_X nu, Y), computed from embedding jets through the conformal
@@ -58,8 +61,6 @@ __all__ = [
     "check_immersion",
 ]
 
-HHAT_STEP = 1e-4  # central-difference step of the boundary shape operator
-
 _JET_CONTRACT = ("embed_jet(u) must take chart points u of shape (..., n) "
                  "and return x (..., n+1), J (..., n+1, n) and "
                  "Hess (..., n+1, n, n)")
@@ -87,7 +88,8 @@ class ShapeData:
 
     The leading axes of every field index the points (none at one point).
     coords and normal are the Euclidean components of the position and
-    of the unit normal nu; principal curvatures are ascending.
+    of the unit normal nu; dw is the chart gradient of the height x_d;
+    principal curvatures are ascending.
     """
 
     coords: np.ndarray
@@ -97,6 +99,7 @@ class ShapeData:
     H: np.ndarray
     h2: np.ndarray
     principal_curvatures: np.ndarray
+    dw: np.ndarray
 
     def __getitem__(self, index) -> "ShapeData":
         """The points picked by indexing the leading axes."""
@@ -203,7 +206,7 @@ def _jet_shapes(x: np.ndarray, J: np.ndarray, Hess: np.ndarray,
     Linv = np.linalg.inv(L)
     kappa = np.linalg.eigvalsh(Linv @ h @ _swap(Linv))
     return ShapeData(x, nu, g, h, np.sum(kappa, axis=-1),
-                     np.sum(kappa * kappa, axis=-1), kappa)
+                     np.sum(kappa * kappa, axis=-1), kappa, J[..., -1, :])
 
 
 class ProfileSurface(ParamSurface):
@@ -273,8 +276,10 @@ class ProfileSurface(ParamSurface):
                      axis=-1)[..., None] * eye
         kappa = np.sort(np.stack([kappa_m] + [kappa_a] * (n - 1), axis=-1),
                         axis=-1)
+        dw = np.zeros(w.shape + (n,))
+        dw[..., 0] = dz
         return ShapeData(x, nu, g, h, kappa_m + (n - 1) * kappa_a,
-                         kappa_m ** 2 + (n - 1) * kappa_a ** 2, kappa)
+                         kappa_m ** 2 + (n - 1) * kappa_a ** 2, kappa, dw)
 
     def shape_at(self, t: float) -> ShapeData:
         return self.shapes(float(t))
@@ -391,44 +396,37 @@ class GridSurface(ParamSurface):
     def boundary_frames(self, s) -> BoundaryFrame:
         """Frames at support-face points s of shape (..., n-1), batched.
 
-        Hhat, the trace of the flat boundary shape operator, is the
-        central difference of nubar with step HHAT_STEP along each face
-        axis; the neighbours go into the same batch.
+        The face tangents T = J[..., 1:] have the flat Gram matrix gamma
+        (the boundary sits at height 1).  The outward conormal is -J_0
+        with its projection onto span(T) removed, and Hhat, the trace of
+        the flat boundary shape operator, is the Weingarten closed form
+        -gamma^ab <nubar, d_a d_b x> from the chart Hessian.
         """
-        s = np.asarray(s, dtype=float)
-        k = self.n - 1
-        offsets = np.concatenate([np.zeros((1, k)), HHAT_STEP * np.eye(k),
-                                  -HHAT_STEP * np.eye(k)])
-        pts = s + offsets.reshape((2 * k + 1,) + (1,) * (s.ndim - 1) + (k,))
-        x, J, Hess = self.jets(self._boundary_chart_point(pts))
+        x, J, Hess = self.jets(self._boundary_chart_point(
+            np.asarray(s, dtype=float)))
         shape = _jet_shapes(x, J, Hess, self.orientation_sign())
         w = x[..., -1]
-        off = np.abs(w[0] - 1.0) > 1e-9
+        off = np.abs(w - 1.0) > 1e-9
         if np.any(off):
-            raise SupportError(f"boundary point height {w[0][off][0]} "
+            raise SupportError(f"boundary point height {w[off][0]} "
                                "is off the horosphere")
+        T = J[..., 1:]
+        gamma = _swap(T) @ T
         # outward conormal: tangent to the surface, orthogonal to the
         # boundary tangents, pointing against the u_0 axis
         v = -J[..., 0]
-        for i in range(1, self.n):
-            tk = J[..., i]
-            v = v - (np.sum(v * tk, axis=-1)
-                     / np.sum(tk * tk, axis=-1))[..., None] * tk
+        v -= (T @ np.linalg.solve(gamma, _swap(T) @ v[..., None]))[..., 0]
         mu = v / (np.linalg.norm(v, axis=-1) / w)[..., None]
         theta, nubar = _contact(shape, mu)
-        Hhat = 0.0
-        for i in range(k):
-            dnb = (nubar[1 + i] - nubar[1 + k + i]) / (2.0 * HHAT_STEP)
-            tangent = J[0, ..., :-1, 1 + i]
-            Hhat = Hhat + (np.sum(dnb[..., :-1] * tangent, axis=-1)
-                           / np.sum(tangent * tangent, axis=-1))
+        second = np.einsum("...k,...kab->...ab", nubar[..., :-1],
+                           Hess[..., :-1, 1:, 1:])
+        Hhat = -np.sum(np.linalg.inv(gamma) * second, axis=(-2, -1))
         # conormal second fundamental value h(mu, mu)
-        mu_chart = (np.linalg.pinv(J[0]) @ mu[0][..., None])[..., 0]
-        hmumu = np.einsum("...i,...ij,...j->...", mu_chart, shape.h[0],
+        mu_chart = (np.linalg.pinv(J) @ mu[..., None])[..., 0]
+        hmumu = np.einsum("...i,...ij,...j->...", mu_chart, shape.h,
                           mu_chart)
-        return BoundaryFrame(shape=shape[0], conormal=mu[0],
-                             boundary_normal=nubar[0], theta=theta[0],
-                             hmumu=hmumu, Hhat=Hhat)
+        return BoundaryFrame(shape=shape, conormal=mu, boundary_normal=nubar,
+                             theta=theta, hmumu=hmumu, Hhat=Hhat)
 
     def boundary_frame_at(self, s=None) -> BoundaryFrame:
         """The frame at one support-face point (default: the face centre)."""

@@ -7,7 +7,8 @@ eigenproblem on box charts, the meridian formulas on profile charts),
 one boundary frame per support point, one profile-jet, spline and ramp
 evaluation per node and per variation parameter s, and one metric/shape
 evaluation per element Gauss point and per angular mode.  The array code
-must reproduce them up to rounding.
+must reproduce them up to rounding.  The closed-form grad Phi of the
+umbilicity deficit is checked against a 5-point finite-difference stencil.
 """
 
 import math
@@ -18,12 +19,14 @@ import pytest
 import scipy.linalg
 
 from horocap.halfspace import GeometryError
-from horocap.quadrature import QuadratureSpec, gauss_legendre, unit_sphere_area
+from horocap.families import CapKind, CapSpec, PerturbationSpec, build, perturb
+from horocap.quadrature import (QuadratureSpec, fd_weights, gauss_legendre,
+                                unit_sphere_area)
 from horocap.stability import (ScalarField, _grid, _mode_matrices,
-                               _Variation, robin_q)
+                               _Variation, robin_q, umbilicity_deficit)
 from horocap.surfaces import (EvaluationError, GridSurface, ImmersionError,
                               ProfileSurface, fields_at, integrate_dM,
-                              integrate_M)
+                              integrate_M, node_set)
 
 REL = 1e-12
 CAPS = ("ortho_cap", "tilted_cap", "cap_3d", "bumped_cap")
@@ -410,3 +413,68 @@ def test_mode_matrices_match_per_point_assembly(name, request):
     for l in (0, 1, 2, 7):
         for got, want in zip(_mode_matrices(g, l), ref_mode_matrices(g, l)):
             assert np.max(np.abs(got - want)) <= REL * np.max(np.abs(want))
+
+
+# -- umbilicity deficit: closed-form grad Phi vs a stencil --------------
+
+def ref_deficit(S, Q, step=1e-4):
+    """D(S) with grad Phi from 5-point central differences along each axis."""
+    n = S.n
+    fl = fields_at(S, node_set(S, Q).nodes)
+    area = integrate_M(S, 1.0, Q)
+    H_mean = integrate_M(S, fl.H, Q) / area
+    cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)
+    w5 = fd_weights(np.arange(-2, 3), 1) / step
+
+    def dphi(points):
+        """Derivative of Phi from the 5 stencil points on the last point axis."""
+        f = fields_at(S, points)
+        phi = -H_mean * f.V - n * f.gEnu
+        return sum(c * phi[..., k] for k, c in enumerate(w5))
+
+    if S.chart_kind == "profile":
+        def integrand(t):
+            A = S.metric_coeffs(t)[0]
+            return cs + (dphi(t[:, None] + np.arange(-2, 3) * step) / A) ** 2
+    else:
+        def integrand(u):
+            offs = (np.arange(-2, 3)[None, :, None]
+                    * (step * np.eye(n))[:, None, :])
+            grad = dphi(u[:, None, None, :] + offs)
+            ginv = np.linalg.inv(S.shapes(u).g)
+            return cs + np.einsum("mi,mij,mj->m", grad, ginv, grad)
+    return integrate_M(S, integrand, Q)
+
+
+@pytest.fixture(scope="module")
+def bumped_cap_3d():
+    return perturb(build(CapSpec(kind=CapKind.SPHERE_CAP, n=3, a=0.8, r=0.6)),
+                   PerturbationSpec(amplitude=1e-2))
+
+
+@pytest.fixture(scope="module")
+def tilted_plane_3d():
+    return build(CapSpec(kind=CapKind.TILTED_PLANE_CAP, n=3, beta=1.0,
+                         extent=1.0))
+
+
+@pytest.mark.parametrize("name", ("bumped_cap", "bumped_cap_3d",
+                                  "saddle_chart"))
+def test_deficit_matches_stencil_on_non_umbilical_surfaces(name, request):
+    S = request.getfixturevalue(name)
+    Q = QuadratureSpec(64)
+    want = ref_deficit(S, Q)
+    assert want > 1e-6
+    assert umbilicity_deficit(S, Q) == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("name,order", [
+    ("ortho_cap", 64), ("tilted_cap", 64), ("cap_3d", 64),
+    ("geodesic_hemisphere", 64), ("vertical_plane", 64),
+    ("tilted_plane", 64), ("tilted_plane_3d", 12)])
+def test_deficit_matches_stencil_on_umbilical_surfaces(name, order, request):
+    S = request.getfixturevalue(name)
+    Q = QuadratureSpec(order)
+    got, want = umbilicity_deficit(S, Q), ref_deficit(S, Q)
+    assert abs(got - want) < 1e-12
+    assert abs(got) < 1e-12

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from horocap.cli import main, run
+from horocap import cli
+from horocap.cli import DEFICIT_ZERO_TOL, main, run
 from horocap.config import (ConfigError, RunConfig, load_config, parse_config)
 from horocap.reports import config_hash, fmt_float, format_cell, write_csv
 
@@ -190,6 +191,35 @@ class TestRun:
         assert len(errors) == 2
         assert "InfeasibleError" in errors[1] and "contact angles" in errors[1]
         assert len((out / "sweep.csv").read_text().splitlines()) == 2
+
+    def test_deficit_on_open_charts(self, tmp_path, monkeypatch):
+        planes = [{"label": "plane-vertical", "kind": "vertical_plane_disk",
+                   "n": 2, "extent": 1.0},
+                  {"label": "plane-tilted", "kind": "tilted_plane_cap",
+                   "n": 2, "beta": 1.0, "extent": 1.0}]
+        cfg = load_config(write_config(
+            tmp_path, surfaces=planes,
+            numerics={"quad_order": 16, "grid": 32, "eig_count": 4}))
+        # D vanishes, but the boundary integral misses the artificial cut
+        manifest = run(cfg, "deficit")
+        assert set(manifest.statuses.values()) == {"EXPECTED_FAIL"}
+        assert manifest.ok
+        # a deficit at the zero tolerance still fails an open chart
+        monkeypatch.setattr(cli, "umbilicity_deficit",
+                            lambda S, Q: DEFICIT_ZERO_TOL)
+        manifest = run(cfg, "deficit")
+        assert set(manifest.statuses.values()) == {"FAIL"}
+        assert not manifest.ok
+
+    def test_deficit_boundary_term_fails_closed_caps(self, tmp_path,
+                                                     monkeypatch):
+        cfg = load_config(write_config(tmp_path))
+        assert run(cfg, "deficit").statuses["cap-ortho"] == "PASS"
+        monkeypatch.setattr(cli, "boundary_cancellation",
+                            lambda S, Q: DEFICIT_ZERO_TOL)
+        statuses = run(cfg, "deficit").statuses
+        assert statuses["cap-ortho"] == statuses["cap-tilt"] == "FAIL"
+        assert statuses["control"] == "PASS"
 
     def test_sweep_requires_section(self, tmp_path):
         cfg = load_config(write_config(tmp_path))

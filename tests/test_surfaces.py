@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from horocap.families import CapKind, CapSpec, build
 from horocap.quadrature import QuadratureSpec
-from horocap.surfaces import (ImmersionError, ProfileSurface, SupportError,
-                              check_immersion, fields_at, integrate_dM,
-                              integrate_M)
+from horocap.surfaces import (GridSurface, ImmersionError, ProfileSurface,
+                              SupportError, check_immersion, fields_at,
+                              integrate_dM, integrate_M)
 
 
 def sphere_cap(n=2, a=1.0, r=0.5):
@@ -143,6 +143,45 @@ class TestBoundaryFrame:
         w = x[-1]
         assert np.dot(x, support_normal(bf)) / (w * w) == pytest.approx(
             -1.0, abs=1e-12)
+
+    def test_skewed_face_frame_against_graph_curvature(self):
+        """Non-orthogonal face tangents: nubar stays normal to the face and
+        Hhat is the mean curvature of the face as a graph in the horosphere.
+
+        The face u_0 = 0 of x = (u0 + 0.3 u1^2 + 0.2 u2^2, u1 + u2/2, u2,
+        1 + u0) is the graph x_0 = f(x_1, x_2); nubar points along +x_0,
+        so Hhat = -div(grad f / sqrt(1 + |grad f|^2)), evaluated by sympy.
+        """
+        sympy = pytest.importorskip("sympy")
+
+        def embed_jet(u):
+            u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+            x = np.stack([u0 + 0.3 * u1 ** 2 + 0.2 * u2 ** 2, u1 + 0.5 * u2,
+                          u2, 1.0 + u0], axis=-1)
+            J = np.zeros(u.shape[:-1] + (4, 3))
+            J[..., 0, :] = np.stack([np.ones_like(u0), 0.6 * u1, 0.4 * u2],
+                                    axis=-1)
+            J[..., 1, 1], J[..., 1, 2], J[..., 2, 2] = 1.0, 0.5, 1.0
+            J[..., 3, 0] = 1.0
+            Hess = np.zeros(u.shape[:-1] + (4, 3, 3))
+            Hess[..., 0, 1, 1], Hess[..., 0, 2, 2] = 0.6, 0.4
+            return x, J, Hess
+
+        S = GridSurface(3, [(0.0, 0.3), (-0.2, 0.3), (-0.2, 0.3)], embed_jet)
+        s = np.array([0.1, 0.05])
+        bf = S.boundary_frame_at(s)
+        T = embed_jet(np.array([0.0, *s]))[1][:, 1:]
+        np.testing.assert_allclose(bf.boundary_normal @ T, 0.0, atol=1e-14)
+        assert bf.boundary_normal[0] > 0
+
+        x1, x2 = sympy.symbols("x1 x2")
+        f = (sympy.Rational(3, 10) * (x1 - x2 / 2) ** 2
+             + sympy.Rational(1, 5) * x2 ** 2)
+        norm = sympy.sqrt(1 + f.diff(x1) ** 2 + f.diff(x2) ** 2)
+        Hg = (f.diff(x1) / norm).diff(x1) + (f.diff(x2) / norm).diff(x2)
+        want = -float(Hg.subs({x1: sympy.Rational(1, 8),
+                               x2: sympy.Rational(1, 20)}))
+        assert bf.Hhat == pytest.approx(want, abs=1e-10)
 
     def test_boundary_off_support_rejected(self):
         # a valid sphere profile truncated before it reaches the support
