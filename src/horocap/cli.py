@@ -28,8 +28,7 @@ from .quadrature import QuadratureSpec
 from .reports import RunManifest, config_hash, write_csv, write_json
 from .stability import (ScalarField, boundary_cancellation,
                         constrained_spectrum, energy_second_difference,
-                        fd_variation_check, phi_test, quadratic_form,
-                        umbilicity_deficit, _grid)
+                        fd_variation_check, umbilicity_deficit, _grid)
 
 __all__ = ["main", "run"]
 

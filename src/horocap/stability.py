@@ -39,6 +39,7 @@ import numpy as np
 # start without them
 import scipy
 
+from .identities import cmc_stats
 from .quadrature import (QuadratureSpec, fd_weights, gauss_legendre,
                          gregory_weights, unit_sphere_area)
 from .surfaces import (ParamSurface, ProfileSurface, fields_at, integrate_dM,
@@ -75,14 +76,6 @@ ZERO_MODE_TOL = 1e-6
 
 class GridError(ValueError):
     """Grid too coarse or incompatible with the surface chart."""
-
-
-def _require_profile(S: ParamSurface) -> ProfileSurface:
-    if not isinstance(S, ProfileSurface):
-        raise GridError(
-            "discrete operators require an axisymmetric (profile) chart"
-        )
-    return S
 
 
 # ----------------------------------------------------------------------
@@ -130,16 +123,14 @@ class _ProfileGrid:
         """4th-order differentiation with even pole extension, one-sided tail."""
         N, h = self.N, self.h
         D = np.zeros((N + 1, N + 1))
-        central = fd_weights(np.arange(-2, 3), deriv) / h ** deriv
-        for j in range(N + 1):
-            if j >= N - 1:
-                offs = np.arange(-4, 1) + (N - j)
-                w = fd_weights(offs, deriv) / h ** deriv
-                for o, c in zip(offs, w):
-                    D[j, j + o] += c
-            else:
-                for o, c in zip(np.arange(-2, 3), central):
-                    D[j, abs(j + o)] += c  # fold: even extension across t=0
+        offs = np.arange(-2, 3)
+        rows = np.arange(N - 1)[:, None]
+        # fold: even extension across t=0 (add.at sums the folded columns)
+        np.add.at(D, (rows, np.abs(rows + offs)),
+                  fd_weights(offs, deriv) / h ** deriv)
+        for j in (N - 1, N):
+            offs = np.arange(-4, 1) + (N - j)
+            D[j, j + offs] = fd_weights(offs, deriv) / h ** deriv
         return D
 
     @functools.cached_property
@@ -184,7 +175,12 @@ class _ProfileGrid:
         return L
 
 
-def _grid(S: ProfileSurface, resolution: int) -> _ProfileGrid:
+def _grid(S: ParamSurface, resolution: int) -> _ProfileGrid:
+    """The cached grid of S; only a profile chart has one."""
+    if not isinstance(S, ProfileSurface):
+        raise GridError(
+            "discrete operators require an axisymmetric (profile) chart"
+        )
     cache = S.__dict__.setdefault("_stability_grids", {})
     if resolution not in cache:
         cache[resolution] = _ProfileGrid(S, resolution)
@@ -223,7 +219,6 @@ class ScalarField:
     @staticmethod
     def from_function(S: ParamSurface, fn: Callable[[float], float],
                       resolution: int) -> "ScalarField":
-        S = _require_profile(S)
         g = _grid(S, resolution)
         return ScalarField(S, np.array([fn(t) for t in g.nodes]))
 
@@ -289,7 +284,6 @@ def phi_test(S: ParamSurface, resolution: int = 128
     the two vanishing integrals over M and dM.  On near-CMC input H is
     the area-weighted mean and the node spread is reported.
     """
-    S = _require_profile(S)
     g = _grid(S, resolution)
     n, H = S.n, g.H_mean
     ct = math.cos(g.theta)
@@ -316,7 +310,6 @@ def phi_aux(S: ParamSurface, resolution: int = 128
     Residuals: Delta Phi = (n|h|^2 - H^2) g(E,nu); the boundary value
     -H - n cos(theta); the conormal derivative -sin(theta)(H - n h(mu,mu)).
     """
-    S = _require_profile(S)
     g = _grid(S, resolution)
     n, H = S.n, g.H_mean
     phi = ScalarField(S, -H * g.V - n * g.gEnu)
@@ -343,7 +336,6 @@ def jacobi_field_residuals(S: ParamSurface, resolution: int = 128) -> dict:
     On a CMC surface: J g(x,nu) = 0, J g(E,nu) = -H V - n g(E,nu), and
     J g(X,nu) = H V + n g(E,nu).
     """
-    S = _require_profile(S)
     g = _grid(S, resolution)
     n, H = S.n, g.H_mean
     f_x = ScalarField(S, g.gxnu)
@@ -368,7 +360,6 @@ def boundary_identity_residuals(S: ParamSurface, resolution: int = 128
     V - cos(theta) g(E,nu) and g(X,nu), the derivative formula for
     g(x,nu), and the tangency relation g(X,mu) = cot(theta) g(X,nu).
     """
-    S = _require_profile(S)
     g = _grid(S, resolution)
     q = robin_q(S).q
     f1 = ScalarField(S, g.V - math.cos(g.theta) * g.gEnu)
@@ -398,7 +389,6 @@ def boundary_identity_residuals(S: ParamSurface, resolution: int = 128
 
 def quadratic_form(S: ParamSurface, phi: ScalarField) -> float:
     """Second variation of energy in symmetric Dirichlet form."""
-    S = _require_profile(S)
     if phi.surface is not S:
         raise GridError("field was built on a different surface")
     g = _grid(S, phi.resolution)
@@ -463,7 +453,6 @@ def constrained_spectrum(S: ParamSurface, constraint: str = "VOLUME",
     """
     if constraint not in ("VOLUME", "WETTING", "NONE"):
         raise ValueError(f"unknown constraint {constraint!r}")
-    S = _require_profile(S)
     g = _grid(S, resolution)
     collected: list[float] = []
     modes_used = 0
@@ -662,7 +651,6 @@ def fd_variation_check(S: ParamSurface, phi: ScalarField, functional: str,
                        step: float = 1e-3,
                        Q: Optional[QuadratureSpec] = None) -> VariationCheck:
     """Richardson-extrapolated d/ds of a functional vs its printed formula."""
-    S = _require_profile(S)
     # the boundary-collar ramp has large high derivatives; resolve it
     Q = Q or QuadratureSpec(256)
     var = _variation(S, phi)
@@ -696,7 +684,6 @@ def energy_second_difference(S: ParamSurface, phi: ScalarField,
     Lagrangian along the straight-line variation depends only on the
     normal scalar, so it must reproduce the quadratic form.
     """
-    S = _require_profile(S)
     Q = Q or QuadratureSpec(256)
     var = _variation(S, phi)
     H = var.g.H_mean
@@ -731,8 +718,7 @@ def umbilicity_deficit(S: ParamSurface,
     n = S.n
     ns = node_set(S, Q)
     sd, fl = ns.shapes, ns.fields
-    area = integrate_M(S, 1.0, Q)
-    H_mean = integrate_M(S, fl.H, Q) / area
+    H_mean, _ = cmc_stats(S, Q)
     cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)  # Cauchy-Schwarz term
     e = (sd.dw / (fl.w * fl.w)[..., None])[..., None]  # column vectors
     dphi = H_mean * e - n * sd.h @ np.linalg.solve(sd.g, e)

@@ -6,8 +6,9 @@ evaluation per chart point (SVD normal, Cholesky check and generalized
 eigenproblem on box charts, the meridian formulas on profile charts),
 one boundary frame per support point, one profile-jet, spline and ramp
 evaluation per node and per variation parameter s, and one metric/shape
-evaluation per element Gauss point and per angular mode.  The array code
-must reproduce them up to rounding.  The closed-form grad Phi of the
+evaluation per element Gauss point and per angular mode, and the stencil
+matrices filled row by row.  The array code must reproduce them up to
+rounding (the stencil matrices exactly).  The closed-form grad Phi of the
 umbilicity deficit is checked against a 5-point finite-difference stencil.
 """
 
@@ -413,6 +414,30 @@ def test_mode_matrices_match_per_point_assembly(name, request):
     for l in (0, 1, 2, 7):
         for got, want in zip(_mode_matrices(g, l), ref_mode_matrices(g, l)):
             assert np.max(np.abs(got - want)) <= REL * np.max(np.abs(want))
+
+
+def ref_stencil_matrix(N, h, deriv):
+    """4th-order differentiation row by row: the central stencil folded
+    across the pole (even extension), one-sided on the last two rows."""
+    D = np.zeros((N + 1, N + 1))
+    central = fd_weights(np.arange(-2, 3), deriv) / h ** deriv
+    for j in range(N + 1):
+        if j >= N - 1:
+            offs = np.arange(-4, 1) + (N - j)
+            w = fd_weights(offs, deriv) / h ** deriv
+            for o, c in zip(offs, w):
+                D[j, j + o] += c
+        else:
+            for o, c in zip(np.arange(-2, 3), central):
+                D[j, abs(j + o)] += c
+    return D
+
+
+@pytest.mark.parametrize("N", [16, 17, 64, 128, 257])
+def test_stencil_matrices_match_row_loop(N, tilted_cap):
+    g = _grid(tilted_cap, N)
+    assert np.array_equal(g.D1, ref_stencil_matrix(g.N, g.h, 1))
+    assert np.array_equal(g.D2, ref_stencil_matrix(g.N, g.h, 2))
 
 
 # -- umbilicity deficit: closed-form grad Phi vs a stencil --------------

@@ -25,6 +25,13 @@ BASE_CONFIG = {
     "output": {"dir": "out", "formats": ["csv", "json"]},
 }
 
+OPEN_CHARTS = [
+    {"label": "plane-vertical", "kind": "vertical_plane_disk", "n": 2,
+     "extent": 1.0},
+    {"label": "plane-tilted", "kind": "tilted_plane_cap", "n": 2,
+     "beta": 1.0, "extent": 1.0},
+]
+
 
 def write_config(tmp_path, overrides=None, **kw):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -193,12 +200,8 @@ class TestRun:
         assert len((out / "sweep.csv").read_text().splitlines()) == 2
 
     def test_deficit_on_open_charts(self, tmp_path, monkeypatch):
-        planes = [{"label": "plane-vertical", "kind": "vertical_plane_disk",
-                   "n": 2, "extent": 1.0},
-                  {"label": "plane-tilted", "kind": "tilted_plane_cap",
-                   "n": 2, "beta": 1.0, "extent": 1.0}]
         cfg = load_config(write_config(
-            tmp_path, surfaces=planes,
+            tmp_path, surfaces=OPEN_CHARTS,
             numerics={"quad_order": 16, "grid": 32, "eig_count": 4}))
         # D vanishes, but the boundary integral misses the artificial cut
         manifest = run(cfg, "deficit")
@@ -210,6 +213,19 @@ class TestRun:
         manifest = run(cfg, "deficit")
         assert set(manifest.statuses.values()) == {"FAIL"}
         assert not manifest.ok
+
+    def test_variation_check_on_open_charts_is_a_grid_error(self, tmp_path):
+        cfg = load_config(write_config(
+            tmp_path, surfaces=OPEN_CHARTS,
+            numerics={"quad_order": 16, "grid": 32, "eig_count": 4}))
+        manifest = run(cfg, "variation-check")
+        assert set(manifest.statuses.values()) == {"ERROR"}
+        out = cfg.output.directory
+        rows = (out / "variation_check_errors.csv").read_text().splitlines()
+        cells = [row.split(",", 2) for row in rows[1:]]
+        assert [c[0] for c in cells] == ["plane-vertical", "plane-tilted"]
+        for _, _, message in cells:
+            assert message.startswith("GridError:"), message
 
     def test_deficit_boundary_term_fails_closed_caps(self, tmp_path,
                                                      monkeypatch):

@@ -9,6 +9,7 @@ from horocap.families import CapKind, CapSpec, build, solve_for_angle
 from horocap.identities import (IDENTITY_IDS, AngleError, angle_stats,
                                 cmc_stats, suite, verify)
 from horocap.quadrature import QuadratureSpec
+from horocap.surfaces import GridSurface, ProfileSurface
 
 
 class TestSingleIdentity:
@@ -63,9 +64,10 @@ class TestNegativeControl:
         assert spread0 < 1e-10
         assert spread1 > 1e-2
 
-    def test_angle_stats_unchanged_by_bump(self, ortho_cap, bumped_cap):
-        th0, _ = angle_stats(ortho_cap)
-        th1, dev = angle_stats(bumped_cap)
+    def test_angle_stats_unchanged_by_bump(self, ortho_cap, bumped_cap,
+                                           quad):
+        th0, _ = angle_stats(ortho_cap, quad)
+        th1, dev = angle_stats(bumped_cap, quad)
         assert th1 == th0
         assert dev == 0.0
 
@@ -88,6 +90,30 @@ class TestSuite:
         r2 = max(r.rel_residual for r in suite(tilted_cap, QuadratureSpec(64)))
         # analytic integrands: either convergent or already at round-off
         assert r2 < max(r1 * 2.0, 1e-12)
+
+    def test_one_frame_evaluation_per_quadrature_order(self, monkeypatch):
+        calls = []
+        for cls in (ProfileSurface, GridSurface):
+            def counting(S, s, _frames=cls.boundary_frames):
+                calls.append(np.shape(s))
+                return _frames(S, s)
+            monkeypatch.setattr(cls, "boundary_frames", counting)
+        Q = QuadratureSpec(16)
+        # fresh surfaces: node sets, and the frames on them, are cached
+        for spec in (CapSpec(CapKind.TILTED_PLANE_CAP, n=2, beta=math.pi / 3,
+                             extent=1.0),
+                     CapSpec(CapKind.SPHERE_CAP, n=2, a=1.0, r=0.5)):
+            S = build(spec)
+            calls.clear()
+            suite(S, Q)
+            assert len(calls) == 2, (spec.kind, calls)
+
+    def test_verify_is_the_suite_row(self, tilted_cap, bumped_cap,
+                                     tilted_plane, quad_fast):
+        for S in (tilted_cap, bumped_cap, tilted_plane):
+            rows = suite(S, quad_fast)
+            for iid, row in zip(IDENTITY_IDS, rows):
+                assert verify(S, iid, quad_fast) == row
 
     def test_angle_grid_of_caps_all_pass(self, quad):
         thetas = [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3]
