@@ -434,14 +434,6 @@ def _scatter(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mode_matrices(g: _ProfileGrid, l: int) -> tuple[np.ndarray, np.ndarray,
-                                                     np.ndarray]:
-    """(K, M, volume-constraint row) of the P1 discretization of mode l."""
-    el = g.elements
-    K = el.K0 + l * (l + g.S.n - 2) * el.P
-    return K, el.M.copy(), el.c.copy()
-
-
 def constrained_spectrum(S: ParamSurface, constraint: str = "VOLUME",
                          resolution: int = 128, k: int = 10,
                          max_mode: int = 40) -> SpectrumResult:
@@ -454,13 +446,15 @@ def constrained_spectrum(S: ParamSurface, constraint: str = "VOLUME",
     if constraint not in ("VOLUME", "WETTING", "NONE"):
         raise ValueError(f"unknown constraint {constraint!r}")
     g = _grid(S, resolution)
+    el = g.elements
     collected: list[float] = []
     modes_used = 0
     for l in range(max_mode + 1):
-        K, M, c = _mode_matrices(g, l)
+        # P1 stiffness and mass of mode l; eigh leaves its inputs intact
+        K, M = el.K0 + l * (l + S.n - 2) * el.P, el.M
         if l == 0:
             if constraint == "VOLUME":
-                Z = scipy.linalg.null_space(c[None, :])
+                Z = scipy.linalg.null_space(el.c[None, :])
             elif constraint == "WETTING":
                 cw = np.zeros(g.N + 1)
                 cw[-1] = g.boundary_measure
@@ -503,11 +497,13 @@ def constrained_spectrum(S: ParamSurface, constraint: str = "VOLUME",
 
 @dataclass(frozen=True)
 class VariationCheck:
-    functional: str  # AREA | WETTING_AREA | VOLUME | ENERGY
+    functional: str  # AREA | WETTING_AREA | VOLUME | ENERGY | ENERGY_SECOND
     fd_value: float
     formula_value: float
     step: float
     richardson_order: int
+    # the signed summands of formula_value, where it has more than one
+    terms: tuple = ()
 
 
 class _Variation:
@@ -516,12 +512,13 @@ class _Variation:
     Y = phi*nu + eta*mu with eta a boundary-collar ramp chosen so the
     vertical component of Y vanishes at the boundary: the displaced
     boundary slides inside the flat support exactly.  Y is independent
-    of s, so Y, Y' and the profile jet are evaluated once per quadrature
-    order on that rule's nodes and every functional of s reuses them.
+    of s, so the constructor evaluates Y, Y', the profile jet, nu and H
+    once on the nodes of Q's rule and every functional of s reads them.
     """
 
-    def __init__(self, S: ProfileSurface, phi: ScalarField):
-        self.S = weakref.proxy(S)  # S caches its variations
+    def __init__(self, S: ProfileSurface, phi: ScalarField,
+                 Q: QuadratureSpec):
+        self.S = S
         g = _grid(S, phi.resolution)
         self.g = g
         self.spline = scipy.interpolate.CubicSpline(g.nodes, phi.values)
@@ -532,7 +529,12 @@ class _Variation:
             raise ValueError("conormal is horizontal; boundary slide undefined")
         self.eta1 = -phi.values[-1] * nu1[1, 0] / mu1[1, 0]
         self.Y1 = self._displacement(np.array([S.t1]))[0][:, 0]
-        self._nodes: dict[int, SimpleNamespace] = {}
+        t, self.w = Q.rule(0.0, S.t1)
+        self.Y, self.jet, self.nu = self._displacement(t)
+        dt = 1e-6
+        self.Yp = (self._displacement(t + dt)[0]
+                   - self._displacement(t - dt)[0]) / (2 * dt)
+        self.H = S.shapes(t).H
 
     def _frame(self, t: np.ndarray):
         """Profile jet (rho, z, rho', z'), nu and mu, each (radial, vertical)."""
@@ -556,27 +558,12 @@ class _Variation:
         return (self.spline(t) * nu + self.eta1 * self._ramp(t) * mu,
                 jet, nu)
 
-    def at_nodes(self, Q: QuadratureSpec) -> SimpleNamespace:
-        """Y, Y', the jet, nu and H on the nodes of Q's rule, cached by order."""
-        cached = self._nodes.get(Q.order)
-        if cached is None:
-            t, w = Q.rule(0.0, self.S.t1)
-            Y, jet, nu = self._displacement(t)
-            dt = 1e-6
-            Yp = (self._displacement(t + dt)[0]
-                  - self._displacement(t - dt)[0]) / (2 * dt)
-            H = self.S.shapes(t).H
-            cached = self._nodes[Q.order] = SimpleNamespace(
-                w=w, Y=Y, Yp=Yp, jet=jet, nu=nu, H=H)
-        return cached
-
     # -- functionals of the deformed surface ---------------------------
-    def area(self, s: float, Q: QuadratureSpec) -> float:
+    def area(self, s: float) -> float:
         n = self.S.n
-        c = self.at_nodes(Q)
-        rho, z, dr, dz = c.jet + s * np.concatenate([c.Y, c.Yp])
+        rho, z, dr, dz = self.jet + s * np.concatenate([self.Y, self.Yp])
         return unit_sphere_area(n - 1) * float(np.sum(
-            c.w * np.hypot(dr, dz) * rho ** (n - 1) / z ** n))
+            self.w * np.hypot(dr, dz) * rho ** (n - 1) / z ** n))
 
     def wetting_area(self, s: float) -> float:
         """Signed flat area swept on the support relative to s = 0."""
@@ -588,114 +575,93 @@ class _Variation:
         sgn = 1.0 if nubar_rad > 0 else -1.0
         return sgn * omega * (rho_s ** n - rho1 ** n) / n
 
-    def volume(self, s: float, Q: QuadratureSpec) -> float:
+    def volume(self, s: float) -> float:
         """Signed enclosed-volume change relative to s = 0 (swept region)."""
         if s == 0.0:
             return 0.0
         n = self.S.n
-        c = self.at_nodes(Q)
         snodes, swts = gauss_legendre(8, min(s, 0.0), max(s, 0.0))
         # axis 1 runs over the inner s-nodes
-        rho, z, dr, dz = (c.jet + snodes[:, None, None]
-                          * np.concatenate([c.Y, c.Yp])).transpose(1, 2, 0)
-        f = ((c.Y[0][:, None] * dz - c.Y[1][:, None] * dr)
+        rho, z, dr, dz = (self.jet + snodes[:, None, None] * np.concatenate(
+            [self.Y, self.Yp])).transpose(1, 2, 0)
+        f = ((self.Y[0][:, None] * dz - self.Y[1][:, None] * dr)
              * rho ** (n - 1) / z ** (n + 1))
         return (self.sign * math.copysign(1.0, s) * unit_sphere_area(n - 1)
-                * float(c.w @ f @ swts))
+                * float(self.w @ f @ swts))
 
-    def energy(self, s: float, Q: QuadratureSpec) -> float:
-        return self.area(s, Q) - math.cos(self.g.theta) * self.wetting_area(s)
-
-
-def _variation(S: ProfileSurface, phi: ScalarField) -> _Variation:
-    """The variation of phi on S, cached on S by field resolution and values."""
-    cache = S.__dict__.setdefault("_variations", {})
-    key = (phi.resolution, phi.values.tobytes())
-    if key not in cache:
-        cache[key] = _Variation(S, phi)
-    return cache[key]
+    def energy(self, s: float) -> float:
+        return self.area(s) - math.cos(self.g.theta) * self.wetting_area(s)
 
 
-def _first_variation_formula(var: _Variation, functional: str,
-                             Q: QuadratureSpec) -> float:
-    """The printed first-variation integral for the constructed Y."""
-    S, g = var.S, var.g
-    c = var.at_nodes(Q)
-    rho, z, dr, dz = c.jet
-    # hyperbolic normal component of Y: phi by construction away from the
-    # collar, phi plus the tangential ramp contribution inside it
-    g_Y_nu = np.sum(c.Y * c.nu, axis=0) / (z * z)
-    dAw = (unit_sphere_area(S.n - 1) * np.hypot(dr, dz) * rho ** (S.n - 1)
-           / z ** S.n)
-    bulk_phi = float(np.sum(c.w * g_Y_nu * dAw))
-    bulk_Hphi = float(np.sum(c.w * c.H * g_Y_nu * dAw))
-    # boundary terms: g(Y, mu) = eta1 and g(Y, nubar) at t1
-    mu1 = g.frame.conormal[[0, -1]]
-    nubar1 = g.frame.boundary_normal[[0, -1]]
-    gYmu = float(np.dot(var.Y1, mu1))
-    gYnubar = float(np.dot(var.Y1, nubar1))
-    bm = g.boundary_measure
-    if functional == "AREA":
-        return bulk_Hphi + bm * gYmu
-    if functional == "WETTING_AREA":
-        return bm * gYnubar
-    if functional == "VOLUME":
-        return bulk_phi
-    if functional == "ENERGY":
-        ct = math.cos(g.theta)
-        return bulk_Hphi + bm * (gYmu - ct * gYnubar)
-    raise ValueError(f"unknown functional {functional!r}")
+def fd_variation_check(S: ParamSurface, phi: ScalarField, step: float = 1e-3,
+                       Q: Optional[QuadratureSpec] = None
+                       ) -> dict[str, VariationCheck]:
+    """Richardson-extrapolated d/ds of each functional vs its printed formula.
 
-
-def fd_variation_check(S: ParamSurface, phi: ScalarField, functional: str,
-                       step: float = 1e-3,
-                       Q: Optional[QuadratureSpec] = None) -> VariationCheck:
-    """Richardson-extrapolated d/ds of a functional vs its printed formula."""
+    One pass: area, wetting area and volume are evaluated once at each of
+    +-step and +-step/2, and the energy is A - cos(theta) W of those
+    values.  The four formulas share one set of bulk and boundary terms.
+    Returns AREA, WETTING_AREA, VOLUME and ENERGY, in that order.
+    """
     # the boundary-collar ramp has large high derivatives; resolve it
     Q = Q or QuadratureSpec(256)
-    var = _variation(S, phi)
-    fns = {
-        "AREA": lambda s: var.area(s, Q),
-        "WETTING_AREA": var.wetting_area,
-        "VOLUME": lambda s: var.volume(s, Q),
-        "ENERGY": lambda s: var.energy(s, Q),
-    }
-    if functional not in fns:
-        raise ValueError(f"unknown functional {functional!r}")
-    F = fns[functional]
+    var = _Variation(S, phi, Q)
+    g, ct = var.g, math.cos(var.g.theta)
+
+    def values(s):
+        a, w = var.area(s), var.wetting_area(s)
+        return np.array([a, w, var.volume(s), a - ct * w])
 
     def central(d):
-        return (F(d) - F(-d)) / (2.0 * d)
+        return (values(d) - values(-d)) / (2.0 * d)
 
     fd = (4.0 * central(step / 2.0) - central(step)) / 3.0
-    formula = _first_variation_formula(var, functional, Q)
-    return VariationCheck(functional=functional, fd_value=fd,
-                          formula_value=formula, step=step,
-                          richardson_order=4)
+    rho, z, dr, dz = var.jet
+    # hyperbolic normal component of Y: phi by construction away from the
+    # collar, phi plus the tangential ramp contribution inside it
+    g_Y_nu = np.sum(var.Y * var.nu, axis=0) / (z * z)
+    dAw = (unit_sphere_area(S.n - 1) * np.hypot(dr, dz) * rho ** (S.n - 1)
+           / z ** S.n)
+    bulk_phi = float(np.sum(var.w * g_Y_nu * dAw))
+    bulk_Hphi = float(np.sum(var.w * var.H * g_Y_nu * dAw))
+    # boundary terms: g(Y, mu) = eta1 and g(Y, nubar) at t1
+    gYmu = float(np.dot(var.Y1, g.frame.conormal[[0, -1]]))
+    gYnubar = float(np.dot(var.Y1, g.frame.boundary_normal[[0, -1]]))
+    bm = g.boundary_measure
+    formulas = {
+        "AREA": (bulk_Hphi + bm * gYmu, (bulk_Hphi, bm * gYmu)),
+        "WETTING_AREA": (bm * gYnubar, ()),
+        "VOLUME": (bulk_phi, ()),
+        "ENERGY": (bulk_Hphi + bm * (gYmu - ct * gYnubar),
+                   (bulk_Hphi, bm * gYmu, -bm * (ct * gYnubar))),
+    }
+    return {name: VariationCheck(name, float(d), f, step, 4, terms)
+            for d, (name, (f, terms)) in zip(fd, formulas.items())}
 
 
 def energy_second_difference(S: ParamSurface, phi: ScalarField,
                              step: float = 1e-2,
                              Q: Optional[QuadratureSpec] = None
-                             ) -> tuple[float, float]:
-    """(FD second derivative of E - H_mean*V, quadratic_form value).
+                             ) -> VariationCheck:
+    """FD second derivative of E - H_mean*V against quadratic_form.
 
     At a capillary critical point the second derivative of the volume
     Lagrangian along the straight-line variation depends only on the
     normal scalar, so it must reproduce the quadratic form.
     """
     Q = Q or QuadratureSpec(256)
-    var = _variation(S, phi)
+    var = _Variation(S, phi, Q)
     H = var.g.H_mean
 
     def L(s):
-        return var.energy(s, Q) - H * var.volume(s, Q)
+        return var.energy(s) - H * var.volume(s)
 
     def second(d):
         return (L(d) - 2.0 * L(0.0) + L(-d)) / (d * d)
 
     fd2 = (16.0 * second(step / 2.0) - second(step)) / 15.0
-    return fd2, quadratic_form(S, phi)
+    return VariationCheck("ENERGY_SECOND", fd2, quadratic_form(S, phi),
+                          step, 4)
 
 
 # ----------------------------------------------------------------------

@@ -28,13 +28,12 @@ Hhat comes from the chart Hessian.
 Curvature conventions: the second fundamental form is h(X, Y) =
 g(nabla_X nu, Y), computed from embedding jets through the conformal
 connection, and the unit normal nu is oriented so that the mean
-curvature is positive, with an explicit per-surface flag breaking the
-tie for minimal surfaces.
+curvature is positive; on a minimal surface, where that does not fix
+it, nu points upward (nu_d >= 0) at the chart centre.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import weakref
@@ -101,11 +100,6 @@ class ShapeData:
     principal_curvatures: np.ndarray
     dw: np.ndarray
 
-    def __getitem__(self, index) -> "ShapeData":
-        """The points picked by indexing the leading axes."""
-        return ShapeData(*(getattr(self, f.name)[index]
-                           for f in dataclasses.fields(self)))
-
 
 @dataclass(frozen=True)
 class BoundaryFrame:
@@ -146,7 +140,6 @@ class ParamSurface:
 
     n: int
     chart_kind: str
-    orientation: int = +1  # tie-break for minimal surfaces: upward nu
     artificial_cut: bool = False
 
     _sign_cache: Optional[int] = None
@@ -159,14 +152,13 @@ class ParamSurface:
 
     # -- orientation ---------------------------------------------------
     def orientation_sign(self) -> int:
-        """Global normal sign making H > 0 (flag-tie-broken when H = 0)."""
+        """Global normal sign: H > 0, or nu_d >= 0 at the centre if H = 0."""
         if self._sign_cache is None:
             probe = self._shapes(self._center(), +1)
             if abs(probe.H) > 1e-9:
                 sign = 1 if probe.H > 0 else -1
             else:
-                up = 1 if probe.normal[-1] >= 0 else -1
-                sign = self.orientation * up
+                sign = 1 if probe.normal[-1] >= 0 else -1
             self._sign_cache = sign
         return self._sign_cache
 
@@ -221,24 +213,13 @@ class ProfileSurface(ParamSurface):
     chart_kind = "profile"
 
     def __init__(self, n: int, t1: float,
-                 profile_jet: Callable[[float], tuple],
-                 orientation: int = +1):
+                 profile_jet: Callable[[float], tuple]):
         if n < 2:
             raise ValueError("surface dimension n must be >= 2")
         self.n = n
         self.t1 = float(t1)
         self.profile_jet = profile_jet
-        self.orientation = orientation
         self._sign_cache = None
-
-    # -- embedding -----------------------------------------------------
-    def embed(self, t: float) -> np.ndarray:
-        """Chart point on the representative meridian (first horizontal axis)."""
-        rho, z, *_ = self.profile_jet(t)
-        x = np.zeros(self.n + 1)
-        x[0] = rho
-        x[-1] = z
-        return x
 
     def _center(self):
         return 0.5 * self.t1
@@ -347,8 +328,7 @@ class GridSurface(ParamSurface):
     artificial_cut = True
 
     def __init__(self, n: int, box: Sequence[tuple[float, float]],
-                 embed_jet: Callable[[np.ndarray], tuple],
-                 orientation: int = +1):
+                 embed_jet: Callable[[np.ndarray], tuple]):
         if n < 2:
             raise ValueError("surface dimension n must be >= 2")
         if len(box) != n:
@@ -356,7 +336,6 @@ class GridSurface(ParamSurface):
         self.n = n
         self.box = [(float(lo), float(hi)) for lo, hi in box]
         self.embed_jet = embed_jet
-        self.orientation = orientation
         self._sign_cache = None
 
     def _center(self):

@@ -201,13 +201,15 @@ def test_criterion_8_variation_cross_checks(announce, reference_caps):
             vals = (0.15 - 0.1 * np.cos(math.pi * g.nodes / S.t1)
                     + 0.08 * np.cos(2 * math.pi * g.nodes / S.t1))
             phi = ScalarField(S, vals)
+            checks = fd_variation_check(S, phi)
             for functional in ("AREA", "WETTING_AREA", "VOLUME", "ENERGY"):
-                chk = fd_variation_check(S, phi, functional)
+                chk = checks[functional]
                 rel = abs(chk.fd_value - chk.formula_value) / max(
                     abs(chk.formula_value), 1e-12)
                 assert rel < 1e-6, (functional, rel)
             vals0 = vals - float(np.sum(g.dA_weights * vals)) / g.area
-            fd2, qf = energy_second_difference(S, ScalarField(S, vals0))
+            chk = energy_second_difference(S, ScalarField(S, vals0))
+            fd2, qf = chk.fd_value, chk.formula_value
             assert abs(fd2 - qf) / max(abs(qf), 1e-12) < 1e-3
 
 

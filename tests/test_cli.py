@@ -227,6 +227,22 @@ class TestRun:
         for _, _, message in cells:
             assert message.startswith("GridError:"), message
 
+    def test_variation_check_passes_the_minimal_cap(self, tmp_path):
+        # H = 0: the ENERGY formula is a cancellation of O(1) boundary terms
+        # down to ~1e-17, so it is graded against those terms
+        cfg = load_config(write_config(
+            tmp_path, surfaces=[{"label": "minimal",
+                                 "kind": "equidistant_sphere_cap",
+                                 "a": 0.0, "r": 1.5}]))
+        manifest = run(cfg, "variation-check")
+        assert manifest.statuses == {"minimal": "PASS"}
+        rows = (cfg.output.directory
+                / "variation_check.csv").read_text().splitlines()
+        assert [row.rsplit(",", 1)[1] for row in rows[1:]] == ["PASS"] * 5
+        energy = rows[4].split(",")
+        assert energy[8] == "ENERGY"
+        assert abs(float(energy[10])) < 1e-15 < float(energy[11]) < 1e-6
+
     def test_deficit_boundary_term_fails_closed_caps(self, tmp_path,
                                                      monkeypatch):
         cfg = load_config(write_config(tmp_path))

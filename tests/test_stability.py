@@ -231,6 +231,16 @@ class TestSpectra:
         res = constrained_spectrum(ortho_cap, "VOLUME", 96, 8)
         assert res.morse_index + res.zero_modes <= len(res.eigenvalues)
 
+    def test_cached_elements_unchanged_by_solves(self, tilted_cap):
+        # every mode reads the cached arrays directly, with no copy
+        el = stability._grid(tilted_cap, 32).elements
+        before = {k: v.copy() for k, v in vars(el).items()}
+        for c in ("VOLUME", "WETTING", "NONE"):
+            constrained_spectrum(tilted_cap, c, 32, 6)
+        assert stability._grid(tilted_cap, 32).elements is el
+        for k, v in vars(el).items():
+            np.testing.assert_array_equal(v, before[k], err_msg=k)
+
     def test_eigensolves_go_through_module_scipy(self, tilted_cap,
                                                  monkeypatch):
         # the benchmark's stability.eigh span wraps this attribute

@@ -35,9 +35,10 @@ def fd_normal_transport_curvature(S, t, delta=1e-6):
     def nu(tt):
         return S.shape_at(tt).normal
 
-    x = S.embed(t)
-    w = x[-1]
     rho, z, dr, dz, *_ = S.profile_jet(t)
+    x = np.zeros(S.n + 1)
+    x[0], x[-1] = rho, z
+    w = x[-1]
     Y = np.zeros_like(x)
     Y[0], Y[-1] = dr, dz
     nuv = nu(t)

@@ -3,16 +3,19 @@
 import gc
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from horocap.cli import run
+from horocap.config import parse_config
 from horocap.families import CapKind, CapSpec, build
 from horocap.identities import suite
 from horocap.quadrature import QuadratureSpec
 from horocap.stability import (ScalarField, energy_second_difference,
                                fd_variation_check, phi_test, quadratic_form,
-                               umbilicity_deficit, _grid, _variation)
+                               umbilicity_deficit, _grid, _Variation)
 
 FUNCTIONALS = ("AREA", "WETTING_AREA", "VOLUME", "ENERGY")
 
@@ -33,7 +36,7 @@ class TestFirstVariation:
     def test_volume_rate_of_unit_normal_speed_is_area(self, tilted_cap):
         """phi = 1 moves every point at unit normal speed: V'(0) = area."""
         phi = ScalarField.from_function(tilted_cap, lambda t: 1.0, 64)
-        chk = fd_variation_check(tilted_cap, phi, "VOLUME")
+        chk = fd_variation_check(tilted_cap, phi)["VOLUME"]
         g = _grid(tilted_cap, 64)
         # the formula integrates with the fine rule, the nodal area with
         # the grid rule; they agree to quadrature accuracy
@@ -43,26 +46,23 @@ class TestFirstVariation:
     @pytest.mark.parametrize("functional", FUNCTIONALS)
     def test_all_functionals_match_formula(self, tilted_cap, functional):
         phi = smooth_field(tilted_cap)
-        chk = fd_variation_check(tilted_cap, phi, functional)
+        chk = fd_variation_check(tilted_cap, phi)[functional]
         assert rel_err(chk) < 1e-6, (functional, chk)
 
     def test_three_dimensional_cap(self, cap_3d):
         phi = smooth_field(cap_3d)
+        checks = fd_variation_check(cap_3d, phi)
         for functional in FUNCTIONALS:
-            chk = fd_variation_check(cap_3d, phi, functional)
+            chk = checks[functional]
             assert rel_err(chk) < 1e-6, (functional, chk)
-
-    def test_unknown_functional_rejected(self, tilted_cap):
-        phi = smooth_field(tilted_cap)
-        with pytest.raises(ValueError):
-            fd_variation_check(tilted_cap, phi, "PERIMETER")
 
     def test_energy_is_area_minus_cos_theta_wetting(self, tilted_cap):
         phi = smooth_field(tilted_cap)
         ct = math.cos(_grid(tilted_cap, 64).theta)
-        e = fd_variation_check(tilted_cap, phi, "ENERGY").formula_value
-        a = fd_variation_check(tilted_cap, phi, "AREA").formula_value
-        w = fd_variation_check(tilted_cap, phi, "WETTING_AREA").formula_value
+        checks = fd_variation_check(tilted_cap, phi)
+        e = checks["ENERGY"].formula_value
+        a = checks["AREA"].formula_value
+        w = checks["WETTING_AREA"].formula_value
         assert e == pytest.approx(a - ct * w, rel=1e-12)
 
     def test_critical_point_energy_rate_vanishes_for_volume_preserving(
@@ -71,8 +71,9 @@ class TestFirstVariation:
         rate the energy rate reduces to H times the volume rate."""
         phi = smooth_field(tilted_cap)
         g = _grid(tilted_cap, 64)
-        dE = fd_variation_check(tilted_cap, phi, "ENERGY").formula_value
-        dV = fd_variation_check(tilted_cap, phi, "VOLUME").formula_value
+        checks = fd_variation_check(tilted_cap, phi)
+        dE = checks["ENERGY"].formula_value
+        dV = checks["VOLUME"].formula_value
         assert dE == pytest.approx(g.H_mean * dV, rel=1e-8)
 
 
@@ -83,12 +84,14 @@ class TestSecondVariation:
             g = _grid(S, 64)
             vals = phi.values - phi.integral_M() / g.area
             phi0 = ScalarField(S, vals)
-            fd2, qf = energy_second_difference(S, phi0)
+            chk = energy_second_difference(S, phi0)
+            fd2, qf = chk.fd_value, chk.formula_value
             assert abs(fd2 - qf) / max(abs(qf), 1e-12) < 1e-3
 
     def test_kernel_direction_gives_tiny_second_difference(self, tilted_cap):
         phi, _ = phi_test(tilted_cap, 64)
-        fd2, qf = energy_second_difference(tilted_cap, phi)
+        chk = energy_second_difference(tilted_cap, phi)
+        fd2, qf = chk.fd_value, chk.formula_value
         # both sides sit at the round-off floor of the energy evaluation
         assert abs(qf) < 1e-6 * phi.norm_sq() + 1e-18
         assert abs(fd2) < 1e-7
@@ -96,33 +99,84 @@ class TestSecondVariation:
     def test_coarse_quadrature_controls_accuracy(self, tilted_cap):
         """The collar ramp needs a fine rule; a crude one degrades accuracy."""
         phi = smooth_field(tilted_cap)
-        fine = fd_variation_check(tilted_cap, phi, "AREA",
-                                  Q=QuadratureSpec(256))
-        crude = fd_variation_check(tilted_cap, phi, "AREA",
-                                   Q=QuadratureSpec(16))
+        fine = fd_variation_check(tilted_cap, phi,
+                                  Q=QuadratureSpec(256))["AREA"]
+        crude = fd_variation_check(tilted_cap, phi,
+                                   Q=QuadratureSpec(16))["AREA"]
         assert rel_err(fine) < 1e-6
         assert rel_err(fine) <= rel_err(crude)
 
 
-class TestCaching:
-    def test_one_variation_per_surface_and_field(self):
-        S = build(CapSpec(kind=CapKind.SPHERE_CAP, a=0.6, r=0.7))
-        phi = smooth_field(S)
-        var = _variation(S, phi)
-        # a new field object with the same values shares the cached nodes
-        assert _variation(S, ScalarField(S, phi.values.copy())) is var
-        assert _variation(S, ScalarField(S, phi.values + 1e-3)) is not var
-        Q = QuadratureSpec(64)
-        fd_variation_check(S, phi, "AREA", Q=Q)
-        fd_variation_check(S, phi, "ENERGY", Q=Q)
-        assert list(var._nodes) == [64]
+def count_evaluations(monkeypatch) -> Counter:
+    """Count the area and wetting-area evaluations of every variation."""
+    calls = Counter()
+    for name in ("area", "wetting_area"):
+        def counted(self, s, _fn=getattr(_Variation, name), _name=name):
+            calls[_name] += 1
+            return _fn(self, s)
+        monkeypatch.setattr(_Variation, name, counted)
+    return calls
 
+
+class TestOnePass:
+    def test_each_functional_once_per_step(self, tilted_cap, monkeypatch):
+        calls = count_evaluations(monkeypatch)
+        checks = fd_variation_check(tilted_cap, smooth_field(tilted_cap),
+                                    Q=QuadratureSpec(64))
+        assert list(checks) == list(FUNCTIONALS)
+        assert [c.functional for c in checks.values()] == list(FUNCTIONALS)
+        # +-step and +-step/2; the energy reuses the area and wetting area
+        assert calls == {"area": 4, "wetting_area": 4}
+
+    def test_one_cli_surface(self, tmp_path, monkeypatch):
+        calls = count_evaluations(monkeypatch)
+        cfg = parse_config({
+            "schema_version": 1,
+            "surfaces": [{"label": "cap", "kind": "sphere_cap", "a": 0.6,
+                          "r": 0.7}],
+            "numerics": {"quad_order": 64, "grid": 64},
+            "output": {"dir": str(tmp_path), "formats": ["csv"]},
+        })
+        assert run(cfg, "variation-check").ok
+        # 4 for the first variations and 6 for the second difference
+        # (3 energies at each of two steps)
+        assert calls == {"area": 10, "wetting_area": 10}
+
+    def test_second_difference_row_carries_its_step(self, tilted_cap):
+        phi = smooth_field(tilted_cap)
+        chk = energy_second_difference(tilted_cap, phi, step=4e-3)
+        assert (chk.functional, chk.step, chk.richardson_order) == (
+            "ENERGY_SECOND", 4e-3, 4)
+        assert chk.formula_value == quadratic_form(tilted_cap, phi)
+        assert chk.terms == ()
+        assert energy_second_difference(tilted_cap, phi).step == 1e-2
+
+    def test_summands_of_one_sign_never_exceed_the_formula(self, tilted_cap,
+                                                           cap_3d):
+        """The grading scale is |formula| exactly when nothing cancels."""
+        same_sign = 0
+        for S in (tilted_cap, cap_3d):
+            for coeffs in ((0.15, -0.1, 0.08), (1.0,), (0.2, 0.1)):
+                for chk in fd_variation_check(
+                        S, smooth_field(S, coeffs=coeffs)).values():
+                    if not chk.terms:
+                        continue
+                    assert math.fsum(chk.terms) == pytest.approx(
+                        chk.formula_value, rel=1e-12)
+                    if len({math.copysign(1.0, t) for t in chk.terms}) == 1:
+                        same_sign += 1
+                        assert (max(map(abs, chk.terms))
+                                <= abs(chk.formula_value))
+        assert same_sign > 0
+
+
+class TestCaching:
     def test_surfaces_freed_without_the_cyclic_collector(self):
-        """Node sets, grids and variations cached on a surface hold it weakly."""
+        """Node sets and grids cached on a surface hold it weakly."""
         Q = QuadratureSpec(32)
         cap = build(CapSpec(kind=CapKind.SPHERE_CAP, a=0.6, r=0.7))
         phi = smooth_field(cap, 32)
-        fd_variation_check(cap, phi, "AREA", Q=Q)
+        fd_variation_check(cap, phi, Q=Q)
         suite(cap, Q)
         plane = build(CapSpec(kind=CapKind.TILTED_PLANE_CAP, beta=1.0))
         suite(plane, Q)
