@@ -20,12 +20,14 @@ and the constrained spectra decompose over angular modes: mode l adds
 the potential l(l+n-2)/B^2 and is discretized with conforming P1
 elements, so every discrete eigenvalue bounds its continuous one from
 above (Rayleigh-Ritz).  The volume (int_M phi = 0) and wetting
-(int_dM phi = 0) constraints act on the axisymmetric mode only and are
-enforced by null-space projection.
+(int_dM phi = 0) constraints act on the axisymmetric mode only, on a
+banded local basis of their null space; every mode pencil is banded and
+solved by LAPACK's dsbgv.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import weakref
@@ -116,8 +118,9 @@ class _ProfileGrid:
         self.H_mean = float(np.sum(self.dA_weights * self.H) / self.area)
         self.H_spread = float(np.max(np.abs(self.H - self.H_mean)))
 
-        self.D1 = self._stencil_matrix(1)
-        self.D2 = self._stencil_matrix(2)
+    # built on first use: the nodal operators read them, the spectra do not
+    D1 = functools.cached_property(lambda self: self._stencil_matrix(1))
+    D2 = functools.cached_property(lambda self: self._stencil_matrix(2))
 
     def _stencil_matrix(self, deriv: int) -> np.ndarray:
         """4th-order differentiation with even pole extension, one-sided tail."""
@@ -139,7 +142,7 @@ class _ProfileGrid:
 
         Four Gauss points per element.  Mode l has stiffness
         K0 + l(l+n-2) P, where P is the mass matrix of the weight 1/B^2;
-        K0 carries the Robin term robin_q(S).
+        K0 carries the Robin term robin_q(S).  K0, P, M: upper bands (_band).
         """
         S, n = self.S, self.S.n
         xi, wq = gauss_legendre(4, 0.0, 1.0)
@@ -151,17 +154,17 @@ class _ProfileGrid:
         shp = np.stack([1.0 - xi, xi])
 
         def mass(f):  # sum over Gauss points of W f phi_a phi_b
-            return _scatter(np.einsum("eq,aq,bq->eab", W * f, shp, shp))
+            return _band(np.einsum("eq,aq,bq->eab", W * f, shp, shp))
 
         stiff = np.sum(W / (A * A), axis=1) / he[:, 0] ** 2
-        K0 = (_scatter(stiff[:, None, None] * np.array([[1.0, -1.0],
-                                                         [-1.0, 1.0]]))
+        K0 = (_band(stiff[:, None, None] * np.array([[1.0, -1.0],
+                                                      [-1.0, 1.0]]))
               + mass(n - h2))
-        K0[-1, -1] -= robin_q(S).q * self.boundary_measure
+        K0[-1, 1] -= robin_q(S).q * self.boundary_measure
         M = mass(1.0)
         # the hat functions sum to one, so the row sums of M are int phi_a
         return SimpleNamespace(K0=K0, P=mass(1.0 / (B * B)), M=M,
-                               c=M.sum(axis=1))
+                               c=M.sum(axis=1) + np.append(M[1:, 0], 0.0))
 
     def laplacian_matrix(self) -> np.ndarray:
         n = self.S.n
@@ -423,15 +426,65 @@ class SpectrumResult:
     modes_used: int
 
 
-def _scatter(blocks: np.ndarray) -> np.ndarray:
-    """Global matrix of per-element 2x2 blocks on consecutive node pairs."""
-    N = blocks.shape[0]
-    out = np.zeros((N + 1, N + 1))
-    e = np.arange(N)
-    for a in range(2):
-        for b in range(2):
-            out[e + a, e + b] += blocks[:, a, b]
+def _band(blocks: np.ndarray) -> np.ndarray:
+    """LAPACK upper band, rows (A[j-1, j], A[j, j]), of the global matrix
+    of symmetric 2x2 blocks; block e couples nodes e and e+1."""
+    out = np.zeros((blocks.shape[0] + 1, 2))
+    out[:-1, 1] += blocks[:, 0, 0]
+    out[1:, 1] += blocks[:, 1, 1]
+    out[1:, 0] = blocks[:, 0, 1]
     return out
+
+
+def _congruence(X: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Z^T X Z as a kd = 2 band, for a kd = 1 band X and the basis
+    z_j = e_j / c_j - e_(j+1) / c_(j+1) of c-perp (no c_j is 0)."""
+    # second differences of the band of diag(1/c) X diag(1/c)
+    d, u = X[:, 1] / c ** 2, X[1:, 0] / (c[:-1] * c[1:])
+    out = np.zeros((len(u), 3))
+    out[:, 2] = d[:-1] - 2.0 * u + d[1:]
+    out[1:, 1] = u[:-1] - d[1:-1] + u[1:]
+    out[2:, 0] = -u[1:-1]
+    return out
+
+
+@functools.cache
+def _dsbgv():
+    """LAPACK dsbgv of scipy.linalg.cython_lapack as a ctypes function."""
+    from scipy.linalg import cython_lapack  # the first solve loads it
+    # the capsule's name is the C signature of dsbgv(jobz, uplo, n, ka, kb,
+    # ab, ldab, bb, ldbb, w, z, ldz, work, info); any other name raises
+    d, i = "__pyx_t_5scipy_6linalg_13cython_lapack_d *", "int *"
+    sig = ", ".join(["char *"] * 2 + [i] * 3 + [d, i, d, i, d, d, i, d, i])
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = get_pointer(cython_lapack.__pyx_capi__["dsbgv"],
+                          f"void ({sig})".encode())
+    return ctypes.CFUNCTYPE(None, *14 * [ctypes.c_void_p])(address)
+
+
+def _sbgv(ab: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric-definite banded pencil (A, B).
+
+    ab, bb: LAPACK upper bands (m, ka+1) and (m, kb+1), kb <= ka, row j
+    holding A[j-ka, j], ..., A[j, j].  dsbgv (Crawford's split Cholesky)
+    overwrites them, so it gets copies.  LinAlgError if B is not definite.
+    """
+    ab, bb = (np.array(x, dtype=np.float64, order="C") for x in (ab, bb))
+    (m, lda), (mb, ldb) = ab.shape, bb.shape
+    if m != mb or m == 0 or not 1 <= ldb <= lda:
+        raise ValueError(f"incompatible bands {ab.shape} and {bb.shape}")
+    w, work, info = np.empty(m), np.empty(3 * m), ctypes.c_int()
+    n, ka, kb, ldab, ldbb, ldz = (ctypes.byref(ctypes.c_int(k))
+                                  for k in (m, lda - 1, ldb - 1, lda, ldb, 1))
+    # jobz = "N": the eigenvector array z is never referenced
+    _dsbgv()(b"N", b"U", n, ka, kb, ab.ctypes.data, ldab, bb.ctypes.data,
+             ldbb, w.ctypes.data, None, ldz, work.ctypes.data,
+             ctypes.byref(info))
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"dsbgv failed with info = {info.value}")
+    return w
 
 
 def constrained_spectrum(S: ParamSurface, constraint: str = "VOLUME",
@@ -445,29 +498,21 @@ def constrained_spectrum(S: ParamSurface, constraint: str = "VOLUME",
     """
     if constraint not in ("VOLUME", "WETTING", "NONE"):
         raise ValueError(f"unknown constraint {constraint!r}")
-    g = _grid(S, resolution)
-    el = g.elements
+    el = _grid(S, resolution).elements
     collected: list[float] = []
     modes_used = 0
     for l in range(max_mode + 1):
-        # P1 stiffness and mass of mode l; eigh leaves its inputs intact
         K, M = el.K0 + l * (l + S.n - 2) * el.P, el.M
-        if l == 0:
-            if constraint == "VOLUME":
-                Z = scipy.linalg.null_space(el.c[None, :])
-            elif constraint == "WETTING":
-                cw = np.zeros(g.N + 1)
-                cw[-1] = g.boundary_measure
-                Z = scipy.linalg.null_space(cw[None, :])
-            else:
-                Z = np.eye(g.N + 1)
-            Kr, Mr = Z.T @ K @ Z, Z.T @ M @ Z
-        else:
+        if l > 0:
             # pole regularity: modes with angular dependence vanish on the axis
-            Kr, Mr = K[1:, 1:], M[1:, 1:]
+            K, M = K[1:], M[1:]
+        elif constraint == "WETTING":  # int_dM phi is the boundary value
+            K, M = K[:-1], M[:-1]
+        elif constraint == "VOLUME":  # every c_j > 0: a row sum of M
+            K, M = _congruence(K, el.c), _congruence(M, el.c)
         try:
-            vals = scipy.linalg.eigh(Kr, Mr, eigvals_only=True)
-        except scipy.linalg.LinAlgError as exc:
+            vals = _sbgv(K, M)
+        except np.linalg.LinAlgError as exc:
             raise ArithmeticError(
                 f"eigenvalue solve failed for angular mode {l}: {exc}"
             ) from exc
@@ -523,8 +568,10 @@ class _Variation:
         self.g = g
         self.spline = scipy.interpolate.CubicSpline(g.nodes, phi.values)
         self.sign = S.orientation_sign()
+        self.nubar_sign = 1.0 if g.frame.boundary_normal[0] > 0 else -1.0
         self.t_ramp = 0.8 * S.t1
-        _, nu1, mu1 = self._frame(np.array([S.t1]))
+        jet1, nu1, mu1 = self._frame(np.array([S.t1]))
+        self.rho1 = float(jet1[0, 0])  # the boundary radius
         if abs(mu1[1, 0]) < 1e-12:
             raise ValueError("conormal is horizontal; boundary slide undefined")
         self.eta1 = -phi.values[-1] * nu1[1, 0] / mu1[1, 0]
@@ -567,13 +614,10 @@ class _Variation:
 
     def wetting_area(self, s: float) -> float:
         """Signed flat area swept on the support relative to s = 0."""
-        n = self.S.n
-        omega = unit_sphere_area(n - 1)
-        rho1 = self.S.boundary_radius
+        n, rho1 = self.S.n, self.rho1
         rho_s = rho1 + s * self.Y1[0]
-        nubar_rad = self.g.frame.boundary_normal[0]
-        sgn = 1.0 if nubar_rad > 0 else -1.0
-        return sgn * omega * (rho_s ** n - rho1 ** n) / n
+        return (self.nubar_sign * unit_sphere_area(n - 1)
+                * (rho_s ** n - rho1 ** n) / n)
 
     def volume(self, s: float) -> float:
         """Signed enclosed-volume change relative to s = 0 (swept region)."""
@@ -656,8 +700,10 @@ def energy_second_difference(S: ParamSurface, phi: ScalarField,
     def L(s):
         return var.energy(s) - H * var.volume(s)
 
+    L0 = L(0.0)
+
     def second(d):
-        return (L(d) - 2.0 * L(0.0) + L(-d)) / (d * d)
+        return (L(d) - 2.0 * L0 + L(-d)) / (d * d)
 
     fd2 = (16.0 * second(step / 2.0) - second(step)) / 15.0
     return VariationCheck("ENERGY_SECOND", fd2, quadratic_form(S, phi),

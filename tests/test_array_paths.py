@@ -412,11 +412,17 @@ def test_mode_matrices_match_per_point_assembly(name, request):
     S = request.getfixturevalue(name)
     g = _grid(S, 32)
     el = g.elements
+    off_band = np.abs(np.subtract.outer(*2 * [np.arange(g.N + 1)])) > 1
     for l in (0, 1, 2, 7):
-        # the mode-l matrices constrained_spectrum reads off the elements
-        mode = (el.K0 + l * (l + S.n - 2) * el.P, el.M, el.c)
-        for got, want in zip(mode, ref_mode_matrices(g, l)):
-            assert np.max(np.abs(got - want)) <= REL * np.max(np.abs(want))
+        # the mode-l bands constrained_spectrum reads off the elements
+        K_ref, M_ref, c_ref = ref_mode_matrices(g, l)
+        for got, want in ((el.K0 + l * (l + S.n - 2) * el.P, K_ref),
+                          (el.M, M_ref)):
+            assert np.all(want[off_band] == 0.0)  # tridiagonal
+            band = np.column_stack([np.r_[0.0, np.diag(want, 1)],
+                                    np.diag(want)])
+            assert np.max(np.abs(got - band)) <= REL * np.max(np.abs(want))
+        assert np.max(np.abs(el.c - c_ref)) <= REL * np.max(np.abs(c_ref))
 
 
 def ref_stencil_matrix(N, h, deriv):

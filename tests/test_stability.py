@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -232,7 +233,7 @@ class TestSpectra:
         assert res.morse_index + res.zero_modes <= len(res.eigenvalues)
 
     def test_cached_elements_unchanged_by_solves(self, tilted_cap):
-        # every mode reads the cached arrays directly, with no copy
+        # dsbgv overwrites its inputs; the cached bands must survive
         el = stability._grid(tilted_cap, 32).elements
         before = {k: v.copy() for k, v in vars(el).items()}
         for c in ("VOLUME", "WETTING", "NONE"):
@@ -241,20 +242,115 @@ class TestSpectra:
         for k, v in vars(el).items():
             np.testing.assert_array_equal(v, before[k], err_msg=k)
 
-    def test_eigensolves_go_through_module_scipy(self, tilted_cap,
-                                                 monkeypatch):
-        # the benchmark's stability.eigh span wraps this attribute
-        linalg = stability.scipy.linalg
-        eigh, calls = linalg.eigh, []
+    def test_every_mode_is_one_banded_solve(self, tilted_cap, monkeypatch):
+        sbgv, calls = stability._sbgv, []
 
-        def counting_eigh(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
+        def counting_sbgv(ab, bb):
+            calls.append((ab.shape, bb.shape))
+            return sbgv(ab, bb)
 
-        monkeypatch.setattr(linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(stability, "_sbgv", counting_sbgv)
         res = constrained_spectrum(tilted_cap, "VOLUME", 32, 6)
         assert res.modes_used > 0
         assert len(calls) == res.modes_used
+        # the volume-constrained axisymmetric mode is pentadiagonal, every
+        # higher mode tridiagonal without the pole node
+        assert calls[0] == ((32, 3), (32, 3))
+        assert set(calls[1:]) == {((32, 2), (32, 2))}
+
+    def test_spectra_build_no_stencil_matrices(self):
+        # a fresh surface: the session fixtures' grids may hold them already
+        S = build(CapSpec(kind=CapKind.SPHERE_CAP, a=0.6, r=0.7))
+        constrained_spectrum(S, "VOLUME", 32, 4)
+        g = stability._grid(S, 32)
+        assert "D1" not in vars(g) and "D2" not in vars(g)
+        normal_derivative(ScalarField(S, np.ones(33)))
+        assert "D1" in vars(g) and "D2" not in vars(g)
+
+
+def dense(band):
+    """The symmetric matrix of a LAPACK upper band (row j ends in A[j, j])."""
+    m, width = band.shape
+    A = np.zeros((m, m))
+    for k in range(width):  # the k-th superdiagonal
+        i = np.arange(k, m)
+        A[i - k, i] = A[i, i - k] = band[k:, width - 1 - k]
+    return A
+
+
+def mp_lower_solve(L, B):
+    """L^-1 B for the lower-bidiagonal Cholesky factor of a tridiagonal."""
+    X = B.copy()
+    for i in range(X.rows):
+        for j in range(X.cols):
+            r = X[i, j] - (L[i, i - 1] * X[i - 1, j] if i else 0)
+            X[i, j] = r / L[i, i]
+    return X
+
+
+def mp_lowest(K, M, c=None, count=3):
+    """The lowest eigenvalues of the pencil (K, M) at 40 digits.
+
+    M = L L^T by mpmath's Cholesky, then mpmath's eigsy on L^-1 K L^-T.
+    With c, the pencil is restricted to c^T x = 0, that is y = L^T x
+    orthogonal to w = L^-1 c: a Householder reflector maps w onto the
+    first axis, and its first row and column are dropped.
+    """
+    with mpmath.workdps(40):
+        L = mpmath.cholesky(mpmath.matrix(M))
+        C = mp_lower_solve(L, mp_lower_solve(L, mpmath.matrix(K)).T)
+        if c is not None:
+            v = mp_lower_solve(L, mpmath.matrix(c))
+            v[0] += mpmath.sign(v[0]) * mpmath.norm(v)
+            beta = 2 / (v.T * v)[0]
+            p = beta * (C * v)
+            q = p - (beta / 2 * (v.T * p)[0]) * v
+            C = (C - v * q.T - q * v.T)[1:, 1:]
+        eigs = mpmath.eigsy(C, eigvals_only=True)
+        return np.sort([float(e) for e in eigs])[:count]
+
+
+class TestBandedSolver:
+    @pytest.mark.parametrize("N", [32, 48])
+    def test_modes_match_a_40_digit_oracle(self, tilted_cap, N, monkeypatch):
+        sbgv, solved = stability._sbgv, []
+
+        def recording_sbgv(ab, bb):
+            solved.append(sbgv(ab, bb))
+            return solved[-1]
+
+        monkeypatch.setattr(stability, "_sbgv", recording_sbgv)
+        el = stability._grid(tilted_cap, N).elements
+        oracle = {}
+        for constraint in ("VOLUME", "WETTING", "NONE"):
+            solved.clear()
+            constrained_spectrum(tilted_cap, constraint, N, 3, max_mode=2)
+            assert len(solved) == 3  # one solve per mode l = 0, 1, 2
+            for l, got in enumerate(solved):
+                K = dense(el.K0 + l * (l + tilted_cap.n - 2) * el.P)
+                M, c = dense(el.M), None
+                if l > 0:
+                    K, M = K[1:, 1:], M[1:, 1:]
+                elif constraint == "WETTING":
+                    K, M = K[:-1, :-1], M[:-1, :-1]
+                elif constraint == "VOLUME":
+                    c = M.sum(axis=1)  # c^T phi = int_M phi
+                key = (l, constraint if l == 0 else None)
+                if key not in oracle:
+                    oracle[key] = mp_lowest(K, M, c)
+                want = oracle[key]
+                np.testing.assert_array_less(
+                    np.abs(got[:3] - want),
+                    1e-9 * np.maximum(1.0, np.abs(want)))
+
+    def test_indefinite_mass_raises(self):
+        ab = np.array([[0.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
+        bb = ab.copy()
+        bb[1, 1] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            stability._sbgv(ab, bb)
+        # the inputs are copied before LAPACK overwrites them
+        assert bb[1, 1] == -1.0 and ab[2, 1] == 2.0
 
 
 class TestDeficit:

@@ -138,9 +138,9 @@ class TestOnePass:
             "output": {"dir": str(tmp_path), "formats": ["csv"]},
         })
         assert run(cfg, "variation-check").ok
-        # 4 for the first variations and 6 for the second difference
-        # (3 energies at each of two steps)
-        assert calls == {"area": 10, "wetting_area": 10}
+        # 4 for the first variations and 5 for the second difference
+        # (the energy at 0 once, and at +-step and +-step/2)
+        assert calls == {"area": 9, "wetting_area": 9}
 
     def test_second_difference_row_carries_its_step(self, tilted_cap):
         phi = smooth_field(tilted_cap)
