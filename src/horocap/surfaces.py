@@ -22,8 +22,9 @@ profile chart's boundary is one rotation orbit, so its support-face node
 set is the single node s = 0 weighted by the orbit's measure, and the
 boundary integrals run the same way on both kinds.  Every derivative is
 read off the jets, with no finite differences: the shape data carry the
-chart gradient dw of the height, and a box chart's boundary curvature
-Hhat comes from the chart Hessian.
+chart gradient dw of the height.  On a box chart the normal is the
+cofactor vector of the tangents, the conormal's chart components solve
+the Gram system, and the boundary curvature Hhat is from the Hessian.
 
 Curvature conventions: the second fundamental form is h(X, Y) =
 g(nabla_X nu, Y), computed from embedding jets through the conformal
@@ -155,11 +156,8 @@ class ParamSurface:
         """Global normal sign: H > 0, or nu_d >= 0 at the centre if H = 0."""
         if self._sign_cache is None:
             probe = self._shapes(self._center(), +1)
-            if abs(probe.H) > 1e-9:
-                sign = 1 if probe.H > 0 else -1
-            else:
-                sign = 1 if probe.normal[-1] >= 0 else -1
-            self._sign_cache = sign
+            key = probe.H if abs(probe.H) > 1e-9 else probe.normal[-1]
+            self._sign_cache = 1 if key >= 0 else -1
         return self._sign_cache
 
     def shapes(self, u) -> ShapeData:
@@ -184,10 +182,12 @@ def _jet_shapes(x: np.ndarray, J: np.ndarray, Hess: np.ndarray,
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise ImmersionError("induced metric is not positive definite") from exc
-    # Euclidean unit normal with chart-orientation-continuous sign
-    m = np.linalg.svd(J, full_matrices=True)[0][..., -1]
-    flip = np.linalg.det(np.concatenate([J, m[..., None]], axis=-1)) < 0
-    nu = (sign * w)[..., None] * np.where(flip[..., None], -m, m)
+    # Euclidean unit normal: the cofactor vector of the tangents,
+    # c_k = (-1)^(k+n) det(J without row k), so det([J, c]) = |c|^2 > 0
+    k = np.arange(J.shape[-2])
+    c = (-1.0) ** (k + k[-1]) * np.linalg.det(
+        J[..., [np.delete(k, i) for i in k], :])
+    nu = (sign * w)[..., None] * c / np.linalg.norm(c, axis=-1)[..., None]
     # conformal-connection correction of the flat second derivatives
     dlnw = J[..., -1, :] / w[..., None]
     nuJ = np.einsum("...k,...ki->...i", nu, J)
@@ -219,7 +219,6 @@ class ProfileSurface(ParamSurface):
         self.n = n
         self.t1 = float(t1)
         self.profile_jet = profile_jet
-        self._sign_cache = None
 
     def _center(self):
         return 0.5 * self.t1
@@ -306,8 +305,10 @@ class ProfileSurface(ParamSurface):
                              Hhat=(self.n - 1) * nubar[..., 0] / rho)
 
     def boundary_frame_at(self, s=None) -> BoundaryFrame:
-        """The frame at one boundary point; every s gives the same one."""
-        return self.boundary_frames(np.zeros(self.n - 1))
+        """The frame at one boundary point, built once: every s gives it."""
+        if "_frame" not in self.__dict__:
+            self._frame = self.boundary_frames(np.zeros(self.n - 1))
+        return self._frame
 
     @property
     def boundary_radius(self) -> float:
@@ -336,7 +337,6 @@ class GridSurface(ParamSurface):
         self.n = n
         self.box = [(float(lo), float(hi)) for lo, hi in box]
         self.embed_jet = embed_jet
-        self._sign_cache = None
 
     def _center(self):
         return np.array([0.5 * (lo + hi) for lo, hi in self.box])
@@ -400,8 +400,8 @@ class GridSurface(ParamSurface):
         second = np.einsum("...k,...kab->...ab", nubar[..., :-1],
                            Hess[..., :-1, 1:, 1:])
         Hhat = -np.sum(np.linalg.inv(gamma) * second, axis=(-2, -1))
-        # conormal second fundamental value h(mu, mu)
-        mu_chart = (np.linalg.pinv(J) @ mu[..., None])[..., 0]
+        Jt = _swap(J)  # mu is tangent, so the Gram solve is exact
+        mu_chart = np.linalg.solve(Jt @ J, Jt @ mu[..., None])[..., 0]
         hmumu = np.einsum("...i,...ij,...j->...", mu_chart, shape.h,
                           mu_chart)
         return BoundaryFrame(shape=shape, conormal=mu, boundary_normal=nubar,

@@ -26,8 +26,8 @@ from horocap.quadrature import (QuadratureSpec, fd_weights, gauss_legendre,
 from horocap.stability import (ScalarField, _grid, _Variation, robin_q,
                                umbilicity_deficit)
 from horocap.surfaces import (EvaluationError, GridSurface, ImmersionError,
-                              ProfileSurface, fields_at, integrate_dM,
-                              integrate_M, node_set)
+                              ProfileSurface, _jet_shapes, fields_at,
+                              integrate_dM, integrate_M, node_set)
 
 REL = 1e-12
 CAPS = ("ortho_cap", "tilted_cap", "cap_3d", "bumped_cap")
@@ -218,6 +218,59 @@ def test_box_boundary_frames_match_per_point_frame(name, request):
         assert S.boundary_frame_at(si).Hhat == frames.Hhat[i]
 
 
+def random_jets(rng, n, count=32):
+    """Jets with tangent singular values in [0.5, 2] and heights in [0.5, 2]."""
+    d = n + 1
+    U = np.linalg.qr(rng.standard_normal((count, d, d)))[0][..., :n]
+    V = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+    J = U * rng.uniform(0.5, 2.0, (count, 1, n)) @ np.swapaxes(V, -1, -2)
+    x = rng.standard_normal((count, d))
+    x[:, -1] = rng.uniform(0.5, 2.0, count)
+    Hess = rng.standard_normal((count, d, n, n))
+    return x, J, Hess + np.swapaxes(Hess, -1, -2)
+
+
+def assert_normal_matches(x, J, Hess, sign, normal):
+    """normal matches the SVD reference and sign * normal / w is positive."""
+    w = x[..., -1]
+    for i in range(len(x)):
+        want = ref_shape_from_jet(x[i], J[i], Hess[i], sign)
+        np.testing.assert_allclose(normal[i], want.nu, rtol=REL, atol=REL)
+    frame = np.concatenate([J, (sign * normal / w[:, None])[..., None]], -1)
+    assert np.all(np.linalg.det(frame) > 0)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_cofactor_normal_matches_svd_reference(n, sign, rng):
+    x, J, Hess = random_jets(rng, n)
+    assert_normal_matches(x, J, Hess, sign, _jet_shapes(x, J, Hess,
+                                                        sign).normal)
+
+
+def test_cofactor_normal_on_a_tilted_plane_3d(tilted_plane_3d):
+    S = tilted_plane_3d
+    u = chart_nodes(S)
+    x, J, Hess = S.jets(u)
+    assert_normal_matches(x, J, Hess, S.orientation_sign(),
+                          S.shapes(u).normal)
+
+
+@pytest.mark.parametrize("name", CHARTS + ("tilted_plane_3d",))
+def test_box_chart_path_runs_no_svd(name, request, monkeypatch):
+    S = request.getfixturevalue(name)
+    calls = []
+    for attr in ("svd", "pinv"):
+        def counting(*args, _f=getattr(np.linalg, attr), _a=attr, **kw):
+            calls.append(_a)
+            return _f(*args, **kw)
+        monkeypatch.setattr(np.linalg, attr, counting)
+    S.shapes(chart_nodes(S))
+    S.boundary_frames(np.array([[0.5 * (lo + hi) for lo, hi in S.box[1:]]]
+                               * 3))
+    assert calls == []
+
+
 def test_degenerate_node_in_a_batch_raises():
     # the second tangent column vanishes on the line u_1 = 0.25 only
     def embed_jet(u):
@@ -292,6 +345,22 @@ def test_profile_boundary_frames_repeat_the_orbit_frame(name, request):
         assert got.shape == (6,) + np.shape(want)
         np.testing.assert_allclose(got, np.broadcast_to(want, got.shape),
                                    rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", CAPS)
+def test_profile_boundary_frame_is_built_once(name, request):
+    S = request.getfixturevalue(name)
+    one = S.boundary_frame_at()
+    assert S.boundary_frame_at() is one
+    assert S.boundary_frame_at(np.full(S.n - 1, 0.3)) is one
+    batch = S.boundary_frames(np.zeros((1, S.n - 1)))
+    for got, want in ((one.shape.coords, batch.shape.coords[0]),
+                      (one.shape.normal, batch.shape.normal[0]),
+                      (one.conormal, batch.conormal[0]),
+                      (one.boundary_normal, batch.boundary_normal[0]),
+                      (one.theta, batch.theta[0]), (one.hmumu, batch.hmumu[0]),
+                      (one.Hhat, batch.Hhat[0])):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", CAPS)

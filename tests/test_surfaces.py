@@ -185,13 +185,15 @@ class TestBoundaryFrame:
         assert bf.Hhat == pytest.approx(want, abs=1e-10)
 
     def test_boundary_off_support_rejected(self):
-        # a valid sphere profile truncated before it reaches the support
+        # a valid sphere profile truncated before it reaches the support;
+        # a failed frame is not kept, so every call raises
         bad = ProfileSurface(2, 0.5 * math.acos(0.0), lambda t: (
             0.5 * math.sin(t), 1.0 + 0.5 * math.cos(t),
             0.5 * math.cos(t), -0.5 * math.sin(t),
             -0.5 * math.sin(t), -0.5 * math.cos(t)))
-        with pytest.raises(SupportError):
-            bad.boundary_frame_at()
+        for _ in range(2):
+            with pytest.raises(SupportError):
+                bad.boundary_frame_at()
 
 
 class TestIntegration:
