@@ -1,14 +1,10 @@
 """Numerical laboratory for capillary hypersurfaces on a horospherical support."""
 
-from .halfspace import (AmbientField, FieldTag, GeometryError, HPoint, HVector,
-                        PotentialV, ambient_field, covariant_derivative,
-                        horosphere_normal, lie_metric_residual, metric,
-                        orthonormal_frame, v_hessian_residual)
 from .quadrature import QuadratureSpec, gauss_legendre, unit_sphere_area
-from .surfaces import (BoundaryFrame, EvaluationError, GridSurface,
-                       ImmersionError, ParamSurface, ProfileSurface, ShapeData,
-                       SupportError, SurfaceFields, check_immersion, fields_at,
-                       integrate_M, integrate_dM)
+from .surfaces import (BoundaryFrame, EvaluationError, GeometryError,
+                       GridSurface, ImmersionError, ParamSurface,
+                       ProfileSurface, ShapeData, SupportError, SurfaceFields,
+                       check_immersion, fields_at, integrate_M, integrate_dM)
 from .families import (AmplitudeError, CapKind, CapSpec, ConstructionError,
                        FREE, InfeasibleError, PerturbationSpec, build, perturb,
                        solve_for_angle)

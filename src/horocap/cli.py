@@ -5,7 +5,7 @@ eigenvalues), variation-check (finite-difference variation formulas),
 deficit (umbilicity deficit functional), sweep (angle x radius family
 grid).  Each run writes one CSV/JSON report per suite plus a manifest;
 exit status is 0 iff no surface reports FAIL or ERROR (EXPECTED_FAIL is
-allowed: it marks declared negative controls).
+allowed: it marks declared negative controls; see ``reports.STATUSES``).
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, Numerics, OutputSpec, RunConfig,
-                     SurfaceEntry, load_config)
+from .config import ConfigError, RunConfig, SurfaceEntry, load_config
 from .families import CapKind, CapSpec, build, perturb, solve_for_angle
 from .identities import suite as identity_suite
 from .quadrature import QuadratureSpec
-from .reports import RunManifest, config_hash, write_csv, write_json
+from .reports import RunManifest, config_hash, worst, write_csv, write_json
 from .stability import (ScalarField, boundary_cancellation,
                         constrained_spectrum, energy_second_difference,
                         fd_variation_check, umbilicity_deficit, _grid)
@@ -38,13 +37,6 @@ FIRST_VARIATION_TOL = 1e-6
 SECOND_VARIATION_TOL = 1e-3
 DEFICIT_ZERO_TOL = 1e-8
 DEFICIT_CONTROL_TOL = 1e-6
-
-_STATUS_RANK = {"PASS": 0, "EXPECTED_FAIL": 1, "FAIL": 2, "ERROR": 3}
-
-
-def _worse(a: str, b: str) -> str:
-    return a if _STATUS_RANK[a] >= _STATUS_RANK[b] else b
-
 
 def _build_surface(entry: SurfaceEntry, Q: QuadratureSpec):
     S = build(entry.spec)
@@ -76,7 +68,7 @@ def _suite_verify(entry: SurfaceEntry, cfg: RunConfig):
             rep.rel_residual, rep.requires_cmc, rep.cmc_ok, rep.tolerance,
             rep.quad_order, rep.status,
         ])
-        status = _worse(status, rep.status)
+        status = worst(status, rep.status)
     return rows, status
 
 
@@ -148,7 +140,7 @@ def _suite_variation(entry: SurfaceEntry, cfg: RunConfig):
         rows.append(_spec_columns(entry) + [
             chk.functional, chk.fd_value, chk.formula_value, rel, chk.step,
             chk.richardson_order, st])
-        status = _worse(status, st)
+        status = worst(status, st)
     return rows, status
 
 
@@ -211,13 +203,10 @@ def _suite_sweep(entry: _SweepMember, cfg: RunConfig):
     theta = S.boundary_frame_at().theta
     reports = identity_suite(S, Q)
     max_res = max(rep.rel_residual for rep in reports)
-    id_status = "PASS"
-    for rep in reports:
-        id_status = _worse(id_status, rep.status)
     res = constrained_spectrum(S, num.constraint, num.grid, num.eig_count)
     lowest = float(res.eigenvalues[0])
     sp_status = "PASS" if lowest >= -num.stability_tol else "FAIL"
-    status = _worse(id_status, sp_status)
+    status = worst(sp_status, *(rep.status for rep in reports))
     row = [entry.label, entry.spec.kind.value, entry.spec.n, theta,
            entry.spec.r, entry.spec.a, max_res, lowest, res.morse_index,
            res.zero_modes, status]
@@ -370,7 +359,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         num = cfg.numerics
-        # replace() re-runs the Numerics checks on the overridden values
+        # replace() re-runs the Numerics and RunConfig checks on overrides
         if args.grid is not None:
             num = replace(num, grid=args.grid)
         if args.quad is not None:

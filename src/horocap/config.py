@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
-from .families import FAMILY_REGISTRY, CapKind, CapSpec, PerturbationSpec
+from .families import CapKind, CapSpec, PerturbationSpec
 
 __all__ = ["ConfigError", "SurfaceEntry", "Numerics", "OutputSpec",
            "RunConfig", "load_config", "parse_config"]
@@ -70,6 +70,14 @@ def _integer(path: str, value, minimum: Optional[int] = None) -> int:
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"must be >= {minimum}")
     return value
+
+
+def _kind(path: str, value) -> None:
+    try:
+        CapKind(value)
+    except ValueError:
+        raise ConfigError(path, f"unknown family {value!r}; valid: "
+                          + ", ".join(k.value for k in CapKind)) from None
 
 
 def _finite(path: str, value) -> float:
@@ -128,6 +136,9 @@ class RunConfig:
     sweep: Optional[dict] = None
     seed: int = 0
 
+    def __post_init__(self):
+        _integer("seed", self.seed, 0)
+
     def to_dict(self) -> dict:
         d = {
             "schema_version": SCHEMA_VERSION,
@@ -166,12 +177,7 @@ def parse_config(raw: dict) -> RunConfig:
         if not isinstance(s, dict):
             raise ConfigError(path, "must be an object")
         kind_name = _require(s, "kind", path)
-        try:
-            CapKind(kind_name)
-        except ValueError:
-            raise ConfigError(f"{path}.kind",
-                              f"unknown family {kind_name!r}; valid: "
-                              + ", ".join(k.value for k in CapKind)) from None
+        _kind(f"{path}.kind", kind_name)
         try:
             spec = CapSpec.from_dict(s)
             spec.validate()
@@ -185,6 +191,9 @@ def parse_config(raw: dict) -> RunConfig:
             except (ValueError, TypeError, KeyError) as exc:
                 raise ConfigError(f"{path}.perturbation", str(exc)) from exc
         label = s.get("label", f"{kind_name}-{i}")
+        if not isinstance(label, str) or not label:
+            raise ConfigError(f"{path}.label",
+                              f"must be a non-empty string, got {label!r}")
         surfaces.append(SurfaceEntry(label=label, spec=spec, perturbation=pert))
     labels = [s.label for s in surfaces]
     if len(set(labels)) != len(labels):
@@ -211,10 +220,7 @@ def parse_config(raw: dict) -> RunConfig:
     if sweep is not None:
         if not isinstance(sweep, dict):
             raise ConfigError("sweep", "must be an object")
-        if sweep.get("kind", "sphere_cap") not in FAMILY_REGISTRY:
-            raise ConfigError("sweep.kind", "unknown family "
-                              f"{sweep['kind']!r}; valid: "
-                              + ", ".join(FAMILY_REGISTRY))
+        _kind("sweep.kind", sweep.get("kind", "sphere_cap"))
         _integer("sweep.n", sweep.get("n", 2), 2)
         for key in ("thetas", "radii"):
             vals = _require(sweep, key, "sweep")
@@ -224,8 +230,7 @@ def parse_config(raw: dict) -> RunConfig:
                 _finite(f"sweep.{key}[{i}]", v)
 
     return RunConfig(surfaces=tuple(surfaces), numerics=numerics,
-                     output=output, sweep=sweep,
-                     seed=_integer("seed", raw.get("seed", 0)))
+                     output=output, sweep=sweep, seed=raw.get("seed", 0))
 
 
 def load_config(path: Path | str) -> RunConfig:

@@ -44,7 +44,6 @@ __all__ = [
     "build",
     "perturb",
     "solve_for_angle",
-    "FAMILY_REGISTRY",
 ]
 
 FREE = None  # sentinel for "no mean-curvature target" in solve_for_angle
@@ -159,9 +158,6 @@ class PerturbationSpec:
             amplitude=float(d["amplitude"]),
             support=tuple(d.get("support", (0.1, 0.9))),
         )
-
-
-FAMILY_REGISTRY = {k.value: k for k in CapKind}
 
 
 # ----------------------------------------------------------------------

@@ -1,48 +1,17 @@
-"""Geometry kernel for the upper half-space model of hyperbolic space.
+"""Point and tangent-vector records of the half-space model g = delta / x_d^2.
 
-The model is the open set {x in R^{d} : x_d > 0} (d = n+1 ambient
-coordinates) carrying the conformally flat metric  g = delta / x_d^2.
-Angles therefore agree with Euclidean angles, and the horosphere used as
-the capillary support is the horizontal plane {x_d = 1}, whose induced
-metric is flat.
-
-Everything here is exact: the distinguished vector fields (the position
-field, the horizontal translations, the vertical field and the conformal
-field tangent to the support) ship with closed-form Jacobians, and the
-potential 1/x_d with closed-form gradient/Hessian.  Central finite
-differences are available as an independent cross-check path only.
+No command builds them: they stay for the ``halfspace.objects`` counter
+of the benchmark tracer (``perfbench/tracer.py``), which patches their
+``__post_init__``, and go with that counter (ROADMAP item 7).
 """
 
-from __future__ import annotations
-
-import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = [
-    "GeometryError",
-    "HPoint",
-    "HVector",
-    "FieldTag",
-    "AmbientField",
-    "PotentialV",
-    "metric",
-    "covariant_derivative",
-    "lie_metric_residual",
-    "v_hessian_residual",
-    "orthonormal_frame",
-    "ambient_field",
-    "horosphere_normal",
-    "FD_STEP_SCALE",
-]
+from .surfaces import GeometryError
 
-FD_STEP_SCALE = 1e-5
-
-
-class GeometryError(ValueError):
-    """Raised on contract violations in the geometry kernel."""
+__all__ = ["HPoint", "HVector"]
 
 
 @dataclass(frozen=True)
@@ -84,180 +53,3 @@ class HVector:
     def norm(self) -> float:
         """Hyperbolic norm: Euclidean norm divided by the base height."""
         return float(np.linalg.norm(self.components) / self.base.height)
-
-
-def metric(u: HVector, v: HVector) -> float:
-    """Hyperbolic inner product <u,v> / x_d^2 at a shared base point."""
-    if u.base.coords is not v.base.coords and not np.array_equal(
-        u.base.coords, v.base.coords
-    ):
-        raise GeometryError("metric arguments must share the same base point")
-    w = u.base.height
-    return float(np.dot(u.components, v.components) / (w * w))
-
-
-def orthonormal_frame(p: HPoint) -> list[HVector]:
-    """Orthonormal frame x_d * (standard basis) at p."""
-    w = p.height
-    return [
-        HVector(p, w * np.eye(p.ambient_dim)[i]) for i in range(p.ambient_dim)
-    ]
-
-
-def horosphere_normal(p: HPoint, tol: float = 1e-9) -> HVector:
-    """Outward unit normal -E_d of the support horosphere {x_d = 1} at p."""
-    if abs(p.height - 1.0) > tol:
-        raise GeometryError(f"point height {p.height} is not on the horosphere")
-    e = np.zeros(p.ambient_dim)
-    e[-1] = -1.0
-    return HVector(p, e)
-
-
-class FieldTag(enum.Enum):
-    POSITION_X = "position_x"
-    E_ALPHA = "e_alpha"
-    E_N1 = "e_n1"
-    X_N1 = "x_n1"
-
-
-@dataclass(frozen=True)
-class AmbientField:
-    """Vector field on the half-space with closed-form value and Jacobian.
-
-    The Jacobian is the flat directional derivative: jacobian(p) @ y gives
-    D_y F at p for a Euclidean direction y.
-    """
-
-    tag: FieldTag
-    value: Callable[[HPoint], np.ndarray]
-    jacobian: Callable[[HPoint], np.ndarray]
-    alpha: Optional[int] = None
-
-    def at(self, p: HPoint) -> HVector:
-        return HVector(p, self.value(p))
-
-
-def ambient_field(tag: FieldTag, dim: int, alpha: int | None = None) -> AmbientField:
-    """Construct one of the four distinguished fields in ambient dimension dim."""
-    eye = np.eye(dim)
-    zero = np.zeros((dim, dim))
-    if tag is FieldTag.POSITION_X:
-        return AmbientField(tag, lambda p: p.coords.copy(), lambda p: eye)
-    if tag is FieldTag.E_ALPHA:
-        if alpha is None or not 0 <= alpha < dim - 1:
-            raise GeometryError("E_ALPHA needs a horizontal index 0 <= alpha < dim-1")
-        e = eye[alpha]
-        return AmbientField(tag, lambda p: e.copy(), lambda p: zero, alpha=alpha)
-    if tag is FieldTag.E_N1:
-        e = eye[dim - 1]
-        return AmbientField(tag, lambda p: e.copy(), lambda p: zero)
-    if tag is FieldTag.X_N1:
-        e = eye[dim - 1]
-        return AmbientField(tag, lambda p: p.coords - e, lambda p: eye)
-    raise GeometryError(f"unknown field tag {tag}")
-
-
-def _flat_directional(
-    Z_value: Callable[[HPoint], np.ndarray],
-    Z_jacobian: Optional[Callable[[HPoint], np.ndarray]],
-    p: HPoint,
-    y: np.ndarray,
-) -> np.ndarray:
-    """D_y Z at p: analytic Jacobian when given, else central differences."""
-    if Z_jacobian is not None:
-        return Z_jacobian(p) @ y
-    h = FD_STEP_SCALE * max(1.0, float(np.max(np.abs(p.coords))))
-    ny = np.linalg.norm(y)
-    if ny == 0.0:
-        return np.zeros_like(p.coords)
-    step = h * y / ny
-    fp = Z_value(HPoint(p.coords + step))
-    fm = Z_value(HPoint(p.coords - step))
-    return (fp - fm) / (2.0 * h) * ny
-
-
-def covariant_derivative(
-    Z,
-    Y: HVector,
-    jacobian: Optional[Callable[[HPoint], np.ndarray]] = None,
-) -> HVector:
-    """Levi-Civita derivative of the field Z along Y.
-
-    Uses the conformal relation
-        nabla_Y Z = D_Y Z - Y(ln x_d) Z - Z(ln x_d) Y + <Y,Z> D(ln x_d),
-    which is exact whenever the flat directional derivative D_Y Z is.
-
-    Z may be an AmbientField or a plain callable HPoint -> components; a
-    callable without an explicit ``jacobian`` falls back to central
-    finite differences (independent cross-check path).
-    """
-    p = Y.base
-    if isinstance(Z, AmbientField):
-        z_value, z_jac = Z.value, Z.jacobian
-    else:
-        z_value, z_jac = Z, jacobian
-    w = p.height
-    y = Y.components
-    z = z_value(p)
-    dyz = _flat_directional(z_value, z_jac, p, y)
-    dlnw = np.zeros_like(p.coords)
-    dlnw[-1] = 1.0 / w
-    out = dyz - (y[-1] / w) * z - (z[-1] / w) * y + np.dot(y, z) * dlnw
-    return HVector(p, out)
-
-
-def lie_metric_residual(F: AmbientField, p: HPoint) -> tuple[np.ndarray, float]:
-    """Symmetrized covariant derivative of F in an orthonormal frame.
-
-    Returns (S, lam) with S_ij = (1/2)(g(nabla_i F, E_j) + g(nabla_j F, E_i))
-    and lam = trace(S)/dim the inferred conformal factor.  S vanishes for
-    Killing fields; S = lam * Id for conformal Killing fields.
-    """
-    d = p.ambient_dim
-    w = p.height
-    frame = orthonormal_frame(p)
-    # g(U, w*e_j) = U_j / w in the conformal metric
-    grad = np.empty((d, d))
-    for i in range(d):
-        grad[i] = covariant_derivative(F, frame[i]).components / w
-    S = 0.5 * (grad + grad.T)
-    lam = float(np.trace(S) / d)
-    return S, lam
-
-
-@dataclass(frozen=True)
-class PotentialV:
-    """The positive potential 1/x_d with closed-form derivatives.
-
-    Its hyperbolic gradient is the constant Euclidean field -E_d, and its
-    hyperbolic Hessian equals V * g identically.
-    """
-
-    dim: int
-
-    def value(self, p: HPoint) -> float:
-        return 1.0 / p.height
-
-    def gradient(self, p: HPoint) -> HVector:
-        g = np.zeros(self.dim)
-        g[-1] = -1.0
-        return HVector(p, g)
-
-    def hessian(self, p: HPoint) -> np.ndarray:
-        """Hessian matrix in the orthonormal frame at p."""
-        d = p.ambient_dim
-        grad_value = lambda q: self.gradient(q).components
-        grad_jac = lambda q: np.zeros((d, d))
-        w = p.height
-        frame = orthonormal_frame(p)
-        H = np.empty((d, d))
-        for i in range(d):
-            H[i] = covariant_derivative(grad_value, frame[i], jacobian=grad_jac).components / w
-        return 0.5 * (H + H.T)
-
-
-def v_hessian_residual(p: HPoint) -> float:
-    """Max-norm of Hess(V) - V * Id in the orthonormal frame (zero analytically)."""
-    V = PotentialV(p.ambient_dim)
-    H = V.hessian(p)
-    return float(np.max(np.abs(H - V.value(p) * np.eye(p.ambient_dim))))

@@ -2,10 +2,12 @@
 
 Floats serialize with 17 significant digits in scientific notation,
 locale-independent, so identical runs produce byte-identical CSV bodies.
+A cell that holds a comma, a quote or a line break is quoted.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -16,6 +18,8 @@ __all__ = [
     "format_cell",
     "write_csv",
     "write_json",
+    "STATUSES",
+    "worst",
     "RunManifest",
     "config_hash",
 ]
@@ -35,10 +39,10 @@ def format_cell(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format_cell(v) for v in row] for row in rows)
 
 
 def _jsonable(value):
@@ -64,6 +68,16 @@ def config_hash(config_dict: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+# every status, from best to worst, and whether it makes a run fail
+STATUSES = {"PASS": False, "EXPECTED_FAIL": False, "FAIL": True,
+            "ERROR": True}
+
+
+def worst(*statuses: str) -> str:
+    """The worst of the given statuses in the order of ``STATUSES``."""
+    return max(statuses, key=list(STATUSES).index)
+
+
 @dataclass
 class RunManifest:
     """One status per configured surface plus run provenance."""
@@ -78,7 +92,7 @@ class RunManifest:
 
     @property
     def ok(self) -> bool:
-        return not any(s in ("FAIL", "ERROR") for s in self.statuses.values())
+        return not any(STATUSES[s] for s in self.statuses.values())
 
     def to_dict(self) -> dict:
         return {

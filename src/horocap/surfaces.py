@@ -30,7 +30,8 @@ Curvature conventions: the second fundamental form is h(X, Y) =
 g(nabla_X nu, Y), computed from embedding jets through the conformal
 connection, and the unit normal nu is oriented so that the mean
 curvature is positive; on a minimal surface, where that does not fix
-it, nu points upward (nu_d >= 0) at the chart centre.
+it, nu points upward (nu_d >= 0) at the chart centre.  A chart that
+leaves the upper half-space raises ``GeometryError``.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .halfspace import GeometryError
 from .quadrature import QuadratureSpec, unit_sphere_area
 
 __all__ = [
+    "GeometryError",
     "ImmersionError",
     "SupportError",
     "EvaluationError",
@@ -64,6 +65,10 @@ __all__ = [
 _JET_CONTRACT = ("embed_jet(u) must take chart points u of shape (..., n) "
                  "and return x (..., n+1), J (..., n+1, n) and "
                  "Hess (..., n+1, n, n)")
+
+
+class GeometryError(ValueError):
+    """Contract violation of the half-space model, such as x_d <= 0."""
 
 
 class ImmersionError(ValueError):

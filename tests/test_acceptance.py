@@ -11,13 +11,12 @@ import time
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from horocap.cli import run as cli_run
 from horocap.config import parse_config
 from horocap.families import (CapKind, CapSpec, PerturbationSpec, build,
                               perturb, solve_for_angle)
-from horocap.halfspace import (FieldTag, HPoint, PotentialV, ambient_field,
-                               lie_metric_residual, v_hessian_residual)
 from horocap.identities import suite as identity_suite
 from horocap.identities import verify as identity_verify
 from horocap.quadrature import QuadratureSpec
@@ -82,35 +81,58 @@ def fitted_order(errors):
     return -np.polyfit(k, np.log2(np.asarray(errors)), 1)[0]
 
 
+def _lie_derivative(g, F, xs):
+    """(L_F g)_ij = F^k d_k g_ij + g_kj d_i F^k + g_ik d_j F^k."""
+    d = len(xs)
+    return sp.Matrix(d, d, lambda i, j: sum(
+        F[k] * sp.diff(g[i, j], xs[k]) + g[k, j] * sp.diff(F[k], xs[i])
+        + g[i, k] * sp.diff(F[k], xs[j]) for k in range(d)))
+
+
+def _hessian(f, g, xs):
+    """Hess_ij f = d_i d_j f - Gamma^k_ij d_k f from the Christoffel symbols."""
+    d = len(xs)
+    ginv = g.inv()
+
+    def gamma(k, i, j):
+        return sum(ginv[k, l] * (sp.diff(g[i, l], xs[j])
+                                 + sp.diff(g[j, l], xs[i])
+                                 - sp.diff(g[i, j], xs[l])) / 2
+                   for l in range(d))
+    return sp.Matrix(d, d, lambda i, j: sp.diff(f, xs[i], xs[j]) - sum(
+        gamma(k, i, j) * sp.diff(f, xs[k]) for k in range(d)))
+
+
+def _is_zero(M) -> bool:
+    """Exact test: every entry of M cancels to 0 as a rational function."""
+    return all(sp.cancel(e) == 0 for e in M)
+
+
 def test_criterion_1_ambient_identities(announce):
+    """Exact in sympy, on g = delta / x_d^2 with V = 1 / x_d."""
     with announce(1, "ambient field and potential identities"):
-        rng = np.random.default_rng(1)
         t0 = time.perf_counter()
-        for dim, count in ((3, 500), (4, 500)):
-            X = ambient_field(FieldTag.POSITION_X, dim)
-            Es = [ambient_field(FieldTag.E_ALPHA, dim, alpha=a)
-                  for a in range(dim - 1)]
-            EN = ambient_field(FieldTag.E_N1, dim)
-            XN = ambient_field(FieldTag.X_N1, dim)
-            V = PotentialV(dim)
-            eye = np.eye(dim)
-            for _ in range(count):
-                c = rng.uniform(-5.0, 5.0, size=dim)
-                c[-1] = 10.0 ** rng.uniform(-2.0, 2.0)
-                p = HPoint(c)
-                v = V.value(p)
-                S, _ = lie_metric_residual(X, p)
-                assert np.max(np.abs(S)) < 1e-10
-                for E in Es:
-                    S, _ = lie_metric_residual(E, p)
-                    assert np.max(np.abs(S)) < 1e-10
-                S, lam = lie_metric_residual(EN, p)
-                assert np.max(np.abs(S - lam * eye)) < 1e-10
-                assert abs(lam + v) < 1e-10 * max(1.0, v)
-                S, lam = lie_metric_residual(XN, p)
-                assert np.max(np.abs(S - lam * eye)) < 1e-10
-                assert abs(lam - v) < 1e-10 * max(1.0, v)
-                assert v_hessian_residual(p) < 1e-10 * max(1.0, v)
+        for d in (3, 4):
+            xs = sp.symbols(f"x1:{d + 1}", positive=True)
+            w = xs[-1]
+            g = sp.eye(d) / w**2
+            V = 1 / w
+            x = sp.Matrix(xs)
+            E = [sp.eye(d)[:, i] for i in range(d)]
+            # (field, conformal factor lambda) with L_F g = 2 lambda g
+            fields = ([(x, 0)] + [(E[a], 0) for a in range(d - 1)]
+                      + [(E[-1], -V), (x - E[-1], V)])
+            for F, lam in fields:
+                assert _is_zero(_lie_derivative(g, F, xs) - 2 * lam * g), (
+                    d, list(F), lam)
+            assert _is_zero(_hessian(V, g, xs) - V * g), d
+            # on the support {x_d = 1}, with outward unit normal N = -E_d
+            N = -E[-1]
+            grad_V = g.inv() * sp.Matrix([sp.diff(V, xi) for xi in xs])
+            on_support = {w: 1}
+            assert _is_zero(((x - E[-1]).T * g * N).subs(on_support)), d
+            assert _is_zero((grad_V.T * g * N - sp.Matrix([V]))
+                            .subs(on_support)), d
         assert time.perf_counter() - t0 < 5.0
 
 

@@ -19,15 +19,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from horocap.halfspace import GeometryError
 from horocap.families import CapKind, CapSpec, PerturbationSpec, build, perturb
 from horocap.quadrature import (QuadratureSpec, fd_weights, gauss_legendre,
                                 unit_sphere_area)
 from horocap.stability import (ScalarField, _grid, _Variation, robin_q,
                                umbilicity_deficit)
-from horocap.surfaces import (EvaluationError, GridSurface, ImmersionError,
-                              ProfileSurface, _jet_shapes, fields_at,
-                              integrate_dM, integrate_M, node_set)
+from horocap.surfaces import (EvaluationError, GeometryError, GridSurface,
+                              ImmersionError, ProfileSurface, _jet_shapes,
+                              fields_at, integrate_dM, integrate_M, node_set)
 
 REL = 1e-12
 CAPS = ("ortho_cap", "tilted_cap", "cap_3d", "bumped_cap")

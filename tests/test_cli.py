@@ -1,5 +1,6 @@
 """Configuration schema, report writers and the batch front end."""
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -96,11 +97,21 @@ class TestConfigSchema:
                               "numerics": {field: value}})
 
     def test_seed_must_be_integer(self):
-        for value in ("x", 1.5, True):
+        for value in ("x", 1.5, True, -2):
             with pytest.raises(ConfigError, match="'seed'"):
                 parse_config({"schema_version": 1,
                               "surfaces": BASE_CONFIG["surfaces"][:1],
                               "seed": value})
+
+    @pytest.mark.parametrize("label", [7, "", None, ["cap"]])
+    def test_label_must_be_a_non_empty_string(self, label, tmp_path, capsys):
+        surf = {"label": label, "kind": "sphere_cap", "a": 1.0, "r": 0.5}
+        with pytest.raises(ConfigError, match=r"surfaces\[0\]\.label"):
+            parse_config({"schema_version": 1, "surfaces": [surf]})
+        p = write_config(tmp_path, surfaces=[surf])
+        assert main(["verify", "--config", str(p)]) == 2
+        assert "surfaces[0].label" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError, match="output.formats"):
@@ -112,6 +123,10 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="sweep"):
             parse_config({"schema_version": 1, "surfaces": [],
                           "sweep": {"thetas": []}})
+        with pytest.raises(ConfigError, match=r"sweep\.kind.*'torus'"):
+            parse_config({"schema_version": 1, "surfaces": [],
+                          "sweep": {"kind": "torus", "thetas": [1.0],
+                                    "radii": [0.5]}})
 
     @pytest.mark.parametrize("key,bad", [("thetas", float("nan")),
                                          ("thetas", "1.0"),
@@ -145,6 +160,17 @@ class TestReports:
         write_csv(p1, ["k", "v", "ok"], rows)
         write_csv(p2, ["k", "v", "ok"], rows)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_csv_quotes_cells_that_hold_a_comma(self, tmp_path):
+        rows = [["a", 'say "hi", then\nleave', 0.5], ["b", "plain", 1]]
+        p = tmp_path / "q.csv"
+        write_csv(p, ["k", "message", "v"], rows)
+        with p.open(newline="") as fh:
+            back = list(csv.reader(fh))
+        assert back == [["k", "message", "v"]] + [
+            [format_cell(v) for v in row] for row in rows]
+        # rows without a comma, quote or line break are written bare
+        assert p.read_text().endswith("\nb,plain,1\n")
 
     def test_config_hash_is_order_insensitive(self):
         a = {"x": 1, "y": [1, 2]}
@@ -198,6 +224,23 @@ class TestRun:
         assert len(errors) == 2
         assert "InfeasibleError" in errors[1] and "contact angles" in errors[1]
         assert len((out / "sweep.csv").read_text().splitlines()) == 2
+
+    def test_error_message_with_a_comma_round_trips(self, tmp_path):
+        cfg = load_config(write_config(
+            tmp_path, surfaces=[],
+            sweep={"kind": "equidistant_sphere_cap", "thetas": [1.2],
+                   "radii": [0.6]},
+            numerics={"quad_order": 32, "grid": 32, "eig_count": 4}))
+        manifest = run(cfg, "sweep")
+        assert manifest.statuses == {
+            "sweep-theta-1.200000-r-0.600000": "ERROR"}
+        with (cfg.output.directory / "sweep_errors.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and None not in rows[0]
+        message = rows[0]["message"]
+        assert message.startswith("InfeasibleError: equidistant sphere caps "
+                                  "need |a| < r (got a=0.78")
+        assert message.endswith(", r=0.6)")
 
     def test_deficit_on_open_charts(self, tmp_path, monkeypatch):
         cfg = load_config(write_config(
@@ -280,7 +323,8 @@ class TestMain:
     @pytest.mark.parametrize("command,flag,value,field",
                              [("spectrum", "--grid", "4", "numerics.grid"),
                               ("verify", "--quad", "0",
-                               "numerics.quad_order")])
+                               "numerics.quad_order"),
+                              ("variation-check", "--seed", "-2", "'seed'")])
     def test_overrides_are_validated(self, tmp_path, capsys, command, flag,
                                      value, field):
         p = write_config(tmp_path)
