@@ -32,13 +32,13 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
-# only the bare package: scipy.linalg and scipy.interpolate load lazily on
-# first attribute access, so commands that never solve or interpolate
-# start without them
+# no command uses scipy; only the benchmark tracer reads stability.scipy
+# (lazily, for scipy.linalg), so this bare import loads no submodule
 import scipy
 
 from .identities import cmc_stats
@@ -448,20 +448,24 @@ def _congruence(X: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
+# the ILP64 OpenBLAS that numpy's wheel bundles
+_OPENBLAS_DIR = Path(np.__file__).parents[1] / "numpy.libs"
+_DSBGV = "scipy_dsbgv_64_"
+
+
 @functools.cache
 def _dsbgv():
-    """LAPACK dsbgv of scipy.linalg.cython_lapack as a ctypes function."""
-    from scipy.linalg import cython_lapack  # the first solve loads it
-    # the capsule's name is the C signature of dsbgv(jobz, uplo, n, ka, kb,
-    # ab, ldab, bb, ldbb, w, z, ldz, work, info); any other name raises
-    d, i = "__pyx_t_5scipy_6linalg_13cython_lapack_d *", "int *"
-    sig = ", ".join(["char *"] * 2 + [i] * 3 + [d, i, d, i, d, d, i, d, i])
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
-                                    ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    address = get_pointer(cython_lapack.__pyx_capi__["dsbgv"],
-                          f"void ({sig})".encode())
-    return ctypes.CFUNCTYPE(None, *14 * [ctypes.c_void_p])(address)
+    """dsbgv(jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz, work,
+    info, len(jobz), len(uplo)): int64 integers, hidden size_t lengths."""
+    found = sorted(_OPENBLAS_DIR.glob("libscipy_openblas64_*.so*"))
+    if len(found) != 1 or not hasattr(lib := ctypes.CDLL(str(found[0])),
+                                      _DSBGV):
+        raise ImportError(f"no single libscipy_openblas64_*.so* exporting "
+                          f"{_DSBGV} in {_OPENBLAS_DIR}")
+    fn = getattr(lib, _DSBGV)
+    fn.restype = None
+    fn.argtypes = 14 * [ctypes.c_void_p] + 2 * [ctypes.c_size_t]
+    return fn
 
 
 def _sbgv(ab: np.ndarray, bb: np.ndarray) -> np.ndarray:
@@ -475,13 +479,13 @@ def _sbgv(ab: np.ndarray, bb: np.ndarray) -> np.ndarray:
     (m, lda), (mb, ldb) = ab.shape, bb.shape
     if m != mb or m == 0 or not 1 <= ldb <= lda:
         raise ValueError(f"incompatible bands {ab.shape} and {bb.shape}")
-    w, work, info = np.empty(m), np.empty(3 * m), ctypes.c_int()
-    n, ka, kb, ldab, ldbb, ldz = (ctypes.byref(ctypes.c_int(k))
+    w, work, info = np.empty(m), np.empty(3 * m), ctypes.c_int64()
+    n, ka, kb, ldab, ldbb, ldz = (ctypes.byref(ctypes.c_int64(k))
                                   for k in (m, lda - 1, ldb - 1, lda, ldb, 1))
     # jobz = "N": the eigenvector array z is never referenced
     _dsbgv()(b"N", b"U", n, ka, kb, ab.ctypes.data, ldab, bb.ctypes.data,
              ldbb, w.ctypes.data, None, ldz, work.ctypes.data,
-             ctypes.byref(info))
+             ctypes.byref(info), 1, 1)
     if info.value != 0:
         raise np.linalg.LinAlgError(f"dsbgv failed with info = {info.value}")
     return w
@@ -551,6 +555,32 @@ class VariationCheck:
     terms: tuple = ()
 
 
+def _cubic_spline(x: np.ndarray, y: np.ndarray) -> Callable:
+    """Not-a-knot cubic spline through (x, y), as scipy's CubicSpline.
+
+    The node slopes s solve one tridiagonal system; the end pieces
+    extrapolate.  Each piece is Horner's rule in t - x_i.
+    """
+    dx, m = np.diff(x), np.diff(y) / np.diff(x)
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    T = (np.diag(np.r_[dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]])
+         + np.diag(np.r_[d0, dx[:-1]], 1) + np.diag(np.r_[dx[1:], d1], -1))
+    s = np.linalg.solve(T, np.r_[
+        ((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0,
+        3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:]),
+        (dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1])
+    c = (s[:-1] + s[1:] - 2.0 * m) / dx
+    coeffs = (c / dx, (m - s[:-1]) / dx - c, s[:-1], y[:-1])
+
+    def spline(t):
+        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(dx) - 1)
+        u, out = t - x[i], 0.0
+        for a in coeffs:
+            out = out * u + a[i]
+        return out
+    return spline
+
+
 class _Variation:
     """Straight-line admissible variation x + s*Y from a nodal scalar.
 
@@ -566,7 +596,7 @@ class _Variation:
         self.S = S
         g = _grid(S, phi.resolution)
         self.g = g
-        self.spline = scipy.interpolate.CubicSpline(g.nodes, phi.values)
+        self.spline = _cubic_spline(g.nodes, phi.values)
         self.sign = S.orientation_sign()
         self.nubar_sign = 1.0 if g.frame.boundary_normal[0] > 0 else -1.0
         self.t_ramp = 0.8 * S.t1

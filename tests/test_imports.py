@@ -20,7 +20,8 @@ def loaded():
 seen = {"import": loaded()}
 cfg = load_config(sys.argv[1])
 seen["load_config"] = loaded()
-for command in ("verify", "deficit", "spectrum"):
+for command in ("verify", "deficit", "spectrum", "variation-check",
+                "sweep"):
     horocap.cli.run(cfg, command)
     seen[command] = loaded()
 print(json.dumps(seen))
@@ -32,6 +33,8 @@ def test_scipy_submodules_load_only_where_used(tmp_path):
         "schema_version": 1,
         "surfaces": [{"label": "cap", "kind": "sphere_cap", "n": 2,
                       "a": 1.0, "r": 0.5}],
+        "sweep": {"kind": "sphere_cap", "n": 2, "thetas": [1.2],
+                  "radii": [0.5]},
         "numerics": {"quad_order": 16, "grid": 16, "eig_count": 4},
         "output": {"dir": str(tmp_path / "out"), "formats": ["csv"]},
     }
@@ -45,8 +48,11 @@ def test_scipy_submodules_load_only_where_used(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
+    # the eigensolves call numpy's bundled LAPACK and the variation
+    # fields use a numpy spline: no command needs a scipy submodule
     assert seen == {"import": [], "load_config": [], "verify": [],
-                    "deficit": [], "spectrum": ["scipy.linalg"]}
+                    "deficit": [], "spectrum": [], "variation-check": [],
+                    "sweep": []}
 
 
 HALFSPACE_SCRIPT = """

@@ -1,6 +1,7 @@
 """Discrete operators, PDE/boundary identities, spectra and the deficit."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -347,10 +348,36 @@ class TestBandedSolver:
         ab = np.array([[0.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
         bb = ab.copy()
         bb[1, 1] = -1.0
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError) as exc:
             stability._sbgv(ab, bb)
+        # info > m is LAPACK's "B is not positive definite", read back
+        # through the int64 info argument
+        info = int(re.search(r"info = (-?\d+)", str(exc.value)).group(1))
+        assert info > len(ab)
         # the inputs are copied before LAPACK overwrites them
         assert bb[1, 1] == -1.0 and ab[2, 1] == 2.0
+
+    def test_long_pentadiagonal_pencil_matches_dense(self):
+        rng = np.random.default_rng(12)
+        m = 300
+        ab, bb = rng.uniform(-1.0, 1.0, (2, m, 3))
+        ab[:, 2] += 6.0  # diagonally dominant: both matrices definite
+        bb[:, 2] = np.abs(bb[:, 2]) + 4.0
+        L = np.linalg.cholesky(dense(bb))
+        C = np.linalg.solve(L, np.linalg.solve(L, dense(ab)).T)
+        want = np.linalg.eigvalsh(C)
+        got = stability._sbgv(ab, bb)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_missing_lapack_is_an_import_error(self, tmp_path, monkeypatch,
+                                               quad):
+        S = build(CapSpec(kind=CapKind.SPHERE_CAP, a=0.6, r=0.7))
+        monkeypatch.setattr(stability, "_OPENBLAS_DIR", tmp_path)
+        stability._dsbgv.cache_clear()
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+            constrained_spectrum(S, "VOLUME", 32, 4)
+        # the lookup is lazy: commands without eigensolves still run
+        assert abs(umbilicity_deficit(S, quad)) < 1e-8
 
 
 class TestDeficit:

@@ -8,14 +8,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from horocap.cli import run
+from horocap.cli import _variation_field, run
 from horocap.config import parse_config
 from horocap.families import CapKind, CapSpec, build
 from horocap.identities import suite
 from horocap.quadrature import QuadratureSpec
 from horocap.stability import (ScalarField, energy_second_difference,
                                fd_variation_check, phi_test, quadratic_form,
-                               umbilicity_deficit, _grid, _Variation)
+                               umbilicity_deficit, _cubic_spline, _grid,
+                               _Variation)
 
 FUNCTIONALS = ("AREA", "WETTING_AREA", "VOLUME", "ENERGY")
 
@@ -30,6 +31,32 @@ def smooth_field(S, resolution=64, coeffs=(0.15, -0.1, 0.08)):
 def rel_err(chk):
     return abs(chk.fd_value - chk.formula_value) / max(
         abs(chk.formula_value), 1e-12)
+
+
+class TestSpline:
+    def test_reproduces_a_cubic(self, tilted_cap):
+        # not-a-knot reproduces every cubic, extrapolated end pieces included
+        x = _grid(tilted_cap, 64).nodes
+        t1 = x[-1]
+
+        def cubic(t):
+            return ((0.7 * t - 1.3) * t + 0.4) * t - 2.1
+
+        t = np.r_[np.linspace(-0.1, t1 + 0.1, 401), t1 - 1e-6, t1 + 1e-6]
+        np.testing.assert_allclose(_cubic_spline(x, cubic(x))(t), cubic(t),
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_matches_scipy(self, tilted_cap, seed):
+        # scipy serves only as the oracle here; no command imports it
+        from scipy.interpolate import CubicSpline
+        phi = _variation_field(tilted_cap, 64, seed)
+        x = phi.nodes
+        t = np.r_[QuadratureSpec(256).rule(0.0, x[-1])[0], x,
+                  x[-1] - 1e-6, x[-1] + 1e-6]
+        got = _cubic_spline(x, phi.values)(t)
+        want = CubicSpline(x, phi.values)(t)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestFirstVariation:
