@@ -28,6 +28,7 @@ from .reports import RunManifest, config_hash, worst, write_csv, write_json
 from .stability import (ScalarField, boundary_cancellation,
                         constrained_spectrum, energy_second_difference,
                         fd_variation_check, umbilicity_deficit, _grid)
+from .surfaces import integrate_M
 
 __all__ = ["main", "run"]
 
@@ -119,8 +120,8 @@ def _suite_variation(entry: SurfaceEntry, cfg: RunConfig):
     S = _build_surface(entry, Q)
     phi = _variation_field(S, num.grid, cfg.seed)
     # the second difference of the volume Lagrangian needs a mean-zero field
-    phi0 = replace(phi, values=phi.values - phi.integral_M()
-                   / _grid(S, num.grid).area)
+    phi0 = replace(phi, values=phi.values - phi.integral_M(Q)
+                   / integrate_M(S, 1.0, Q))
     checks = [*fd_variation_check(S, phi, Q=Q).values(),
               energy_second_difference(S, phi0, Q=Q)]
     rows, status = [], "PASS"

@@ -178,6 +178,11 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError(path, "must be an object")
         kind_name = _require(s, "kind", path)
         _kind(f"{path}.kind", kind_name)
+        if "n" in s:
+            _integer(f"{path}.n", s["n"], 2)
+        for key in ("a", "r", "beta", "extent"):
+            if key in s:
+                _finite(f"{path}.{key}", s[key])
         try:
             spec = CapSpec.from_dict(s)
             spec.validate()
@@ -208,13 +213,17 @@ def parse_config(raw: dict) -> RunConfig:
     out_raw = raw.get("output", {})
     if not isinstance(out_raw, dict):
         raise ConfigError("output", "must be an object")
-    formats = tuple(out_raw.get("formats", ["csv"]))
+    formats = out_raw.get("formats", ["csv"])
+    if not isinstance(formats, list):
+        raise ConfigError("output.formats", f"must be a list, got {formats!r}")
     for f in formats:
         if f not in VALID_FORMATS:
             raise ConfigError("output.formats",
                               f"unknown format {f!r}; valid: {VALID_FORMATS}")
-    output = OutputSpec(directory=Path(out_raw.get("dir", "out")),
-                        formats=formats)
+    out_dir = out_raw.get("dir", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError("output.dir", f"must be a string, got {out_dir!r}")
+    output = OutputSpec(directory=Path(out_dir), formats=tuple(formats))
 
     sweep = raw.get("sweep")
     if sweep is not None:
@@ -239,6 +248,8 @@ def load_config(path: Path | str) -> RunConfig:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError("", f"config file not found: {p}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8
+        raise ConfigError("", f"cannot read config file {p}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON: {exc}") from exc
     return parse_config(raw)

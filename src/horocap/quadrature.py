@@ -1,10 +1,10 @@
-"""Quadrature plumbing: Gauss-Legendre rules, sphere factors, grid rules.
+"""Quadrature plumbing: Gauss-Legendre rules, sphere factors, stencils.
 
 Profile (axisymmetric) charts integrate with a 1-D Gauss-Legendre rule
 along the profile parameter times the exact area of the unit
-(n-1)-sphere; box charts use tensor-product Gauss-Legendre.  Uniform
-nodal grids (used by the discrete operators) integrate with the
-4th-order end-corrected trapezoid (Gregory) rule.
+(n-1)-sphere; box charts use tensor-product Gauss-Legendre.  Fields on
+the uniform nodal grids integrate on the same rules, through their
+splines; the grids' finite-difference stencils come from fd_weights.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "QuadratureSpec",
     "gauss_legendre",
     "unit_sphere_area",
-    "gregory_weights",
     "fd_weights",
 ]
 
@@ -64,21 +63,6 @@ def unit_sphere_area(k: int) -> float:
     if k == 0:
         return 2.0
     return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
-
-
-def gregory_weights(num_nodes: int, h: float) -> np.ndarray:
-    """Weights of the 4th-order Gregory (end-corrected trapezoid) rule.
-
-    Needs at least 7 nodes; interior weights are h, the three weights at
-    each end are h * (3/8, 7/6, 23/24).
-    """
-    if num_nodes < 7:
-        raise ValueError("Gregory rule needs at least 7 nodes")
-    w = np.full(num_nodes, h)
-    ends = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0]) * h
-    w[:3] = ends
-    w[-3:] = ends[::-1]
-    return w
 
 
 def fd_weights(offsets: np.ndarray, deriv: int) -> np.ndarray:

@@ -8,11 +8,13 @@ fields
     Laplace-Beltrami:  Delta f = f''/A^2 + f' * [(n-1)B'/(A^2 B) - A'/A^3]
 
 with the pole row replaced by the smooth-axis limit
-Delta f(0) = n f''(0)/A(0)^2.  Differentiation uses 4th-order stencils
-with even (reflective) extension across the pole, one-sided at the outer
-boundary; nodal integration uses the 4th-order Gregory rule.
+Delta f(0) = n f''(0)/A(0)^2.  The PDE residuals differentiate with
+4th-order stencils with even (reflective) extension across the pole,
+one-sided at the outer boundary.  A field's one continuous form is the
+not-a-knot spline through its nodes, and every integral of it reads
+that spline on the surface's Gauss node set (FIELD_RULE by default).
 
-The quadratic form is assembled in the symmetric Dirichlet shape
+The quadratic form is read there in the symmetric Dirichlet shape
 
     Q(phi) = int_M |grad phi|^2 - (|h|^2 - n) phi^2 dA - int_dM q phi^2 ds,
 
@@ -43,7 +45,7 @@ import scipy
 
 from .identities import cmc_stats
 from .quadrature import (QuadratureSpec, fd_weights, gauss_legendre,
-                         gregory_weights, unit_sphere_area)
+                         unit_sphere_area)
 from .surfaces import (ParamSurface, ProfileSurface, fields_at, integrate_dM,
                        integrate_M, node_set)
 
@@ -74,6 +76,9 @@ __all__ = [
 
 MIN_RESOLUTION = 16
 ZERO_MODE_TOL = 1e-6
+# the rule of field integrals; the boundary-collar ramp of the variations
+# has large high derivatives and needs it this fine
+FIELD_RULE = QuadratureSpec(256)
 
 
 class GridError(ValueError):
@@ -85,7 +90,7 @@ class GridError(ValueError):
 # ----------------------------------------------------------------------
 
 class _ProfileGrid:
-    """Nodal geometry, stencil matrices and quadrature weights for one grid."""
+    """Nodal geometry, stencil matrices and P1 elements for one grid."""
 
     def __init__(self, S: ProfileSurface, resolution: int):
         if resolution < MIN_RESOLUTION:
@@ -104,19 +109,8 @@ class _ProfileGrid:
         fl = fields_at(S, self.nodes)
         self.V, self.gxnu, self.gEnu, self.gXnu = fl.V, fl.gxnu, fl.gEnu, fl.gXnu
         self.H, self.h2, self.E_tan_sq = fl.H, fl.h2, fl.E_tan_sq
-
-        omega = unit_sphere_area(n - 1)
-        # nodal area weights; the pole weight carries B(0) = 0
-        self.dA_weights = (gregory_weights(resolution + 1, self.h)
-                           * self.A * self.B ** (n - 1) * omega)
-        bf = S.boundary_frame_at()
-        self.frame = bf
-        self.theta = bf.theta
-        self.hmumu = bf.hmumu
-        self.boundary_measure = omega * S.boundary_radius ** (n - 1)
-        self.area = float(np.sum(self.dA_weights))
-        self.H_mean = float(np.sum(self.dA_weights * self.H) / self.area)
-        self.H_spread = float(np.max(np.abs(self.H - self.H_mean)))
+        self.boundary_measure = (unit_sphere_area(n - 1)
+                                 * S.boundary_radius ** (n - 1))
 
     # built on first use: the nodal operators read them, the spectra do not
     D1 = functools.cached_property(lambda self: self._stencil_matrix(1))
@@ -194,9 +188,41 @@ def _grid(S: ParamSurface, resolution: int) -> _ProfileGrid:
 # scalar fields and discrete operators
 # ----------------------------------------------------------------------
 
+def _cubic_spline(x: np.ndarray, y: np.ndarray) -> Callable:
+    """Not-a-knot cubic spline through (x, y), as scipy's CubicSpline.
+
+    The node slopes s solve one tridiagonal system; the end pieces
+    extrapolate.  spline(t, nu) is the nu-th derivative, each piece
+    Horner's rule in t - x_i.
+    """
+    dx, m = np.diff(x), np.diff(y) / np.diff(x)
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    T = (np.diag(np.r_[dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]])
+         + np.diag(np.r_[d0, dx[:-1]], 1) + np.diag(np.r_[dx[1:], d1], -1))
+    s = np.linalg.solve(T, np.r_[
+        ((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0,
+        3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:]),
+        (dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1])
+    c = (s[:-1] + s[1:] - 2.0 * m) / dx
+    coeffs = (c / dx, (m - s[:-1]) / dx - c, s[:-1], y[:-1])
+
+    def spline(t, nu=0):
+        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(dx) - 1)
+        u, out = t - x[i], 0.0
+        # coeffs[k] multiplies u^(3-k); its nu-th derivative (3-k)!/(3-k-nu)!
+        for k, a in enumerate(coeffs[:4 - nu]):
+            out = out * u + math.perm(3 - k, nu) * a[i]
+        return out
+    return spline
+
+
 @dataclass(frozen=True)
 class ScalarField:
-    """Axisymmetric nodal field on the uniform profile grid."""
+    """Axisymmetric nodal field on the uniform profile grid.
+
+    Its continuous form is the not-a-knot spline through the nodes, built
+    once; integrals over M read the spline on the node set of a rule Q.
+    """
 
     surface: ProfileSurface
     values: np.ndarray
@@ -225,18 +251,20 @@ class ScalarField:
         g = _grid(S, resolution)
         return ScalarField(S, np.array([fn(t) for t in g.nodes]))
 
+    @functools.cached_property
+    def spline(self) -> Callable:
+        return _cubic_spline(self.nodes, self.values)
+
     def norm_sq(self) -> float:
         """L2 norm squared with the surface area measure."""
-        g = _grid(self.surface, self.resolution)
-        return float(np.sum(g.dA_weights * self.values ** 2))
+        return integrate_M(self.surface, lambda t: self.spline(t) ** 2,
+                           FIELD_RULE)
 
-    def integral_M(self) -> float:
-        g = _grid(self.surface, self.resolution)
-        return float(np.sum(g.dA_weights * self.values))
+    def integral_M(self, Q: QuadratureSpec = FIELD_RULE) -> float:
+        return integrate_M(self.surface, self.spline, Q)
 
     def integral_dM(self) -> float:
-        g = _grid(self.surface, self.resolution)
-        return float(self.values[-1] * g.boundary_measure)
+        return integrate_dM(self.surface, self.values[-1], FIELD_RULE)
 
 
 @dataclass(frozen=True)
@@ -285,11 +313,11 @@ def phi_test(S: ParamSurface, resolution: int = 128
     Returns the nodal field plus its four defining residuals: the Jacobi
     equation J phi = (n|h|^2 - H^2) V, the Robin boundary condition, and
     the two vanishing integrals over M and dM.  On near-CMC input H is
-    the area-weighted mean and the node spread is reported.
+    the area-weighted mean and the node spread is reported (cmc_stats).
     """
     g = _grid(S, resolution)
-    n, H = S.n, g.H_mean
-    ct = math.cos(g.theta)
+    n, (H, H_spread) = S.n, cmc_stats(S, FIELD_RULE)
+    ct = math.cos(S.boundary_frame_at().theta)
     phi = ScalarField(S, n * g.V - g.gXnu * H - n * ct * g.gxnu)
     jac = jacobi_apply(phi).values
     rhs = (n * g.h2 - H * H) * g.V
@@ -300,8 +328,8 @@ def phi_test(S: ParamSurface, resolution: int = 128
         "integral_M": abs(phi.integral_M()),
         "integral_dM": abs(phi.integral_dM()),
         "H_mean": H,
-        "H_spread": g.H_spread,
-        "cmc_ok": g.H_spread < 1e-8,
+        "H_spread": H_spread,
+        "cmc_ok": H_spread < 1e-8,
     }
     return phi, residuals
 
@@ -313,22 +341,22 @@ def phi_aux(S: ParamSurface, resolution: int = 128
     Residuals: Delta Phi = (n|h|^2 - H^2) g(E,nu); the boundary value
     -H - n cos(theta); the conormal derivative -sin(theta)(H - n h(mu,mu)).
     """
-    g = _grid(S, resolution)
-    n, H = S.n, g.H_mean
+    g, bf = _grid(S, resolution), S.boundary_frame_at()
+    n, (H, H_spread) = S.n, cmc_stats(S, FIELD_RULE)
     phi = ScalarField(S, -H * g.V - n * g.gEnu)
     lap = laplace_beltrami(phi).values
     rhs = (n * g.h2 - H * H) * g.gEnu
-    st, ct = math.sin(g.theta), math.cos(g.theta)
+    st, ct = math.sin(bf.theta), math.cos(bf.theta)
     residuals = {
         "laplace": float(np.max(np.abs(lap - rhs))),
         "boundary_value": abs(phi.values[-1] - (-H - n * ct)),
         "conormal": abs(normal_derivative(phi)
-                        - (-st * (H - n * g.hmumu))),
+                        - (-st * (H - n * bf.hmumu))),
         "constant_deviation": float(np.max(np.abs(phi.values
                                                   - (-H - n * ct)))),
         "H_mean": H,
-        "H_spread": g.H_spread,
-        "cmc_ok": g.H_spread < 1e-8,
+        "H_spread": H_spread,
+        "cmc_ok": H_spread < 1e-8,
     }
     return phi, residuals
 
@@ -340,7 +368,7 @@ def jacobi_field_residuals(S: ParamSurface, resolution: int = 128) -> dict:
     J g(X,nu) = H V + n g(E,nu).
     """
     g = _grid(S, resolution)
-    n, H = S.n, g.H_mean
+    n, (H, H_spread) = S.n, cmc_stats(S, FIELD_RULE)
     f_x = ScalarField(S, g.gxnu)
     f_E = ScalarField(S, g.gEnu)
     f_X = ScalarField(S, g.gXnu)
@@ -351,7 +379,7 @@ def jacobi_field_residuals(S: ParamSurface, resolution: int = 128) -> dict:
         "conformal": float(np.max(np.abs(
             jacobi_apply(f_X).values - (H * g.V + n * g.gEnu)))),
         "H_mean": H,
-        "H_spread": g.H_spread,
+        "H_spread": H_spread,
     }
 
 
@@ -363,12 +391,11 @@ def boundary_identity_residuals(S: ParamSurface, resolution: int = 128
     V - cos(theta) g(E,nu) and g(X,nu), the derivative formula for
     g(x,nu), and the tangency relation g(X,mu) = cot(theta) g(X,nu).
     """
-    g = _grid(S, resolution)
+    g, bf = _grid(S, resolution), S.boundary_frame_at()
     q = robin_q(S).q
-    f1 = ScalarField(S, g.V - math.cos(g.theta) * g.gEnu)
+    f1 = ScalarField(S, g.V - math.cos(bf.theta) * g.gEnu)
     f2 = ScalarField(S, g.gXnu)
     f3 = ScalarField(S, g.gxnu)
-    bf = g.frame
     x = bf.shape.coords
     w = x[-1]
     gxmu = float(np.dot(x, bf.conormal) / (w * w))
@@ -381,8 +408,8 @@ def boundary_identity_residuals(S: ParamSurface, resolution: int = 128
         "robin_potential": abs(normal_derivative(f1) - q * f1.values[-1]),
         "robin_conformal": abs(normal_derivative(f2) - q * f2.values[-1]),
         "position": abs(normal_derivative(f3)
-                        - (bf.gxnubar + g.hmumu * gxmu)),
-        "tangency": abs(gXmu - gXnu_b / math.tan(g.theta)),
+                        - (bf.gxnubar + bf.hmumu * gxmu)),
+        "tangency": abs(gXmu - gXnu_b / math.tan(bf.theta)),
     }
 
 
@@ -390,17 +417,20 @@ def boundary_identity_residuals(S: ParamSurface, resolution: int = 128
 # quadratic form and constrained spectra
 # ----------------------------------------------------------------------
 
-def quadratic_form(S: ParamSurface, phi: ScalarField) -> float:
-    """Second variation of energy in symmetric Dirichlet form."""
+def quadratic_form(S: ParamSurface, phi: ScalarField,
+                   Q: QuadratureSpec = FIELD_RULE) -> float:
+    """Second variation of energy in symmetric Dirichlet form.
+
+    phi and phi' are its spline's, on the node set of Q; |grad phi|^2 is
+    phi'^2 / A^2, A^2 the metric's t-t entry.
+    """
     if phi.surface is not S:
         raise GridError("field was built on a different surface")
-    g = _grid(S, phi.resolution)
-    dphi = g.D1 @ phi.values
-    grad_sq = dphi ** 2 / g.A ** 2
-    q = robin_q(S).q
-    bulk = float(np.sum(g.dA_weights
-                        * (grad_sq - (g.h2 - S.n) * phi.values ** 2)))
-    return bulk - q * phi.values[-1] ** 2 * g.boundary_measure
+    ns = node_set(S, Q)
+    t = ns.nodes
+    bulk = integrate_M(S, phi.spline(t, 1) ** 2 / ns.shapes.g[:, 0, 0]
+                       - (ns.fields.h2 - S.n) * phi.spline(t) ** 2, Q)
+    return bulk - robin_q(S).q * integrate_dM(S, phi.values[-1] ** 2, Q)
 
 
 def sphere_mode_multiplicity(n: int, l: int) -> int:
@@ -555,32 +585,6 @@ class VariationCheck:
     terms: tuple = ()
 
 
-def _cubic_spline(x: np.ndarray, y: np.ndarray) -> Callable:
-    """Not-a-knot cubic spline through (x, y), as scipy's CubicSpline.
-
-    The node slopes s solve one tridiagonal system; the end pieces
-    extrapolate.  Each piece is Horner's rule in t - x_i.
-    """
-    dx, m = np.diff(x), np.diff(y) / np.diff(x)
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    T = (np.diag(np.r_[dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]])
-         + np.diag(np.r_[d0, dx[:-1]], 1) + np.diag(np.r_[dx[1:], d1], -1))
-    s = np.linalg.solve(T, np.r_[
-        ((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0,
-        3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:]),
-        (dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1])
-    c = (s[:-1] + s[1:] - 2.0 * m) / dx
-    coeffs = (c / dx, (m - s[:-1]) / dx - c, s[:-1], y[:-1])
-
-    def spline(t):
-        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(dx) - 1)
-        u, out = t - x[i], 0.0
-        for a in coeffs:
-            out = out * u + a[i]
-        return out
-    return spline
-
-
 class _Variation:
     """Straight-line admissible variation x + s*Y from a nodal scalar.
 
@@ -588,17 +592,16 @@ class _Variation:
     vertical component of Y vanishes at the boundary: the displaced
     boundary slides inside the flat support exactly.  Y is independent
     of s, so the constructor evaluates Y, Y', the profile jet, nu and H
-    once on the nodes of Q's rule and every functional of s reads them.
+    once on the node set of Q and every functional of s reads them.
     """
 
     def __init__(self, S: ProfileSurface, phi: ScalarField,
                  Q: QuadratureSpec):
         self.S = S
-        g = _grid(S, phi.resolution)
-        self.g = g
-        self.spline = _cubic_spline(g.nodes, phi.values)
+        self.frame = S.boundary_frame_at()
+        self.spline = phi.spline
         self.sign = S.orientation_sign()
-        self.nubar_sign = 1.0 if g.frame.boundary_normal[0] > 0 else -1.0
+        self.nubar_sign = 1.0 if self.frame.boundary_normal[0] > 0 else -1.0
         self.t_ramp = 0.8 * S.t1
         jet1, nu1, mu1 = self._frame(np.array([S.t1]))
         self.rho1 = float(jet1[0, 0])  # the boundary radius
@@ -611,7 +614,7 @@ class _Variation:
         dt = 1e-6
         self.Yp = (self._displacement(t + dt)[0]
                    - self._displacement(t - dt)[0]) / (2 * dt)
-        self.H = S.shapes(t).H
+        self.H = node_set(S, Q).fields.H
 
     def _frame(self, t: np.ndarray):
         """Profile jet (rho, z, rho', z'), nu and mu, each (radial, vertical)."""
@@ -664,7 +667,7 @@ class _Variation:
                 * float(self.w @ f @ swts))
 
     def energy(self, s: float) -> float:
-        return self.area(s) - math.cos(self.g.theta) * self.wetting_area(s)
+        return self.area(s) - math.cos(self.frame.theta) * self.wetting_area(s)
 
 
 def fd_variation_check(S: ParamSurface, phi: ScalarField, step: float = 1e-3,
@@ -677,10 +680,9 @@ def fd_variation_check(S: ParamSurface, phi: ScalarField, step: float = 1e-3,
     values.  The four formulas share one set of bulk and boundary terms.
     Returns AREA, WETTING_AREA, VOLUME and ENERGY, in that order.
     """
-    # the boundary-collar ramp has large high derivatives; resolve it
-    Q = Q or QuadratureSpec(256)
+    Q = Q or FIELD_RULE
     var = _Variation(S, phi, Q)
-    g, ct = var.g, math.cos(var.g.theta)
+    bf, ct = var.frame, math.cos(var.frame.theta)
 
     def values(s):
         a, w = var.area(s), var.wetting_area(s)
@@ -699,9 +701,9 @@ def fd_variation_check(S: ParamSurface, phi: ScalarField, step: float = 1e-3,
     bulk_phi = float(np.sum(var.w * g_Y_nu * dAw))
     bulk_Hphi = float(np.sum(var.w * var.H * g_Y_nu * dAw))
     # boundary terms: g(Y, mu) = eta1 and g(Y, nubar) at t1
-    gYmu = float(np.dot(var.Y1, g.frame.conormal[[0, -1]]))
-    gYnubar = float(np.dot(var.Y1, g.frame.boundary_normal[[0, -1]]))
-    bm = g.boundary_measure
+    gYmu = float(np.dot(var.Y1, bf.conormal[[0, -1]]))
+    gYnubar = float(np.dot(var.Y1, bf.boundary_normal[[0, -1]]))
+    bm = integrate_dM(S, 1.0, Q)
     formulas = {
         "AREA": (bulk_Hphi + bm * gYmu, (bulk_Hphi, bm * gYmu)),
         "WETTING_AREA": (bm * gYnubar, ()),
@@ -723,9 +725,9 @@ def energy_second_difference(S: ParamSurface, phi: ScalarField,
     Lagrangian along the straight-line variation depends only on the
     normal scalar, so it must reproduce the quadratic form.
     """
-    Q = Q or QuadratureSpec(256)
+    Q = Q or FIELD_RULE
     var = _Variation(S, phi, Q)
-    H = var.g.H_mean
+    H, _ = cmc_stats(S, Q)
 
     def L(s):
         return var.energy(s) - H * var.volume(s)
@@ -736,7 +738,7 @@ def energy_second_difference(S: ParamSurface, phi: ScalarField,
         return (L(d) - 2.0 * L0 + L(-d)) / (d * d)
 
     fd2 = (16.0 * second(step / 2.0) - second(step)) / 15.0
-    return VariationCheck("ENERGY_SECOND", fd2, quadratic_form(S, phi),
+    return VariationCheck("ENERGY_SECOND", fd2, quadratic_form(S, phi, Q),
                           step, 4)
 
 

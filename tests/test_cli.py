@@ -113,6 +113,51 @@ class TestConfigSchema:
         assert "surfaces[0].label" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("n", 2.0), ("n", 2.5), ("n", True), ("n", 1), ("a", math.nan),
+        ("r", math.nan), ("r", "0.5"), ("beta", math.inf),
+        ("extent", None)])
+    def test_surface_numbers_named_by_field(self, field, value, tmp_path,
+                                            capsys):
+        # json reads NaN and Infinity, so a config file can hold them
+        surf = {"label": "cap", "kind": "sphere_cap", "a": 1.0, "r": 0.5,
+                field: value}
+        with pytest.raises(ConfigError, match=rf"surfaces\[0\]\.{field}'"):
+            parse_config({"schema_version": 1, "surfaces": [surf]})
+        p = write_config(tmp_path, surfaces=[surf])
+        assert main(["verify", "--config", str(p)]) == 2
+        assert f"surfaces[0].{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["directory", "not-utf8"])
+    def test_unreadable_file_is_a_config_error(self, case, tmp_path,
+                                               capsys):
+        p = tmp_path / "cfg.json"
+        if case == "directory":
+            p.mkdir()
+        else:
+            p.write_bytes(json.dumps(BASE_CONFIG).replace(
+                "cap-ortho", "cap-\xe9").encode("latin-1"))
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config(p)
+        assert main(["verify", "--config", str(p)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("dir", 5), ("dir", None),
+                                           ("dir", ["out"]),
+                                           ("formats", "csv"),
+                                           ("formats", 5)])
+    def test_output_section_types(self, key, value, tmp_path, capsys):
+        output = {"dir": str(tmp_path / "out"), "formats": ["csv"],
+                  key: value}
+        with pytest.raises(ConfigError, match=f"output.{key}"):
+            parse_config({"schema_version": 1,
+                          "surfaces": BASE_CONFIG["surfaces"][:1],
+                          "output": output})
+        p = write_config(tmp_path, output=output)
+        assert main(["verify", "--config", str(p)]) == 2
+        assert f"output.{key}" in capsys.readouterr().err
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError, match="output.formats"):
             parse_config({"schema_version": 1,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horocap.quadrature import (QuadratureSpec, fd_weights, gauss_legendre,
-                                gregory_weights, unit_sphere_area)
+                                unit_sphere_area)
 
 
 class TestGaussLegendre:
@@ -73,27 +73,6 @@ class TestUnitSphereArea:
     def test_negative_dimension_rejected(self):
         with pytest.raises(ValueError):
             unit_sphere_area(-1)
-
-
-class TestGregory:
-    def test_end_corrected_weights(self):
-        w = gregory_weights(9, 0.5)
-        np.testing.assert_allclose(w[:3], 0.5 * np.array([3 / 8, 7 / 6, 23 / 24]))
-        np.testing.assert_allclose(w[-3:], 0.5 * np.array([23 / 24, 7 / 6, 3 / 8]))
-        np.testing.assert_allclose(w[3:-3], 0.5)
-
-    def test_minimum_node_count(self):
-        with pytest.raises(ValueError):
-            gregory_weights(5, 0.1)
-
-    def test_fourth_order_convergence(self):
-        def err(N):
-            t = np.linspace(0.0, 1.0, N + 1)
-            w = gregory_weights(N + 1, 1.0 / N)
-            return abs(np.dot(w, np.exp(t)) - (math.e - 1.0))
-
-        e1, e2 = err(64), err(128)
-        assert e1 / e2 > 2 ** 3.5  # nominal order 4
 
 
 class TestFdWeights:

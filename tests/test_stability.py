@@ -18,6 +18,7 @@ from horocap.stability import (GridError, ScalarField, boundary_cancellation,
                                normal_derivative, phi_aux, phi_test,
                                quadratic_form, robin_q,
                                sphere_mode_multiplicity, umbilicity_deficit)
+from horocap.surfaces import integrate_dM, integrate_M
 
 
 def fitted_order(errors):
@@ -166,11 +167,12 @@ class TestQuadraticForm:
         from horocap.stability import _grid
 
         g = _grid(tilted_cap, 64)
+        area = integrate_M(tilted_cap, 1.0, QuadratureSpec(256))
         for _ in range(50):
             coeffs = rng.standard_normal(5)
             vals = sum(c * np.cos(m * math.pi * g.nodes / tilted_cap.t1)
                        for m, c in enumerate(coeffs))
-            vals = vals - np.sum(g.dA_weights * vals) / g.area
+            vals = vals - ScalarField(tilted_cap, vals).integral_M() / area
             phi = ScalarField(tilted_cap, vals)
             assert quadratic_form(tilted_cap, phi) >= -1e-6 * phi.norm_sq()
 
@@ -187,14 +189,12 @@ class TestQuadraticForm:
             f = ScalarField.from_function(S, lambda t: math.cos(t), N)
             h = ScalarField.from_function(
                 S, lambda t: 1.0 / (1.0 + t * t), N)
-            from horocap.stability import _grid
-
-            g = _grid(S, N)
-            bulk = float(np.sum(g.dA_weights
-                                * (f.values * laplace_beltrami(h).values
-                                   - h.values * laplace_beltrami(f).values)))
-            bdry = (f.values[-1] * normal_derivative(h)
-                    - h.values[-1] * normal_derivative(f)) * g.boundary_measure
+            bulk = ScalarField(S, f.values * laplace_beltrami(h).values
+                               - h.values * laplace_beltrami(f).values
+                               ).integral_M()
+            bdry = integrate_dM(S, f.values[-1] * normal_derivative(h)
+                                - h.values[-1] * normal_derivative(f),
+                                QuadratureSpec(256))
             return abs(bulk - bdry)
 
         errs = [residual(N) for N in (32, 64, 128)]

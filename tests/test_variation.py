@@ -10,13 +10,14 @@ import pytest
 
 from horocap.cli import _variation_field, run
 from horocap.config import parse_config
-from horocap.families import CapKind, CapSpec, build
-from horocap.identities import suite
+from horocap.families import CapKind, CapSpec, build, solve_for_angle
+from horocap.identities import cmc_stats, suite
 from horocap.quadrature import QuadratureSpec
 from horocap.stability import (ScalarField, energy_second_difference,
                                fd_variation_check, phi_test, quadratic_form,
                                umbilicity_deficit, _cubic_spline, _grid,
                                _Variation)
+from horocap.surfaces import integrate_M
 
 FUNCTIONALS = ("AREA", "WETTING_AREA", "VOLUME", "ENERGY")
 
@@ -59,15 +60,42 @@ class TestSpline:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+    def test_derivatives_reproduce_a_cubic(self, tilted_cap):
+        # the nu-th derivative carries round-off of order eps |y| / h^nu;
+        # on the coarsest grid that stays below the 1e-12 asked here
+        x = _grid(tilted_cap, 16).nodes
+        t = np.linspace(-0.1, x[-1] + 0.1, 401)
+        spline = _cubic_spline(x, ((0.7 * x - 1.3) * x + 0.4) * x - 2.1)
+        for nu, want in ((1, (2.1 * t - 2.6) * t + 0.4), (2, 4.2 * t - 2.6)):
+            assert (np.max(np.abs(spline(t, nu) - want))
+                    <= 1e-12 * np.max(np.abs(want))), nu
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_derivatives_match_scipy(self, tilted_cap, seed):
+        from scipy.interpolate import CubicSpline
+        phi = _variation_field(tilted_cap, 64, seed)
+        x = phi.nodes
+        t = np.r_[QuadratureSpec(256).rule(0.0, x[-1])[0], x]
+        for nu in (1, 2):
+            got = phi.spline(t, nu)
+            want = CubicSpline(x, phi.values)(t, nu)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_constant_field_integrates_to_the_area(self, tilted_cap, cap_3d):
+        for S in (tilted_cap, cap_3d):
+            for Q in (QuadratureSpec(64), QuadratureSpec(256)):
+                one = ScalarField(S, np.ones(65))
+                assert one.integral_M(Q) == pytest.approx(
+                    integrate_M(S, 1.0, Q), rel=1e-14)
+
+
 class TestFirstVariation:
     def test_volume_rate_of_unit_normal_speed_is_area(self, tilted_cap):
         """phi = 1 moves every point at unit normal speed: V'(0) = area."""
         phi = ScalarField.from_function(tilted_cap, lambda t: 1.0, 64)
         chk = fd_variation_check(tilted_cap, phi)["VOLUME"]
-        g = _grid(tilted_cap, 64)
-        # the formula integrates with the fine rule, the nodal area with
-        # the grid rule; they agree to quadrature accuracy
-        assert chk.formula_value == pytest.approx(g.area, rel=1e-6)
+        area = integrate_M(tilted_cap, 1.0, QuadratureSpec(256))
+        assert chk.formula_value == pytest.approx(area, rel=1e-6)
         assert rel_err(chk) < 1e-6
 
     @pytest.mark.parametrize("functional", FUNCTIONALS)
@@ -85,7 +113,7 @@ class TestFirstVariation:
 
     def test_energy_is_area_minus_cos_theta_wetting(self, tilted_cap):
         phi = smooth_field(tilted_cap)
-        ct = math.cos(_grid(tilted_cap, 64).theta)
+        ct = math.cos(tilted_cap.boundary_frame_at().theta)
         checks = fd_variation_check(tilted_cap, phi)
         e = checks["ENERGY"].formula_value
         a = checks["AREA"].formula_value
@@ -97,23 +125,37 @@ class TestFirstVariation:
         """dE = H * dVol for the constructed variations; at fixed volume
         rate the energy rate reduces to H times the volume rate."""
         phi = smooth_field(tilted_cap)
-        g = _grid(tilted_cap, 64)
+        H_mean, _ = cmc_stats(tilted_cap, QuadratureSpec(256))
         checks = fd_variation_check(tilted_cap, phi)
         dE = checks["ENERGY"].formula_value
         dV = checks["VOLUME"].formula_value
-        assert dE == pytest.approx(g.H_mean * dV, rel=1e-8)
+        assert dE == pytest.approx(H_mean * dV, rel=1e-8)
 
 
 class TestSecondVariation:
     def test_matches_quadratic_form_on_caps(self, ortho_cap, tilted_cap):
         for S in (ortho_cap, tilted_cap):
             phi = smooth_field(S)
-            g = _grid(S, 64)
-            vals = phi.values - phi.integral_M() / g.area
+            vals = phi.values - phi.integral_M() / integrate_M(
+                S, 1.0, QuadratureSpec(256))
             phi0 = ScalarField(S, vals)
             chk = energy_second_difference(S, phi0)
             fd2, qf = chk.fd_value, chk.formula_value
             assert abs(fd2 - qf) / max(abs(qf), 1e-12) < 1e-3
+
+    @pytest.mark.parametrize("theta,step,bound", [(0.75, 3e-4, 2e-7),
+                                                  (0.3, 1e-4, 5e-7)])
+    def test_converges_below_the_nodal_floor(self, theta, step, bound):
+        """Q and the finite difference read one spline, so the error falls
+        with the step below the 1.6e-6 that a nodal Q left."""
+        S = build(solve_for_angle(CapKind.SPHERE_CAP, theta, n=2, r=0.8))
+        Q = QuadratureSpec(512)
+        phi = _variation_field(S, 128, 1)
+        phi0 = ScalarField(S, phi.values - phi.integral_M(Q)
+                           / integrate_M(S, 1.0, Q))
+        chk = energy_second_difference(S, phi0, step=step, Q=Q)
+        assert chk.formula_value == quadratic_form(S, phi0, Q)
+        assert rel_err(chk) < bound
 
     def test_kernel_direction_gives_tiny_second_difference(self, tilted_cap):
         phi, _ = phi_test(tilted_cap, 64)
