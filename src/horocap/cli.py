@@ -14,14 +14,14 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, SurfaceEntry, load_config
-from .families import CapKind, CapSpec, build, perturb, solve_for_angle
+from .families import CapSpec, build, perturb, solve_for_angle
 from .identities import suite as identity_suite
 from .quadrature import QuadratureSpec
 from .reports import RunManifest, config_hash, worst, write_csv, write_json
@@ -183,15 +183,9 @@ def _sweep_entries(cfg: RunConfig) -> list[SurfaceEntry]:
     sw = cfg.sweep
     if sw is None:
         raise ConfigError("sweep", "the sweep command needs a 'sweep' section")
-    kind = CapKind(sw.get("kind", "sphere_cap"))
-    n = sw.get("n", 2)
-    entries = []
-    for th in sw["thetas"]:
-        for r in sw["radii"]:
-            label = f"sweep-theta-{float(th):.6f}-r-{float(r):.6f}"
-            entries.append(_SweepMember(label=label, theta=float(th),
-                                        spec=CapSpec(kind, n, r=float(r))))
-    return entries
+    return [_SweepMember(label=f"sweep-theta-{th:.6f}-r-{r:.6f}", theta=th,
+                         spec=CapSpec(sw.kind, sw.n, r=r))
+            for th in sw.thetas for r in sw.radii]
 
 
 def _suite_sweep(entry: _SweepMember, cfg: RunConfig):
@@ -301,7 +295,7 @@ def run(config: RunConfig, command: str) -> RunManifest:
     if not entries:
         raise ConfigError("surfaces", "no surfaces to process")
 
-    manifest = RunManifest(config_hash=config_hash(config.to_dict()),
+    manifest = RunManifest(config_hash=config_hash(asdict(config)),
                            tool_version=__version__)
     t0 = time.perf_counter()
 
@@ -337,7 +331,7 @@ def run(config: RunConfig, command: str) -> RunManifest:
         })
     if "plotscript" in config.output.formats and "csv" in config.output.formats:
         emit_plots(out_dir / f"{stem}.csv", command)
-    write_json(out_dir / "manifest.json", manifest.to_dict())
+    write_json(out_dir / "manifest.json", asdict(manifest))
     return manifest
 
 

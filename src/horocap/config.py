@@ -1,6 +1,8 @@
 """Run-configuration schema: validation with field-path error messages.
 
-Schema (JSON, versioned):
+The frozen records below, with ``CapSpec`` and ``PerturbationSpec`` of
+``families``, are the schema: a section's keys are its record's fields,
+and any other key is an error.  Schema (JSON, versioned):
 
     {
       "schema_version": 1,
@@ -15,22 +17,28 @@ Schema (JSON, versioned):
       },
       "numerics": {"quad_order": 128, "grid": 128, "eig_count": 10,
                    "stability_tol": 1e-6, "constraint": "VOLUME"},
-      "output": {"dir": "out", "formats": ["csv", "json"]}
+      "output": {"dir": "out", "formats": ["csv", "json"]},
+      "seed": 0
     }
+
+A surface takes the ``CapSpec`` fields plus ``label`` and
+``perturbation``.  A perturbation's optional ``support`` is its bump
+window [lo, hi], in fractions of the chart range: 0.1 <= lo < hi <= 0.9.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 from .families import CapKind, CapSpec, PerturbationSpec
 
-__all__ = ["ConfigError", "SurfaceEntry", "Numerics", "OutputSpec",
-           "RunConfig", "load_config", "parse_config"]
+__all__ = ["ConfigError", "SurfaceEntry", "SweepSpec", "Numerics",
+           "OutputSpec", "RunConfig", "load_config", "parse_config"]
 
 SCHEMA_VERSION = 1
 VALID_FORMATS = ("csv", "json", "plotscript")
@@ -57,12 +65,6 @@ class SurfaceEntry:
         return (self.perturbation is not None
                 and self.perturbation.amplitude != 0.0)
 
-    def to_dict(self) -> dict:
-        d = {"label": self.label, **self.spec.to_dict()}
-        if self.perturbation is not None:
-            d["perturbation"] = self.perturbation.to_dict()
-        return d
-
 
 def _integer(path: str, value, minimum: Optional[int] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -72,9 +74,12 @@ def _integer(path: str, value, minimum: Optional[int] = None) -> int:
     return value
 
 
-def _kind(path: str, value) -> None:
+_dimension = functools.partial(_integer, minimum=2)
+
+
+def _kind(path: str, value) -> CapKind:
     try:
-        CapKind(value)
+        return CapKind(value)
     except ValueError:
         raise ConfigError(path, f"unknown family {value!r}; valid: "
                           + ", ".join(k.value for k in CapKind)) from None
@@ -85,6 +90,22 @@ def _finite(path: str, value) -> float:
             or not math.isfinite(value)):
         raise ConfigError(path, f"must be a finite number, got {value!r}")
     return float(value)
+
+
+def _finite_list(path: str, value) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(path, "must be a non-empty list")
+    return tuple(_finite(f"{path}[{i}]", v) for i, v in enumerate(value))
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """The angle x radius grid of the sweep command."""
+
+    thetas: tuple
+    radii: tuple
+    kind: CapKind = CapKind.SPHERE_CAP
+    n: int = 2
 
 
 @dataclass(frozen=True)
@@ -109,23 +130,11 @@ class Numerics:
             raise ConfigError("numerics.constraint",
                               f"must be one of {VALID_CONSTRAINTS}")
 
-    def to_dict(self) -> dict:
-        return {
-            "quad_order": self.quad_order,
-            "grid": self.grid,
-            "eig_count": self.eig_count,
-            "stability_tol": self.stability_tol,
-            "constraint": self.constraint,
-        }
-
 
 @dataclass(frozen=True)
 class OutputSpec:
-    directory: Path = Path("out")
+    directory: Path = Path("out")  # the key "dir" in the file
     formats: tuple = ("csv",)
-
-    def to_dict(self) -> dict:
-        return {"dir": str(self.directory), "formats": list(self.formats)}
 
 
 @dataclass(frozen=True)
@@ -133,34 +142,93 @@ class RunConfig:
     surfaces: tuple
     numerics: Numerics
     output: OutputSpec
-    sweep: Optional[dict] = None
+    sweep: Optional[SweepSpec] = None
     seed: int = 0
 
     def __post_init__(self):
         _integer("seed", self.seed, 0)
 
-    def to_dict(self) -> dict:
-        d = {
-            "schema_version": SCHEMA_VERSION,
-            "surfaces": [s.to_dict() for s in self.surfaces],
-            "numerics": self.numerics.to_dict(),
-            "output": self.output.to_dict(),
-            "seed": self.seed,
-        }
-        if self.sweep is not None:
-            d["sweep"] = self.sweep
-        return d
+
+def _names(record) -> tuple:
+    return tuple(f.name for f in fields(record))
 
 
-def _require(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    return d[key]
+def _section(path: str, raw, keys: tuple) -> dict:
+    """raw, checked to be an object whose keys are all in keys."""
+    if not isinstance(raw, dict):
+        raise ConfigError(path, "must be an object")
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}" if path else key,
+                              "unknown field; valid: " + ", ".join(keys))
+    return raw
+
+
+def _record(cls, path: str, raw, checks: dict, extra: tuple = ()):
+    """cls from the object raw: checks[name] (default _finite) reads each
+    field it holds.  A field without a default is required."""
+    _section(path, raw, _names(cls) + extra)
+    values = {}
+    for f in fields(cls):
+        if f.name in raw:
+            check = checks.get(f.name, _finite)
+            values[f.name] = check(f"{path}.{f.name}", raw[f.name])
+        elif f.default is MISSING:
+            raise ConfigError(f"{path}.{f.name}", "missing required field")
+    return cls(**values)
+
+
+def _perturbation(path: str, raw) -> PerturbationSpec:
+    pert = _record(PerturbationSpec, path, raw, {"support": _finite_list})
+    if len(pert.support) != 2:
+        raise ConfigError(f"{path}.support", "must be a list of two numbers")
+    try:
+        pert.validate()
+    except ValueError as exc:
+        raise ConfigError(f"{path}.support", str(exc)) from exc
+    return pert
+
+
+def _surface(i: int, raw) -> SurfaceEntry:
+    path = f"surfaces[{i}]"
+    spec = _record(CapSpec, path, raw, {"kind": _kind, "n": _dimension},
+                   extra=("label", "perturbation"))
+    try:
+        spec.validate()
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+    pert = (_perturbation(f"{path}.perturbation", raw["perturbation"])
+            if "perturbation" in raw else None)
+    label = raw.get("label", f"{spec.kind.value}-{i}")
+    if not isinstance(label, str) or not label:
+        raise ConfigError(f"{path}.label",
+                          f"must be a non-empty string, got {label!r}")
+    return SurfaceEntry(label=label, spec=spec, perturbation=pert)
+
+
+def _output(raw) -> OutputSpec:
+    out = _section("output", raw, ("dir", "formats"))
+    formats = out.get("formats", ["csv"])
+    if not isinstance(formats, list):
+        raise ConfigError("output.formats", f"must be a list, got {formats!r}")
+    for f in formats:
+        if f not in VALID_FORMATS:
+            raise ConfigError("output.formats",
+                              f"unknown format {f!r}; valid: {VALID_FORMATS}")
+    out_dir = out.get("dir", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError("output.dir", f"must be a string, got {out_dir!r}")
+    return OutputSpec(directory=Path(out_dir), formats=tuple(formats))
+
+
+def _sweep(raw) -> SweepSpec:
+    return _record(SweepSpec, "sweep", raw, {
+        "kind": _kind, "n": _dimension, "thetas": _finite_list,
+        "radii": _finite_list})
 
 
 def parse_config(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("", "configuration must be a JSON object")
+    _section("", raw, ("schema_version",) + _names(RunConfig))
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version",
@@ -171,75 +239,17 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("surfaces", "must be a list")
     if not raw_surfaces and "sweep" not in raw:
         raise ConfigError("surfaces", "at least one surface spec is required")
-    surfaces = []
-    for i, s in enumerate(raw_surfaces):
-        path = f"surfaces[{i}]"
-        if not isinstance(s, dict):
-            raise ConfigError(path, "must be an object")
-        kind_name = _require(s, "kind", path)
-        _kind(f"{path}.kind", kind_name)
-        if "n" in s:
-            _integer(f"{path}.n", s["n"], 2)
-        for key in ("a", "r", "beta", "extent"):
-            if key in s:
-                _finite(f"{path}.{key}", s[key])
-        try:
-            spec = CapSpec.from_dict(s)
-            spec.validate()
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(path, str(exc)) from exc
-        pert = None
-        if "perturbation" in s:
-            try:
-                pert = PerturbationSpec.from_dict(s["perturbation"])
-                pert.validate()
-            except (ValueError, TypeError, KeyError) as exc:
-                raise ConfigError(f"{path}.perturbation", str(exc)) from exc
-        label = s.get("label", f"{kind_name}-{i}")
-        if not isinstance(label, str) or not label:
-            raise ConfigError(f"{path}.label",
-                              f"must be a non-empty string, got {label!r}")
-        surfaces.append(SurfaceEntry(label=label, spec=spec, perturbation=pert))
+    surfaces = tuple(_surface(i, s) for i, s in enumerate(raw_surfaces))
     labels = [s.label for s in surfaces]
     if len(set(labels)) != len(labels):
         raise ConfigError("surfaces", "surface labels must be unique")
 
-    num_raw = raw.get("numerics", {})
-    if not isinstance(num_raw, dict):
-        raise ConfigError("numerics", "must be an object")
-    numerics = Numerics(**{f.name: num_raw[f.name] for f in fields(Numerics)
-                           if f.name in num_raw})
-
-    out_raw = raw.get("output", {})
-    if not isinstance(out_raw, dict):
-        raise ConfigError("output", "must be an object")
-    formats = out_raw.get("formats", ["csv"])
-    if not isinstance(formats, list):
-        raise ConfigError("output.formats", f"must be a list, got {formats!r}")
-    for f in formats:
-        if f not in VALID_FORMATS:
-            raise ConfigError("output.formats",
-                              f"unknown format {f!r}; valid: {VALID_FORMATS}")
-    out_dir = out_raw.get("dir", "out")
-    if not isinstance(out_dir, str):
-        raise ConfigError("output.dir", f"must be a string, got {out_dir!r}")
-    output = OutputSpec(directory=Path(out_dir), formats=tuple(formats))
-
+    num_raw = _section("numerics", raw.get("numerics", {}), _names(Numerics))
     sweep = raw.get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, dict):
-            raise ConfigError("sweep", "must be an object")
-        _kind("sweep.kind", sweep.get("kind", "sphere_cap"))
-        _integer("sweep.n", sweep.get("n", 2), 2)
-        for key in ("thetas", "radii"):
-            vals = _require(sweep, key, "sweep")
-            if not isinstance(vals, list) or not vals:
-                raise ConfigError(f"sweep.{key}", "must be a non-empty list")
-            for i, v in enumerate(vals):
-                _finite(f"sweep.{key}[{i}]", v)
-
-    return RunConfig(surfaces=tuple(surfaces), numerics=numerics,
-                     output=output, sweep=sweep, seed=raw.get("seed", 0))
+    return RunConfig(surfaces=surfaces, numerics=Numerics(**num_raw),
+                     output=_output(raw.get("output", {})),
+                     sweep=None if sweep is None else _sweep(sweep),
+                     seed=raw.get("seed", 0))
 
 
 def load_config(path: Path | str) -> RunConfig:

@@ -113,23 +113,6 @@ class CapSpec:
             if self.kind is CapKind.TILTED_PLANE_CAP and not 0.0 < self.beta < math.pi:
                 raise ConstructionError("tilt angle must lie in (0, pi)")
 
-    # -- configuration-file round trip ---------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "n": self.n,
-            "a": self.a,
-            "r": self.r,
-            "beta": self.beta,
-            "extent": self.extent,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "CapSpec":
-        kind = CapKind(d["kind"])
-        kwargs = {k: d[k] for k in ("n", "a", "r", "beta", "extent") if k in d}
-        return CapSpec(kind=kind, **kwargs)
-
 
 @dataclass(frozen=True)
 class PerturbationSpec:
@@ -148,16 +131,6 @@ class PerturbationSpec:
             raise ValueError(
                 "bump support must keep 10% clearance to the chart ends"
             )
-
-    def to_dict(self) -> dict:
-        return {"amplitude": self.amplitude, "support": list(self.support)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "PerturbationSpec":
-        return PerturbationSpec(
-            amplitude=float(d["amplitude"]),
-            support=tuple(d.get("support", (0.1, 0.9))),
-        )
 
 
 # ----------------------------------------------------------------------

@@ -62,9 +62,11 @@ def write_json(path: Path, obj) -> None:
                     encoding="utf-8", newline="\n")
 
 
-def config_hash(config_dict: dict) -> str:
-    """SHA-256 of the canonical JSON serialization of the configuration."""
-    blob = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
+def config_hash(config: dict) -> str:
+    """SHA-256 of the canonical JSON of a configuration (``asdict`` of its
+    records); enums and paths are written with ``str``."""
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"),
+                      default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -94,10 +96,3 @@ class RunManifest:
     def ok(self) -> bool:
         return not any(STATUSES[s] for s in self.statuses.values())
 
-    def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "tool_version": self.tool_version,
-            "statuses": dict(sorted(self.statuses.items())),
-            "wall_time_s": self.wall_time_s,
-        }

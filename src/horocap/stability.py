@@ -104,15 +104,15 @@ class _ProfileGrid:
         self.h = S.t1 / resolution
         self.nodes = np.linspace(0.0, S.t1, resolution + 1)
         n = S.n
-
-        self.A, self.B, self.dA, self.dB = S.metric_coeffs(self.nodes)
-        fl = fields_at(S, self.nodes)
-        self.V, self.gxnu, self.gEnu, self.gXnu = fl.V, fl.gxnu, fl.gEnu, fl.gXnu
-        self.H, self.h2, self.E_tan_sq = fl.H, fl.h2, fl.E_tan_sq
         self.boundary_measure = (unit_sphere_area(n - 1)
                                  * S.boundary_radius ** (n - 1))
 
-    # built on first use: the nodal operators read them, the spectra do not
+    # built on first use: the PDE-residual checks read them, the spectra
+    # and the variations do not
+    metric = functools.cached_property(  # (A, B, A', B') at the nodes
+        lambda self: self.S.metric_coeffs(self.nodes))
+    fields = functools.cached_property(
+        lambda self: fields_at(self.S, self.nodes))
     D1 = functools.cached_property(lambda self: self._stencil_matrix(1))
     D2 = functools.cached_property(lambda self: self._stencil_matrix(2))
 
@@ -161,14 +161,14 @@ class _ProfileGrid:
                                c=M.sum(axis=1) + np.append(M[1:, 0], 0.0))
 
     def laplacian_matrix(self) -> np.ndarray:
-        n = self.S.n
-        L = self.D2 / self.A[:, None] ** 2
-        C = np.zeros_like(self.A)
-        C[1:] = ((n - 1) * self.dB[1:] / (self.A[1:] ** 2 * self.B[1:])
-                 - self.dA[1:] / self.A[1:] ** 3)
+        n, (A, B, dA, dB) = self.S.n, self.metric
+        L = self.D2 / A[:, None] ** 2
+        C = np.zeros_like(A)
+        C[1:] = ((n - 1) * dB[1:] / (A[1:] ** 2 * B[1:])
+                 - dA[1:] / A[1:] ** 3)
         L += C[:, None] * self.D1
         # smooth-axis limit at the pole
-        L[0, :] = n * self.D2[0, :] / self.A[0] ** 2
+        L[0, :] = n * self.D2[0, :] / A[0] ** 2
         return L
 
 
@@ -293,13 +293,13 @@ def jacobi_apply(f: ScalarField) -> ScalarField:
     """J f = Delta f + (|h|^2 - n) f."""
     g = _grid(f.surface, f.resolution)
     lap = g.laplacian_matrix() @ f.values
-    return ScalarField(f.surface, lap + (g.h2 - f.surface.n) * f.values)
+    return ScalarField(f.surface, lap + (g.fields.h2 - f.surface.n) * f.values)
 
 
 def normal_derivative(f: ScalarField) -> float:
     """Outward conormal derivative at the boundary, f'(t1)/A(t1)."""
     g = _grid(f.surface, f.resolution)
-    return float((g.D1 @ f.values)[-1] / g.A[-1])
+    return float((g.D1 @ f.values)[-1] / g.metric[0][-1])
 
 
 # ----------------------------------------------------------------------
@@ -315,12 +315,12 @@ def phi_test(S: ParamSurface, resolution: int = 128
     the two vanishing integrals over M and dM.  On near-CMC input H is
     the area-weighted mean and the node spread is reported (cmc_stats).
     """
-    g = _grid(S, resolution)
+    fl = _grid(S, resolution).fields
     n, (H, H_spread) = S.n, cmc_stats(S, FIELD_RULE)
     ct = math.cos(S.boundary_frame_at().theta)
-    phi = ScalarField(S, n * g.V - g.gXnu * H - n * ct * g.gxnu)
+    phi = ScalarField(S, n * fl.V - fl.gXnu * H - n * ct * fl.gxnu)
     jac = jacobi_apply(phi).values
-    rhs = (n * g.h2 - H * H) * g.V
+    rhs = (n * fl.h2 - H * H) * fl.V
     q = robin_q(S).q
     residuals = {
         "jacobi": float(np.max(np.abs(jac - rhs))),
@@ -341,11 +341,11 @@ def phi_aux(S: ParamSurface, resolution: int = 128
     Residuals: Delta Phi = (n|h|^2 - H^2) g(E,nu); the boundary value
     -H - n cos(theta); the conormal derivative -sin(theta)(H - n h(mu,mu)).
     """
-    g, bf = _grid(S, resolution), S.boundary_frame_at()
+    fl, bf = _grid(S, resolution).fields, S.boundary_frame_at()
     n, (H, H_spread) = S.n, cmc_stats(S, FIELD_RULE)
-    phi = ScalarField(S, -H * g.V - n * g.gEnu)
+    phi = ScalarField(S, -H * fl.V - n * fl.gEnu)
     lap = laplace_beltrami(phi).values
-    rhs = (n * g.h2 - H * H) * g.gEnu
+    rhs = (n * fl.h2 - H * H) * fl.gEnu
     st, ct = math.sin(bf.theta), math.cos(bf.theta)
     residuals = {
         "laplace": float(np.max(np.abs(lap - rhs))),
@@ -367,17 +367,17 @@ def jacobi_field_residuals(S: ParamSurface, resolution: int = 128) -> dict:
     On a CMC surface: J g(x,nu) = 0, J g(E,nu) = -H V - n g(E,nu), and
     J g(X,nu) = H V + n g(E,nu).
     """
-    g = _grid(S, resolution)
+    fl = _grid(S, resolution).fields
     n, (H, H_spread) = S.n, cmc_stats(S, FIELD_RULE)
-    f_x = ScalarField(S, g.gxnu)
-    f_E = ScalarField(S, g.gEnu)
-    f_X = ScalarField(S, g.gXnu)
+    f_x = ScalarField(S, fl.gxnu)
+    f_E = ScalarField(S, fl.gEnu)
+    f_X = ScalarField(S, fl.gXnu)
     return {
         "position": float(np.max(np.abs(jacobi_apply(f_x).values))),
         "vertical": float(np.max(np.abs(
-            jacobi_apply(f_E).values - (-H * g.V - n * g.gEnu)))),
+            jacobi_apply(f_E).values - (-H * fl.V - n * fl.gEnu)))),
         "conformal": float(np.max(np.abs(
-            jacobi_apply(f_X).values - (H * g.V + n * g.gEnu)))),
+            jacobi_apply(f_X).values - (H * fl.V + n * fl.gEnu)))),
         "H_mean": H,
         "H_spread": H_spread,
     }
@@ -391,11 +391,11 @@ def boundary_identity_residuals(S: ParamSurface, resolution: int = 128
     V - cos(theta) g(E,nu) and g(X,nu), the derivative formula for
     g(x,nu), and the tangency relation g(X,mu) = cot(theta) g(X,nu).
     """
-    g, bf = _grid(S, resolution), S.boundary_frame_at()
+    fl, bf = _grid(S, resolution).fields, S.boundary_frame_at()
     q = robin_q(S).q
-    f1 = ScalarField(S, g.V - math.cos(bf.theta) * g.gEnu)
-    f2 = ScalarField(S, g.gXnu)
-    f3 = ScalarField(S, g.gxnu)
+    f1 = ScalarField(S, fl.V - math.cos(bf.theta) * fl.gEnu)
+    f2 = ScalarField(S, fl.gXnu)
+    f3 = ScalarField(S, fl.gxnu)
     x = bf.shape.coords
     w = x[-1]
     gxmu = float(np.dot(x, bf.conormal) / (w * w))

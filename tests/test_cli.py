@@ -3,13 +3,17 @@
 import csv
 import json
 import math
+import re
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from horocap import cli
 from horocap.cli import DEFICIT_ZERO_TOL, main, run
-from horocap.config import (ConfigError, RunConfig, load_config, parse_config)
+from horocap.config import (ConfigError, RunConfig, SweepSpec, load_config,
+                            parse_config)
+from horocap.families import CapKind, CapSpec, PerturbationSpec
 from horocap.reports import config_hash, fmt_float, format_cell, write_csv
 
 BASE_CONFIG = {
@@ -187,6 +191,67 @@ class TestConfigSchema:
         assert main(["sweep", "--config", str(p)]) == 2
         assert f"sweep.{key}[1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path,raw", [
+        ("numeric", {"numeric": {"grid": 32}}),
+        ("surfaces[0].radius", {"surfaces": [
+            {"label": "cap", "kind": "sphere_cap", "a": 1.0, "radius": 0.7}]}),
+        ("surfaces[0].perturbation.amp", {"surfaces": [
+            {"kind": "sphere_cap", "perturbation": {"amp": 0.01}}]}),
+        ("numerics.grd", {"numerics": {"grd": 32}}),
+        ("sweep.radius", {"sweep": {"thetas": [1.0], "radii": [0.5],
+                                    "radius": [0.7]}}),
+        ("output.directory", {"output": {"directory": "elsewhere"}}),
+    ], ids=["top", "surface", "perturbation", "numerics", "sweep", "output"])
+    def test_unknown_keys_named_by_path(self, path, raw, tmp_path, capsys):
+        # a misspelt key must not fall back to a default silently
+        p = write_config(tmp_path, overrides=raw)
+        with pytest.raises(ConfigError, match=re.escape(f"'{path}'")):
+            load_config(p)
+        assert main(["verify", "--config", str(p)]) == 2
+        assert f"'{path}': unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("amplitude", math.nan), ("amplitude", True), ("amplitude", "0.01"),
+        ("amplitude", None), ("support", "0.1,0.9"), ("support", [0.2]),
+        ("support", [0.1, 0.5, 0.9]), ("support", [0.2, "0.8"]),
+        ("support", [0.2, math.inf]), ("support", [0.8, 0.2]),
+        ("support", [0.0, 0.9])])
+    def test_perturbation_named_by_field(self, field, value, tmp_path,
+                                         capsys):
+        pert = {"amplitude": 0.01, field: value}
+        surf = dict(BASE_CONFIG["surfaces"][0], perturbation=pert)
+        path = f"surfaces[0].perturbation.{field}"
+        with pytest.raises(ConfigError, match=re.escape(f"'{path}")):
+            parse_config({"schema_version": 1, "surfaces": [surf]})
+        p = write_config(tmp_path, surfaces=[surf])
+        assert main(["verify", "--config", str(p)]) == 2
+        assert f"'{path}" in capsys.readouterr().err
+
+    def test_perturbation_must_be_an_object_with_an_amplitude(self):
+        surf = dict(BASE_CONFIG["surfaces"][0])
+        for pert, path in [(0.01, "perturbation'"),
+                           ({"support": [0.2, 0.8]}, "amplitude'")]:
+            with pytest.raises(ConfigError, match=re.escape(path)):
+                parse_config({"schema_version": 1,
+                              "surfaces": [dict(surf, perturbation=pert)]})
+
+    def test_records_hold_checked_values(self):
+        cfg = parse_config({
+            "schema_version": 1,
+            "surfaces": [{"label": "c", "kind": "sphere_cap", "a": 1,
+                          "r": 0.5, "perturbation": {
+                              "amplitude": 0.02, "support": [0.2, 0.8]}}],
+            "sweep": {"thetas": [1], "radii": [0.5, 0.75], "n": 3}})
+        spec, pert = cfg.surfaces[0].spec, cfg.surfaces[0].perturbation
+        assert spec == CapSpec(CapKind.SPHERE_CAP, 2, a=1.0, r=0.5)
+        assert pert == PerturbationSpec(0.02, (0.2, 0.8))
+        assert cfg.sweep == SweepSpec((1.0,), (0.5, 0.75),
+                                      CapKind.SPHERE_CAP, 3)
+        assert [e.label for e in cli._sweep_entries(cfg)] == [
+            "sweep-theta-1.000000-r-0.500000",
+            "sweep-theta-1.000000-r-0.750000"]
+
 
 class TestReports:
     def test_float_format_round_trips(self):
@@ -223,6 +288,48 @@ class TestReports:
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash({"x": 2, "y": [1, 2]})
 
+    @staticmethod
+    def manifest_hash(tmp_path, raw, *flags):
+        """config_hash of a deficit run's manifest."""
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        main(["deficit", "--config", str(p), *flags])
+        return json.loads((tmp_path / "out" / "manifest.json")
+                          .read_text())["config_hash"]
+
+    def test_config_hash_covers_every_field(self, tmp_path):
+        raw = {"schema_version": 1,
+               "surfaces": [{"label": "c", "kind": "sphere_cap", "a": 1.0,
+                             "r": 0.5, "perturbation": {"amplitude": 0.01}}],
+               "sweep": {"thetas": [1.0], "radii": [0.5]},
+               "numerics": {"quad_order": 16, "grid": 32},
+               "output": {"dir": str(tmp_path / "out"), "formats": ["csv"]},
+               "seed": 0}
+        base = self.manifest_hash(tmp_path, raw)
+
+        def reordered(value):
+            if isinstance(value, dict):
+                return {k: reordered(value[k]) for k in reversed(value)}
+            return value
+        assert self.manifest_hash(tmp_path, reordered(raw)) == base
+
+        def changed(*path, value):
+            new = json.loads(json.dumps(raw))
+            node = new
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            return new
+        variants = [changed("surfaces", 0, "r", value=0.6),
+                    changed("surfaces", 0, "perturbation", "amplitude",
+                            value=0.02),
+                    changed("output", "formats", value=["csv", "json"]),
+                    changed("seed", value=1),
+                    changed("sweep", "radii", value=[0.6])]
+        hashes = {base, self.manifest_hash(tmp_path, raw, "--grid", "48")}
+        hashes.update(self.manifest_hash(tmp_path, v) for v in variants)
+        assert len(hashes) == 2 + len(variants)
+
 
 class TestRun:
     def test_verify_reports_and_manifest(self, tmp_path):
@@ -236,7 +343,7 @@ class TestRun:
         body = (out / "verify.csv").read_text().splitlines()
         assert len(body) == 1 + 5 * 3  # header + five identities per surface
         data = json.loads((out / "manifest.json").read_text())
-        assert data["config_hash"] == config_hash(cfg.to_dict())
+        assert data["config_hash"] == config_hash(asdict(cfg))
         assert len(data["statuses"]) == 3
 
     def test_numeric_failure_recorded_not_raised(self, tmp_path):

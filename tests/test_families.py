@@ -31,10 +31,6 @@ class TestCapSpec:
         with pytest.raises(ConstructionError):
             CapSpec(kind=CapKind.SPHERE_CAP, n=1).validate()
 
-    def test_serialization_round_trip(self):
-        spec = CapSpec(kind=CapKind.EQUIDISTANT_SPHERE_CAP, n=3, a=-0.4, r=1.7)
-        assert CapSpec.from_dict(spec.to_dict()) == spec
-
 
 class TestBuild:
     def test_support_centered_cap_is_orthogonal_with_positive_H(self):

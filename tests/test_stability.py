@@ -7,7 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from horocap import stability
+from horocap import cli, stability
+from horocap.config import Numerics, OutputSpec, RunConfig, SurfaceEntry
 from horocap.families import CapKind, CapSpec, build
 from horocap.quadrature import QuadratureSpec
 from horocap.stability import (GridError, ScalarField, boundary_cancellation,
@@ -259,14 +260,20 @@ class TestSpectra:
         assert calls[0] == ((32, 3), (32, 3))
         assert set(calls[1:]) == {((32, 2), (32, 2))}
 
-    def test_spectra_build_no_stencil_matrices(self):
+    def test_spectra_build_no_stencil_matrices(self, monkeypatch):
         # a fresh surface: the session fixtures' grids may hold them already
-        S = build(CapSpec(kind=CapKind.SPHERE_CAP, a=0.6, r=0.7))
+        spec = CapSpec(kind=CapKind.SPHERE_CAP, a=0.6, r=0.7)
+        S = build(spec)
         constrained_spectrum(S, "VOLUME", 32, 4)
+        # the variation-check suite reads the grid's nodes only
+        monkeypatch.setattr(cli, "_build_surface", lambda entry, Q: S)
+        cli._suite_variation(SurfaceEntry("cap", spec), RunConfig(
+            (), Numerics(quad_order=16, grid=32), OutputSpec()))
         g = stability._grid(S, 32)
-        assert "D1" not in vars(g) and "D2" not in vars(g)
+        assert not {"D1", "D2", "metric", "fields"} & set(vars(g))
         normal_derivative(ScalarField(S, np.ones(33)))
         assert "D1" in vars(g) and "D2" not in vars(g)
+        assert "fields" not in vars(g)
 
 
 def dense(band):
