@@ -24,7 +24,7 @@ elements, so every discrete eigenvalue bounds its continuous one from
 above (Rayleigh-Ritz).  The volume (int_M phi = 0) and wetting
 (int_dM phi = 0) constraints act on the axisymmetric mode only, on a
 banded local basis of their null space; every mode pencil is banded and
-solved by LAPACK's dsbgv.
+solved by LAPACK's dsbgv, up to a mode that lies above the k values found.
 """
 
 from __future__ import annotations
@@ -191,18 +191,21 @@ def _grid(S: ParamSurface, resolution: int) -> _ProfileGrid:
 def _cubic_spline(x: np.ndarray, y: np.ndarray) -> Callable:
     """Not-a-knot cubic spline through (x, y), as scipy's CubicSpline.
 
-    The node slopes s solve one tridiagonal system; the end pieces
-    extrapolate.  spline(t, nu) is the nu-th derivative, each piece
-    Horner's rule in t - x_i.
+    The node slopes s solve one tridiagonal system (LAPACK's dgtsv); the
+    end pieces extrapolate.  spline(t, nu) is the nu-th derivative, each
+    piece Horner's rule in t - x_i.
     """
     dx, m = np.diff(x), np.diff(y) / np.diff(x)
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    T = (np.diag(np.r_[dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]])
-         + np.diag(np.r_[d0, dx[:-1]], 1) + np.diag(np.r_[dx[1:], d1], -1))
-    s = np.linalg.solve(T, np.r_[
+    s = np.r_[
         ((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0,
         3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:]),
-        (dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1])
+        (dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1]
+    # s becomes the slopes; T goes as its sub-, main and superdiagonal
+    if info := _call("dgtsv", len(s), 1, np.r_[dx[1:], d1],
+                     np.r_[dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]],
+                     np.r_[d0, dx[:-1]], s, len(s)):
+        raise np.linalg.LinAlgError(f"dgtsv failed with info = {info}")
     c = (s[:-1] + s[1:] - 2.0 * m) / dx
     coeffs = (c / dx, (m - s[:-1]) / dx - c, s[:-1], y[:-1])
 
@@ -478,24 +481,41 @@ def _congruence(X: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-# the ILP64 OpenBLAS that numpy's wheel bundles
+# the ILP64 OpenBLAS that numpy's wheel bundles, and the routines horocap
+# binds: name -> (pointer arguments with info, hidden character lengths)
 _OPENBLAS_DIR = Path(np.__file__).parents[1] / "numpy.libs"
-_DSBGV = "scipy_dsbgv_64_"
+LAPACK_ROUTINES = {"dsbgv": (14, 2), "dpbtrf": (6, 1), "dgtsv": (8, 0)}
 
 
 @functools.cache
-def _dsbgv():
-    """dsbgv(jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz, work,
-    info, len(jobz), len(uplo)): int64 integers, hidden size_t lengths."""
+def _lapack(name: str):
+    """The LAPACK routine name, as scipy_<name>_64_ of numpy's OpenBLAS."""
+    symbol = f"scipy_{name}_64_"
     found = sorted(_OPENBLAS_DIR.glob("libscipy_openblas64_*.so*"))
     if len(found) != 1 or not hasattr(lib := ctypes.CDLL(str(found[0])),
-                                      _DSBGV):
+                                      symbol):
         raise ImportError(f"no single libscipy_openblas64_*.so* exporting "
-                          f"{_DSBGV} in {_OPENBLAS_DIR}")
-    fn = getattr(lib, _DSBGV)
+                          f"{symbol} in {_OPENBLAS_DIR}")
+    fn = getattr(lib, symbol)
     fn.restype = None
-    fn.argtypes = 14 * [ctypes.c_void_p] + 2 * [ctypes.c_size_t]
+    pointers, lengths = LAPACK_ROUTINES[name]
+    fn.argtypes = pointers * [ctypes.c_void_p] + lengths * [ctypes.c_size_t]
     return fn
+
+
+def _call(name: str, *args) -> int:
+    """info of the routine on args: ints by reference as int64, contiguous
+    float64 arrays by their data, bytes with a hidden size_t length each."""
+    if any(isinstance(a, np.ndarray) and not (a.dtype == np.float64 and
+           a.flags.c_contiguous) for a in args):
+        raise TypeError(f"{name} takes contiguous float64 arrays")
+    refs = [ctypes.byref(ctypes.c_int64(a)) if isinstance(a, (int, np.integer))
+            else a.ctypes.data if isinstance(a, np.ndarray) else a
+            for a in args]
+    info = ctypes.c_int64()
+    _lapack(name)(*refs, ctypes.byref(info),
+                  *(len(a) for a in args if isinstance(a, bytes)))
+    return info.value
 
 
 def _sbgv(ab: np.ndarray, bb: np.ndarray) -> np.ndarray:
@@ -509,15 +529,12 @@ def _sbgv(ab: np.ndarray, bb: np.ndarray) -> np.ndarray:
     (m, lda), (mb, ldb) = ab.shape, bb.shape
     if m != mb or m == 0 or not 1 <= ldb <= lda:
         raise ValueError(f"incompatible bands {ab.shape} and {bb.shape}")
-    w, work, info = np.empty(m), np.empty(3 * m), ctypes.c_int64()
-    n, ka, kb, ldab, ldbb, ldz = (ctypes.byref(ctypes.c_int64(k))
-                                  for k in (m, lda - 1, ldb - 1, lda, ldb, 1))
+    w, work = np.empty(m), np.empty(3 * m)
     # jobz = "N": the eigenvector array z is never referenced
-    _dsbgv()(b"N", b"U", n, ka, kb, ab.ctypes.data, ldab, bb.ctypes.data,
-             ldbb, w.ctypes.data, None, ldz, work.ctypes.data,
-             ctypes.byref(info), 1, 1)
-    if info.value != 0:
-        raise np.linalg.LinAlgError(f"dsbgv failed with info = {info.value}")
+    info = _call("dsbgv", b"N", b"U", m, lda - 1, ldb - 1, ab, lda, bb, ldb,
+                 w, None, 1, work)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsbgv failed with info = {info}")
     return w
 
 
@@ -544,6 +561,12 @@ def constrained_spectrum(S: ParamSurface, constraint: str = "VOLUME",
             K, M = K[:-1], M[:-1]
         elif constraint == "VOLUME":  # every c_j > 0: a row sum of M
             K, M = _congruence(K, el.c), _congruence(M, el.c)
+        modes_used = l + 1
+        # K - sigma M definite (Cholesky of the kd = 1 band): every value
+        # of mode l exceeds sigma, the k-th so far, and changes nothing
+        if l >= 2 and len(collected) >= k and _call(
+                "dpbtrf", b"U", len(K), 1, K - collected[k - 1] * M, 2) == 0:
+            break
         try:
             vals = _sbgv(K, M)
         except np.linalg.LinAlgError as exc:
@@ -552,10 +575,7 @@ def constrained_spectrum(S: ParamSurface, constraint: str = "VOLUME",
             ) from exc
         mult = sphere_mode_multiplicity(S.n, l)
         collected.extend([float(v) for v in vals[:k] for _ in range(mult)])
-        modes_used = l + 1
         collected.sort()
-        if len(collected) >= k and l >= 2 and vals[0] > collected[k - 1]:
-            break
     eigs = np.array(collected[:k])
     zero_modes = int(np.sum(np.abs(eigs) <= ZERO_MODE_TOL))
     morse = int(np.sum(eigs < -ZERO_MODE_TOL))

@@ -18,9 +18,9 @@ of chart points and ``boundary_frames`` an array of support-face points,
 each evaluated in one pass; ``shape_at``, ``boundary_frame_at`` and
 ``fields_at`` are that pass at one point.  The jets are array-native too:
 ``profile_jet(t)`` and ``embed_jet(u)`` take arrays of chart points.  A
-profile chart's boundary is one rotation orbit, so its support-face node
-set is the single node s = 0 weighted by the orbit's measure, and the
-boundary integrals run the same way on both kinds.  Every derivative is
+profile chart's boundary is one rotation orbit: whatever the order, its
+one support-face node set is the node s = 0 weighted by the orbit's
+measure, with one frame.  Every derivative is
 read off the jets, with no finite differences: the shape data carry the
 chart gradient dw of the height.  On a box chart the normal is the
 cofactor vector of the tangents, the conormal's chart components solve
@@ -156,12 +156,16 @@ class ParamSurface:
     def _shapes(self, u, sign: int) -> ShapeData:
         raise NotImplementedError
 
+    def _probe(self) -> tuple:  # (H, nu_d) at the centre under sign +1
+        probe = self._shapes(self._center(), +1)
+        return probe.H, probe.normal[-1]
+
     # -- orientation ---------------------------------------------------
     def orientation_sign(self) -> int:
         """Global normal sign: H > 0, or nu_d >= 0 at the centre if H = 0."""
         if self._sign_cache is None:
-            probe = self._shapes(self._center(), +1)
-            key = probe.H if abs(probe.H) > 1e-9 else probe.normal[-1]
+            H, nu_d = self._probe()
+            key = H if abs(H) > 1e-9 else nu_d
             self._sign_cache = 1 if key >= 0 else -1
         return self._sign_cache
 
@@ -206,6 +210,28 @@ def _jet_shapes(x: np.ndarray, J: np.ndarray, Hess: np.ndarray,
                      np.sum(kappa * kappa, axis=-1), kappa, J[..., -1, :])
 
 
+def _meridian(rho, w, dr, dz, d2r, d2z, sign: int):
+    """(|tangent|, meridian-plane unit normal m0, m1, kappa_m, kappa_a) of
+    a profile jet: float arrays of one shape, or float64 scalars."""
+    if (w <= 0).any():
+        raise GeometryError("profile leaves the upper half-space")
+    s2 = dr * dr + dz * dz
+    s = np.sqrt(s2)
+    if (s <= 0).any():
+        raise ImmersionError("profile tangent vanishes")
+    m0, m1 = dz / s, -dr / s  # meridian-plane unit normal (radial, vertical)
+    # meridian curvature via the conformal connection
+    w2, dz2w = w * w, 2.0 * (dz / w)
+    g_tt = s2 / w2
+    T_rad = d2r - dz2w * dr
+    T_ver = d2z - dz2w * dz + s2 / w
+    kappa_m = -sign * w * (m0 * T_rad + m1 * T_ver) / w2 / g_tt
+    # azimuthal curvature; smoothness forces the meridian value at the axis
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa_a = np.where(rho > 1e-13, sign * (w * m0 / rho - m1), kappa_m)
+    return s, m0, m1, kappa_m, kappa_a
+
+
 class ProfileSurface(ParamSurface):
     """Axisymmetric surface from a meridian profile on [0, t1].
 
@@ -225,43 +251,34 @@ class ProfileSurface(ParamSurface):
         self.t1 = float(t1)
         self.profile_jet = profile_jet
 
-    def _center(self):
-        return 0.5 * self.t1
+    def _probe(self) -> tuple:  # one scalar evaluation, at t1/2
+        jet = [np.float64(c) for c in self.profile_jet(0.5 * self.t1)]
+        _, _, m1, kappa_m, kappa_a = _meridian(*jet, +1)
+        return kappa_m + (self.n - 1) * kappa_a, jet[1] * m1
 
     def _shapes(self, t, sign: int) -> ShapeData:
         """Meridian normal and the meridian/azimuthal principal curvatures."""
-        rho, z, dr, dz, d2r, d2z = np.broadcast_arrays(
-            *(np.asarray(c, dtype=float) for c in self.profile_jet(t)))
-        w = z
-        if np.any(w <= 0):
-            raise GeometryError("profile leaves the upper half-space")
-        s2 = dr * dr + dz * dz
-        s = np.sqrt(s2)
-        if np.any(s <= 0):
-            raise ImmersionError("profile tangent vanishes")
-        m0, m1 = dz / s, -dr / s  # meridian-plane unit normal (radial, vertical)
-        # meridian curvature via the conformal connection
-        g_tt = s2 / (w * w)
-        T_rad = d2r - 2.0 * (dz / w) * dr
-        T_ver = d2z - 2.0 * (dz / w) * dz + s2 / w
-        kappa_m = -sign * w * (m0 * T_rad + m1 * T_ver) / (w * w) / g_tt
-        # azimuthal curvature; smoothness forces the meridian value at the axis
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kappa_a = np.where(rho > 1e-13, sign * (w * m0 / rho - m1), kappa_m)
-        n = self.n
-        x = np.zeros(w.shape + (n + 1,))
-        x[..., 0], x[..., -1] = rho, z
+        jet = [np.asarray(c, dtype=float) for c in self.profile_jet(t)]
+        if len({c.shape for c in jet}) > 1:
+            jet = np.broadcast_arrays(*jet)
+        rho, w, dr, dz, _, _ = jet
+        s, m0, m1, kappa_m, kappa_a = _meridian(*jet, sign)
+        n, lead, w2, sw = self.n, w.shape, w * w, sign * w
+        x = np.zeros(lead + (n + 1,))
+        x[..., 0], x[..., -1] = rho, w
         nu = np.zeros_like(x)
-        nu[..., 0], nu[..., -1] = sign * w * m0, sign * w * m1
-        eye = np.eye(n)
-        g = np.stack([s * s / (w * w)] + [rho * rho / (w * w)] * (n - 1),
-                     axis=-1)[..., None] * eye
-        h = np.stack([kappa_m * s * s / (w * w)]
-                     + [kappa_a * rho * rho / (w * w)] * (n - 1),
-                     axis=-1)[..., None] * eye
-        kappa = np.sort(np.stack([kappa_m] + [kappa_a] * (n - 1), axis=-1),
-                        axis=-1)
-        dw = np.zeros(w.shape + (n,))
+        nu[..., 0], nu[..., -1] = sw * m0, sw * m1
+        # diagonal in the (meridian, azimuthal...) frame: fill the diagonals
+        g, h = np.zeros(lead + (n, n)), np.zeros(lead + (n, n))
+        gd, hd = (a.reshape(lead + (n * n,))[..., ::n + 1] for a in (g, h))
+        gd[..., 0] = s * s / w2
+        gd[..., 1:] = (rho * rho / w2)[..., None]
+        hd[..., 0] = kappa_m * s * s / w2
+        hd[..., 1:] = (kappa_a * rho * rho / w2)[..., None]
+        kappa = np.empty(lead + (n,))
+        kappa[..., 0], kappa[..., 1:] = kappa_m, kappa_a[..., None]
+        kappa.sort(axis=-1)
+        dw = np.zeros(lead + (n,))
         dw[..., 0] = dz
         return ShapeData(x, nu, g, h, kappa_m + (n - 1) * kappa_a,
                          kappa_m ** 2 + (n - 1) * kappa_a ** 2, kappa, dw)
@@ -299,8 +316,7 @@ class ProfileSurface(ParamSurface):
         rho, z, dr, dz, *_ = self.profile_jet(t)
         sn = np.sqrt(dr * dr + dz * dz)
         mu = np.zeros_like(shape.coords)
-        mu[..., 0] = w * dr / sn
-        mu[..., -1] = w * dz / sn
+        mu[..., 0], mu[..., -1] = w * dr / sn, w * dz / sn
         theta, nubar = _contact(shape, mu)
         # boundary sphere of Euclidean radius rho in the flat horosphere;
         # its curvature w.r.t. nubar follows from the radial component
@@ -315,7 +331,7 @@ class ProfileSurface(ParamSurface):
             self._frame = self.boundary_frames(np.zeros(self.n - 1))
         return self._frame
 
-    @property
+    @functools.cached_property
     def boundary_radius(self) -> float:
         rho, *_ = self.profile_jet(self.t1)
         return float(rho)
@@ -463,8 +479,8 @@ class NodeSet:
     """Gauss-Legendre nodes on a chart or on its support face, the weights
     times the area element, and shapes, fields and frames computed on first
     use.  A profile chart's face is its boundary orbit: one node, s = 0,
-    weighted by the orbit's measure.  The surface caches its node sets and
-    is held weakly.
+    weighted by the orbit's measure, with the surface's one boundary frame.
+    The surface caches its node sets and is held weakly.
     """
 
     def __init__(self, S: ParamSurface, Q: QuadratureSpec, face: bool):
@@ -500,13 +516,16 @@ class NodeSet:
 
     @functools.cached_property
     def frames(self) -> BoundaryFrame:
+        if self.S.chart_kind == "profile":  # the orbit's one frame
+            return self.S.boundary_frame_at()
         return self.S.boundary_frames(self.nodes)
 
 
 def node_set(S: ParamSurface, Q: QuadratureSpec, face: bool = False) -> NodeSet:
-    """The node set of Q's order on S (face: on its support face)."""
+    """The node set of Q's order on S (face: on its support face); a
+    profile chart has one face node set, whatever the order."""
     cache = S.__dict__.setdefault("_node_sets", {})
-    key = (Q.order, face)
+    key = (None if face and S.chart_kind == "profile" else Q.order, face)
     if key not in cache:
         cache[key] = NodeSet(S, Q, face)
     return cache[key]
@@ -514,11 +533,11 @@ def node_set(S: ParamSurface, Q: QuadratureSpec, face: bool = False) -> NodeSet:
 
 def _integrand(f, nodes: np.ndarray, count: int, label: str) -> np.ndarray:
     """f on the node array as m finite values; label names the first bad node."""
-    val = np.broadcast_to(np.asarray(f(nodes) if callable(f) else f,
-                                     dtype=float), (count,))
-    bad = np.flatnonzero(~np.isfinite(val))
-    if bad.size:
-        raise EvaluationError(f"non-finite {label}{nodes[bad[0]]}")
+    val = np.asarray(f(nodes) if callable(f) else f, dtype=float)
+    if val.shape != (count,):  # a constant, as a stride-0 view: a filled
+        val = np.broadcast_to(val, (count,))  # copy sums in another order
+    if not (finite := np.isfinite(val)).all():
+        raise EvaluationError(f"non-finite {label}{nodes[finite.argmin()]}")
     return val
 
 

@@ -363,6 +363,32 @@ def test_profile_boundary_frame_is_built_once(name, request):
 
 
 @pytest.mark.parametrize("name", CAPS)
+def test_profile_face_node_set_is_one_per_surface(name, request):
+    S = request.getfixturevalue(name)
+    Q = QuadratureSpec(16)
+    face = node_set(S, Q, face=True)
+    assert node_set(S, Q.refined(), face=True) is face
+    assert face.frames is S.boundary_frame_at()
+
+
+@pytest.mark.parametrize("name", ["bumped_cap", "tilted_cap",
+                                  "equidistant_cap", "minimal_cap"])
+def test_orientation_needs_no_shape_pass(name, request, monkeypatch):
+    S = (build(CapSpec(CapKind.EQUIDISTANT_SPHERE_CAP, a=0.0, r=1.5))
+         if name == "minimal_cap" else request.getfixturevalue(name))
+    probe = S._shapes(0.5 * S.t1, +1)
+    minimal = abs(probe.H) <= 1e-9
+    assert minimal == (name == "minimal_cap")  # H = 0: the nu_d rule
+    key = probe.normal[-1] if minimal else probe.H
+    fresh = ProfileSurface(S.n, S.t1, S.profile_jet)
+
+    def no_shapes(*args):
+        raise AssertionError("orientation_sign ran a shape pass")
+    monkeypatch.setattr(ProfileSurface, "_shapes", no_shapes)
+    assert fresh.orientation_sign() == (1 if key >= 0 else -1)
+
+
+@pytest.mark.parametrize("name", CAPS)
 def test_profile_boundary_integral_is_the_orbit_measure(name, request):
     S = request.getfixturevalue(name)
     Q = QuadratureSpec(16)

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from horocap.config import (ConfigError, RunConfig, SweepSpec, load_config,
                             parse_config)
 from horocap.families import CapKind, CapSpec, PerturbationSpec
 from horocap.reports import config_hash, fmt_float, format_cell, write_csv
+from horocap.surfaces import ProfileSurface
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -447,6 +449,28 @@ class TestRun:
         statuses = run(cfg, "deficit").statuses
         assert statuses["cap-ortho"] == statuses["cap-tilt"] == "FAIL"
         assert statuses["control"] == "PASS"
+
+    def test_one_boundary_frame_per_fresh_surface(self, tmp_path,
+                                                  monkeypatch):
+        frames, seen = ProfileSurface.boundary_frames, []
+
+        def counting(S, s):
+            seen.append(S)  # held, so no two surfaces share an id
+            return frames(S, s)
+
+        monkeypatch.setattr(ProfileSurface, "boundary_frames", counting)
+        cfg = load_config(write_config(
+            tmp_path, sweep={"kind": "sphere_cap", "thetas": [1.2],
+                             "radii": [0.6]},
+            numerics={"quad_order": 32, "grid": 32, "eig_count": 4}))
+        for command in ("verify", "deficit", "spectrum", "variation-check",
+                        "sweep"):
+            seen.clear()
+            assert run(cfg, command).ok
+            per_surface = Counter(map(id, seen))
+            # three surfaces, or a sweep member and its angle solve's builds
+            assert len(per_surface) >= (1 if command == "sweep" else 3)
+            assert set(per_surface.values()) == {1}, command
 
     def test_sweep_requires_section(self, tmp_path):
         cfg = load_config(write_config(tmp_path))

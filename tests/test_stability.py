@@ -1,5 +1,6 @@
 """Discrete operators, PDE/boundary identities, spectra and the deficit."""
 
+import inspect
 import math
 import re
 
@@ -245,20 +246,49 @@ class TestSpectra:
             np.testing.assert_array_equal(v, before[k], err_msg=k)
 
     def test_every_mode_is_one_banded_solve(self, tilted_cap, monkeypatch):
-        sbgv, calls = stability._sbgv, []
+        sbgv, call = stability._sbgv, stability._call
+        calls, cholesky = [], []
 
         def counting_sbgv(ab, bb):
             calls.append((ab.shape, bb.shape))
             return sbgv(ab, bb)
 
+        def recording_call(name, *args):
+            info = call(name, *args)
+            if name == "dpbtrf":
+                cholesky.append(info)
+            return info
+
         monkeypatch.setattr(stability, "_sbgv", counting_sbgv)
+        monkeypatch.setattr(stability, "_call", recording_call)
         res = constrained_spectrum(tilted_cap, "VOLUME", 32, 6)
-        assert res.modes_used > 0
-        assert len(calls) == res.modes_used
+        assert 0 < res.modes_used < 41  # the scan stopped early
+        # the last mode is one definite Cholesky instead of a solve
+        assert len(calls) == res.modes_used - 1
+        assert cholesky.count(0) == 1 and cholesky[-1] == 0
         # the volume-constrained axisymmetric mode is pentadiagonal, every
         # higher mode tridiagonal without the pole node
         assert calls[0] == ((32, 3), (32, 3))
         assert set(calls[1:]) == {((32, 2), (32, 2))}
+
+    @pytest.mark.parametrize("constraint", ["VOLUME", "WETTING", "NONE"])
+    def test_stop_equals_solving_every_mode(self, ortho_cap, tilted_cap,
+                                            cap_3d, constraint):
+        k = 8
+        for S in (ortho_cap, tilted_cap, cap_3d):
+            res = constrained_spectrum(S, constraint, 48, k)
+            assert res.modes_used < 41  # the scan stopped early
+            # every mode of the default max_mode 40, and so every mode up
+            # to modes_used: a scan that stops too early drops values
+            el, collected = stability._grid(S, 48).elements, []
+            for l in range(41):
+                vals = stability._sbgv(*mode_bands(
+                    el, S.n, l, constraint))
+                collected.extend(float(v) for v in vals[:k]
+                                 for _ in range(sphere_mode_multiplicity(
+                                     S.n, l)))
+            np.testing.assert_array_equal(res.eigenvalues,
+                                          sorted(collected)[:k])
 
     def test_spectra_build_no_stencil_matrices(self, monkeypatch):
         # a fresh surface: the session fixtures' grids may hold them already
@@ -274,6 +304,19 @@ class TestSpectra:
         normal_derivative(ScalarField(S, np.ones(33)))
         assert "D1" in vars(g) and "D2" not in vars(g)
         assert "fields" not in vars(g)
+
+
+def mode_bands(el, n, l, constraint):
+    """The (K, M) bands of angular mode l, as the spectrum builds them."""
+    K, M = el.K0 + l * (l + n - 2) * el.P, el.M
+    if l > 0:
+        return K[1:], M[1:]
+    if constraint == "WETTING":
+        return K[:-1], M[:-1]
+    if constraint == "VOLUME":
+        return (stability._congruence(K, el.c),
+                stability._congruence(M, el.c))
+    return K, M
 
 
 def dense(band):
@@ -320,21 +363,13 @@ def mp_lowest(K, M, c=None, count=3):
 
 class TestBandedSolver:
     @pytest.mark.parametrize("N", [32, 48])
-    def test_modes_match_a_40_digit_oracle(self, tilted_cap, N, monkeypatch):
-        sbgv, solved = stability._sbgv, []
-
-        def recording_sbgv(ab, bb):
-            solved.append(sbgv(ab, bb))
-            return solved[-1]
-
-        monkeypatch.setattr(stability, "_sbgv", recording_sbgv)
+    def test_modes_match_a_40_digit_oracle(self, tilted_cap, N):
         el = stability._grid(tilted_cap, N).elements
         oracle = {}
         for constraint in ("VOLUME", "WETTING", "NONE"):
-            solved.clear()
-            constrained_spectrum(tilted_cap, constraint, N, 3, max_mode=2)
-            assert len(solved) == 3  # one solve per mode l = 0, 1, 2
-            for l, got in enumerate(solved):
+            for l in range(3):
+                got = stability._sbgv(*mode_bands(
+                    el, tilted_cap.n, l, constraint))
                 K = dense(el.K0 + l * (l + tilted_cap.n - 2) * el.P)
                 M, c = dense(el.M), None
                 if l > 0:
@@ -376,11 +411,34 @@ class TestBandedSolver:
         got = stability._sbgv(ab, bb)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
+    def test_cholesky_reads_the_sign_of_the_lowest_eigenvalue(self):
+        rng = np.random.default_rng(7)
+        ab = rng.uniform(-1.0, 1.0, (50, 2))
+        lowest = np.linalg.eigvalsh(dense(ab))[0]
+        assert lowest < 0
+        for shift, definite in ((0.0, False), (lowest - 1e-6, True),
+                                (lowest + 1e-6, False)):
+            info = stability._call("dpbtrf", b"U", 50, 1, ab - [0.0, shift],
+                                   2)
+            assert (info == 0) == definite and info >= 0, (shift, info)
+
+    def test_every_bound_routine_is_listed(self):
+        # the CI step resolves LAPACK_ROUTINES before the tests run
+        called = re.findall(r'_call\(\s*"(\w+)"', inspect.getsource(stability))
+        assert set(called) == set(stability.LAPACK_ROUTINES)
+
+    def test_missing_lapack_stops_the_spline(self, tmp_path, monkeypatch,
+                                             tilted_cap):
+        monkeypatch.setattr(stability, "_OPENBLAS_DIR", tmp_path)
+        stability._lapack.cache_clear()
+        with pytest.raises(ImportError, match="scipy_dgtsv_64_"):
+            ScalarField(tilted_cap, np.ones(33)).spline
+
     def test_missing_lapack_is_an_import_error(self, tmp_path, monkeypatch,
                                                quad):
         S = build(CapSpec(kind=CapKind.SPHERE_CAP, a=0.6, r=0.7))
         monkeypatch.setattr(stability, "_OPENBLAS_DIR", tmp_path)
-        stability._dsbgv.cache_clear()
+        stability._lapack.cache_clear()
         with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
             constrained_spectrum(S, "VOLUME", 32, 4)
         # the lookup is lazy: commands without eigensolves still run
