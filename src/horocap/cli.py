@@ -295,7 +295,7 @@ def run(config: RunConfig, command: str) -> RunManifest:
     if not entries:
         raise ConfigError("surfaces", "no surfaces to process")
 
-    manifest = RunManifest(config_hash=config_hash(asdict(config)),
+    manifest = RunManifest(config_hash=config_hash(config),
                            tool_version=__version__)
     t0 = time.perf_counter()
 

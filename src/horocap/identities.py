@@ -17,9 +17,9 @@ where the area-weighted mean is used and the node spread recorded.
 A suite evaluates each identity once per quadrature order: one table of
 (lhs, rhs) at the configured order and one at the doubled order.  Pass
 tolerances are scheme-derived: max(1e-8, 100x the quadrature error
-estimated by that doubling).  The contact angle must be constant: its
-spread is checked at the support-face quadrature nodes, the same frames
-the boundary integrals use.
+estimated by that doubling).  The contact angle must be constant: on a box
+chart its spread is checked at the support-face nodes (AngleError); a
+profile chart's boundary is one orbit frame, constant by symmetry.
 """
 
 from __future__ import annotations
@@ -75,6 +75,8 @@ class IdentityReport:
 def angle_stats(S: ParamSurface, Q: QuadratureSpec) -> tuple[float, float]:
     """(mean, standard deviation) of the contact angle at the face nodes."""
     theta = node_set(S, Q, face=True).frames.theta
+    if S.chart_kind == "profile":  # one orbit frame: 0 by symmetry
+        return float(theta), 0.0
     return float(theta.mean()), float(theta.std())
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
 __all__ = [
@@ -30,19 +30,21 @@ def fmt_float(x: float) -> str:
     return "%.16e" % float(x)
 
 
-def format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return fmt_float(value)
-    return str(value)
+_CELL_FORMATS = {bool: lambda v: "true" if v else "false",  # by exact type
+                 float: "%.16e".__mod__, int: str, str: str}  # as fmt_float
+
+
+def format_cell(value) -> str:  # numpy's float64 is a float subclass
+    default = fmt_float if isinstance(value, float) else str
+    return _CELL_FORMATS.get(type(value), default)(value)
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([format_cell(v) for v in row] for row in rows)
+        writer.writerows([_CELL_FORMATS.get(type(v), format_cell)(v)
+                          for v in row] for row in rows)  # format_cell inlined
 
 
 def _jsonable(value):
@@ -62,11 +64,11 @@ def write_json(path: Path, obj) -> None:
                     encoding="utf-8", newline="\n")
 
 
-def config_hash(config: dict) -> str:
-    """SHA-256 of the canonical JSON of a configuration (``asdict`` of its
-    records); enums and paths are written with ``str``."""
+def config_hash(config) -> str:
+    """SHA-256 of the canonical JSON of a configuration (its records as
+    ``asdict`` would give them); enums and paths are written with ``str``."""
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"),
-                      default=str)
+                      default=lambda v: vars(v) if is_dataclass(v) else str(v))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

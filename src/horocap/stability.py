@@ -142,8 +142,9 @@ class _ProfileGrid:
         xi, wq = gauss_legendre(4, 0.0, 1.0)
         he = np.diff(self.nodes)[:, None]
         t = (self.nodes[:-1, None] + he * xi).ravel()
-        A, B = (c.reshape(self.N, 4) for c in S.metric_coeffs(t)[:2])
-        h2 = S.shapes(t).h2.reshape(self.N, 4)
+        m = S.meridian(t)
+        A, B, h2 = (c.reshape(self.N, 4) for c in (m.s / m.w, m.rho / m.w,
+                                                    m.h2))
         W = unit_sphere_area(n - 1) * A * B ** (n - 1) * he * wq
         shp = np.stack([1.0 - xi, xi])
 
@@ -399,14 +400,14 @@ def boundary_identity_residuals(S: ParamSurface, resolution: int = 128
     f1 = ScalarField(S, fl.V - math.cos(bf.theta) * fl.gEnu)
     f2 = ScalarField(S, fl.gXnu)
     f3 = ScalarField(S, fl.gxnu)
-    x = bf.shape.coords
+    x = bf.coords
     w = x[-1]
     gxmu = float(np.dot(x, bf.conormal) / (w * w))
     e_d = np.zeros_like(x)
     e_d[-1] = 1.0
     X = x - e_d
     gXmu = float(np.dot(X, bf.conormal) / (w * w))
-    gXnu_b = float(np.dot(X, bf.shape.normal) / (w * w))
+    gXnu_b = float(np.dot(X, bf.normal) / (w * w))
     return {
         "robin_potential": abs(normal_derivative(f1) - q * f1.values[-1]),
         "robin_conformal": abs(normal_derivative(f2) - q * f2.values[-1]),
@@ -425,13 +426,13 @@ def quadratic_form(S: ParamSurface, phi: ScalarField,
     """Second variation of energy in symmetric Dirichlet form.
 
     phi and phi' are its spline's, on the node set of Q; |grad phi|^2 is
-    phi'^2 / A^2, A^2 the metric's t-t entry.
+    phi'^2 / A^2, A^2 the metric's t-t entry (g00 of the node set's Meridian).
     """
     if phi.surface is not S:
         raise GridError("field was built on a different surface")
     ns = node_set(S, Q)
     t = ns.nodes
-    bulk = integrate_M(S, phi.spline(t, 1) ** 2 / ns.shapes.g[:, 0, 0]
+    bulk = integrate_M(S, phi.spline(t, 1) ** 2 / ns.meridian.g00
                        - (ns.fields.h2 - S.n) * phi.spline(t) ** 2, Q)
     return bulk - robin_q(S).q * integrate_dM(S, phi.values[-1] ** 2, Q)
 
@@ -776,14 +777,20 @@ def umbilicity_deficit(S: ParamSurface,
     grad Phi is closed form on both chart kinds: grad V = -E^T and, by
     Weingarten, d g(E,nu) = h(E^T, .), so with e = dw / w^2 (the chart
     components of g(E, .)) the chart differential is
-    dPhi = H e - n h g^-1 e, read off the cached node-set shape data.
+    dPhi = H e - n h g^-1 e (on a profile chart E^T is meridian and g, h
+    diagonal: only g00, h00 enter), read off the cached node-set geometry.
     """
     Q = Q or QuadratureSpec()
     n = S.n
     ns = node_set(S, Q)
-    sd, fl = ns.shapes, ns.fields
+    fl = ns.fields
     H_mean, _ = cmc_stats(S, Q)
     cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)  # Cauchy-Schwarz term
+    if (m := ns.meridian) is not None:
+        e, g00 = m.dz / (fl.w * fl.w), m.g00
+        dphi = H_mean * e - n * m.h00 * (e / g00)
+        return integrate_M(S, cs + dphi * (dphi / g00), Q)
+    sd = ns.shapes
     e = (sd.dw / (fl.w * fl.w)[..., None])[..., None]  # column vectors
     dphi = H_mean * e - n * sd.h @ np.linalg.solve(sd.g, e)
     grad_sq = np.sum(dphi * np.linalg.solve(sd.g, dphi), axis=(-2, -1))

@@ -18,11 +18,11 @@ of chart points and ``boundary_frames`` an array of support-face points,
 each evaluated in one pass; ``shape_at``, ``boundary_frame_at`` and
 ``fields_at`` are that pass at one point.  The jets are array-native too:
 ``profile_jet(t)`` and ``embed_jet(u)`` take arrays of chart points.  A
-profile chart's boundary is one rotation orbit: whatever the order, its
-one support-face node set is the node s = 0 weighted by the orbit's
-measure, with one frame.  Every derivative is
-read off the jets, with no finite differences: the shape data carry the
-chart gradient dw of the height.  On a box chart the normal is the
+profile chart reads everything off one ``Meridian`` (one jet call) per
+node array, and builds ``ShapeData`` only for ``shapes``.  Its boundary
+is one rotation orbit: whatever the order, its one support-face node set
+is the node s = 0 weighted by the orbit's measure, with one frame.  Every
+derivative is read off the jets.  On a box chart the normal is the
 cofactor vector of the tangents, the conormal's chart components solve
 the Gram system, and the boundary curvature Hhat is from the Hessian.
 
@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -52,6 +54,7 @@ __all__ = [
     "SupportError",
     "EvaluationError",
     "ShapeData",
+    "Meridian",
     "BoundaryFrame",
     "ParamSurface",
     "ProfileSurface",
@@ -111,14 +114,16 @@ class ShapeData:
 class BoundaryFrame:
     """Frame and contact data at boundary points, as a struct of arrays.
 
-    The Euclidean components of the outward conormal mu in the surface
-    (``conormal``) and of the normal nubar of the boundary inside the
-    (flat) horosphere (``boundary_normal``); theta is the contact angle
-    fixed by cos(theta) = -g(nu, Nbar), with Nbar = -E_d the outward
-    support normal.
+    The Euclidean components of the position, of the unit normal nu, of
+    the outward conormal mu in the surface (``conormal``) and of the
+    normal nubar of the boundary inside the (flat) horosphere
+    (``boundary_normal``); theta is the contact angle fixed by
+    cos(theta) = -g(nu, Nbar), with Nbar = -E_d the outward support
+    normal.
     """
 
-    shape: ShapeData
+    coords: np.ndarray
+    normal: np.ndarray
     conormal: np.ndarray
     boundary_normal: np.ndarray
     theta: np.ndarray
@@ -128,17 +133,15 @@ class BoundaryFrame:
     @property
     def gxnubar(self) -> np.ndarray:
         """g(x, nubar) of the position field."""
-        x = self.shape.coords
+        x = self.coords
         return np.sum(x * self.boundary_normal, axis=-1) / x[..., -1] ** 2
 
 
-def _contact(shape: ShapeData, mu: np.ndarray):
+def _contact(nu: np.ndarray, w, mu: np.ndarray):
     """(theta, nubar) from cos(theta) = -g(nu, Nbar) with Nbar = -E_d."""
-    w = shape.coords[..., -1]
-    cos_t = np.clip(shape.normal[..., -1] / (w * w), -1.0, 1.0)
+    cos_t = np.minimum(np.maximum(nu[..., -1] / (w * w), -1.0), 1.0)
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t ** 2))
-    return (np.arccos(cos_t),
-            cos_t[..., None] * mu + sin_t[..., None] * shape.normal)
+    return np.arccos(cos_t), cos_t[..., None] * mu + sin_t[..., None] * nu
 
 
 class ParamSurface:
@@ -210,26 +213,46 @@ def _jet_shapes(x: np.ndarray, J: np.ndarray, Hess: np.ndarray,
                      np.sum(kappa * kappa, axis=-1), kappa, J[..., -1, :])
 
 
-def _meridian(rho, w, dr, dz, d2r, d2z, sign: int):
-    """(|tangent|, meridian-plane unit normal m0, m1, kappa_m, kappa_a) of
-    a profile jet: float arrays of one shape, or float64 scalars."""
-    if (w <= 0).any():
-        raise GeometryError("profile leaves the upper half-space")
-    s2 = dr * dr + dz * dz
-    s = np.sqrt(s2)
-    if (s <= 0).any():
-        raise ImmersionError("profile tangent vanishes")
-    m0, m1 = dz / s, -dr / s  # meridian-plane unit normal (radial, vertical)
-    # meridian curvature via the conformal connection
-    w2, dz2w = w * w, 2.0 * (dz / w)
-    g_tt = s2 / w2
-    T_rad = d2r - dz2w * dr
-    T_ver = d2z - dz2w * dz + s2 / w
-    kappa_m = -sign * w * (m0 * T_rad + m1 * T_ver) / w2 / g_tt
-    # azimuthal curvature; smoothness forces the meridian value at the axis
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa_a = np.where(rho > 1e-13, sign * (w * m0 / rho - m1), kappa_m)
-    return s, m0, m1, kappa_m, kappa_a
+class Meridian(namedtuple("Meridian",
+                          "n sign rho w dr dz s m0 m1 kappa_m kappa_a")):
+    """A profile jet at an array of t (at one t: scalars) as meridian arrays:
+    rho, the height w, dr, dz, the speed s, the meridian-plane unit normal
+    (m0, m1) and the principal curvatures; g and h are diagonal.  A vector's
+    (radial, vertical) parts are its Euclidean first and last components."""
+
+    __slots__ = ()
+    g00 = property(lambda m: m.s * m.s / (m.w * m.w))  # meridian entries
+    h00 = property(lambda m: m.kappa_m * m.s * m.s / (m.w * m.w))
+    H = property(lambda m: m.kappa_m + (m.n - 1) * m.kappa_a)
+    h2 = property(lambda m: m.kappa_m ** 2 + (m.n - 1) * m.kappa_a ** 2)
+    normal = property(lambda m: (m.sign * m.w * m.m0, m.sign * m.w * m.m1))
+
+    def embed(self, radial, vertical) -> np.ndarray:
+        v = np.zeros(np.shape(self.w) + (self.n + 1,))
+        v[..., 0], v[..., -1] = radial, vertical
+        return v
+
+    def fields(self) -> "SurfaceFields":
+        nu_r, nu_d = self.normal
+        return SurfaceFields.of(self.w, self.rho * nu_r + self.w * nu_d, nu_d,
+                                self.H, self.h2)
+
+    def shape_data(self) -> ShapeData:
+        n, rho, w = self.n, self.rho, self.w
+        lead, w2 = np.shape(w), w * w
+        # diagonal in the (meridian, azimuthal...) frame: fill the diagonals
+        g, h = np.zeros(lead + (n, n)), np.zeros(lead + (n, n))
+        gd, hd = (a.reshape(lead + (n * n,))[..., ::n + 1] for a in (g, h))
+        gd[..., 0], hd[..., 0] = self.g00, self.h00
+        gd[..., 1:] = (rho * rho / w2)[..., None]
+        hd[..., 1:] = (self.kappa_a * rho * rho / w2)[..., None]
+        kappa = np.empty(lead + (n,))
+        kappa[..., 0], kappa[..., 1:] = self.kappa_m, self.kappa_a[..., None]
+        kappa.sort(axis=-1)
+        dw = np.zeros(lead + (n,))
+        dw[..., 0] = self.dz
+        return ShapeData(self.embed(rho, w), self.embed(*self.normal), g, h,
+                         self.H, self.h2, kappa, dw)
 
 
 class ProfileSurface(ParamSurface):
@@ -252,36 +275,38 @@ class ProfileSurface(ParamSurface):
         self.profile_jet = profile_jet
 
     def _probe(self) -> tuple:  # one scalar evaluation, at t1/2
-        jet = [np.float64(c) for c in self.profile_jet(0.5 * self.t1)]
-        _, _, m1, kappa_m, kappa_a = _meridian(*jet, +1)
-        return kappa_m + (self.n - 1) * kappa_a, jet[1] * m1
+        m = self.meridian(0.5 * self.t1, +1)
+        return m.H, m.w * m.m1
+
+    def meridian(self, t, sign: Optional[int] = None) -> Meridian:
+        """One profile_jet call at t, under sign (default: the surface's)."""
+        sign = self.orientation_sign() if sign is None else sign
+        # [()]: at one t, float64 scalars, whose arithmetic is cheaper
+        jet = [np.asarray(c, dtype=float)[()] for c in self.profile_jet(t)]
+        rho, w, dr, dz, d2r, d2z = (np.broadcast_arrays(*jet) if len(
+            {c.shape for c in jet}) > 1 else jet)
+        if (w <= 0).any():
+            raise GeometryError("profile leaves the upper half-space")
+        s2 = dr * dr + dz * dz
+        s = np.sqrt(s2)
+        if (s <= 0).any():
+            raise ImmersionError("profile tangent vanishes")
+        m0, m1 = dz / s, -dr / s  # meridian-plane unit normal
+        # meridian curvature via the conformal connection
+        w2, dz2w = w * w, 2.0 * (dz / w)
+        g_tt = s2 / w2
+        T_rad = d2r - dz2w * dr
+        T_ver = d2z - dz2w * dz + s2 / w
+        kappa_m = -sign * w * (m0 * T_rad + m1 * T_ver) / w2 / g_tt
+        # azimuthal curvature; smoothness forces the meridian value at the axis
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kappa_a = np.where(rho > 1e-13, sign * (w * m0 / rho - m1),
+                               kappa_m)
+        return Meridian(self.n, sign, rho, w, dr, dz, s, m0, m1, kappa_m,
+                        kappa_a)
 
     def _shapes(self, t, sign: int) -> ShapeData:
-        """Meridian normal and the meridian/azimuthal principal curvatures."""
-        jet = [np.asarray(c, dtype=float) for c in self.profile_jet(t)]
-        if len({c.shape for c in jet}) > 1:
-            jet = np.broadcast_arrays(*jet)
-        rho, w, dr, dz, _, _ = jet
-        s, m0, m1, kappa_m, kappa_a = _meridian(*jet, sign)
-        n, lead, w2, sw = self.n, w.shape, w * w, sign * w
-        x = np.zeros(lead + (n + 1,))
-        x[..., 0], x[..., -1] = rho, w
-        nu = np.zeros_like(x)
-        nu[..., 0], nu[..., -1] = sw * m0, sw * m1
-        # diagonal in the (meridian, azimuthal...) frame: fill the diagonals
-        g, h = np.zeros(lead + (n, n)), np.zeros(lead + (n, n))
-        gd, hd = (a.reshape(lead + (n * n,))[..., ::n + 1] for a in (g, h))
-        gd[..., 0] = s * s / w2
-        gd[..., 1:] = (rho * rho / w2)[..., None]
-        hd[..., 0] = kappa_m * s * s / w2
-        hd[..., 1:] = (kappa_a * rho * rho / w2)[..., None]
-        kappa = np.empty(lead + (n,))
-        kappa[..., 0], kappa[..., 1:] = kappa_m, kappa_a[..., None]
-        kappa.sort(axis=-1)
-        dw = np.zeros(lead + (n,))
-        dw[..., 0] = dz
-        return ShapeData(x, nu, g, h, kappa_m + (n - 1) * kappa_a,
-                         kappa_m ** 2 + (n - 1) * kappa_a ** 2, kappa, dw)
+        return self.meridian(t, sign).shape_data()
 
     def shape_at(self, t: float) -> ShapeData:
         return self.shapes(float(t))
@@ -306,24 +331,19 @@ class ProfileSurface(ParamSurface):
         The boundary is the rotation orbit of t = t1, so every point
         carries the frame on the representative meridian.
         """
-        t = np.full(np.shape(s)[:-1], self.t1)
-        shape = self.shapes(t)
-        w = shape.coords[..., -1]
-        off = np.abs(w - 1.0) > 1e-9
+        m = self.meridian(np.full(np.shape(s)[:-1], self.t1))
+        off = np.abs(m.w - 1.0) > 1e-9
         if np.any(off):
-            raise SupportError(f"boundary point height {w[off][0]} "
+            raise SupportError(f"boundary point height {m.w[off][0]} "
                                "is off the horosphere")
-        rho, z, dr, dz, *_ = self.profile_jet(t)
-        sn = np.sqrt(dr * dr + dz * dz)
-        mu = np.zeros_like(shape.coords)
-        mu[..., 0], mu[..., -1] = w * dr / sn, w * dz / sn
-        theta, nubar = _contact(shape, mu)
+        w, nu = m.w, m.embed(*m.normal)
+        mu = m.embed(w * m.dr / m.s, w * m.dz / m.s)
+        theta, nubar = _contact(nu, w, mu)
         # boundary sphere of Euclidean radius rho in the flat horosphere;
         # its curvature w.r.t. nubar follows from the radial component
-        return BoundaryFrame(shape=shape, conormal=mu, boundary_normal=nubar,
-                             theta=theta,
-                             hmumu=shape.h[..., 0, 0] / shape.g[..., 0, 0],
-                             Hhat=(self.n - 1) * nubar[..., 0] / rho)
+        return BoundaryFrame(m.embed(m.rho, w), nu, mu, nubar, theta,
+                             hmumu=m.h00 / m.g00,
+                             Hhat=(self.n - 1) * nubar[..., 0] / m.rho)
 
     def boundary_frame_at(self, s=None) -> BoundaryFrame:
         """The frame at one boundary point, built once: every s gives it."""
@@ -331,10 +351,9 @@ class ProfileSurface(ParamSurface):
             self._frame = self.boundary_frames(np.zeros(self.n - 1))
         return self._frame
 
-    @functools.cached_property
+    @property
     def boundary_radius(self) -> float:
-        rho, *_ = self.profile_jet(self.t1)
-        return float(rho)
+        return float(self.boundary_frame_at().coords[0])
 
 
 class GridSurface(ParamSurface):
@@ -417,7 +436,7 @@ class GridSurface(ParamSurface):
         v = -J[..., 0]
         v -= (T @ np.linalg.solve(gamma, _swap(T) @ v[..., None]))[..., 0]
         mu = v / (np.linalg.norm(v, axis=-1) / w)[..., None]
-        theta, nubar = _contact(shape, mu)
+        theta, nubar = _contact(shape.normal, w, mu)
         second = np.einsum("...k,...kab->...ab", nubar[..., :-1],
                            Hess[..., :-1, 1:, 1:])
         Hhat = -np.sum(np.linalg.inv(gamma) * second, axis=(-2, -1))
@@ -425,8 +444,7 @@ class GridSurface(ParamSurface):
         mu_chart = np.linalg.solve(Jt @ J, Jt @ mu[..., None])[..., 0]
         hmumu = np.einsum("...i,...ij,...j->...", mu_chart, shape.h,
                           mu_chart)
-        return BoundaryFrame(shape=shape, conormal=mu, boundary_normal=nubar,
-                             theta=theta, hmumu=hmumu, Hhat=Hhat)
+        return BoundaryFrame(x, shape.normal, mu, nubar, theta, hmumu, Hhat)
 
     def boundary_frame_at(self, s=None) -> BoundaryFrame:
         """The frame at one support-face point (default: the face centre)."""
@@ -458,16 +476,21 @@ class SurfaceFields:
     @staticmethod
     def from_shape(sd: ShapeData) -> "SurfaceFields":
         x, nu = sd.coords, sd.normal
-        w = x[..., -1]
-        gxnu = np.sum(x * nu, axis=-1) / (w * w)
-        gEnu = nu[..., -1] / (w * w)
-        nu_hat_z = nu[..., -1] / w
-        return SurfaceFields(w=w, V=1.0 / w, gxnu=gxnu, gEnu=gEnu,
-                             gXnu=gxnu - gEnu, H=sd.H, h2=sd.h2,
-                             E_tan_sq=(1.0 - nu_hat_z ** 2) / (w * w))
+        return SurfaceFields.of(x[..., -1], np.sum(x * nu, axis=-1),
+                                nu[..., -1], sd.H, sd.h2)
+
+    @staticmethod
+    def of(w, x_nu, nu_d, H, h2) -> "SurfaceFields":
+        """From the height w, the Euclidean x . nu and nu_d, H and |h|^2."""
+        w2 = w * w
+        gxnu, gEnu = x_nu / w2, nu_d / w2
+        return SurfaceFields(w, 1.0 / w, gxnu, gEnu, gxnu - gEnu, H, h2,
+                             (1.0 - (nu_d / w) ** 2) / w2)
 
 
 def fields_at(S: ParamSurface, u) -> SurfaceFields:
+    if S.chart_kind == "profile":
+        return S.meridian(u).fields()
     return SurfaceFields.from_shape(S.shapes(u))
 
 
@@ -478,13 +501,14 @@ def fields_at(S: ParamSurface, u) -> SurfaceFields:
 class NodeSet:
     """Gauss-Legendre nodes on a chart or on its support face, the weights
     times the area element, and shapes, fields and frames computed on first
-    use.  A profile chart's face is its boundary orbit: one node, s = 0,
-    weighted by the orbit's measure, with the surface's one boundary frame.
-    The surface caches its node sets and is held weakly.
+    use (from the nodes' Meridian on a profile chart).  A profile chart's
+    face is its boundary orbit: one node, s = 0, weighted by the orbit's
+    measure, with the surface's one boundary frame.  The surface caches its
+    node sets and is held weakly.
     """
 
     def __init__(self, S: ParamSurface, Q: QuadratureSpec, face: bool):
-        self.S = weakref.proxy(S)
+        self.S, self.meridian = weakref.proxy(S), None
         n = S.n
         if S.chart_kind == "profile" and face:
             self.nodes = np.zeros((1, n - 1))
@@ -492,8 +516,9 @@ class NodeSet:
                                      * S.boundary_radius ** (n - 1)])
         elif S.chart_kind == "profile":
             self.nodes, wt = Q.rule(0.0, S.t1)
-            A, B, _, _ = S.metric_coeffs(self.nodes)
-            self.weights = wt * A * B ** (n - 1) * unit_sphere_area(n - 1)
+            self.meridian = m = S.meridian(self.nodes)
+            self.weights = (wt * (m.s / m.w) * (m.rho / m.w) ** (n - 1)
+                            * unit_sphere_area(n - 1))
         else:
             axes = [Q.rule(lo, hi) for lo, hi in S.box[1 if face else 0:]]
             self.nodes = np.array(list(itertools.product(
@@ -512,7 +537,9 @@ class NodeSet:
 
     @functools.cached_property
     def fields(self) -> SurfaceFields:
-        return SurfaceFields.from_shape(self.shapes)
+        if self.meridian is None:
+            return SurfaceFields.from_shape(self.shapes)
+        return self.meridian.fields()
 
     @functools.cached_property
     def frames(self) -> BoundaryFrame:
@@ -531,14 +558,19 @@ def node_set(S: ParamSurface, Q: QuadratureSpec, face: bool = False) -> NodeSet:
     return cache[key]
 
 
-def _integrand(f, nodes: np.ndarray, count: int, label: str) -> np.ndarray:
-    """f on the node array as m finite values; label names the first bad node."""
-    val = np.asarray(f(nodes) if callable(f) else f, dtype=float)
-    if val.shape != (count,):  # a constant, as a stride-0 view: a filled
-        val = np.broadcast_to(val, (count,))  # copy sums in another order
-    if not (finite := np.isfinite(val)).all():
-        raise EvaluationError(f"non-finite {label}{nodes[finite.argmin()]}")
-    return val
+def _integrate(ns: NodeSet, f, label: str) -> float:
+    """The weighted sum of f (m values, or one constant) on the node set;
+    label names the first node whose value is not finite."""
+    val = np.asarray(f(ns.nodes) if callable(f) else f, dtype=float)
+    # a constant, as a stride-0 view: a filled copy sums in another order
+    if val.ndim == 0:  # (the view of its buffer is broadcast_to's, faster)
+        val = np.ndarray(ns.weights.shape, float, val, strides=(0,))
+    elif val.shape != ns.weights.shape:
+        val = np.broadcast_to(val, ns.weights.shape)
+    total = float(ns.weights @ val)  # not finite if any value is not
+    if not math.isfinite(total) and not (finite := np.isfinite(val)).all():
+        raise EvaluationError(f"non-finite {label}{ns.nodes[finite.argmin()]}")
+    return total
 
 
 def integrate_M(S: ParamSurface, f, Q: QuadratureSpec) -> float:
@@ -548,10 +580,8 @@ def integrate_M(S: ParamSurface, f, Q: QuadratureSpec) -> float:
     profile charts, u of shape (m, n) on box charts (tensor-product
     Gauss-Legendre); it returns m values or one constant.
     """
-    ns = node_set(S, Q)
     name = "t" if S.chart_kind == "profile" else "u"
-    val = _integrand(f, ns.nodes, ns.weights.size, f"integrand at {name}=")
-    return float(ns.weights @ val)
+    return _integrate(node_set(S, Q), f, f"integrand at {name}=")
 
 
 def integrate_dM(S: ParamSurface, f, Q: QuadratureSpec) -> float:
@@ -561,9 +591,7 @@ def integrate_dM(S: ParamSurface, f, Q: QuadratureSpec) -> float:
     (m, n-1); on a profile chart that is the one node s = 0 of its
     boundary orbit.
     """
-    ns = node_set(S, Q, face=True)
-    val = _integrand(f, ns.nodes, ns.weights.size, "boundary integrand at s=")
-    return float(ns.weights @ val)
+    return _integrate(node_set(S, Q, face=True), f, "boundary integrand at s=")
 
 
 def check_immersion(S: ParamSurface, Q: QuadratureSpec) -> None:

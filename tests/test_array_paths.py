@@ -12,6 +12,7 @@ rounding (the stencil matrices exactly).  The closed-form grad Phi of the
 umbilicity deficit is checked against a 5-point finite-difference stencil.
 """
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -22,11 +23,14 @@ import scipy.linalg
 from horocap.families import CapKind, CapSpec, PerturbationSpec, build, perturb
 from horocap.quadrature import (QuadratureSpec, fd_weights, gauss_legendre,
                                 unit_sphere_area)
+from horocap import stability
+from horocap.identities import cmc_stats
 from horocap.stability import (ScalarField, _grid, _Variation, robin_q,
                                umbilicity_deficit)
 from horocap.surfaces import (EvaluationError, GeometryError, GridSurface,
-                              ImmersionError, ProfileSurface, _jet_shapes,
-                              fields_at, integrate_dM, integrate_M, node_set)
+                              ImmersionError, ProfileSurface, SurfaceFields,
+                              _jet_shapes, fields_at, integrate_dM,
+                              integrate_M, node_set)
 
 REL = 1e-12
 CAPS = ("ortho_cap", "tilted_cap", "cap_3d", "bumped_cap")
@@ -337,9 +341,8 @@ def test_profile_boundary_frames_repeat_the_orbit_frame(name, request):
     s = np.linspace(-1.0, 1.0, 6 * (S.n - 1)).reshape(6, S.n - 1)
     frames, one = S.boundary_frames(s), S.boundary_frame_at()
     pairs = [(getattr(frames, f), getattr(one, f)) for f in
-             ("conormal", "boundary_normal", "theta", "hmumu", "Hhat")]
-    pairs += [(frames.shape.coords, one.shape.coords),
-              (frames.shape.normal, one.shape.normal)]
+             ("coords", "normal", "conormal", "boundary_normal", "theta",
+              "hmumu", "Hhat")]
     for got, want in pairs:
         assert got.shape == (6,) + np.shape(want)
         np.testing.assert_allclose(got, np.broadcast_to(want, got.shape),
@@ -353,8 +356,8 @@ def test_profile_boundary_frame_is_built_once(name, request):
     assert S.boundary_frame_at() is one
     assert S.boundary_frame_at(np.full(S.n - 1, 0.3)) is one
     batch = S.boundary_frames(np.zeros((1, S.n - 1)))
-    for got, want in ((one.shape.coords, batch.shape.coords[0]),
-                      (one.shape.normal, batch.shape.normal[0]),
+    for got, want in ((one.coords, batch.coords[0]),
+                      (one.normal, batch.normal[0]),
                       (one.conormal, batch.conormal[0]),
                       (one.boundary_normal, batch.boundary_normal[0]),
                       (one.theta, batch.theta[0]), (one.hmumu, batch.hmumu[0]),
@@ -386,6 +389,61 @@ def test_orientation_needs_no_shape_pass(name, request, monkeypatch):
         raise AssertionError("orientation_sign ran a shape pass")
     monkeypatch.setattr(ProfileSurface, "_shapes", no_shapes)
     assert fresh.orientation_sign() == (1 if key >= 0 else -1)
+
+
+# -- the meridian record of a profile chart -----------------------------
+
+def meridian_case(kind, n):
+    """A sphere cap, an equidistant cap, the minimal cap (a = 0) or a
+    bumped control, of dimension n."""
+    if kind == "bumped":
+        return perturb(meridian_case("sphere", n),
+                       PerturbationSpec(amplitude=1e-2))
+    a, r = {"sphere": (0.8, 0.6), "equidistant": (-0.5, 2.0),
+            "minimal": (0.0, 1.5)}[kind]
+    return build(CapSpec(CapKind.SPHERE_CAP if kind == "sphere"
+                         else CapKind.EQUIDISTANT_SPHERE_CAP, n=n, a=a, r=r))
+
+
+MERIDIAN_CASES = [(kind, n) for kind in ("sphere", "equidistant", "minimal",
+                                         "bumped") for n in (2, 3, 4)]
+
+
+def assert_close_to_scale(got, want, err_msg=""):
+    """Equal up to 1e-14 relative to the largest value of want."""
+    np.testing.assert_allclose(got, want, rtol=1e-14,
+                               atol=1e-14 * np.max(np.abs(want)),
+                               err_msg=err_msg)
+
+
+@pytest.mark.parametrize("kind,n", MERIDIAN_CASES)
+def test_node_set_fields_match_the_shape_data(kind, n):
+    S = meridian_case(kind, n)
+    for Q in (QuadratureSpec(16), QuadratureSpec(128)):
+        ns = node_set(S, Q)
+        want = SurfaceFields.from_shape(S.shapes(ns.nodes))
+        for field in dataclasses.fields(SurfaceFields):
+            assert_close_to_scale(getattr(ns.fields, field.name),
+                                  getattr(want, field.name), field.name)
+
+
+@pytest.mark.parametrize("kind,n", MERIDIAN_CASES)
+def test_profile_deficit_integrand_is_the_matrix_formula(kind, n,
+                                                         monkeypatch):
+    S, Q = meridian_case(kind, n), QuadratureSpec(64)
+    integrands, integrate = [], stability.integrate_M
+    monkeypatch.setattr(stability, "integrate_M", lambda S, f, Q: (
+        integrands.append(f), integrate(S, f, Q))[1])
+    umbilicity_deficit(S, Q)
+    # the deficit on a box chart: dPhi = H e - n h g^-1 e with full matrices
+    ns = node_set(S, Q)
+    fl, sd = ns.fields, S.shapes(ns.nodes)
+    cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)
+    e = (sd.dw / (fl.w * fl.w)[..., None])[..., None]
+    dphi = cmc_stats(S, Q)[0] * e - n * sd.h @ np.linalg.solve(sd.g, e)
+    want = cs + np.sum(dphi * np.linalg.solve(sd.g, dphi), axis=(-2, -1))
+    assert len(integrands) == 1
+    assert_close_to_scale(integrands[0], want)
 
 
 @pytest.mark.parametrize("name", CAPS)

@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from horocap import cli
@@ -284,6 +285,26 @@ class TestReports:
         # rows without a comma, quote or line break are written bare
         assert p.read_text().endswith("\nb,plain,1\n")
 
+    def test_csv_cells_are_format_cell(self, tmp_path):
+        row = ["a", 1, 0.25, True, np.float64(1 / 3), np.int64(7),
+               np.bool_(False), None]
+        p = tmp_path / "cells.csv"
+        write_csv(p, [f"c{i}" for i in range(len(row))], [row])
+        with p.open(newline="") as fh:
+            assert list(csv.reader(fh))[1] == [format_cell(v) for v in row]
+        assert format_cell(np.float64(0.5)) == format_cell(0.5)
+        assert format_cell(np.int64(3)) == "3"
+
+    def test_config_hash_of_the_records_is_that_of_asdict(self):
+        """A workload-like config: caps of both kinds, a control, a sweep."""
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["surfaces"].append({"label": "eq-3d", "n": 3, "a": -0.5,
+                                "r": 2.0, "kind": "equidistant_sphere_cap"})
+        raw.update(sweep={"kind": "sphere_cap", "n": 2, "thetas": [0.8, 1.6],
+                          "radii": [0.5, 1.0]}, seed=7)
+        cfg = parse_config(raw)
+        assert config_hash(cfg) == config_hash(asdict(cfg))
+
     def test_config_hash_is_order_insensitive(self):
         a = {"x": 1, "y": [1, 2]}
         b = {"y": [1, 2], "x": 1}
@@ -471,6 +492,32 @@ class TestRun:
             # three surfaces, or a sweep member and its angle solve's builds
             assert len(per_surface) >= (1 if command == "sweep" else 3)
             assert set(per_surface.values()) == {1}, command
+
+    def test_one_profile_jet_call_per_node_array(self, tmp_path,
+                                                 monkeypatch):
+        """verify and deficit evaluate each node array of a fresh surface
+        once: the orientation probe, the boundary orbit and the quadrature
+        node sets (verify: two orders).  Counted through the instance
+        attribute, as the benchmark tracer counts them."""
+        init, calls = ProfileSurface.__init__, {}
+
+        def counting_init(S, *args, **kwargs):
+            init(S, *args, **kwargs)
+            jet = S.profile_jet
+
+            def counting(t):
+                calls[S].append(np.array(t, dtype=float, ndmin=1))
+                return jet(t)
+            S.profile_jet, calls[S] = counting, []  # held: no id reuse
+
+        monkeypatch.setattr(ProfileSurface, "__init__", counting_init)
+        cfg = load_config(write_config(tmp_path))
+        for command, most in (("verify", 4), ("deficit", 3)):
+            calls.clear()
+            assert run(cfg, command).ok
+            for arrays in calls.values():
+                assert len(arrays) <= most, command
+                assert len({a.tobytes() for a in arrays}) == len(arrays)
 
     def test_sweep_requires_section(self, tmp_path):
         cfg = load_config(write_config(tmp_path))

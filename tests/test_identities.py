@@ -134,16 +134,16 @@ class TestBoundaryPointwiseReduction:
             n = S.n
             bf = S.boundary_frame_at()
             th = bf.theta
-            x = bf.shape.coords
+            x = bf.coords
             w = x[-1]
-            nu = bf.shape.normal
+            nu = bf.normal
             e_d = np.zeros_like(x)
             e_d[-1] = 1.0
             V = 1.0 / w
             gXnu = float(np.dot(x - e_d, nu) / (w * w))
             gxnu = float(np.dot(x, nu) / (w * w))
             gxnubar = float(np.dot(x, bf.boundary_normal) / (w * w))
-            H = bf.shape.H
+            H = S.shape_at(S.t1).H
             phi = n * V - gXnu * H - n * math.cos(th) * gxnu
             reduced = math.sin(th) * (n * math.sin(th) - gxnubar * H
                                       - n * math.cos(th) * gxnubar)

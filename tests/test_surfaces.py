@@ -129,7 +129,7 @@ class TestBoundaryFrame:
                   tilted_plane.boundary_frame_at(np.array([0.2]))]
         for bf in frames:
             st_, ct = math.sin(bf.theta), math.cos(bf.theta)
-            mu, nu, nubar = bf.conormal, bf.shape.normal, bf.boundary_normal
+            mu, nu, nubar = bf.conormal, bf.normal, bf.boundary_normal
             Nbar = support_normal(bf)
             np.testing.assert_allclose(Nbar, st_ * mu - ct * nu, atol=1e-10)
             np.testing.assert_allclose(nubar, ct * mu + st_ * nu, atol=1e-10)
@@ -140,7 +140,7 @@ class TestBoundaryFrame:
     def test_position_field_pairing_with_support_normal(self, tilted_cap):
         """g(x, Nbar) = -1 at every boundary point of the support."""
         bf = tilted_cap.boundary_frame_at()
-        x = bf.shape.coords
+        x = bf.coords
         w = x[-1]
         assert np.dot(x, support_normal(bf)) / (w * w) == pytest.approx(
             -1.0, abs=1e-12)
@@ -221,7 +221,7 @@ class TestIntegration:
             tilted_cap,
             lambda t: fields_at(tilted_cap, t).gxnu
             * fields_at(tilted_cap, t).H, quad)
-        x = bf.shape.coords
+        x = bf.coords
         gxnubar = float(np.dot(x, bf.boundary_normal) / x[-1] ** 2)
         rhs = integrate_dM(
             tilted_cap, lambda s: -math.cos(th) * gxnubar + math.sin(th),
