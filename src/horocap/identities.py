@@ -75,8 +75,6 @@ class IdentityReport:
 def angle_stats(S: ParamSurface, Q: QuadratureSpec) -> tuple[float, float]:
     """(mean, standard deviation) of the contact angle at the face nodes."""
     theta = node_set(S, Q, face=True).frames.theta
-    if S.chart_kind == "profile":  # one orbit frame: 0 by symmetry
-        return float(theta), 0.0
     return float(theta.mean()), float(theta.std())
 
 

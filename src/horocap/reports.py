@@ -30,21 +30,19 @@ def fmt_float(x: float) -> str:
     return "%.16e" % float(x)
 
 
-_CELL_FORMATS = {bool: lambda v: "true" if v else "false",  # by exact type
-                 float: "%.16e".__mod__, int: str, str: str}  # as fmt_float
-
-
-def format_cell(value) -> str:  # numpy's float64 is a float subclass
-    default = fmt_float if isinstance(value, float) else str
-    return _CELL_FORMATS.get(type(value), default)(value)
+def format_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return fmt_float(value)
+    return str(value)
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_CELL_FORMATS.get(type(v), format_cell)(v)
-                          for v in row] for row in rows)  # format_cell inlined
+        writer.writerows([format_cell(v) for v in row] for row in rows)
 
 
 def _jsonable(value):

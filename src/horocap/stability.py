@@ -143,8 +143,7 @@ class _ProfileGrid:
         he = np.diff(self.nodes)[:, None]
         t = (self.nodes[:-1, None] + he * xi).ravel()
         m = S.meridian(t)
-        A, B, h2 = (c.reshape(self.N, 4) for c in (m.s / m.w, m.rho / m.w,
-                                                    m.h2))
+        A, B, h2 = (c.reshape(self.N, 4) for c in (m.A, m.B, m.h2))
         W = unit_sphere_area(n - 1) * A * B ** (n - 1) * he * wq
         shp = np.stack([1.0 - xi, xi])
 

@@ -221,6 +221,8 @@ class Meridian(namedtuple("Meridian",
     (radial, vertical) parts are its Euclidean first and last components."""
 
     __slots__ = ()
+    A = property(lambda m: m.s / m.w)  # metric A^2 dt^2 + B^2 dsigma^2
+    B = property(lambda m: m.rho / m.w)
     g00 = property(lambda m: m.s * m.s / (m.w * m.w))  # meridian entries
     h00 = property(lambda m: m.kappa_m * m.s * m.s / (m.w * m.w))
     H = property(lambda m: m.kappa_m + (m.n - 1) * m.kappa_a)
@@ -517,8 +519,7 @@ class NodeSet:
         elif S.chart_kind == "profile":
             self.nodes, wt = Q.rule(0.0, S.t1)
             self.meridian = m = S.meridian(self.nodes)
-            self.weights = (wt * (m.s / m.w) * (m.rho / m.w) ** (n - 1)
-                            * unit_sphere_area(n - 1))
+            self.weights = wt * m.A * m.B ** (n - 1) * unit_sphere_area(n - 1)
         else:
             axes = [Q.rule(lo, hi) for lo, hi in S.box[1 if face else 0:]]
             self.nodes = np.array(list(itertools.product(
@@ -563,9 +564,7 @@ def _integrate(ns: NodeSet, f, label: str) -> float:
     label names the first node whose value is not finite."""
     val = np.asarray(f(ns.nodes) if callable(f) else f, dtype=float)
     # a constant, as a stride-0 view: a filled copy sums in another order
-    if val.ndim == 0:  # (the view of its buffer is broadcast_to's, faster)
-        val = np.ndarray(ns.weights.shape, float, val, strides=(0,))
-    elif val.shape != ns.weights.shape:
+    if val.shape != ns.weights.shape:
         val = np.broadcast_to(val, ns.weights.shape)
     total = float(ns.weights @ val)  # not finite if any value is not
     if not math.isfinite(total) and not (finite := np.isfinite(val)).all():
