@@ -24,7 +24,9 @@ elements, so every discrete eigenvalue bounds its continuous one from
 above (Rayleigh-Ritz).  The volume (int_M phi = 0) and wetting
 (int_dM phi = 0) constraints act on the axisymmetric mode only, on a
 banded local basis of their null space; every mode pencil is banded and
-solved by LAPACK's dsbgv, up to a mode that lies above the k values found.
+solved by LAPACK's dsbgvx, up to a mode that lies above the k values found.
+A bounded spectrum (a sweep row's) solves only for the lowest value and
+the values <= its bound, by dsbgvx's index and value ranges.
 """
 
 from __future__ import annotations
@@ -450,6 +452,14 @@ def sphere_mode_multiplicity(n: int, l: int) -> int:
 
 @dataclass(frozen=True)
 class SpectrumResult:
+    """The k lowest eigenvalues, ascending, with their counts.
+
+    A bounded call (constrained_spectrum's upto) may return fewer than k:
+    the values <= upto among the k lowest, the lowest value, and what
+    else its modes 0 and 1 gave; morse_index and zero_modes are those of
+    the full call whenever upto >= ZERO_MODE_TOL.
+    """
+
     constraint: str  # VOLUME | WETTING | NONE
     eigenvalues: np.ndarray
     morse_index: int
@@ -484,7 +494,7 @@ def _congruence(X: np.ndarray, c: np.ndarray) -> np.ndarray:
 # the ILP64 OpenBLAS that numpy's wheel bundles, and the routines horocap
 # binds: name -> (pointer arguments with info, hidden character lengths)
 _OPENBLAS_DIR = Path(np.__file__).parents[1] / "numpy.libs"
-LAPACK_ROUTINES = {"dsbgv": (14, 2), "dpbtrf": (6, 1), "dgtsv": (8, 0)}
+LAPACK_ROUTINES = {"dsbgvx": (25, 3), "dpbtrf": (6, 1), "dgtsv": (8, 0)}
 
 
 @functools.cache
@@ -504,12 +514,15 @@ def _lapack(name: str):
 
 
 def _call(name: str, *args) -> int:
-    """info of the routine on args: ints by reference as int64, contiguous
-    float64 arrays by their data, bytes with a hidden size_t length each."""
-    if any(isinstance(a, np.ndarray) and not (a.dtype == np.float64 and
-           a.flags.c_contiguous) for a in args):
-        raise TypeError(f"{name} takes contiguous float64 arrays")
+    """info of the routine on args: ints by reference as int64, floats by
+    reference as double, contiguous float64 or int64 arrays by their data,
+    bytes with a hidden size_t length each."""
+    if any(isinstance(a, np.ndarray) and not (
+            a.dtype in (np.float64, np.int64) and a.flags.c_contiguous)
+           for a in args):
+        raise TypeError(f"{name} takes contiguous float64 or int64 arrays")
     refs = [ctypes.byref(ctypes.c_int64(a)) if isinstance(a, (int, np.integer))
+            else ctypes.byref(ctypes.c_double(a)) if isinstance(a, float)
             else a.ctypes.data if isinstance(a, np.ndarray) else a
             for a in args]
     info = ctypes.c_int64()
@@ -518,38 +531,59 @@ def _call(name: str, *args) -> int:
     return info.value
 
 
-def _sbgv(ab: np.ndarray, bb: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric-definite banded pencil (A, B).
+# dsbgvx's bisection tolerance for its index and value ranges:
+# 2 * dlamch("S"), the most accurate it allows
+_ABSTOL = 2.0 * np.finfo(np.float64).tiny
+
+
+def _sbgvx(ab: np.ndarray, bb: np.ndarray, which: bytes = b"A",
+           vu: float = math.inf) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric-definite banded pencil (A, B):
+    all of them (which b"A"), the lowest (b"I") or every one <= vu (b"V").
 
     ab, bb: LAPACK upper bands (m, ka+1) and (m, kb+1), kb <= ka, row j
-    holding A[j-ka, j], ..., A[j, j].  dsbgv (Crawford's split Cholesky)
-    overwrites them, so it gets copies.  LinAlgError if B is not definite.
+    holding A[j-ka, j], ..., A[j, j].  dsbgvx (Crawford's split Cholesky)
+    overwrites them, so it gets copies.  All values come from dsterf, a
+    range from bisection (dstebz).  LinAlgError if B is not definite.
     """
     ab, bb = (np.array(x, dtype=np.float64, order="C") for x in (ab, bb))
     (m, lda), (mb, ldb) = ab.shape, bb.shape
     if m != mb or m == 0 or not 1 <= ldb <= lda:
         raise ValueError(f"incompatible bands {ab.shape} and {bb.shape}")
-    w, work = np.empty(m), np.empty(3 * m)
-    # jobz = "N": the eigenvector array z is never referenced
-    info = _call("dsbgv", b"N", b"U", m, lda - 1, ldb - 1, ab, lda, bb, ldb,
-                 w, None, 1, work)
+    found, w = np.zeros(1, dtype=np.int64), np.empty(m)
+    iwork, ifail = (np.empty(c * m, dtype=np.int64) for c in (5, 1))
+    # jobz = "N": q and z are never referenced; abstol 0 makes range "A"
+    # take dsterf
+    info = _call("dsbgvx", b"N", which, b"U", m, lda - 1, ldb - 1, ab, lda,
+                 bb, ldb, None, 1, -math.inf, float(vu), 1, 1,
+                 0.0 if which == b"A" else _ABSTOL, found, w, None, 1,
+                 np.empty(7 * m), iwork, ifail)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dsbgv failed with info = {info}")
-    return w
+        raise np.linalg.LinAlgError(f"dsbgvx failed with info = {info}")
+    return w[:found[0]]
 
 
 def constrained_spectrum(S: ParamSurface, constraint: str = "VOLUME",
                          resolution: int = 128, k: int = 10,
-                         max_mode: int = 40) -> SpectrumResult:
+                         max_mode: int = 40,
+                         upto: float = math.inf) -> SpectrumResult:
     """Lowest eigenvalues of the second-variation form under one constraint.
 
     The linear constraint (volume or wetting mean) only restricts the
     axisymmetric mode; every higher angular mode satisfies it identically
     and contributes with its spherical-harmonic multiplicity.
+
+    With a finite upto, only the lowest value and the values <= upto are
+    solved for: modes 0 and 1 give their lowest value, and each mode its
+    values <= sigma = min(upto, the k-th value so far).  Mode l >= 1 is
+    mode 1 plus a positive definite potential, so its values lie above
+    mode 1's: the lowest value is the lowest of modes 0 and 1, and a mode
+    l >= 2 with no value <= sigma ends the scan.
     """
     if constraint not in ("VOLUME", "WETTING", "NONE"):
         raise ValueError(f"unknown constraint {constraint!r}")
     el = _grid(S, resolution).elements
+    bounded = math.isfinite(upto)
     collected: list[float] = []
     modes_used = 0
     for l in range(max_mode + 1):
@@ -562,13 +596,21 @@ def constrained_spectrum(S: ParamSurface, constraint: str = "VOLUME",
         elif constraint == "VOLUME":  # every c_j > 0: a row sum of M
             K, M = _congruence(K, el.c), _congruence(M, el.c)
         modes_used = l + 1
-        # K - sigma M definite (Cholesky of the kd = 1 band): every value
-        # of mode l exceeds sigma, the k-th so far, and changes nothing
-        if l >= 2 and len(collected) >= k and _call(
-                "dpbtrf", b"U", len(K), 1, K - collected[k - 1] * M, 2) == 0:
+        sigma = min(upto, collected[k - 1]) if len(collected) >= k else upto
+        # K - sigma M definite (a banded Cholesky): every value of mode l
+        # exceeds sigma and cannot enter the k values
+        above = (math.isfinite(sigma) and (bounded or l >= 2) and _call(
+            "dpbtrf", b"U", len(K), K.shape[1] - 1, K - sigma * M,
+            K.shape[1]) == 0)
+        if above and l >= 2:
             break
         try:
-            vals = _sbgv(K, M)
+            if not bounded:
+                vals = _sbgvx(K, M)
+            else:
+                vals = () if above else _sbgvx(K, M, b"V", sigma)
+                if l < 2 and not len(vals):  # modes 0 and 1: the lowest
+                    vals = _sbgvx(K, M, b"I")
         except np.linalg.LinAlgError as exc:
             raise ArithmeticError(
                 f"eigenvalue solve failed for angular mode {l}: {exc}"
@@ -605,58 +647,72 @@ class VariationCheck:
     terms: tuple = ()
 
 
+def _variation_geometry(S: ProfileSurface, Q: QuadratureSpec
+                        ) -> SimpleNamespace:
+    """What every variation of S on the node set of Q reads, whatever its
+    field: the profile jet (rho, z, rho', z'), nu and mu, each (radial,
+    vertical), and the collar ramp at the nodes t (the jet is the node
+    set's Meridian's), at t +- dt for a finite-difference Y', and at t1;
+    H at the nodes.  Built once per surface and order.
+    """
+    cache = S.__dict__.setdefault("_variation_geometry", {})
+    if Q.order in cache:
+        return cache[Q.order]
+    sign, t_ramp, ns = S.orientation_sign(), 0.8 * S.t1, node_set(S, Q)
+
+    def frame(t, jet=None):
+        jet = np.array(S.profile_jet(t)[:4]) if jet is None else jet
+        _, z, dr, dz = jet
+        s = np.hypot(dr, dz)
+        u = np.clip((t - t_ramp) / (S.t1 - t_ramp), 0.0, 1.0)
+        with np.errstate(divide="ignore"):  # exactly 0 at u = 0, 1 at u = 1
+            a = np.exp(-1.0 / u)
+            b = np.exp(-1.0 / (1.0 - u))
+        nu = sign * z * np.array([dz, -dr]) / s
+        return SimpleNamespace(t=t, jet=jet, nu=nu,
+                               mu=z * np.array([dr, dz]) / s, ramp=a / (a + b))
+
+    end = frame(np.array([S.t1]))
+    if abs(end.mu[1, 0]) < 1e-12:
+        raise ValueError("conormal is horizontal; boundary slide undefined")
+    t, m, dt = ns.nodes, ns.meridian, 1e-6
+    cache[Q.order] = SimpleNamespace(
+        sign=sign, t_ramp=t_ramp, w=Q.rule(0.0, S.t1)[1], H=ns.fields.H,
+        nodes=frame(t, np.array([m.rho, m.w, m.dr, m.dz])),
+        plus=frame(t + dt), minus=frame(t - dt), dt=dt, end=end)
+    return cache[Q.order]
+
+
 class _Variation:
     """Straight-line admissible variation x + s*Y from a nodal scalar.
 
     Y = phi*nu + eta*mu with eta a boundary-collar ramp chosen so the
     vertical component of Y vanishes at the boundary: the displaced
     boundary slides inside the flat support exactly.  Y is independent
-    of s, so the constructor evaluates Y, Y', the profile jet, nu and H
-    once on the node set of Q and every functional of s reads them.
+    of s, so the constructor evaluates Y and Y' once on the node set of
+    Q, from the surface's variation geometry, and every functional of s
+    reads them.
     """
 
     def __init__(self, S: ProfileSurface, phi: ScalarField,
                  Q: QuadratureSpec):
+        g = _variation_geometry(S, Q)
         self.S = S
         self.frame = S.boundary_frame_at()
         self.spline = phi.spline
-        self.sign = S.orientation_sign()
+        self.sign, self.t_ramp, self.w, self.H = g.sign, g.t_ramp, g.w, g.H
         self.nubar_sign = 1.0 if self.frame.boundary_normal[0] > 0 else -1.0
-        self.t_ramp = 0.8 * S.t1
-        jet1, nu1, mu1 = self._frame(np.array([S.t1]))
-        self.rho1 = float(jet1[0, 0])  # the boundary radius
-        if abs(mu1[1, 0]) < 1e-12:
-            raise ValueError("conormal is horizontal; boundary slide undefined")
-        self.eta1 = -phi.values[-1] * nu1[1, 0] / mu1[1, 0]
-        self.Y1 = self._displacement(np.array([S.t1]))[0][:, 0]
-        t, self.w = Q.rule(0.0, S.t1)
-        self.Y, self.jet, self.nu = self._displacement(t)
-        dt = 1e-6
-        self.Yp = (self._displacement(t + dt)[0]
-                   - self._displacement(t - dt)[0]) / (2 * dt)
-        self.H = node_set(S, Q).fields.H
+        self.rho1 = float(g.end.jet[0, 0])  # the boundary radius
+        self.eta1 = -phi.values[-1] * g.end.nu[1, 0] / g.end.mu[1, 0]
+        self.Y1 = self._displacement(g.end)[:, 0]
+        self.jet, self.nu = g.nodes.jet, g.nodes.nu
+        self.Y = self._displacement(g.nodes)
+        self.Yp = (self._displacement(g.plus)
+                   - self._displacement(g.minus)) / (2 * g.dt)
 
-    def _frame(self, t: np.ndarray):
-        """Profile jet (rho, z, rho', z'), nu and mu, each (radial, vertical)."""
-        jet = np.array(self.S.profile_jet(t)[:4])
-        _, z, dr, dz = jet
-        s = np.hypot(dr, dz)
-        nu = self.sign * z * np.array([dz, -dr]) / s
-        mu = z * np.array([dr, dz]) / s
-        return jet, nu, mu
-
-    def _ramp(self, t: np.ndarray) -> np.ndarray:
-        u = np.clip((t - self.t_ramp) / (self.S.t1 - self.t_ramp), 0.0, 1.0)
-        with np.errstate(divide="ignore"):  # exactly 0 at u = 0, 1 at u = 1
-            a = np.exp(-1.0 / u)
-            b = np.exp(-1.0 / (1.0 - u))
-        return a / (a + b)
-
-    def _displacement(self, t: np.ndarray):
-        """(radial, vertical) Euclidean displacement Y at t, with jet and nu."""
-        jet, nu, mu = self._frame(t)
-        return (self.spline(t) * nu + self.eta1 * self._ramp(t) * mu,
-                jet, nu)
+    def _displacement(self, f: SimpleNamespace) -> np.ndarray:
+        """(radial, vertical) Euclidean displacement Y on the frame f."""
+        return self.spline(f.t) * f.nu + self.eta1 * f.ramp * f.mu
 
     # -- functionals of the deformed surface ---------------------------
     def area(self, s: float) -> float:

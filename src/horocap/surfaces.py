@@ -594,10 +594,12 @@ def integrate_dM(S: ParamSurface, f, Q: QuadratureSpec) -> float:
 
 
 def check_immersion(S: ParamSurface, Q: QuadratureSpec) -> None:
-    """Raise ImmersionError if the induced metric degenerates at any node."""
+    """Raise ImmersionError if the induced metric degenerates at any node
+    (GeometryError, also a ValueError, if a profile leaves the half-space)."""
     if S.chart_kind == "profile":
         nodes, _ = Q.rule(0.0, S.t1)
-        A, B, _, _ = S.metric_coeffs(nodes)
+        m = S.meridian(nodes, +1)  # A and B do not depend on the sign
+        A, B = m.A, m.B
         bad = np.flatnonzero(~((A > 0) & (B > 0) & np.isfinite(A)
                                & np.isfinite(B)))
         if bad.size:

@@ -519,6 +519,29 @@ class TestRun:
                 assert len(arrays) <= most, command
                 assert len({a.tobytes() for a in arrays}) == len(arrays)
 
+    def test_variation_geometry_once_per_surface(self, tmp_path,
+                                                 monkeypatch):
+        """variation-check reads the profile jet of a surface at most six
+        times for its five checks: the orientation probe, the boundary
+        orbit, the node set, and the variation geometry at t +- dt and
+        at t1; the geometry's node jet is the node set's."""
+        init, calls = ProfileSurface.__init__, {}
+
+        def counting_init(S, *args, **kwargs):
+            init(S, *args, **kwargs)
+            jet = S.profile_jet
+
+            def counting(t):
+                calls[S] += 1
+                return jet(t)
+            S.profile_jet, calls[S] = counting, 0  # held: no id reuse
+
+        monkeypatch.setattr(ProfileSurface, "__init__", counting_init)
+        cfg = load_config(write_config(tmp_path))
+        assert run(cfg, "variation-check").ok
+        kept = [c for c in calls.values() if c > 1]  # not a bump probe
+        assert len(kept) == 3 and max(kept) <= 6
+
     def test_sweep_requires_section(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
         with pytest.raises(ConfigError, match="sweep"):

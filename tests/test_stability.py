@@ -10,7 +10,8 @@ import pytest
 
 from horocap import cli, stability
 from horocap.config import Numerics, OutputSpec, RunConfig, SurfaceEntry
-from horocap.families import CapKind, CapSpec, build
+from horocap.families import (CapKind, CapSpec, InfeasibleError, build,
+                              solve_for_angle)
 from horocap.quadrature import QuadratureSpec
 from horocap.stability import (GridError, ScalarField, boundary_cancellation,
                                boundary_identity_residuals,
@@ -19,7 +20,8 @@ from horocap.stability import (GridError, ScalarField, boundary_cancellation,
                                jacobi_field_residuals, laplace_beltrami,
                                normal_derivative, phi_aux, phi_test,
                                quadratic_form, robin_q,
-                               sphere_mode_multiplicity, umbilicity_deficit)
+                               sphere_mode_multiplicity, umbilicity_deficit,
+                               ZERO_MODE_TOL)
 from horocap.surfaces import integrate_dM, integrate_M
 
 
@@ -236,22 +238,23 @@ class TestSpectra:
         assert res.morse_index + res.zero_modes <= len(res.eigenvalues)
 
     def test_cached_elements_unchanged_by_solves(self, tilted_cap):
-        # dsbgv overwrites its inputs; the cached bands must survive
+        # dsbgvx overwrites its inputs; the cached bands must survive
         el = stability._grid(tilted_cap, 32).elements
         before = {k: v.copy() for k, v in vars(el).items()}
         for c in ("VOLUME", "WETTING", "NONE"):
             constrained_spectrum(tilted_cap, c, 32, 6)
+            constrained_spectrum(tilted_cap, c, 32, 6, upto=ZERO_MODE_TOL)
         assert stability._grid(tilted_cap, 32).elements is el
         for k, v in vars(el).items():
             np.testing.assert_array_equal(v, before[k], err_msg=k)
 
     def test_every_mode_is_one_banded_solve(self, tilted_cap, monkeypatch):
-        sbgv, call = stability._sbgv, stability._call
+        sbgvx, call = stability._sbgvx, stability._call
         calls, cholesky = [], []
 
-        def counting_sbgv(ab, bb):
+        def counting_sbgvx(ab, bb, *args):
             calls.append((ab.shape, bb.shape))
-            return sbgv(ab, bb)
+            return sbgvx(ab, bb, *args)
 
         def recording_call(name, *args):
             info = call(name, *args)
@@ -259,7 +262,7 @@ class TestSpectra:
                 cholesky.append(info)
             return info
 
-        monkeypatch.setattr(stability, "_sbgv", counting_sbgv)
+        monkeypatch.setattr(stability, "_sbgvx", counting_sbgvx)
         monkeypatch.setattr(stability, "_call", recording_call)
         res = constrained_spectrum(tilted_cap, "VOLUME", 32, 6)
         assert 0 < res.modes_used < 41  # the scan stopped early
@@ -282,13 +285,72 @@ class TestSpectra:
             # to modes_used: a scan that stops too early drops values
             el, collected = stability._grid(S, 48).elements, []
             for l in range(41):
-                vals = stability._sbgv(*mode_bands(
+                vals = stability._sbgvx(*mode_bands(
                     el, S.n, l, constraint))
                 collected.extend(float(v) for v in vals[:k]
                                  for _ in range(sphere_mode_multiplicity(
                                      S.n, l)))
             np.testing.assert_array_equal(res.eigenvalues,
                                           sorted(collected)[:k])
+
+    @pytest.mark.parametrize("kind", [CapKind.SPHERE_CAP,
+                                      CapKind.EQUIDISTANT_SPHERE_CAP])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bounded_spectrum_counts_as_the_full_one(self, kind, n,
+                                                     bumped_cap):
+        surfaces = [bumped_cap] if (kind, n) == (CapKind.SPHERE_CAP, 2) else []
+        for theta in (0.45, 0.8, 1.2, 1.57, 2.0):
+            for r in (0.5, 1.0):
+                try:
+                    spec = solve_for_angle(kind, theta, n=n, r=r)
+                except InfeasibleError:
+                    continue
+                surfaces.append(build(spec))
+        assert len(surfaces) >= 2
+        for S in surfaces:
+            for constraint in ("VOLUME", "WETTING", "NONE"):
+                for grid in (64, 128):
+                    full = constrained_spectrum(S, constraint, grid)
+                    got = constrained_spectrum(S, constraint, grid,
+                                               upto=ZERO_MODE_TOL)
+                    assert (got.morse_index, got.zero_modes) == (
+                        full.morse_index, full.zero_modes)
+                    # the values <= the bound, and the lowest one above it
+                    low = np.sum(full.eigenvalues <= ZERO_MODE_TOL)
+                    m = min(max(low, 1), len(got.eigenvalues))
+                    np.testing.assert_allclose(
+                        got.eigenvalues[:m], full.eigenvalues[:m], rtol=0.0,
+                        atol=1e-10 * max(1.0, abs(full.eigenvalues[0])))
+                    assert got.modes_used <= full.modes_used
+                    assert len(got.eigenvalues) <= len(full.eigenvalues)
+
+    def test_bounded_spectrum_keeps_at_most_k_values(self):
+        # n = 3, no constraint: a negative value and three near-zero
+        # translation values lie below the bound, more than k = 2
+        S = build(solve_for_angle(CapKind.SPHERE_CAP, 1.2, n=3, r=0.5))
+        full = constrained_spectrum(S, "NONE", 64, 10)
+        assert np.sum(full.eigenvalues <= ZERO_MODE_TOL) > 2
+        got = constrained_spectrum(S, "NONE", 64, 2, upto=ZERO_MODE_TOL)
+        assert len(got.eigenvalues) == 2
+        np.testing.assert_allclose(got.eigenvalues, full.eigenvalues[:2],
+                                   rtol=0.0, atol=1e-10)
+        assert (got.morse_index, got.zero_modes) == (1, 1)
+
+    def test_stable_bounded_spectrum_solves_modes_0_and_1_only(
+            self, tilted_cap, monkeypatch):
+        sbgvx, ranges = stability._sbgvx, []
+
+        def recording_sbgvx(ab, bb, which=b"A", *args):
+            ranges.append(which)
+            return sbgvx(ab, bb, which, *args)
+
+        monkeypatch.setattr(stability, "_sbgvx", recording_sbgvx)
+        res = constrained_spectrum(tilted_cap, "VOLUME", 64,
+                                   upto=ZERO_MODE_TOL)
+        assert res.eigenvalues[0] > ZERO_MODE_TOL
+        # one lowest value each of modes 0 and 1; mode 2's Cholesky stops
+        assert ranges == [b"I", b"I"] and res.modes_used == 3
+        assert len(res.eigenvalues) == 1 + tilted_cap.n
 
     def test_spectra_build_no_stencil_matrices(self, monkeypatch):
         # a fresh surface: the session fixtures' grids may hold them already
@@ -368,8 +430,8 @@ class TestBandedSolver:
         oracle = {}
         for constraint in ("VOLUME", "WETTING", "NONE"):
             for l in range(3):
-                got = stability._sbgv(*mode_bands(
-                    el, tilted_cap.n, l, constraint))
+                bands = mode_bands(el, tilted_cap.n, l, constraint)
+                got = stability._sbgvx(*bands)
                 K = dense(el.K0 + l * (l + tilted_cap.n - 2) * el.P)
                 M, c = dense(el.M), None
                 if l > 0:
@@ -382,16 +444,24 @@ class TestBandedSolver:
                 if key not in oracle:
                     oracle[key] = mp_lowest(K, M, c)
                 want = oracle[key]
-                np.testing.assert_array_less(
-                    np.abs(got[:3] - want),
-                    1e-9 * np.maximum(1.0, np.abs(want)))
+                # the lowest value, and the values <= a bound between the
+                # second and the third
+                lowest = stability._sbgvx(*bands, b"I")
+                below = stability._sbgvx(*bands, b"V",
+                                         0.5 * (want[1] + want[2]))
+                for vals, ref in ((got[:3], want), (lowest, want[:1]),
+                                  (below, want[:2])):
+                    assert len(vals) == len(ref)
+                    np.testing.assert_array_less(
+                        np.abs(vals - ref),
+                        1e-9 * np.maximum(1.0, np.abs(ref)))
 
     def test_indefinite_mass_raises(self):
         ab = np.array([[0.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
         bb = ab.copy()
         bb[1, 1] = -1.0
         with pytest.raises(np.linalg.LinAlgError) as exc:
-            stability._sbgv(ab, bb)
+            stability._sbgvx(ab, bb)
         # info > m is LAPACK's "B is not positive definite", read back
         # through the int64 info argument
         info = int(re.search(r"info = (-?\d+)", str(exc.value)).group(1))
@@ -408,7 +478,7 @@ class TestBandedSolver:
         L = np.linalg.cholesky(dense(bb))
         C = np.linalg.solve(L, np.linalg.solve(L, dense(ab)).T)
         want = np.linalg.eigvalsh(C)
-        got = stability._sbgv(ab, bb)
+        got = stability._sbgvx(ab, bb)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_cholesky_reads_the_sign_of_the_lowest_eigenvalue(self):

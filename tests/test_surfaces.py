@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from horocap.families import CapKind, CapSpec, build
 from horocap.quadrature import QuadratureSpec
-from horocap.surfaces import (GridSurface, ImmersionError, ProfileSurface,
-                              SupportError, check_immersion, fields_at,
-                              integrate_dM, integrate_M)
+from horocap.surfaces import (GeometryError, GridSurface, ImmersionError,
+                              ProfileSurface, SupportError, check_immersion,
+                              fields_at, integrate_dM, integrate_M)
 
 
 def sphere_cap(n=2, a=1.0, r=0.5):
@@ -251,6 +251,32 @@ class TestImmersionChecks:
 
     def test_valid_cap_passes(self, ortho_cap):
         check_immersion(ortho_cap, QuadratureSpec(32))
+
+    def test_profile_check_is_one_meridian_evaluation(self):
+        """A profile chart's A and B come from one jet call on the nodes
+        (no orientation probe), and each failure is a ValueError, which
+        the bump bisection of families.perturb catches."""
+        calls = []
+
+        def line(slope, height):  # rho = slope t, z = 1 + height (1 - t)
+            def jet(t):
+                calls.append(t)
+                t = np.asarray(t, dtype=float)
+                one, zero = np.ones_like(t), np.zeros_like(t)
+                return (slope * t, 1.0 + height * (1.0 - t), slope * one,
+                        -height * one, zero, zero)
+            return ProfileSurface(2, 1.0, jet)
+
+        check_immersion(line(1.0, 0.5), QuadratureSpec(16))
+        assert len(calls) == 1
+        with pytest.raises(ImmersionError, match="degenerate induced metric"):
+            check_immersion(line(-1.0, 0.5), QuadratureSpec(16))
+        with pytest.raises(GeometryError, match="upper half-space"):
+            check_immersion(line(1.0, -2.0), QuadratureSpec(16))
+        with pytest.raises(ImmersionError, match="tangent vanishes"):
+            check_immersion(line(0.0, 0.0), QuadratureSpec(16))
+        assert issubclass(GeometryError, ValueError)
+        assert issubclass(ImmersionError, ValueError)
 
     def test_umbilical_spread_small_everywhere(self, tilted_cap, cap_3d):
         for S in (tilted_cap, cap_3d):
