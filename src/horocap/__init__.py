@@ -12,7 +12,6 @@ from .identities import IDENTITY_IDS, AngleError, IdentityReport, suite, verify
 from .stability import (RobinData, ScalarField, SpectrumResult, VariationCheck,
                         boundary_cancellation, constrained_spectrum,
                         energy_second_difference, fd_variation_check,
-                        jacobi_apply, laplace_beltrami, phi_aux, phi_test,
                         quadratic_form, robin_q, umbilicity_deficit)
 from .config import ConfigError, RunConfig, load_config, parse_config
 

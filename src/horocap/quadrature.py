@@ -1,10 +1,10 @@
-"""Quadrature plumbing: Gauss-Legendre rules, sphere factors, stencils.
+"""Quadrature plumbing: Gauss-Legendre rules and sphere factors.
 
 Profile (axisymmetric) charts integrate with a 1-D Gauss-Legendre rule
 along the profile parameter times the exact area of the unit
 (n-1)-sphere; box charts use tensor-product Gauss-Legendre.  Fields on
 the uniform nodal grids integrate on the same rules, through their
-splines; the grids' finite-difference stencils come from fd_weights.
+splines.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "QuadratureSpec",
     "gauss_legendre",
     "unit_sphere_area",
-    "fd_weights",
 ]
 
 
@@ -64,18 +63,3 @@ def unit_sphere_area(k: int) -> float:
         return 2.0
     return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
 
-
-def fd_weights(offsets: np.ndarray, deriv: int) -> np.ndarray:
-    """Finite-difference weights for the given derivative on integer offsets.
-
-    Solves the Vandermonde moment conditions; with m offsets the stencil
-    is exact on polynomials of degree < m.
-    """
-    offs = np.asarray(offsets, dtype=float)
-    m = offs.shape[0]
-    if deriv >= m:
-        raise ValueError("stencil too short for requested derivative")
-    A = np.vander(offs, m, increasing=True).T
-    b = np.zeros(m)
-    b[deriv] = math.factorial(deriv)
-    return np.linalg.solve(A, b)

@@ -1,18 +1,16 @@
 """Jacobi operator, stability quadratic form, spectra and variation checks.
 
 Discrete machinery lives on the 1-D profile grid of axisymmetric
-surfaces: uniform nodes t_j = j*h on [0, t1] including both ends.  The
-induced metric is A(t)^2 dt^2 + B(t)^2 dsigma^2, so for axisymmetric
-fields
+surfaces: uniform nodes t_j = j*t1/N on [0, t1] including both ends.  The
+induced metric is A(t)^2 dt^2 + B(t)^2 dsigma^2, so the Jacobi operator
+J f = Delta f + (|h|^2 - n) f of the second variation has, on
+axisymmetric fields, the profile form
 
-    Laplace-Beltrami:  Delta f = f''/A^2 + f' * [(n-1)B'/(A^2 B) - A'/A^3]
+    Laplace-Beltrami:  Delta f = f''/A^2 + f' * [(n-1)B'/(A^2 B) - A'/A^3].
 
-with the pole row replaced by the smooth-axis limit
-Delta f(0) = n f''(0)/A(0)^2.  The PDE residuals differentiate with
-4th-order stencils with even (reflective) extension across the pole,
-one-sided at the outer boundary.  A field's one continuous form is the
-not-a-knot spline through its nodes, and every integral of it reads
-that spline on the surface's Gauss node set (FIELD_RULE by default).
+A field's one continuous form is the not-a-knot spline through its
+nodes, and every integral of it reads that spline on the surface's
+Gauss node set (FIELD_RULE by default).
 
 The quadratic form is read there in the symmetric Dirichlet shape
 
@@ -46,10 +44,9 @@ import numpy as np
 import scipy
 
 from .identities import cmc_stats
-from .quadrature import (QuadratureSpec, fd_weights, gauss_legendre,
-                         unit_sphere_area)
-from .surfaces import (ParamSurface, ProfileSurface, fields_at, integrate_dM,
-                       integrate_M, node_set)
+from .quadrature import QuadratureSpec, gauss_legendre, unit_sphere_area
+from .surfaces import (ParamSurface, ProfileSurface, integrate_dM, integrate_M,
+                       node_set)
 
 __all__ = [
     "ScalarField",
@@ -59,14 +56,7 @@ __all__ = [
     "GridError",
     "MIN_RESOLUTION",
     "ZERO_MODE_TOL",
-    "laplace_beltrami",
-    "jacobi_apply",
     "robin_q",
-    "normal_derivative",
-    "phi_test",
-    "phi_aux",
-    "jacobi_field_residuals",
-    "boundary_identity_residuals",
     "quadratic_form",
     "constrained_spectrum",
     "fd_variation_check",
@@ -92,45 +82,21 @@ class GridError(ValueError):
 # ----------------------------------------------------------------------
 
 class _ProfileGrid:
-    """Nodal geometry, stencil matrices and P1 elements for one grid."""
+    """Nodes, boundary measure and P1 elements for one grid."""
 
     def __init__(self, S: ProfileSurface, resolution: int):
         if resolution < MIN_RESOLUTION:
             raise GridError(
                 f"grid resolution {resolution} < minimum {MIN_RESOLUTION}"
             )
-        # weak: S caches its grids, and a cycle would keep their dense
-        # matrices alive until the cyclic garbage collector runs
+        # weak: S caches its grids, and a cycle would keep their element
+        # bands alive until the cyclic garbage collector runs
         self.S = weakref.proxy(S)
         self.N = resolution
-        self.h = S.t1 / resolution
         self.nodes = np.linspace(0.0, S.t1, resolution + 1)
         n = S.n
         self.boundary_measure = (unit_sphere_area(n - 1)
                                  * S.boundary_radius ** (n - 1))
-
-    # built on first use: the PDE-residual checks read them, the spectra
-    # and the variations do not
-    metric = functools.cached_property(  # (A, B, A', B') at the nodes
-        lambda self: self.S.metric_coeffs(self.nodes))
-    fields = functools.cached_property(
-        lambda self: fields_at(self.S, self.nodes))
-    D1 = functools.cached_property(lambda self: self._stencil_matrix(1))
-    D2 = functools.cached_property(lambda self: self._stencil_matrix(2))
-
-    def _stencil_matrix(self, deriv: int) -> np.ndarray:
-        """4th-order differentiation with even pole extension, one-sided tail."""
-        N, h = self.N, self.h
-        D = np.zeros((N + 1, N + 1))
-        offs = np.arange(-2, 3)
-        rows = np.arange(N - 1)[:, None]
-        # fold: even extension across t=0 (add.at sums the folded columns)
-        np.add.at(D, (rows, np.abs(rows + offs)),
-                  fd_weights(offs, deriv) / h ** deriv)
-        for j in (N - 1, N):
-            offs = np.arange(-4, 1) + (N - j)
-            D[j, j + offs] = fd_weights(offs, deriv) / h ** deriv
-        return D
 
     @functools.cached_property
     def elements(self) -> SimpleNamespace:
@@ -162,17 +128,6 @@ class _ProfileGrid:
         return SimpleNamespace(K0=K0, P=mass(1.0 / (B * B)), M=M,
                                c=M.sum(axis=1) + np.append(M[1:, 0], 0.0))
 
-    def laplacian_matrix(self) -> np.ndarray:
-        n, (A, B, dA, dB) = self.S.n, self.metric
-        L = self.D2 / A[:, None] ** 2
-        C = np.zeros_like(A)
-        C[1:] = ((n - 1) * dB[1:] / (A[1:] ** 2 * B[1:])
-                 - dA[1:] / A[1:] ** 3)
-        L += C[:, None] * self.D1
-        # smooth-axis limit at the pole
-        L[0, :] = n * self.D2[0, :] / A[0] ** 2
-        return L
-
 
 def _grid(S: ParamSurface, resolution: int) -> _ProfileGrid:
     """The cached grid of S; only a profile chart has one."""
@@ -187,7 +142,7 @@ def _grid(S: ParamSurface, resolution: int) -> _ProfileGrid:
 
 
 # ----------------------------------------------------------------------
-# scalar fields and discrete operators
+# scalar fields
 # ----------------------------------------------------------------------
 
 def _cubic_spline(x: np.ndarray, y: np.ndarray) -> Callable:
@@ -250,12 +205,6 @@ class ScalarField:
     def nodes(self) -> np.ndarray:
         return _grid(self.surface, self.resolution).nodes
 
-    @staticmethod
-    def from_function(S: ParamSurface, fn: Callable[[float], float],
-                      resolution: int) -> "ScalarField":
-        g = _grid(S, resolution)
-        return ScalarField(S, np.array([fn(t) for t in g.nodes]))
-
     @functools.cached_property
     def spline(self) -> Callable:
         return _cubic_spline(self.nodes, self.values)
@@ -267,9 +216,6 @@ class ScalarField:
 
     def integral_M(self, Q: QuadratureSpec = FIELD_RULE) -> float:
         return integrate_M(self.surface, self.spline, Q)
-
-    def integral_dM(self) -> float:
-        return integrate_dM(self.surface, self.values[-1], FIELD_RULE)
 
 
 @dataclass(frozen=True)
@@ -287,135 +233,6 @@ def robin_q(S: ParamSurface) -> RobinData:
     th = bf.theta
     q = 1.0 / math.sin(th) + bf.hmumu / math.tan(th)
     return RobinData(theta=th, hmumu=bf.hmumu, q=q)
-
-
-def laplace_beltrami(f: ScalarField) -> ScalarField:
-    g = _grid(f.surface, f.resolution)
-    return ScalarField(f.surface, g.laplacian_matrix() @ f.values)
-
-
-def jacobi_apply(f: ScalarField) -> ScalarField:
-    """J f = Delta f + (|h|^2 - n) f."""
-    g = _grid(f.surface, f.resolution)
-    lap = g.laplacian_matrix() @ f.values
-    return ScalarField(f.surface, lap + (g.fields.h2 - f.surface.n) * f.values)
-
-
-def normal_derivative(f: ScalarField) -> float:
-    """Outward conormal derivative at the boundary, f'(t1)/A(t1)."""
-    g = _grid(f.surface, f.resolution)
-    return float((g.D1 @ f.values)[-1] / g.metric[0][-1])
-
-
-# ----------------------------------------------------------------------
-# the distinguished test and auxiliary functions
-# ----------------------------------------------------------------------
-
-def phi_test(S: ParamSurface, resolution: int = 128
-             ) -> tuple[ScalarField, dict]:
-    """The admissible test function n V - g(X,nu) H - n cos(theta) g(x,nu).
-
-    Returns the nodal field plus its four defining residuals: the Jacobi
-    equation J phi = (n|h|^2 - H^2) V, the Robin boundary condition, and
-    the two vanishing integrals over M and dM.  On near-CMC input H is
-    the area-weighted mean and the node spread is reported (cmc_stats).
-    """
-    fl = _grid(S, resolution).fields
-    n, (H, H_spread) = S.n, cmc_stats(S, FIELD_RULE)
-    ct = math.cos(S.boundary_frame_at().theta)
-    phi = ScalarField(S, n * fl.V - fl.gXnu * H - n * ct * fl.gxnu)
-    jac = jacobi_apply(phi).values
-    rhs = (n * fl.h2 - H * H) * fl.V
-    q = robin_q(S).q
-    residuals = {
-        "jacobi": float(np.max(np.abs(jac - rhs))),
-        "robin": abs(normal_derivative(phi) - q * phi.values[-1]),
-        "integral_M": abs(phi.integral_M()),
-        "integral_dM": abs(phi.integral_dM()),
-        "H_mean": H,
-        "H_spread": H_spread,
-        "cmc_ok": H_spread < 1e-8,
-    }
-    return phi, residuals
-
-
-def phi_aux(S: ParamSurface, resolution: int = 128
-            ) -> tuple[ScalarField, dict]:
-    """The auxiliary function Phi = -H V - n g(E,nu) with its identities.
-
-    Residuals: Delta Phi = (n|h|^2 - H^2) g(E,nu); the boundary value
-    -H - n cos(theta); the conormal derivative -sin(theta)(H - n h(mu,mu)).
-    """
-    fl, bf = _grid(S, resolution).fields, S.boundary_frame_at()
-    n, (H, H_spread) = S.n, cmc_stats(S, FIELD_RULE)
-    phi = ScalarField(S, -H * fl.V - n * fl.gEnu)
-    lap = laplace_beltrami(phi).values
-    rhs = (n * fl.h2 - H * H) * fl.gEnu
-    st, ct = math.sin(bf.theta), math.cos(bf.theta)
-    residuals = {
-        "laplace": float(np.max(np.abs(lap - rhs))),
-        "boundary_value": abs(phi.values[-1] - (-H - n * ct)),
-        "conormal": abs(normal_derivative(phi)
-                        - (-st * (H - n * bf.hmumu))),
-        "constant_deviation": float(np.max(np.abs(phi.values
-                                                  - (-H - n * ct)))),
-        "H_mean": H,
-        "H_spread": H_spread,
-        "cmc_ok": H_spread < 1e-8,
-    }
-    return phi, residuals
-
-
-def jacobi_field_residuals(S: ParamSurface, resolution: int = 128) -> dict:
-    """Jacobi-equation residuals of the distinguished normal components.
-
-    On a CMC surface: J g(x,nu) = 0, J g(E,nu) = -H V - n g(E,nu), and
-    J g(X,nu) = H V + n g(E,nu).
-    """
-    fl = _grid(S, resolution).fields
-    n, (H, H_spread) = S.n, cmc_stats(S, FIELD_RULE)
-    f_x = ScalarField(S, fl.gxnu)
-    f_E = ScalarField(S, fl.gEnu)
-    f_X = ScalarField(S, fl.gXnu)
-    return {
-        "position": float(np.max(np.abs(jacobi_apply(f_x).values))),
-        "vertical": float(np.max(np.abs(
-            jacobi_apply(f_E).values - (-H * fl.V - n * fl.gEnu)))),
-        "conformal": float(np.max(np.abs(
-            jacobi_apply(f_X).values - (H * fl.V + n * fl.gEnu)))),
-        "H_mean": H,
-        "H_spread": H_spread,
-    }
-
-
-def boundary_identity_residuals(S: ParamSurface, resolution: int = 128
-                                ) -> dict:
-    """Conormal-derivative identities of the distinguished boundary fields.
-
-    Checks, at the boundary node: the Robin relations for
-    V - cos(theta) g(E,nu) and g(X,nu), the derivative formula for
-    g(x,nu), and the tangency relation g(X,mu) = cot(theta) g(X,nu).
-    """
-    fl, bf = _grid(S, resolution).fields, S.boundary_frame_at()
-    q = robin_q(S).q
-    f1 = ScalarField(S, fl.V - math.cos(bf.theta) * fl.gEnu)
-    f2 = ScalarField(S, fl.gXnu)
-    f3 = ScalarField(S, fl.gxnu)
-    x = bf.coords
-    w = x[-1]
-    gxmu = float(np.dot(x, bf.conormal) / (w * w))
-    e_d = np.zeros_like(x)
-    e_d[-1] = 1.0
-    X = x - e_d
-    gXmu = float(np.dot(X, bf.conormal) / (w * w))
-    gXnu_b = float(np.dot(X, bf.normal) / (w * w))
-    return {
-        "robin_potential": abs(normal_derivative(f1) - q * f1.values[-1]),
-        "robin_conformal": abs(normal_derivative(f2) - q * f2.values[-1]),
-        "position": abs(normal_derivative(f3)
-                        - (bf.gxnubar + bf.hmumu * gxmu)),
-        "tangency": abs(gXmu - gXnu_b / math.tan(bf.theta)),
-    }
 
 
 # ----------------------------------------------------------------------

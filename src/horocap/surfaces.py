@@ -313,19 +313,6 @@ class ProfileSurface(ParamSurface):
     def shape_at(self, t: float) -> ShapeData:
         return self.shapes(float(t))
 
-    # -- metric coefficients for the intrinsic grid operators ----------
-    def metric_coeffs(self, t):
-        """(A, B, A', B') of the induced metric A^2 dt^2 + B^2 dsigma^2."""
-        rho, z, dr, dz, d2r, d2z = self.profile_jet(t)
-        w = z
-        s = np.sqrt(dr * dr + dz * dz)
-        A = s / w
-        B = rho / w
-        ds = (dr * d2r + dz * d2z) / s
-        dA = ds / w - s * dz / (w * w)
-        dB = (dr * w - rho * dz) / (w * w)
-        return A, B, dA, dB
-
     # -- boundary ------------------------------------------------------
     def boundary_frames(self, s) -> BoundaryFrame:
         """Frames at support-face points s of shape (..., n-1), batched.
@@ -456,7 +443,7 @@ class GridSurface(ParamSurface):
 
 
 # ----------------------------------------------------------------------
-# pointwise geometric scalars used by the integral and PDE identities
+# pointwise geometric scalars used by the identities and the stability layer
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)

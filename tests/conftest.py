@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from horocap.families import CapKind, CapSpec, PerturbationSpec, build, perturb
+from horocap.identities import cmc_stats
 from horocap.quadrature import QuadratureSpec
-from horocap.surfaces import GridSurface
+from horocap.stability import FIELD_RULE, ScalarField, _grid
+from horocap.surfaces import GridSurface, fields_at
 
 
 def cap(kind=CapKind.SPHERE_CAP, n=2, a=1.0, r=0.5, **kw):
@@ -91,3 +93,21 @@ def quad_fast():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240824)
+
+
+@pytest.fixture(scope="session")
+def distinguished_fields():
+    """fields(S, resolution) -> (phi_test, Phi) of S on its grid.
+
+    phi_test = n V - H g(X,nu) - n cos(theta) g(x,nu) is the test function
+    of the stability argument and Phi = -H V - n g(E,nu) its auxiliary
+    function, read off fields_at at the grid nodes; H is the area-weighted
+    mean of cmc_stats on FIELD_RULE.
+    """
+    def fields(S, resolution=128):
+        fl = fields_at(S, _grid(S, resolution).nodes)
+        n, (H, _) = S.n, cmc_stats(S, FIELD_RULE)
+        ct = math.cos(S.boundary_frame_at().theta)
+        return (ScalarField(S, n * fl.V - H * fl.gXnu - n * ct * fl.gxnu),
+                ScalarField(S, -H * fl.V - n * fl.gEnu))
+    return fields

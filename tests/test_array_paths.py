@@ -6,10 +6,11 @@ evaluation per chart point (SVD normal, Cholesky check and generalized
 eigenproblem on box charts, the meridian formulas on profile charts),
 one boundary frame per support point, one profile-jet, spline and ramp
 evaluation per node and per variation parameter s, and one metric/shape
-evaluation per element Gauss point and per angular mode, and the stencil
-matrices filled row by row.  The array code must reproduce them up to
-rounding (the stencil matrices exactly).  The closed-form grad Phi of the
+evaluation per element Gauss point and per angular mode.  The array code
+must reproduce them up to rounding.  The closed-form grad Phi of the
 umbilicity deficit is checked against a 5-point finite-difference stencil.
+The references read the metric and the stencil weights in closed form,
+A = |gamma'|/z and B = rho/z off profile_jet, and (1, -8, 0, 8, -1)/12.
 """
 
 import dataclasses
@@ -21,8 +22,7 @@ import pytest
 import scipy.linalg
 
 from horocap.families import CapKind, CapSpec, PerturbationSpec, build, perturb
-from horocap.quadrature import (QuadratureSpec, fd_weights, gauss_legendre,
-                                unit_sphere_area)
+from horocap.quadrature import QuadratureSpec, gauss_legendre, unit_sphere_area
 from horocap import stability
 from horocap.identities import cmc_stats
 from horocap.stability import (ScalarField, _grid, _Variation, robin_q,
@@ -513,6 +513,12 @@ def ref_volume(var, s, Q):
     return var.sign * math.copysign(1.0, s) * unit_sphere_area(n - 1) * total
 
 
+def ref_metric(S, t):
+    """(A, B) of the induced metric A^2 dt^2 + B^2 dsigma^2 at t."""
+    rho, z, dr, dz = S.profile_jet(t)[:4]
+    return np.hypot(dr, dz) / z, rho / z
+
+
 def ref_mode_matrices(g, l):
     S, n, N = g.S, g.S.n, g.N
     lam = l * (l + n - 2)
@@ -523,7 +529,7 @@ def ref_mode_matrices(g, l):
         he = g.nodes[e + 1] - g.nodes[e]
         for xi, wq in zip(glx, glw):
             t = g.nodes[e] + he * xi
-            A, B, _, _ = S.metric_coeffs(t)
+            A, B = ref_metric(S, t)
             Wt = omega * A * B ** (n - 1) * he * wq
             shp = np.array([1.0 - xi, xi])
             dsh = np.array([-1.0, 1.0]) / he
@@ -577,30 +583,6 @@ def test_mode_matrices_match_per_point_assembly(name, request):
         assert np.max(np.abs(el.c - c_ref)) <= REL * np.max(np.abs(c_ref))
 
 
-def ref_stencil_matrix(N, h, deriv):
-    """4th-order differentiation row by row: the central stencil folded
-    across the pole (even extension), one-sided on the last two rows."""
-    D = np.zeros((N + 1, N + 1))
-    central = fd_weights(np.arange(-2, 3), deriv) / h ** deriv
-    for j in range(N + 1):
-        if j >= N - 1:
-            offs = np.arange(-4, 1) + (N - j)
-            w = fd_weights(offs, deriv) / h ** deriv
-            for o, c in zip(offs, w):
-                D[j, j + o] += c
-        else:
-            for o, c in zip(np.arange(-2, 3), central):
-                D[j, abs(j + o)] += c
-    return D
-
-
-@pytest.mark.parametrize("N", [16, 17, 64, 128, 257])
-def test_stencil_matrices_match_row_loop(N, tilted_cap):
-    g = _grid(tilted_cap, N)
-    assert np.array_equal(g.D1, ref_stencil_matrix(g.N, g.h, 1))
-    assert np.array_equal(g.D2, ref_stencil_matrix(g.N, g.h, 2))
-
-
 # -- umbilicity deficit: closed-form grad Phi vs a stencil --------------
 
 def ref_deficit(S, Q, step=1e-4):
@@ -610,7 +592,7 @@ def ref_deficit(S, Q, step=1e-4):
     area = integrate_M(S, 1.0, Q)
     H_mean = integrate_M(S, fl.H, Q) / area
     cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)
-    w5 = fd_weights(np.arange(-2, 3), 1) / step
+    w5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * step)
 
     def dphi(points):
         """Derivative of Phi from the 5 stencil points on the last point axis."""
@@ -620,7 +602,7 @@ def ref_deficit(S, Q, step=1e-4):
 
     if S.chart_kind == "profile":
         def integrand(t):
-            A = S.metric_coeffs(t)[0]
+            A = ref_metric(S, t)[0]
             return cs + (dphi(t[:, None] + np.arange(-2, 3) * step) / A) ** 2
     else:
         def integrand(u):

@@ -1,4 +1,4 @@
-"""Quadrature rules, sphere areas, stencil weights."""
+"""Quadrature rules and sphere areas."""
 
 import math
 
@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horocap.quadrature import (QuadratureSpec, fd_weights, gauss_legendre,
-                                unit_sphere_area)
+from horocap.quadrature import QuadratureSpec, gauss_legendre, unit_sphere_area
 
 
 class TestGaussLegendre:
@@ -73,32 +72,3 @@ class TestUnitSphereArea:
     def test_negative_dimension_rejected(self):
         with pytest.raises(ValueError):
             unit_sphere_area(-1)
-
-
-class TestFdWeights:
-    def test_central_first_derivative(self):
-        w = fd_weights(np.arange(-2, 3), 1)
-        np.testing.assert_allclose(w, [1 / 12, -8 / 12, 0, 8 / 12, -1 / 12],
-                                   atol=1e-13)
-
-    def test_central_second_derivative(self):
-        w = fd_weights(np.arange(-2, 3), 2)
-        np.testing.assert_allclose(w, [-1 / 12, 16 / 12, -30 / 12, 16 / 12,
-                                       -1 / 12], atol=1e-13)
-
-    @given(st.integers(1, 3), st.integers(0, 4))
-    @settings(max_examples=30, deadline=None)
-    def test_exact_on_polynomials(self, deriv, shift):
-        offs = np.arange(-2, 3) + shift
-        if deriv >= len(offs):
-            return
-        w = fd_weights(offs, deriv)
-        # d^deriv/dx^deriv of x^k at x=0, sampled on the offset nodes
-        for k in range(len(offs)):
-            got = np.dot(w, offs.astype(float) ** k)
-            expected = math.factorial(deriv) if k == deriv else 0.0
-            assert got == pytest.approx(expected, abs=1e-8)
-
-    def test_stencil_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            fd_weights(np.array([0, 1]), 2)

@@ -1,4 +1,4 @@
-"""Discrete operators, PDE/boundary identities, spectra and the deficit."""
+"""Fields, the Robin coefficient, the quadratic form, spectra and the deficit."""
 
 import inspect
 import math
@@ -8,91 +8,25 @@ import mpmath
 import numpy as np
 import pytest
 
-from horocap import cli, stability
-from horocap.config import Numerics, OutputSpec, RunConfig, SurfaceEntry
+from horocap import stability
 from horocap.families import (CapKind, CapSpec, InfeasibleError, build,
                               solve_for_angle)
 from horocap.quadrature import QuadratureSpec
 from horocap.stability import (GridError, ScalarField, boundary_cancellation,
-                               boundary_identity_residuals,
-                               constrained_spectrum,
-                               energy_second_difference, jacobi_apply,
-                               jacobi_field_residuals, laplace_beltrami,
-                               normal_derivative, phi_aux, phi_test,
-                               quadratic_form, robin_q,
+                               constrained_spectrum, quadratic_form, robin_q,
                                sphere_mode_multiplicity, umbilicity_deficit,
                                ZERO_MODE_TOL)
-from horocap.surfaces import integrate_dM, integrate_M
-
-
-def fitted_order(errors):
-    """Least-squares slope of log(err) vs log(resolution) doublings."""
-    errs = np.asarray(errors, dtype=float)
-    k = np.arange(len(errs))
-    slope = np.polyfit(k, np.log2(errs), 1)[0]
-    return -slope
+from horocap.surfaces import integrate_M
 
 
 class TestDiscreteOperators:
-    def test_constant_is_harmonic(self, tilted_cap):
-        f = ScalarField.from_function(tilted_cap, lambda t: 3.7, 64)
-        assert np.max(np.abs(laplace_beltrami(f).values)) < 1e-9
-
-    def test_laplacian_convergence_on_smooth_field(self, ortho_cap):
-        """Compare against the analytic axisymmetric Laplacian."""
-        S = ortho_cap
-
-        def f(t):
-            return math.cos(t)
-
-        def exact(t):
-            # Delta f = f''/A^2 + f' [(n-1)B'/(A^2 B) - A'/A^3]
-            A, B, dA, dB = S.metric_coeffs(t)
-            if t == 0.0:
-                return S.n * (-math.cos(t)) / A ** 2
-            return (-math.cos(t) / A ** 2
-                    - math.sin(t) * ((S.n - 1) * dB / (A ** 2 * B)
-                                     - dA / A ** 3))
-
-        errs = []
-        for N in (32, 64, 128):
-            fld = ScalarField.from_function(S, f, N)
-            lap = laplace_beltrami(fld).values
-            ex = np.array([exact(t) for t in fld.nodes])
-            errs.append(np.max(np.abs(lap - ex)))
-        assert fitted_order(errs) > 1.9
-        assert errs[-1] < 1e-4
-
     def test_grid_too_coarse_rejected(self, ortho_cap):
         with pytest.raises(GridError):
             ScalarField(ortho_cap, np.zeros(9))
 
-    def test_zero_field_maps_to_zero(self, ortho_cap):
-        f = ScalarField.from_function(ortho_cap, lambda t: 0.0, 32)
-        assert np.all(jacobi_apply(f).values == 0.0)
-
     def test_grid_charts_unsupported(self, vertical_plane):
         with pytest.raises(GridError):
-            phi_test(vertical_plane)
-
-
-class TestJacobiFields:
-    def test_position_component_in_kernel(self, ortho_cap, tilted_cap,
-                                          cap_3d):
-        for S in (ortho_cap, tilted_cap, cap_3d):
-            res = jacobi_field_residuals(S, 128)
-            assert res["position"] < 1e-4
-
-    def test_vertical_and_conformal_sources(self, tilted_cap):
-        res = jacobi_field_residuals(tilted_cap, 128)
-        assert res["vertical"] < 1e-4
-        assert res["conformal"] < 1e-4
-
-    def test_residuals_decay_at_discretization_order(self, tilted_cap):
-        for key in ("vertical", "conformal"):
-            errs = [jacobi_field_residuals(tilted_cap, N)[key]
-                    for N in (32, 64, 128)]
-            assert fitted_order(errs) > 1.9, (key, errs)
+            constrained_spectrum(vertical_plane)
 
 
 class TestRobinAndBoundary:
@@ -101,69 +35,16 @@ class TestRobinAndBoundary:
         rd = robin_q(ortho_cap)
         assert rd.q == pytest.approx(1.0, abs=1e-12)
 
-    def test_boundary_identities_small(self, ortho_cap, tilted_cap, cap_3d):
-        for S in (ortho_cap, tilted_cap, cap_3d):
-            res = boundary_identity_residuals(S, 128)
-            for key in ("robin_potential", "robin_conformal", "position"):
-                assert res[key] < 1e-4, (key, res[key])
-
-    def test_conormal_tangency_relation(self, tilted_cap, cap_3d,
-                                        equidistant_cap):
-        # g(X, mu) = cot(theta) g(X, nu) at the boundary, exactly
-        for S in (tilted_cap, cap_3d, equidistant_cap):
-            res = boundary_identity_residuals(S, 32)
-            assert res["tangency"] < 1e-10
-
-    def test_boundary_residuals_decay(self, tilted_cap):
-        for key in ("robin_potential", "robin_conformal", "position"):
-            errs = [boundary_identity_residuals(tilted_cap, N)[key]
-                    for N in (32, 64, 128)]
-            assert fitted_order(errs) > 1.9, (key, errs)
-
-
-class TestDistinguishedFunctions:
-    def test_phi_test_residuals_on_caps(self, ortho_cap, tilted_cap, cap_3d):
-        for S in (ortho_cap, tilted_cap, cap_3d):
-            _, res = phi_test(S, 128)
-            assert res["cmc_ok"]
-            assert res["jacobi"] < 1e-4
-            assert res["robin"] < 1e-4
-            assert res["integral_M"] < 1e-8
-            assert res["integral_dM"] < 1e-8
-
-    def test_phi_aux_is_constant_on_umbilical_caps(self, ortho_cap,
-                                                   tilted_cap, cap_3d):
-        for S in (ortho_cap, tilted_cap, cap_3d):
-            phi, res = phi_aux(S, 128)
-            H, th = res["H_mean"], robin_q(S).theta
-            assert res["constant_deviation"] < 1e-8
-            assert phi.values[-1] == pytest.approx(-H - S.n * math.cos(th),
-                                                   abs=1e-10)
-
-    def test_phi_aux_on_minimal_cap_is_pure_angle_term(
-            self, geodesic_hemisphere):
-        # H = 0: the auxiliary field reduces to the constant -n cos(theta)
-        phi, res = phi_aux(geodesic_hemisphere, 64)
-        th = robin_q(geodesic_hemisphere).theta
-        n = geodesic_hemisphere.n
-        np.testing.assert_allclose(phi.values, -n * math.cos(th), atol=1e-10)
-        assert res["boundary_value"] < 1e-10
-
-    def test_non_cmc_input_flagged_not_raised(self, bumped_cap):
-        _, res = phi_test(bumped_cap, 64)
-        assert not res["cmc_ok"]
-        assert res["H_spread"] > 1e-2
-
 
 class TestQuadraticForm:
     def test_zero_field(self, ortho_cap):
-        f = ScalarField.from_function(ortho_cap, lambda t: 0.0, 64)
+        f = ScalarField(ortho_cap, np.zeros(65))
         assert quadratic_form(ortho_cap, f) == 0.0
 
     def test_annihilates_the_test_function(self, ortho_cap, tilted_cap,
-                                           cap_3d):
+                                           cap_3d, distinguished_fields):
         for S in (ortho_cap, tilted_cap, cap_3d):
-            phi, _ = phi_test(S, 128)
+            phi, _ = distinguished_fields(S, 128)
             Q = quadratic_form(S, phi)
             assert abs(Q) < 1e-6 * phi.norm_sq() + 1e-18
 
@@ -181,28 +62,9 @@ class TestQuadraticForm:
             assert quadratic_form(tilted_cap, phi) >= -1e-6 * phi.norm_sq()
 
     def test_surface_mismatch_rejected(self, ortho_cap, tilted_cap):
-        f = ScalarField.from_function(ortho_cap, lambda t: 1.0, 64)
+        f = ScalarField(ortho_cap, np.ones(65))
         with pytest.raises(GridError):
             quadratic_form(tilted_cap, f)
-
-    def test_green_consistency(self, tilted_cap):
-        """int_M (f Dg - g Df) = int_dM (f dg/dmu - g df/dmu), refining."""
-        S = tilted_cap
-
-        def residual(N):
-            f = ScalarField.from_function(S, lambda t: math.cos(t), N)
-            h = ScalarField.from_function(
-                S, lambda t: 1.0 / (1.0 + t * t), N)
-            bulk = ScalarField(S, f.values * laplace_beltrami(h).values
-                               - h.values * laplace_beltrami(f).values
-                               ).integral_M()
-            bdry = integrate_dM(S, f.values[-1] * normal_derivative(h)
-                                - h.values[-1] * normal_derivative(f),
-                                QuadratureSpec(256))
-            return abs(bulk - bdry)
-
-        errs = [residual(N) for N in (32, 64, 128)]
-        assert fitted_order(errs) > 1.9 or errs[-1] < 1e-10
 
 
 class TestSpectra:
@@ -351,21 +213,6 @@ class TestSpectra:
         # one lowest value each of modes 0 and 1; mode 2's Cholesky stops
         assert ranges == [b"I", b"I"] and res.modes_used == 3
         assert len(res.eigenvalues) == 1 + tilted_cap.n
-
-    def test_spectra_build_no_stencil_matrices(self, monkeypatch):
-        # a fresh surface: the session fixtures' grids may hold them already
-        spec = CapSpec(kind=CapKind.SPHERE_CAP, a=0.6, r=0.7)
-        S = build(spec)
-        constrained_spectrum(S, "VOLUME", 32, 4)
-        # the variation-check suite reads the grid's nodes only
-        monkeypatch.setattr(cli, "_build_surface", lambda entry, Q: S)
-        cli._suite_variation(SurfaceEntry("cap", spec), RunConfig(
-            (), Numerics(quad_order=16, grid=32), OutputSpec()))
-        g = stability._grid(S, 32)
-        assert not {"D1", "D2", "metric", "fields"} & set(vars(g))
-        normal_derivative(ScalarField(S, np.ones(33)))
-        assert "D1" in vars(g) and "D2" not in vars(g)
-        assert "fields" not in vars(g)
 
 
 def mode_bands(el, n, l, constraint):

@@ -14,7 +14,7 @@ from horocap.families import CapKind, CapSpec, build, solve_for_angle
 from horocap.identities import cmc_stats, suite
 from horocap.quadrature import QuadratureSpec
 from horocap.stability import (ScalarField, energy_second_difference,
-                               fd_variation_check, phi_test, quadratic_form,
+                               fd_variation_check, quadratic_form,
                                umbilicity_deficit, _cubic_spline, _grid,
                                _Variation)
 from horocap.surfaces import integrate_M
@@ -92,7 +92,7 @@ class TestSpline:
 class TestFirstVariation:
     def test_volume_rate_of_unit_normal_speed_is_area(self, tilted_cap):
         """phi = 1 moves every point at unit normal speed: V'(0) = area."""
-        phi = ScalarField.from_function(tilted_cap, lambda t: 1.0, 64)
+        phi = ScalarField(tilted_cap, np.ones(65))
         chk = fd_variation_check(tilted_cap, phi)["VOLUME"]
         area = integrate_M(tilted_cap, 1.0, QuadratureSpec(256))
         assert chk.formula_value == pytest.approx(area, rel=1e-6)
@@ -157,8 +157,9 @@ class TestSecondVariation:
         assert chk.formula_value == quadratic_form(S, phi0, Q)
         assert rel_err(chk) < bound
 
-    def test_kernel_direction_gives_tiny_second_difference(self, tilted_cap):
-        phi, _ = phi_test(tilted_cap, 64)
+    def test_kernel_direction_gives_tiny_second_difference(
+            self, tilted_cap, distinguished_fields):
+        phi, _ = distinguished_fields(tilted_cap, 64)
         chk = energy_second_difference(tilted_cap, phi)
         fd2, qf = chk.fd_value, chk.formula_value
         # both sides sit at the round-off floor of the energy evaluation
