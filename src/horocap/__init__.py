@@ -6,10 +6,10 @@ from .surfaces import (BoundaryFrame, EvaluationError, GeometryError,
                        ProfileSurface, ShapeData, SupportError, SurfaceFields,
                        check_immersion, fields_at, integrate_M, integrate_dM)
 from .families import (AmplitudeError, CapKind, CapSpec, ConstructionError,
-                       FREE, InfeasibleError, PerturbationSpec, build, perturb,
+                       InfeasibleError, PerturbationSpec, build, perturb,
                        solve_for_angle)
 from .identities import IDENTITY_IDS, AngleError, IdentityReport, suite, verify
-from .stability import (RobinData, ScalarField, SpectrumResult, VariationCheck,
+from .stability import (ScalarField, SpectrumResult, VariationCheck,
                         boundary_cancellation, constrained_spectrum,
                         energy_second_difference, fd_variation_check,
                         quadratic_form, robin_q, umbilicity_deficit)

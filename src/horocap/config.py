@@ -12,7 +12,7 @@ and any other key is an error.  Schema (JSON, versioned):
         ...
       ],
       "sweep": {                       # optional, used by the sweep command
-        "kind": "sphere_cap", "n": 2,
+        "kind": "sphere_cap", "n": 2,  # a sphere kind
         "thetas": [...], "radii": [...]
       },
       "numerics": {"quad_order": 128, "grid": 128, "eig_count": 10,
@@ -21,9 +21,11 @@ and any other key is an error.  Schema (JSON, versioned):
       "seed": 0
     }
 
-A surface takes the ``CapSpec`` fields plus ``label`` and
-``perturbation``.  A perturbation's optional ``support`` is its bump
-window [lo, hi], in fractions of the chart range: 0.1 <= lo < hi <= 0.9.
+A surface takes the ``CapSpec`` fields plus ``label`` and, on a sphere
+kind only, ``perturbation``.  A perturbation's optional ``support`` is
+its bump window [lo, hi], in fractions of the chart range:
+0.1 <= lo < hi <= 0.9.  A sweep's ``kind`` is a sphere kind
+(``sphere_cap`` or ``equidistant_sphere_cap``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
-from .families import CapKind, CapSpec, PerturbationSpec
+from .families import SPHERE_KINDS, CapKind, CapSpec, PerturbationSpec
 
 __all__ = ["ConfigError", "SurfaceEntry", "SweepSpec", "Numerics",
            "OutputSpec", "RunConfig", "load_config", "parse_config"]
@@ -197,8 +199,12 @@ def _surface(i: int, raw) -> SurfaceEntry:
         spec.validate()
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
-    pert = (_perturbation(f"{path}.perturbation", raw["perturbation"])
-            if "perturbation" in raw else None)
+    pert = None
+    if "perturbation" in raw:
+        if spec.kind not in SPHERE_KINDS:
+            raise ConfigError(f"{path}.perturbation",
+                              "only sphere kinds take a perturbation")
+        pert = _perturbation(f"{path}.perturbation", raw["perturbation"])
     label = raw.get("label", f"{spec.kind.value}-{i}")
     if not isinstance(label, str) or not label:
         raise ConfigError(f"{path}.label",
@@ -222,9 +228,13 @@ def _output(raw) -> OutputSpec:
 
 
 def _sweep(raw) -> SweepSpec:
-    return _record(SweepSpec, "sweep", raw, {
+    sweep = _record(SweepSpec, "sweep", raw, {
         "kind": _kind, "n": _dimension, "thetas": _finite_list,
         "radii": _finite_list})
+    if sweep.kind not in SPHERE_KINDS:
+        raise ConfigError("sweep.kind", "a sweep takes sphere kinds only: "
+                          + ", ".join(k.value for k in SPHERE_KINDS))
+    return sweep
 
 
 def parse_config(raw: dict) -> RunConfig:

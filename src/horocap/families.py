@@ -40,14 +40,11 @@ __all__ = [
     "ConstructionError",
     "AmplitudeError",
     "InfeasibleError",
-    "FREE",
+    "SPHERE_KINDS",
     "build",
     "perturb",
     "solve_for_angle",
 ]
-
-FREE = None  # sentinel for "no mean-curvature target" in solve_for_angle
-
 
 class ConstructionError(ValueError):
     """Family parameters do not cut the support horosphere transversally."""
@@ -66,7 +63,7 @@ class AmplitudeError(ValueError):
 
 
 class InfeasibleError(ValueError):
-    """No family member matches the requested (theta, H) pair."""
+    """No family member meets the support at the requested angle."""
 
 
 class CapKind(enum.Enum):
@@ -74,6 +71,9 @@ class CapKind(enum.Enum):
     EQUIDISTANT_SPHERE_CAP = "equidistant_sphere_cap"
     VERTICAL_PLANE_DISK = "vertical_plane_disk"
     TILTED_PLANE_CAP = "tilted_plane_cap"
+
+
+SPHERE_KINDS = (CapKind.SPHERE_CAP, CapKind.EQUIDISTANT_SPHERE_CAP)
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class CapSpec:
     def validate(self) -> None:
         if self.n < 2:
             raise ConstructionError("dimension n must be >= 2")
-        if self.kind in (CapKind.SPHERE_CAP, CapKind.EQUIDISTANT_SPHERE_CAP):
+        if self.kind in SPHERE_KINDS:
             if self.r <= 0:
                 raise ConstructionError("sphere radius must be positive")
             if abs(1.0 - self.a) >= self.r:
@@ -236,7 +236,7 @@ class PlaneCapSurface(GridSurface):
 def build(spec: CapSpec) -> ParamSurface:
     """Construct the ParamSurface of a family member (analytic derivatives)."""
     spec.validate()
-    if spec.kind in (CapKind.SPHERE_CAP, CapKind.EQUIDISTANT_SPHERE_CAP):
+    if spec.kind in SPHERE_KINDS:
         return SphereCapSurface(spec.n, spec.a, spec.r)
     if spec.kind is CapKind.VERTICAL_PLANE_DISK:
         return PlaneCapSurface(spec.n, math.pi / 2.0, spec.extent)
@@ -284,58 +284,20 @@ def _derived_theta(spec: CapSpec) -> float:
     return build(spec).boundary_frame_at().theta
 
 
-def solve_for_angle(kind: CapKind, theta_target: float,
-                    H_target: Optional[float] = FREE,
-                    n: int = 2, r: Optional[float] = None) -> CapSpec:
-    """CapSpec whose built surface meets the support at theta_target.
+def solve_for_angle(kind: CapKind, theta_target: float, n: int = 2,
+                    r: Optional[float] = None) -> CapSpec:
+    """CapSpec of the sphere-family member of radius r whose built surface
+    meets the support at theta_target.
 
-    Sphere families use the closed form a = 1 - r cos(theta), checked
-    against the derived angle of the built surface; H_target (when given)
-    must be consistent with the family's feasibility region.
+    The closed form a = 1 - r cos(theta) is checked against the derived
+    angle of the built surface.
     """
+    if kind not in SPHERE_KINDS:
+        raise InfeasibleError(f"{kind.value} is not a sphere family")
     if not 0.0 < theta_target < math.pi:
         raise InfeasibleError("contact angle must lie in (0, pi)")
-
-    if kind is CapKind.VERTICAL_PLANE_DISK:
-        if abs(theta_target - math.pi / 2.0) > 1e-10:
-            raise InfeasibleError(
-                "vertical plane pieces meet the horosphere orthogonally: "
-                "theta must be pi/2"
-            )
-        if H_target is not FREE and abs(H_target) > 1e-10:
-            raise InfeasibleError("vertical plane pieces are minimal: H must be 0")
-        return CapSpec(kind=kind, n=n)
-
-    if kind is CapKind.TILTED_PLANE_CAP:
-        # with the positive-mean-curvature orientation the derived contact
-        # angle of a plane tilted by beta is pi - beta
-        beta = math.pi - theta_target
-        spec = CapSpec(kind=kind, n=n, beta=beta)
-        if H_target is not FREE:
-            H_plane = n * math.cos(beta)
-            if abs(H_target - H_plane) > 1e-8:
-                raise InfeasibleError(
-                    f"tilted planes with contact angle {theta_target} "
-                    f"have H = {H_plane}"
-                )
-        return spec
-
-    # spherical families: theta = arccos((1-a)/r) is monotone increasing in a
     if r is None:
         r = 2.0 if kind is CapKind.EQUIDISTANT_SPHERE_CAP else 0.5
-    if H_target is not FREE:
-        # H = n a / r and cos(theta) = (1 - a)/r pin both parameters
-        denom = n * math.cos(theta_target) + H_target
-        if abs(denom) < 1e-14:
-            raise InfeasibleError("requested (theta, H) pair degenerates the cap")
-        a0 = H_target / denom
-        r = (1.0 - a0) / math.cos(theta_target) if abs(H_target) < 1e-14 \
-            else n * a0 / H_target
-        if r <= 0 or abs(1.0 - a0) >= r:
-            raise InfeasibleError(
-                "requested (theta, H) pair leaves the family's feasibility "
-                f"region (a={a0}, r={r})"
-            )
 
     # cos(theta) = (1 - a)/r; keep to the a > 0 branch: the positive-H
     # orientation flips the normal at a = 0, making the derived angle

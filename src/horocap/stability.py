@@ -50,7 +50,6 @@ from .surfaces import (ParamSurface, ProfileSurface, integrate_dM, integrate_M,
 
 __all__ = [
     "ScalarField",
-    "RobinData",
     "SpectrumResult",
     "VariationCheck",
     "GridError",
@@ -122,7 +121,7 @@ class _ProfileGrid:
         K0 = (_band(stiff[:, None, None] * np.array([[1.0, -1.0],
                                                       [-1.0, 1.0]]))
               + mass(n - h2))
-        K0[-1, 1] -= robin_q(S).q * self.boundary_measure
+        K0[-1, 1] -= robin_q(S) * self.boundary_measure
         M = mass(1.0)
         # the hat functions sum to one, so the row sums of M are int phi_a
         return SimpleNamespace(K0=K0, P=mass(1.0 / (B * B)), M=M,
@@ -209,30 +208,14 @@ class ScalarField:
     def spline(self) -> Callable:
         return _cubic_spline(self.nodes, self.values)
 
-    def norm_sq(self) -> float:
-        """L2 norm squared with the surface area measure."""
-        return integrate_M(self.surface, lambda t: self.spline(t) ** 2,
-                           FIELD_RULE)
-
     def integral_M(self, Q: QuadratureSpec = FIELD_RULE) -> float:
         return integrate_M(self.surface, self.spline, Q)
 
 
-@dataclass(frozen=True)
-class RobinData:
-    """Robin coefficient of the second-variation boundary term."""
-
-    theta: float
-    hmumu: float
-    q: float
-
-
-def robin_q(S: ParamSurface) -> RobinData:
+def robin_q(S: ParamSurface) -> float:
     """q = csc(theta) + cot(theta) h(mu,mu) at the (constant-angle) boundary."""
     bf = S.boundary_frame_at()
-    th = bf.theta
-    q = 1.0 / math.sin(th) + bf.hmumu / math.tan(th)
-    return RobinData(theta=th, hmumu=bf.hmumu, q=q)
+    return 1.0 / math.sin(bf.theta) + bf.hmumu / math.tan(bf.theta)
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +235,7 @@ def quadratic_form(S: ParamSurface, phi: ScalarField,
     t = ns.nodes
     bulk = integrate_M(S, phi.spline(t, 1) ** 2 / ns.meridian.g00
                        - (ns.fields.h2 - S.n) * phi.spline(t) ** 2, Q)
-    return bulk - robin_q(S).q * integrate_dM(S, phi.values[-1] ** 2, Q)
+    return bulk - robin_q(S) * integrate_dM(S, phi.values[-1] ** 2, Q)
 
 
 def sphere_mode_multiplicity(n: int, l: int) -> int:
@@ -464,42 +447,6 @@ class VariationCheck:
     terms: tuple = ()
 
 
-def _variation_geometry(S: ProfileSurface, Q: QuadratureSpec
-                        ) -> SimpleNamespace:
-    """What every variation of S on the node set of Q reads, whatever its
-    field: the profile jet (rho, z, rho', z'), nu and mu, each (radial,
-    vertical), and the collar ramp at the nodes t (the jet is the node
-    set's Meridian's), at t +- dt for a finite-difference Y', and at t1;
-    H at the nodes.  Built once per surface and order.
-    """
-    cache = S.__dict__.setdefault("_variation_geometry", {})
-    if Q.order in cache:
-        return cache[Q.order]
-    sign, t_ramp, ns = S.orientation_sign(), 0.8 * S.t1, node_set(S, Q)
-
-    def frame(t, jet=None):
-        jet = np.array(S.profile_jet(t)[:4]) if jet is None else jet
-        _, z, dr, dz = jet
-        s = np.hypot(dr, dz)
-        u = np.clip((t - t_ramp) / (S.t1 - t_ramp), 0.0, 1.0)
-        with np.errstate(divide="ignore"):  # exactly 0 at u = 0, 1 at u = 1
-            a = np.exp(-1.0 / u)
-            b = np.exp(-1.0 / (1.0 - u))
-        nu = sign * z * np.array([dz, -dr]) / s
-        return SimpleNamespace(t=t, jet=jet, nu=nu,
-                               mu=z * np.array([dr, dz]) / s, ramp=a / (a + b))
-
-    end = frame(np.array([S.t1]))
-    if abs(end.mu[1, 0]) < 1e-12:
-        raise ValueError("conormal is horizontal; boundary slide undefined")
-    t, m, dt = ns.nodes, ns.meridian, 1e-6
-    cache[Q.order] = SimpleNamespace(
-        sign=sign, t_ramp=t_ramp, w=Q.rule(0.0, S.t1)[1], H=ns.fields.H,
-        nodes=frame(t, np.array([m.rho, m.w, m.dr, m.dz])),
-        plus=frame(t + dt), minus=frame(t - dt), dt=dt, end=end)
-    return cache[Q.order]
-
-
 class _Variation:
     """Straight-line admissible variation x + s*Y from a nodal scalar.
 
@@ -507,29 +454,44 @@ class _Variation:
     vertical component of Y vanishes at the boundary: the displaced
     boundary slides inside the flat support exactly.  Y is independent
     of s, so the constructor evaluates Y and Y' once on the node set of
-    Q, from the surface's variation geometry, and every functional of s
-    reads them.
+    Q, in closed form off its Meridian and the boundary frame, and every
+    functional of s reads them.  With T = (dr, dz)/s, N = (m0, m1) and
+    the curvature k = (dr d2z - dz d2r)/s^2, T' = -k N and N' = k T.
     """
 
     def __init__(self, S: ProfileSurface, phi: ScalarField,
                  Q: QuadratureSpec):
-        g = _variation_geometry(S, Q)
-        self.S = S
-        self.frame = S.boundary_frame_at()
-        self.spline = phi.spline
-        self.sign, self.t_ramp, self.w, self.H = g.sign, g.t_ramp, g.w, g.H
-        self.nubar_sign = 1.0 if self.frame.boundary_normal[0] > 0 else -1.0
-        self.rho1 = float(g.end.jet[0, 0])  # the boundary radius
-        self.eta1 = -phi.values[-1] * g.end.nu[1, 0] / g.end.mu[1, 0]
-        self.Y1 = self._displacement(g.end)[:, 0]
-        self.jet, self.nu = g.nodes.jet, g.nodes.nu
-        self.Y = self._displacement(g.nodes)
-        self.Yp = (self._displacement(g.plus)
-                   - self._displacement(g.minus)) / (2 * g.dt)
-
-    def _displacement(self, f: SimpleNamespace) -> np.ndarray:
-        """(radial, vertical) Euclidean displacement Y on the frame f."""
-        return self.spline(f.t) * f.nu + self.eta1 * f.ramp * f.mu
+        ns, bf = node_set(S, Q), S.boundary_frame_at()
+        m, t = ns.meridian, ns.nodes
+        nu1, mu1 = bf.normal[[0, -1]], bf.conormal[[0, -1]]
+        if abs(mu1[1]) < 1e-12:
+            raise ValueError(
+                "conormal is horizontal; boundary slide undefined")
+        self.S, self.frame, self.spline, self.sign = S, bf, phi.spline, m.sign
+        self.w = Q.rule(0.0, S.t1)[1]  # bare: area(s) forms its own element
+        self.nubar_sign = 1.0 if bf.boundary_normal[0] > 0 else -1.0
+        self.rho1 = float(bf.coords[0])  # the boundary radius
+        self.eta1 = -phi.values[-1] * nu1[1] / mu1[1]
+        self.Y1 = phi.values[-1] * nu1 + self.eta1 * mu1
+        # the collar ramp a/(a + b) of u in [0, 1] over [0.8 t1, t1]
+        t_ramp = 0.8 * S.t1
+        u = np.clip((t - t_ramp) / (S.t1 - t_ramp), 0.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a, b = np.exp(-1.0 / u), np.exp(-1.0 / (1.0 - u))
+            ramp = a / (a + b)  # exactly 0 at u = 0, 1 at u = 1
+            dramp = np.where((u > 0.0) & (u < 1.0), a * b * (
+                1.0 / u ** 2 + 1.0 / (1.0 - u) ** 2) / (a + b) ** 2,
+                0.0) / (S.t1 - t_ramp)
+        T, N = np.array([m.dr, m.dz]) / m.s, np.array([m.m0, m.m1])
+        k = (m.dr * m.d2z - m.dz * m.d2r) / (m.s * m.s)
+        nu, mu = m.sign * m.w * N, m.w * T
+        dnu = m.sign * (m.dz * N + m.w * k * T)
+        dmu = m.dz * T - m.w * k * N
+        f, df = phi.spline(t), phi.spline(t, 1)
+        self.jet = np.array([m.rho, m.w, m.dr, m.dz])
+        self.Y = f * nu + self.eta1 * ramp * mu
+        self.Yp = (df * nu + f * dnu
+                   + self.eta1 * (dramp * mu + ramp * dmu))
 
     # -- functionals of the deformed surface ---------------------------
     def area(self, s: float) -> float:
@@ -585,14 +547,10 @@ def fd_variation_check(S: ParamSurface, phi: ScalarField, step: float = 1e-3,
         return (values(d) - values(-d)) / (2.0 * d)
 
     fd = (4.0 * central(step / 2.0) - central(step)) / 3.0
-    rho, z, dr, dz = var.jet
-    # hyperbolic normal component of Y: phi by construction away from the
-    # collar, phi plus the tangential ramp contribution inside it
-    g_Y_nu = np.sum(var.Y * var.nu, axis=0) / (z * z)
-    dAw = (unit_sphere_area(S.n - 1) * np.hypot(dr, dz) * rho ** (S.n - 1)
-           / z ** S.n)
-    bulk_phi = float(np.sum(var.w * g_Y_nu * dAw))
-    bulk_Hphi = float(np.sum(var.w * var.H * g_Y_nu * dAw))
+    # g(Y, nu) = phi everywhere: the collar term of Y is along mu, tangent
+    H = node_set(S, Q).fields.H
+    bulk_phi = phi.integral_M(Q)
+    bulk_Hphi = integrate_M(S, lambda t: H * phi.spline(t), Q)
     # boundary terms: g(Y, mu) = eta1 and g(Y, nubar) at t1
     gYmu = float(np.dot(var.Y1, bf.conormal[[0, -1]]))
     gYnubar = float(np.dot(var.Y1, bf.boundary_normal[[0, -1]]))

@@ -213,12 +213,13 @@ def _jet_shapes(x: np.ndarray, J: np.ndarray, Hess: np.ndarray,
                      np.sum(kappa * kappa, axis=-1), kappa, J[..., -1, :])
 
 
-class Meridian(namedtuple("Meridian",
-                          "n sign rho w dr dz s m0 m1 kappa_m kappa_a")):
+class Meridian(namedtuple(
+        "Meridian", "n sign rho w dr dz d2r d2z s m0 m1 kappa_m kappa_a")):
     """A profile jet at an array of t (at one t: scalars) as meridian arrays:
-    rho, the height w, dr, dz, the speed s, the meridian-plane unit normal
-    (m0, m1) and the principal curvatures; g and h are diagonal.  A vector's
-    (radial, vertical) parts are its Euclidean first and last components."""
+    rho, the height w, their first and second derivatives dr, dz, d2r, d2z,
+    the speed s, the meridian-plane unit normal (m0, m1) and the principal
+    curvatures; g and h are diagonal.  A vector's (radial, vertical) parts
+    are its Euclidean first and last components."""
 
     __slots__ = ()
     A = property(lambda m: m.s / m.w)  # metric A^2 dt^2 + B^2 dsigma^2
@@ -304,8 +305,8 @@ class ProfileSurface(ParamSurface):
         with np.errstate(divide="ignore", invalid="ignore"):
             kappa_a = np.where(rho > 1e-13, sign * (w * m0 / rho - m1),
                                kappa_m)
-        return Meridian(self.n, sign, rho, w, dr, dz, s, m0, m1, kappa_m,
-                        kappa_a)
+        return Meridian(self.n, sign, rho, w, dr, dz, d2r, d2z, s, m0, m1,
+                        kappa_m, kappa_a)
 
     def _shapes(self, t, sign: int) -> ShapeData:
         return self.meridian(t, sign).shape_data()

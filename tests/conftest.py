@@ -9,7 +9,7 @@ from horocap.families import CapKind, CapSpec, PerturbationSpec, build, perturb
 from horocap.identities import cmc_stats
 from horocap.quadrature import QuadratureSpec
 from horocap.stability import FIELD_RULE, ScalarField, _grid
-from horocap.surfaces import GridSurface, fields_at
+from horocap.surfaces import GridSurface, fields_at, integrate_M
 
 
 def cap(kind=CapKind.SPHERE_CAP, n=2, a=1.0, r=0.5, **kw):
@@ -111,3 +111,13 @@ def distinguished_fields():
         return (ScalarField(S, n * fl.V - H * fl.gXnu - n * ct * fl.gxnu),
                 ScalarField(S, -H * fl.V - n * fl.gEnu))
     return fields
+
+
+@pytest.fixture(scope="session")
+def norm_sq():
+    """norm_sq(phi): the L2 norm squared of a field's spline over its
+    surface, on FIELD_RULE; the scale of the kernel bounds."""
+    def norm_sq(phi):
+        return integrate_M(phi.surface, lambda t: phi.spline(t) ** 2,
+                           FIELD_RULE)
+    return norm_sq

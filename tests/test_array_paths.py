@@ -471,7 +471,8 @@ def ref_displacement(var, t):
     s = math.hypot(dr, dz)
     nu = var.sign * z * np.array([dz, -dr]) / s
     mu = z * np.array([dr, dz]) / s
-    u = (t - var.t_ramp) / (var.S.t1 - var.t_ramp)
+    t_ramp = 0.8 * var.S.t1
+    u = (t - t_ramp) / (var.S.t1 - t_ramp)
     if u <= 0.0:
         ramp = 0.0
     elif u >= 1.0:
@@ -540,7 +541,7 @@ def ref_mode_matrices(g, l):
                     K[e + a, e + b] += Wt * (dsh[a] * dsh[b] / (A * A)
                                              + pot * shp[a] * shp[b])
                     M[e + a, e + b] += Wt * shp[a] * shp[b]
-    K[N, N] -= robin_q(S).q * g.boundary_measure
+    K[N, N] -= robin_q(S) * g.boundary_measure
     return K, M, c
 
 
@@ -563,6 +564,39 @@ def test_area_and_volume_match_per_node_loops(name, request):
         if s != 0.0:
             assert var.volume(s) == pytest.approx(ref_volume(var, s, Q),
                                                   rel=REL)
+
+
+YP_CAPS = {
+    "sphere_cap": CapSpec(CapKind.SPHERE_CAP, 2, a=0.6, r=0.7),
+    "equidistant_3d": CapSpec(CapKind.EQUIDISTANT_SPHERE_CAP, 3, a=-0.5,
+                              r=2.0),
+    "geodesic_4d": CapSpec(CapKind.EQUIDISTANT_SPHERE_CAP, 4, a=0.0, r=1.5),
+}
+
+
+@pytest.mark.parametrize("name", [*YP_CAPS, "bumped"])
+def test_closed_form_Yp_matches_a_stencil_of_the_jet(name):
+    """Y' against 5-point central differences of Y built per point from
+    profile_jet (ref_displacement).  phi is a cubic, which its spline
+    reproduces, so Y is smooth across the knots.  The rule has nodes on
+    both sides of the ramp's start 0.8 t1, and the stencils of its last
+    nodes reach past the ramp's end t1.  The bumped control has an oblique
+    base, so its boundary slide eta1 is not 0."""
+    S = (build(YP_CAPS[name]) if name in YP_CAPS else perturb(
+        build(YP_CAPS["sphere_cap"]), PerturbationSpec(amplitude=1e-2)))
+    Q, h = QuadratureSpec(256), 3e-5
+    x = _grid(S, 64).nodes / S.t1
+    var = _Variation(S, ScalarField(S, 0.5 + x * (0.1 + x * (0.3 * x - 0.6))),
+                     Q)
+    t = node_set(S, Q).nodes
+    u = (t - 0.8 * S.t1) / (0.2 * S.t1)
+    assert np.any((u > -0.05) & (u < 0.0)) and np.any((u > 0.0) & (u < 0.05))
+    assert t[-1] + 2.0 * h > S.t1
+    w5 = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
+    want = np.array([sum(c * ref_displacement(var, tj + k * h)
+                         for c, k in zip(w5, (-2, -1, 1, 2))) for tj in t]).T
+    assert abs(var.eta1) > 0.1
+    assert np.max(np.abs(var.Yp - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("name", CAPS)

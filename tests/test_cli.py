@@ -180,6 +180,25 @@ class TestConfigSchema:
                           "sweep": {"kind": "torus", "thetas": [1.0],
                                     "radii": [0.5]}})
 
+    @pytest.mark.parametrize("kind", ["vertical_plane_disk",
+                                      "tilted_plane_cap"])
+    def test_plane_sweep_and_perturbation_rejected(self, kind, tmp_path,
+                                                   capsys):
+        """A plane sweep or a perturbed plane could only give ERROR rows."""
+        sweep = {"kind": kind, "thetas": [math.pi / 2], "radii": [0.5]}
+        surf = dict(OPEN_CHARTS[0], kind=kind,
+                    perturbation={"amplitude": 0.01})
+        for raw, path, command in (({"sweep": sweep}, "sweep.kind", "sweep"),
+                                   ({"surfaces": [surf]},
+                                    "surfaces[0].perturbation", "verify")):
+            with pytest.raises(ConfigError, match=re.escape(f"'{path}'")):
+                parse_config(dict({"schema_version": 1, "surfaces": []},
+                                  **raw))
+            p = write_config(tmp_path, overrides=raw)
+            assert main([command, "--config", str(p)]) == 2
+            assert f"'{path}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key,bad", [("thetas", float("nan")),
                                          ("thetas", "1.0"),
                                          ("radii", float("inf")),
@@ -519,12 +538,11 @@ class TestRun:
                 assert len(arrays) <= most, command
                 assert len({a.tobytes() for a in arrays}) == len(arrays)
 
-    def test_variation_geometry_once_per_surface(self, tmp_path,
-                                                 monkeypatch):
-        """variation-check reads the profile jet of a surface at most six
+    def test_variation_check_reads_three_jets_per_surface(self, tmp_path,
+                                                          monkeypatch):
+        """variation-check reads the profile jet of a surface at most three
         times for its five checks: the orientation probe, the boundary
-        orbit, the node set, and the variation geometry at t +- dt and
-        at t1; the geometry's node jet is the node set's."""
+        orbit and the node set, whose Meridian and frame give Y and Y'."""
         init, calls = ProfileSurface.__init__, {}
 
         def counting_init(S, *args, **kwargs):
@@ -540,7 +558,7 @@ class TestRun:
         cfg = load_config(write_config(tmp_path))
         assert run(cfg, "variation-check").ok
         kept = [c for c in calls.values() if c > 1]  # not a bump probe
-        assert len(kept) == 3 and max(kept) <= 6
+        assert len(kept) == 3 and max(kept) <= 3
 
     def test_sweep_requires_section(self, tmp_path):
         cfg = load_config(write_config(tmp_path))

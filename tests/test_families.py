@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from horocap.families import (AmplitudeError, CapKind, CapSpec,
-                              ConstructionError, FREE, InfeasibleError,
+                              ConstructionError, InfeasibleError,
                               PerturbationSpec, build, bump_jet, perturb,
                               solve_for_angle)
 from horocap.quadrature import QuadratureSpec
@@ -144,38 +144,14 @@ class TestSolveForAngle:
         with pytest.raises(InfeasibleError, match="contact angles"):
             solve_for_angle(CapKind.SPHERE_CAP, 0.5, r=1.5)
 
-    def test_angle_and_curvature_pair(self):
-        theta, H = 2.0 * math.pi / 3.0, 1.5
-        spec = solve_for_angle(CapKind.SPHERE_CAP, theta, H_target=H)
-        S = build(spec)
-        assert S.boundary_frame_at().theta == pytest.approx(theta, abs=1e-10)
-        assert S.shape_at(0.5 * S.t1).H == pytest.approx(H, abs=1e-9)
-
-    def test_vertical_plane_angle_constraints(self):
-        spec = solve_for_angle(CapKind.VERTICAL_PLANE_DISK, math.pi / 2,
-                               H_target=0.0)
-        assert spec.kind is CapKind.VERTICAL_PLANE_DISK
-        with pytest.raises(InfeasibleError):
-            solve_for_angle(CapKind.VERTICAL_PLANE_DISK, math.pi / 3)
-        with pytest.raises(InfeasibleError):
-            solve_for_angle(CapKind.VERTICAL_PLANE_DISK, math.pi / 2,
-                            H_target=1.0)
-
-    def test_tilted_plane_round_trips_angle(self):
-        theta = 2.2
-        spec = solve_for_angle(CapKind.TILTED_PLANE_CAP, theta)
-        S = build(spec)
-        got = S.boundary_frame_at(np.zeros(1)).theta
-        assert got == pytest.approx(theta, abs=1e-10)
+    @pytest.mark.parametrize("kind", [CapKind.VERTICAL_PLANE_DISK,
+                                      CapKind.TILTED_PLANE_CAP])
+    def test_plane_kinds_rejected(self, kind):
+        with pytest.raises(InfeasibleError, match="not a sphere family"):
+            solve_for_angle(kind, math.pi / 2)
 
     def test_out_of_range_angle_rejected(self):
         with pytest.raises(InfeasibleError):
             solve_for_angle(CapKind.SPHERE_CAP, 0.0)
         with pytest.raises(InfeasibleError):
             solve_for_angle(CapKind.SPHERE_CAP, math.pi)
-
-    def test_infeasible_pair_rejected(self):
-        # H = n a / r with cos(theta) = (1-a)/r: a negative-H request on a
-        # convex-side angle cannot be met
-        with pytest.raises(InfeasibleError):
-            solve_for_angle(CapKind.SPHERE_CAP, math.pi / 3, H_target=-1.0)

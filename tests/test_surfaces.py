@@ -122,6 +122,9 @@ class TestBoundaryFrame:
         thetas = [tilted_plane.boundary_frame_at(np.array([s])).theta
                   for s in np.linspace(-0.4, 0.4, 32)]
         assert np.std(thetas) < 1e-10
+        # positive-H orientation: a plane tilted by beta meets at pi - beta
+        assert thetas[0] == pytest.approx(math.pi - tilted_plane.beta,
+                                          abs=1e-10)
 
     def test_frame_reconstruction_identities(self, tilted_cap, tilted_plane):
         """Nbar = sin(theta) mu - cos(theta) nu and the inverse relations."""

@@ -158,12 +158,12 @@ class TestSecondVariation:
         assert rel_err(chk) < bound
 
     def test_kernel_direction_gives_tiny_second_difference(
-            self, tilted_cap, distinguished_fields):
+            self, tilted_cap, distinguished_fields, norm_sq):
         phi, _ = distinguished_fields(tilted_cap, 64)
         chk = energy_second_difference(tilted_cap, phi)
         fd2, qf = chk.fd_value, chk.formula_value
         # both sides sit at the round-off floor of the energy evaluation
-        assert abs(qf) < 1e-6 * phi.norm_sq() + 1e-18
+        assert abs(qf) < 1e-6 * norm_sq(phi) + 1e-18
         assert abs(fd2) < 1e-7
 
     def test_coarse_quadrature_controls_accuracy(self, tilted_cap):
