@@ -3,9 +3,11 @@
 Subcommands: verify (integral identities), spectrum (constrained
 eigenvalues), variation-check (finite-difference variation formulas),
 deficit (umbilicity deficit functional), sweep (angle x radius family
-grid).  Each run writes one CSV/JSON report per suite plus a manifest;
-exit status is 0 iff no surface reports FAIL or ERROR (EXPECTED_FAIL is
-allowed: it marks declared negative controls; see ``reports.STATUSES``).
+grid).  Each run writes one CSV and/or JSON report per suite plus a
+manifest.  ``reports.grade`` decides every PASS, FAIL and EXPECTED_FAIL;
+a surface whose suite raises is an ERROR row.  The exit status is 0 iff no
+surface reports FAIL or ERROR (EXPECTED_FAIL is allowed: it marks declared
+negative controls and artificial cuts; see ``reports.STATUSES``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .config import ConfigError, RunConfig, SurfaceEntry, load_config
 from .families import CapSpec, build, perturb, solve_for_angle
 from .identities import suite as identity_suite
 from .quadrature import QuadratureSpec
-from .reports import RunManifest, config_hash, worst, write_csv, write_json
+from .reports import (RunManifest, config_hash, grade, worst, write_csv,
+                      write_json)
 from .stability import (ZERO_MODE_TOL, ScalarField, boundary_cancellation,
                         constrained_spectrum, energy_second_difference,
                         fd_variation_check, umbilicity_deficit, _grid)
@@ -62,15 +65,12 @@ SPEC_HEADER = ["label", "kind", "n", "a", "r", "beta", "extent", "perturbed"]
 def _suite_verify(entry: SurfaceEntry, cfg: RunConfig):
     Q = QuadratureSpec(cfg.numerics.quad_order)
     S = _build_surface(entry, Q)
-    rows, status = [], "PASS"
-    for rep in identity_suite(S, Q):
-        rows.append(_spec_columns(entry) + [
-            rep.identity_id, rep.lhs, rep.rhs, rep.abs_residual,
-            rep.rel_residual, rep.requires_cmc, rep.cmc_ok, rep.tolerance,
-            rep.quad_order, rep.status,
-        ])
-        status = worst(status, rep.status)
-    return rows, status
+    reports = identity_suite(S, Q)
+    rows = [_spec_columns(entry) + [
+        rep.identity_id, rep.lhs, rep.rhs, rep.abs_residual, rep.rel_residual,
+        rep.requires_cmc, rep.cmc_ok, rep.tolerance, rep.quad_order,
+        rep.status] for rep in reports]
+    return rows, worst(*(rep.status for rep in reports))
 
 
 VERIFY_HEADER = SPEC_HEADER + [
@@ -84,11 +84,8 @@ def _suite_spectrum(entry: SurfaceEntry, cfg: RunConfig):
     S = _build_surface(entry, Q)
     res = constrained_spectrum(S, num.constraint, num.grid, num.eig_count)
     lowest = float(res.eigenvalues[0])
-    if lowest >= -num.stability_tol:
-        status = "PASS"
-    else:
-        # a declared non-CMC control may legitimately be unstable
-        status = "EXPECTED_FAIL" if entry.is_control else "FAIL"
+    # a declared non-CMC control may legitimately be unstable
+    status = grade(lowest >= -num.stability_tol, entry.is_control)
     theta = S.boundary_frame_at().theta
     row = _spec_columns(entry) + [
         theta, res.constraint, res.resolution, lowest, res.morse_index,
@@ -124,25 +121,20 @@ def _suite_variation(entry: SurfaceEntry, cfg: RunConfig):
                    / integrate_M(S, 1.0, Q))
     checks = [*fd_variation_check(S, phi, Q=Q).values(),
               energy_second_difference(S, phi0, Q=Q)]
-    rows, status = [], "PASS"
+    rows = []
     for chk in checks:
         second = chk.functional == "ENERGY_SECOND"
         # a first variation whose summands cancel is graded against the
         # largest of them, not against their near-zero sum
         scale = max(abs(chk.formula_value), *map(abs, chk.terms), 1e-12)
         rel = abs(chk.fd_value - chk.formula_value) / scale
-        if rel < (SECOND_VARIATION_TOL if second else FIRST_VARIATION_TOL):
-            st = "PASS"
-        elif second and entry.is_control:
-            # the identity needs a critical point; non-CMC controls are not one
-            st = "EXPECTED_FAIL"
-        else:
-            st = "FAIL"
+        tol = SECOND_VARIATION_TOL if second else FIRST_VARIATION_TOL
+        # the identity needs a critical point; non-CMC controls are not one
+        st = grade(rel < tol, second and entry.is_control)
         rows.append(_spec_columns(entry) + [
             chk.functional, chk.fd_value, chk.formula_value, rel, chk.step,
             chk.richardson_order, st])
-        status = worst(status, st)
-    return rows, status
+    return rows, worst(*(row[-1] for row in rows))
 
 
 VARIATION_HEADER = SPEC_HEADER + [
@@ -156,14 +148,12 @@ def _suite_deficit(entry: SurfaceEntry, cfg: RunConfig):
     D = umbilicity_deficit(S, Q)
     bc = boundary_cancellation(S, Q)
     if entry.is_control:
-        status = "PASS" if D > DEFICIT_CONTROL_TOL else "FAIL"
-    elif abs(D) >= DEFICIT_ZERO_TOL:
-        status = "FAIL"
-    elif abs(bc) < DEFICIT_ZERO_TOL:
-        status = "PASS"
+        status = grade(D > DEFICIT_CONTROL_TOL)
     else:
-        # open chart: the boundary integral misses the artificial cut
-        status = "EXPECTED_FAIL" if S.artificial_cut else "FAIL"
+        # on an open chart the boundary integral misses the artificial cut
+        zero = abs(D) < DEFICIT_ZERO_TOL
+        status = grade(zero and abs(bc) < DEFICIT_ZERO_TOL,
+                       zero and S.artificial_cut)
     row = _spec_columns(entry) + [D, bc, status]
     return [row], status
 
@@ -203,8 +193,8 @@ def _suite_sweep(entry: _SweepMember, cfg: RunConfig):
     res = constrained_spectrum(S, num.constraint, num.grid, num.eig_count,
                                upto=ZERO_MODE_TOL)
     lowest = float(res.eigenvalues[0])
-    sp_status = "PASS" if lowest >= -num.stability_tol else "FAIL"
-    status = worst(sp_status, *(rep.status for rep in reports))
+    status = worst(grade(lowest >= -num.stability_tol),
+                   *(rep.status for rep in reports))
     row = [entry.label, entry.spec.kind.value, entry.spec.n, theta,
            entry.spec.r, entry.spec.a, max_res, lowest, res.morse_index,
            res.zero_modes, status]
@@ -223,65 +213,6 @@ _SUITES = {
     "deficit": (_suite_deficit, DEFICIT_HEADER),
     "sweep": (_suite_sweep, SWEEP_HEADER),
 }
-
-
-# ----------------------------------------------------------------------
-# plot-script emission
-# ----------------------------------------------------------------------
-
-def emit_plots(csv_path: Path, command: str) -> Path:
-    """Write a self-contained plotting script next to the CSV report."""
-    if not csv_path.exists():
-        raise FileNotFoundError(f"report not found: {csv_path}")
-    script_path = csv_path.with_name(csv_path.stem + "_plot.py")
-    rel = csv_path.name
-    if command == "sweep":
-        body = f'''\
-"""Eigenvalue-vs-angle curves, one per radius, from {rel}."""
-import csv
-from collections import defaultdict
-import matplotlib.pyplot as plt
-
-rows = list(csv.DictReader(open("{rel}")))
-by_r = defaultdict(list)
-for row in rows:
-    by_r[float(row["r"])].append((float(row["theta"]),
-                                  float(row["lowest_eigenvalue"])))
-fig, ax = plt.subplots()
-for r, pts in sorted(by_r.items()):
-    pts.sort()
-    ax.plot([p[0] for p in pts], [p[1] for p in pts], "o-", label=f"r={{r}}")
-ax.set_xlabel("contact angle theta")
-ax.set_ylabel("lowest constrained eigenvalue")
-ax.axhline(0.0, color="k", lw=0.5)
-ax.legend()
-fig.savefig("{csv_path.stem}.png", dpi=150)
-'''
-    else:
-        value_col = {"verify": "rel_residual",
-                     "spectrum": "lowest_eigenvalue",
-                     "variation-check": "rel_error",
-                     "deficit": "deficit"}.get(command, "status")
-        body = f'''\
-"""Per-surface {value_col} log plot from {rel}."""
-import csv
-import matplotlib.pyplot as plt
-
-rows = list(csv.DictReader(open("{rel}")))
-labels = [r["label"] + ":" + r.get("identity", r.get("functional", ""))
-          for r in rows]
-values = [abs(float(r["{value_col}"])) + 1e-300 for r in rows]
-fig, ax = plt.subplots(figsize=(max(6, 0.4 * len(rows)), 4))
-ax.bar(range(len(rows)), values)
-ax.set_yscale("log")
-ax.set_xticks(range(len(rows)))
-ax.set_xticklabels(labels, rotation=90, fontsize=6)
-ax.set_ylabel("{value_col}")
-fig.tight_layout()
-fig.savefig("{csv_path.stem}.png", dpi=150)
-'''
-    script_path.write_text(body, encoding="utf-8")
-    return script_path
 
 
 # ----------------------------------------------------------------------
@@ -307,14 +238,12 @@ def run(config: RunConfig, command: str) -> RunManifest:
         try:
             entry_rows, status = suite_fn(entry, config)
         except Exception as exc:  # numeric failure: record, keep running
-            entry_rows = [[entry.label, "ERROR",
-                           f"{type(exc).__name__}: {exc}"]]
             status = "ERROR"
-        manifest.record(entry.label, status)
-        if status == "ERROR" and len(entry_rows[0]) != len(header):
-            errors.append(entry_rows[0])
+            errors.append([entry.label, status,
+                           f"{type(exc).__name__}: {exc}"])
         else:
             rows.extend(entry_rows)
+        manifest.statuses[entry.label] = status
     manifest.wall_time_s = time.perf_counter() - t0
 
     out_dir = config.output.directory
@@ -332,8 +261,6 @@ def run(config: RunConfig, command: str) -> RunManifest:
             "rows": rows,
             "errors": errors,
         })
-    if "plotscript" in config.output.formats and "csv" in config.output.formats:
-        emit_plots(out_dir / f"{stem}.csv", command)
     write_json(out_dir / "manifest.json", asdict(manifest))
     return manifest
 
@@ -347,7 +274,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--format", action="append", dest="formats",
-                        choices=["csv", "json", "plotscript"],
+                        choices=["csv", "json"],
                         help="output format (repeatable; overrides config)")
     parser.add_argument("--grid", type=int, help="grid resolution override")
     parser.add_argument("--quad", type=int, help="quadrature order override")

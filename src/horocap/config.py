@@ -43,7 +43,7 @@ __all__ = ["ConfigError", "SurfaceEntry", "SweepSpec", "Numerics",
            "OutputSpec", "RunConfig", "load_config", "parse_config"]
 
 SCHEMA_VERSION = 1
-VALID_FORMATS = ("csv", "json", "plotscript")
+VALID_FORMATS = ("csv", "json")
 VALID_CONSTRAINTS = ("VOLUME", "WETTING", "NONE")
 
 

@@ -284,8 +284,8 @@ def _derived_theta(spec: CapSpec) -> float:
     return build(spec).boundary_frame_at().theta
 
 
-def solve_for_angle(kind: CapKind, theta_target: float, n: int = 2,
-                    r: Optional[float] = None) -> CapSpec:
+def solve_for_angle(kind: CapKind, theta_target: float, n: int = 2, *,
+                    r: float) -> CapSpec:
     """CapSpec of the sphere-family member of radius r whose built surface
     meets the support at theta_target.
 
@@ -296,8 +296,6 @@ def solve_for_angle(kind: CapKind, theta_target: float, n: int = 2,
         raise InfeasibleError(f"{kind.value} is not a sphere family")
     if not 0.0 < theta_target < math.pi:
         raise InfeasibleError("contact angle must lie in (0, pi)")
-    if r is None:
-        r = 2.0 if kind is CapKind.EQUIDISTANT_SPHERE_CAP else 0.5
 
     # cos(theta) = (1 - a)/r; keep to the a > 0 branch: the positive-H
     # orientation flips the normal at a = 0, making the derived angle

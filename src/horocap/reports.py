@@ -1,4 +1,5 @@
-"""Report persistence: deterministic CSV/JSON writers and the run manifest.
+"""Report persistence: deterministic CSV/JSON writers, the status rule and
+the run manifest.
 
 Floats serialize with 17 significant digits in scientific notation,
 locale-independent, so identical runs produce byte-identical CSV bodies.
@@ -20,6 +21,7 @@ __all__ = [
     "write_json",
     "STATUSES",
     "worst",
+    "grade",
     "RunManifest",
     "config_hash",
 ]
@@ -80,6 +82,12 @@ def worst(*statuses: str) -> str:
     return max(statuses, key=list(STATUSES).index)
 
 
+def grade(ok: bool, expected: bool = False) -> str:
+    """The status of one check: PASS if it holds, else EXPECTED_FAIL where
+    its failure is declared (a control, an artificial cut), else FAIL."""
+    return "PASS" if ok else "EXPECTED_FAIL" if expected else "FAIL"
+
+
 @dataclass
 class RunManifest:
     """One status per configured surface plus run provenance."""
@@ -88,9 +96,6 @@ class RunManifest:
     tool_version: str
     statuses: dict = field(default_factory=dict)  # label -> status string
     wall_time_s: float = 0.0
-
-    def record(self, label: str, status: str) -> None:
-        self.statuses[label] = status
 
     @property
     def ok(self) -> bool:

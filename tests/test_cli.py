@@ -6,17 +6,17 @@ import math
 import re
 from collections import Counter
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from horocap import cli
-from horocap.cli import DEFICIT_ZERO_TOL, main, run
+from horocap.cli import DEFICIT_CONTROL_TOL, DEFICIT_ZERO_TOL, main, run
 from horocap.config import (ConfigError, RunConfig, SweepSpec, load_config,
                             parse_config)
 from horocap.families import CapKind, CapSpec, PerturbationSpec
-from horocap.reports import config_hash, fmt_float, format_cell, write_csv
+from horocap.reports import (STATUSES, config_hash, fmt_float, format_cell,
+                             grade, worst, write_csv)
 from horocap.surfaces import ProfileSurface
 
 BASE_CONFIG = {
@@ -165,11 +165,17 @@ class TestConfigSchema:
         assert main(["verify", "--config", str(p)]) == 2
         assert f"output.{key}" in capsys.readouterr().err
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ConfigError, match="output.formats"):
-            parse_config({"schema_version": 1,
-                          "surfaces": BASE_CONFIG["surfaces"][:1],
-                          "output": {"formats": ["xml"]}})
+    def test_unknown_format_rejected(self, tmp_path):
+        for formats in (["xml"], ["csv", "plotscript"]):
+            with pytest.raises(ConfigError, match="output.formats"):
+                parse_config({"schema_version": 1,
+                              "surfaces": BASE_CONFIG["surfaces"][:1],
+                              "output": {"formats": formats}})
+        p = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(p), "--format", "plotscript"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_section_validated(self):
         with pytest.raises(ConfigError, match="sweep"):
@@ -276,6 +282,18 @@ class TestConfigSchema:
 
 
 class TestReports:
+    def test_grade_and_worst(self):
+        assert [grade(ok, expected) for ok, expected in
+                ((True, False), (True, True), (False, True), (False, False))
+                ] == ["PASS", "PASS", "EXPECTED_FAIL", "FAIL"]
+        assert grade(False) == "FAIL"
+        order = ["PASS", "EXPECTED_FAIL", "FAIL", "ERROR"]
+        assert list(STATUSES) == order
+        for i, a in enumerate(order):
+            for j, b in enumerate(order):
+                assert worst(a, b) == order[max(i, j)]
+        assert [s for s in order if STATUSES[s]] == ["FAIL", "ERROR"]
+
     def test_float_format_round_trips(self):
         for x in (math.pi, 1e-300, -2.5, 0.1 + 0.2):
             assert float(fmt_float(x)) == x
@@ -490,6 +508,17 @@ class TestRun:
         assert statuses["cap-ortho"] == statuses["cap-tilt"] == "FAIL"
         assert statuses["control"] == "PASS"
 
+    @pytest.mark.parametrize("D", [0.0, DEFICIT_CONTROL_TOL])
+    def test_deficit_control_without_deficit_fails(self, tmp_path,
+                                                   monkeypatch, D):
+        cfg = load_config(write_config(
+            tmp_path, surfaces=BASE_CONFIG["surfaces"][2:]))
+        assert run(cfg, "deficit").statuses == {"control": "PASS"}
+        monkeypatch.setattr(cli, "umbilicity_deficit", lambda S, Q: D)
+        manifest = run(cfg, "deficit")
+        assert manifest.statuses == {"control": "FAIL"}
+        assert not manifest.ok
+
     def test_one_boundary_frame_per_fresh_surface(self, tmp_path,
                                                   monkeypatch):
         frames, seen = ProfileSurface.boundary_frames, []
@@ -609,17 +638,7 @@ class TestMain:
         assert main(["verify", "--config", str(p), "--out", str(d2)]) == 0
         assert (d1 / "verify.csv").read_bytes() == (d2 / "verify.csv").read_bytes()
 
-    def test_plot_script_emission(self, tmp_path):
-        p = write_config(tmp_path)
-        rc = main(["deficit", "--config", str(p), "--format", "csv",
-                   "--format", "plotscript", "--quad", "32"])
-        assert rc == 0
-        out = Path(json.loads(p.read_text())["output"]["dir"])
-        script = out / "deficit_plot.py"
-        assert script.exists()
-        assert "deficit.csv" in script.read_text()
-
-    def test_sweep_end_to_end_with_plot(self, tmp_path):
+    def test_sweep_end_to_end(self, tmp_path):
         cfg = {
             "schema_version": 1,
             "surfaces": [],
@@ -627,12 +646,10 @@ class TestMain:
                       "thetas": [math.pi / 3, math.pi / 2],
                       "radii": [0.5, 0.8]},
             "numerics": {"quad_order": 32, "grid": 32, "eig_count": 4},
-            "output": {"dir": str(tmp_path / "sw"),
-                       "formats": ["csv", "plotscript"]},
+            "output": {"dir": str(tmp_path / "sw"), "formats": ["csv"]},
         }
         p = tmp_path / "sweep.json"
         p.write_text(json.dumps(cfg))
         assert main(["sweep", "--config", str(p)]) == 0
         rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + 4
-        assert (tmp_path / "sw" / "sweep_plot.py").exists()

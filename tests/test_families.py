@@ -127,7 +127,7 @@ class TestPerturb:
 
 class TestSolveForAngle:
     def test_orthogonal_sphere_is_support_centered(self):
-        spec = solve_for_angle(CapKind.SPHERE_CAP, math.pi / 2)
+        spec = solve_for_angle(CapKind.SPHERE_CAP, math.pi / 2, r=0.5)
         assert spec.a == pytest.approx(1.0, abs=1e-10)
 
     @given(st.floats(0.4, math.pi - 0.4), st.floats(0.3, 1.5))
@@ -148,10 +148,10 @@ class TestSolveForAngle:
                                       CapKind.TILTED_PLANE_CAP])
     def test_plane_kinds_rejected(self, kind):
         with pytest.raises(InfeasibleError, match="not a sphere family"):
-            solve_for_angle(kind, math.pi / 2)
+            solve_for_angle(kind, math.pi / 2, r=0.5)
 
     def test_out_of_range_angle_rejected(self):
         with pytest.raises(InfeasibleError):
-            solve_for_angle(CapKind.SPHERE_CAP, 0.0)
+            solve_for_angle(CapKind.SPHERE_CAP, 0.0, r=0.5)
         with pytest.raises(InfeasibleError):
-            solve_for_angle(CapKind.SPHERE_CAP, math.pi)
+            solve_for_angle(CapKind.SPHERE_CAP, math.pi, r=0.5)
