@@ -16,6 +16,7 @@ import argparse
 import math
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -239,8 +240,8 @@ def run(config: RunConfig, command: str) -> RunManifest:
             entry_rows, status = suite_fn(entry, config)
         except Exception as exc:  # numeric failure: record, keep running
             status = "ERROR"
-            errors.append([entry.label, status,
-                           f"{type(exc).__name__}: {exc}"])
+            errors.append([entry.label, status, f"{type(exc).__name__}: {exc}"])
+            manifest.tracebacks[entry.label] = traceback.format_exc()
         else:
             rows.extend(entry_rows)
         manifest.statuses[entry.label] = status

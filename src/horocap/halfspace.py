@@ -32,10 +32,6 @@ class HPoint:
     def height(self) -> float:
         return float(self.coords[-1])
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.coords.shape[0]
-
 
 @dataclass(frozen=True)
 class HVector:

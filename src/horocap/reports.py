@@ -90,11 +90,12 @@ def grade(ok: bool, expected: bool = False) -> str:
 
 @dataclass
 class RunManifest:
-    """One status per configured surface plus run provenance."""
+    """One status per configured surface, ERROR tracebacks and provenance."""
 
     config_hash: str
     tool_version: str
     statuses: dict = field(default_factory=dict)  # label -> status string
+    tracebacks: dict = field(default_factory=dict)  # label -> ERROR traceback
     wall_time_s: float = 0.0
 
     @property

@@ -603,10 +603,12 @@ def umbilicity_deficit(S: ParamSurface,
 
     The Cauchy-Schwarz term uses the pointwise mean curvature (keeping
     the integrand nonnegative on non-CMC controls); Phi = -H V - n g(E,nu)
-    uses the area-weighted mean.  D vanishes exactly on umbilical caps.
-    grad Phi is closed form on both chart kinds: grad V = -E^T and, by
-    Weingarten, d g(E,nu) = h(E^T, .), so with e = dw / w^2 (the chart
-    components of g(E, .)) the chart differential is
+    uses the area-weighted mean.  On an umbilical cap the integrand is 0
+    node by node, so there D = 0 checks the pointwise consistency of the
+    curvature formulas, not the theorem; the checks that can fail are a
+    control's D and boundary_cancellation.  grad Phi is closed form on
+    both chart kinds: grad V = -E^T and, by Weingarten, d g(E,nu) =
+    h(E^T, .), so with e = dw / w^2 (the chart components of g(E, .)),
     dPhi = H e - n h g^-1 e (on a profile chart E^T is meridian and g, h
     diagonal: only g00, h00 enter), read off the cached node-set geometry.
     """

@@ -23,8 +23,11 @@ node array, and builds ``ShapeData`` only for ``shapes``.  Its boundary
 is one rotation orbit: whatever the order, its one support-face node set
 is the node s = 0 weighted by the orbit's measure, with one frame.  Every
 derivative is read off the jets.  On a box chart the normal is the
-cofactor vector of the tangents, the conormal's chart components solve
-the Gram system, and the boundary curvature Hhat is from the Hessian.
+cofactor vector c of the tangents: det(J^T J) = |c|^2 (Cauchy-Binet), so
+the chart immerses iff |c| > 0, and sqrt(det g) = |c|/w^n.  H and |h|^2
+are the traces of g^-1 h and its square (one solve per node array); the
+principal curvatures come from the pencil (h, g) on request.  The
+conormal solves the Gram system, and Hhat is from the Hessian.
 
 Curvature conventions: the second fundamental form is h(X, Y) =
 g(nabla_X nu, Y), computed from embedding jets through the conformal
@@ -37,7 +40,6 @@ leaves the upper half-space raises ``GeometryError``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import weakref
 from collections import namedtuple
@@ -97,7 +99,8 @@ class ShapeData:
     The leading axes of every field index the points (none at one point).
     coords and normal are the Euclidean components of the position and
     of the unit normal nu; dw is the chart gradient of the height x_d;
-    principal curvatures are ascending.
+    area is sqrt(det g); kappa, if given, holds the principal curvatures
+    in closed form (a profile chart's: its g degenerates at the axis).
     """
 
     coords: np.ndarray
@@ -106,8 +109,16 @@ class ShapeData:
     h: np.ndarray
     H: np.ndarray
     h2: np.ndarray
-    principal_curvatures: np.ndarray
     dw: np.ndarray
+    area: np.ndarray
+    kappa: Optional[np.ndarray] = None
+
+    @property
+    def principal_curvatures(self) -> np.ndarray:  # ascending
+        if self.kappa is None:  # the eigenvalues of the pencil (h, g)
+            Linv = np.linalg.inv(np.linalg.cholesky(self.g))
+            return np.linalg.eigvalsh(Linv @ self.h @ _swap(Linv))
+        return self.kappa
 
 
 @dataclass(frozen=True)
@@ -153,9 +164,6 @@ class ParamSurface:
 
     _sign_cache: Optional[int] = None
 
-    def _center(self):
-        raise NotImplementedError
-
     def _shapes(self, u, sign: int) -> ShapeData:
         raise NotImplementedError
 
@@ -190,16 +198,16 @@ def _jet_shapes(x: np.ndarray, J: np.ndarray, Hess: np.ndarray,
     w2 = (w * w)[..., None, None]
     G = _swap(J) @ J
     g = G / w2
-    try:
-        L = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise ImmersionError("induced metric is not positive definite") from exc
     # Euclidean unit normal: the cofactor vector of the tangents,
-    # c_k = (-1)^(k+n) det(J without row k), so det([J, c]) = |c|^2 > 0
+    # c_k = (-1)^(k+n) det(J without row k), so det([J, c]) = |c|^2, and
+    # det(J^T J) = |c|^2 (Cauchy-Binet): g is positive definite iff |c| > 0
     k = np.arange(J.shape[-2])
     c = (-1.0) ** (k + k[-1]) * np.linalg.det(
         J[..., [np.delete(k, i) for i in k], :])
-    nu = (sign * w)[..., None] * c / np.linalg.norm(c, axis=-1)[..., None]
+    cn = np.linalg.norm(c, axis=-1)
+    if not np.all(cn > 0):  # NaN included
+        raise ImmersionError("induced metric is not positive definite")
+    nu = (sign * w)[..., None] * c / cn[..., None]
     # conformal-connection correction of the flat second derivatives
     dlnw = J[..., -1, :] / w[..., None]
     nuJ = np.einsum("...k,...ki->...i", nu, J)
@@ -207,10 +215,10 @@ def _jet_shapes(x: np.ndarray, J: np.ndarray, Hess: np.ndarray,
           - dlnw[..., :, None] * nuJ[..., None, :]
           - nuJ[..., :, None] * dlnw[..., None, :]
           + G * (nu[..., -1] / w)[..., None, None]) / w2
-    Linv = np.linalg.inv(L)
-    kappa = np.linalg.eigvalsh(Linv @ h @ _swap(Linv))
-    return ShapeData(x, nu, g, h, np.sum(kappa, axis=-1),
-                     np.sum(kappa * kappa, axis=-1), kappa, J[..., -1, :])
+    S = np.linalg.solve(g, h)  # shape operator: H = tr S, |h|^2 = tr S^2
+    return ShapeData(x, nu, g, h, np.einsum("...ii", S),
+                     np.einsum("...ij,...ji", S, S), J[..., -1, :],
+                     cn / w ** k[-1])
 
 
 class Meridian(namedtuple(
@@ -255,7 +263,7 @@ class Meridian(namedtuple(
         dw = np.zeros(lead + (n,))
         dw[..., 0] = self.dz
         return ShapeData(self.embed(rho, w), self.embed(*self.normal), g, h,
-                         self.H, self.h2, kappa, dw)
+                         self.H, self.h2, dw, self.A * self.B ** (n - 1), kappa)
 
 
 class ProfileSurface(ParamSurface):
@@ -429,7 +437,7 @@ class GridSurface(ParamSurface):
         theta, nubar = _contact(shape.normal, w, mu)
         second = np.einsum("...k,...kab->...ab", nubar[..., :-1],
                            Hess[..., :-1, 1:, 1:])
-        Hhat = -np.sum(np.linalg.inv(gamma) * second, axis=(-2, -1))
+        Hhat = -np.trace(np.linalg.solve(gamma, second), axis1=-2, axis2=-1)
         Jt = _swap(J)  # mu is tangent, so the Gram solve is exact
         mu_chart = np.linalg.solve(Jt @ J, Jt @ mu[..., None])[..., 0]
         hmumu = np.einsum("...i,...ij,...j->...", mu_chart, shape.h,
@@ -510,15 +518,15 @@ class NodeSet:
             self.weights = wt * m.A * m.B ** (n - 1) * unit_sphere_area(n - 1)
         else:
             axes = [Q.rule(lo, hi) for lo, hi in S.box[1 if face else 0:]]
-            self.nodes = np.array(list(itertools.product(
-                *(a[0] for a in axes))))
+            grid = np.meshgrid(*(a[0] for a in axes), indexing="ij")
+            self.nodes = np.stack(grid, -1).reshape(-1, len(axes))
             wt = functools.reduce(np.multiply.outer,
                                   [a[1] for a in axes]).ravel()
             if face:  # flat measure: the boundary sits at height 1
                 T = S.jets(S._boundary_chart_point(self.nodes))[1][..., 1:]
                 self.weights = wt * np.sqrt(np.linalg.det(_swap(T) @ T))
             else:
-                self.weights = wt * np.sqrt(np.linalg.det(self.shapes.g))
+                self.weights = wt * self.shapes.area
 
     @functools.cached_property
     def shapes(self) -> ShapeData:

@@ -13,7 +13,9 @@ The references read the metric and the stencil weights in closed form,
 A = |gamma'|/z and B = rho/z off profile_jet, and (1, -8, 0, 8, -1)/12.
 """
 
+import copy
 import dataclasses
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -191,7 +193,7 @@ def test_profile_batch_matches_meridian_formulas(name, request):
         assert_fields_match(fields, i, want)
 
 
-@pytest.mark.parametrize("name", CHARTS)
+@pytest.mark.parametrize("name", CHARTS + ("tilted_plane_3d",))
 def test_box_batch_matches_per_point_shape(name, request):
     S = request.getfixturevalue(name)
     u = chart_nodes(S)
@@ -202,6 +204,18 @@ def test_box_batch_matches_per_point_shape(name, request):
         assert_fields_match(fields, i, want)
         single = S.shape_at(ui)
         np.testing.assert_allclose(single.normal, want.nu, atol=REL)
+    # the node set: tensor nodes in itertools.product order, and weights
+    # (Gauss weights times |c|/w^n) equal to Gauss weights times sqrt(det g)
+    Q = QuadratureSpec(8)
+    ns = node_set(S, Q)
+    axes = [Q.rule(lo, hi) for lo, hi in S.box]
+    nodes = np.array(list(itertools.product(*(a[0] for a in axes))))
+    assert ns.nodes.tobytes() == nodes.tobytes()
+    wt = np.array([math.prod(c) for c in itertools.product(
+        *(a[1] for a in axes))])
+    np.testing.assert_allclose(
+        ns.weights, wt * np.sqrt(np.linalg.det(S.shapes(nodes).g)),
+        rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("name", CHARTS)
@@ -260,10 +274,16 @@ def test_cofactor_normal_on_a_tilted_plane_3d(tilted_plane_3d):
 
 
 @pytest.mark.parametrize("name", CHARTS + ("tilted_plane_3d",))
-def test_box_chart_path_runs_no_svd(name, request, monkeypatch):
-    S = request.getfixturevalue(name)
+def test_box_chart_path_runs_no_factorization(name, request, monkeypatch):
+    """Shapes, frames, node weights and the deficit of a box chart take no
+    SVD, pseudo-inverse, inverse, Cholesky factor or eigensolve."""
+    S = copy.copy(request.getfixturevalue(name))
+    S.__dict__.pop("_node_sets", None)  # a copy without the cached node sets
+    S._sign_cache = None
+    Q = QuadratureSpec(16)
+    Q.rule(0.0, 1.0)  # numpy builds the rule by an eigensolve, cached
     calls = []
-    for attr in ("svd", "pinv"):
+    for attr in ("svd", "pinv", "eigvalsh", "eigh", "inv", "cholesky"):
         def counting(*args, _f=getattr(np.linalg, attr), _a=attr, **kw):
             calls.append(_a)
             return _f(*args, **kw)
@@ -271,6 +291,8 @@ def test_box_chart_path_runs_no_svd(name, request, monkeypatch):
     S.shapes(chart_nodes(S))
     S.boundary_frames(np.array([[0.5 * (lo + hi) for lo, hi in S.box[1:]]]
                                * 3))
+    node_set(S, Q).weights
+    umbilicity_deficit(S, Q)
     assert calls == []
 
 

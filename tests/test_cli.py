@@ -419,6 +419,16 @@ class TestRun:
         assert not manifest.ok
         errors = (cfg.output.directory / "verify_errors.csv").read_text()
         assert "bad" in errors
+        # the ERROR row's full traceback is kept in the manifest only
+        saved = json.loads(
+            (cfg.output.directory / "manifest.json").read_text())
+        assert saved["tracebacks"] == manifest.tracebacks
+        assert list(manifest.tracebacks) == ["bad"]
+        tb = manifest.tracebacks["bad"]
+        assert tb.startswith("Traceback (most recent call last):")
+        message = errors.splitlines()[1].split(",", 2)[2]
+        assert tb.rstrip().endswith(message)  # after the module path
+        assert "Traceback" not in errors
 
     def test_infeasible_sweep_member_is_an_error_row(self, tmp_path):
         # radius 2 reaches no angle below arccos(1/2) on the a > 0 branch

@@ -240,17 +240,20 @@ class TestIntegration:
 
 class TestImmersionChecks:
     def test_degenerate_grid_chart_rejected(self):
-        from horocap.surfaces import GridSurface
-
-        d = 3
-        J = np.zeros((d, 2))
-        J[0, 0] = J[0, 1] = 1.0  # two parallel tangent columns
-        Hess = np.zeros((d, 2, 2))
-        origin = np.array([0.0, 0.0, 1.0])
-        S = GridSurface(2, [(0.0, 1.0), (0.0, 1.0)],
-                        lambda u: (origin + J @ u, J, Hess))
-        with pytest.raises(ImmersionError):
-            S.shape_at(np.array([0.5, 0.5]))
+        # two parallel tangent columns: the only two at n = 2 (d = 3), the
+        # last two beside an independent first one at n = 3 (d = 4)
+        for n in (2, 3):
+            d = n + 1
+            J = np.zeros((d, n))
+            J[0, 0] = 1.0
+            J[n - 2, n - 2:] = 1.0  # columns n-2 and n-1 both along E_{n-2}
+            Hess = np.zeros((d, n, n))
+            origin = np.zeros(d)
+            origin[-1] = 1.0
+            S = GridSurface(n, [(0.0, 1.0)] * n,
+                            lambda u: (origin + J @ u, J, Hess))
+            with pytest.raises(ImmersionError, match="not positive definite"):
+                S.shape_at(np.full(n, 0.5))
 
     def test_valid_cap_passes(self, ortho_cap):
         check_immersion(ortho_cap, QuadratureSpec(32))
