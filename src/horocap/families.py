@@ -12,8 +12,10 @@ conformal model (totally umbilical there), cut by the support horosphere
   with curvature cos(beta), contact angle beta; beta = pi/2 gives the
   totally geodesic vertical plane.
 
-Plane pieces are unbounded; they ship as box charts with artificial
-lateral cuts and only the face on the support is treated as boundary.
+Plane pieces are unbounded.  They ship as lines swept by the n-1
+horizontal translations over a cube (``GridSurface``), with the end of
+the line and the cube's faces as artificial cuts; only the end on the
+support is treated as boundary.
 
 ``perturb`` produces the constant-angle non-CMC negative controls: a
 compactly supported radial bump on a sphere cap, identically zero in a
@@ -30,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .quadrature import QuadratureSpec
-from .surfaces import (GridSurface, ImmersionError, ParamSurface,
-                       ProfileSurface, check_immersion)
+from .surfaces import (GridSurface, ImmersionError, ProfileSurface,
+                       check_immersion)
 
 __all__ = [
     "CapKind",
@@ -207,34 +209,25 @@ class BumpedCapSurface(ProfileSurface):
 
 
 class PlaneCapSurface(GridSurface):
-    """Euclidean plane piece tilted by beta, cut off by an artificial box."""
+    """Euclidean plane piece tilted by beta: the line x(u) = (-u cos(beta),
+    1 + u sin(beta)), u = extent - t on [0, extent], swept over a cube of
+    side extent; the cut is at t = 0 and the support at t1 = extent."""
 
     def __init__(self, n: int, beta: float, extent: float):
-        self.beta = float(beta)
-        self.extent = float(extent)
-        d = n + 1
-        direction = np.zeros(d)
-        direction[0] = -math.cos(beta)
-        direction[-1] = math.sin(beta)
-        origin = np.zeros(d)
-        origin[-1] = 1.0
-        J = np.zeros((d, n))
-        J[:, 0] = direction
-        for k in range(1, n):
-            J[k, k] = 1.0
-        Hess = np.zeros((d, n, n))
+        self.beta = beta = float(beta)
+        self.extent = extent = float(extent)
+        c, s = math.cos(beta), math.sin(beta)
 
-        def embed_jet(u: np.ndarray):
-            lead = u.shape[:-1]
-            return (origin + u @ J.T, np.broadcast_to(J, lead + J.shape),
-                    np.broadcast_to(Hess, lead + Hess.shape))
+        def jet(t):
+            u = extent - np.asarray(t, dtype=float)
+            zero = np.zeros_like(u)
+            return -u * c, 1.0 + u * s, zero + c, zero - s, zero, zero
 
-        box = [(0.0, extent)] + [(-extent / 2.0, extent / 2.0)] * (n - 1)
-        super().__init__(n, box, embed_jet)
+        super().__init__(n, extent, jet, extent)
 
 
-def build(spec: CapSpec) -> ParamSurface:
-    """Construct the ParamSurface of a family member (analytic derivatives)."""
+def build(spec: CapSpec) -> ProfileSurface:
+    """Construct the surface of a family member (analytic derivatives)."""
     spec.validate()
     if spec.kind in SPHERE_KINDS:
         return SphereCapSurface(spec.n, spec.a, spec.r)
@@ -243,8 +236,8 @@ def build(spec: CapSpec) -> ParamSurface:
     return PlaneCapSurface(spec.n, spec.beta, spec.extent)
 
 
-def perturb(base: ParamSurface, p: PerturbationSpec,
-            Q: Optional[QuadratureSpec] = None) -> ParamSurface:
+def perturb(base: ProfileSurface, p: PerturbationSpec,
+            Q: Optional[QuadratureSpec] = None) -> ProfileSurface:
     """Constant-angle, non-CMC control: base with a collar-avoiding bump.
 
     Verifies that the perturbed map is still an immersion; on failure the

@@ -17,9 +17,9 @@ where the area-weighted mean is used and the node spread recorded.
 A suite evaluates each identity once per quadrature order: one table of
 (lhs, rhs) at the configured order and one at the doubled order.  Pass
 tolerances are scheme-derived: max(1e-8, 100x the quadrature error
-estimated by that doubling).  The contact angle must be constant: on a box
-chart its spread is checked at the support-face nodes (AngleError); a
-profile chart's boundary is one orbit frame, constant by symmetry.
+estimated by that doubling).  The contact angle is read off the surface's
+one boundary frame: every boundary is one orbit of rotations or of
+translations, so the angle is constant by symmetry.
 """
 
 from __future__ import annotations
@@ -31,16 +31,14 @@ import numpy as np
 
 from .quadrature import QuadratureSpec
 from .reports import grade
-from .surfaces import ParamSurface, integrate_M, integrate_dM, node_set
+from .surfaces import ProfileSurface, integrate_M, integrate_dM, node_set
 
 __all__ = [
     "IDENTITY_IDS",
     "IdentityReport",
-    "AngleError",
     "verify",
     "suite",
     "cmc_stats",
-    "angle_stats",
 ]
 
 IDENTITY_IDS = ("I_BOUNDARY_MINK", "I_COR", "I_HX_NU", "I_MINK1", "I_X_NU")
@@ -49,11 +47,6 @@ REQUIRES_CMC = {"I_COR"}
 
 BASE_TOL = 1e-8
 CMC_SPREAD_TOL = 1e-8
-ANGLE_SPREAD_TOL = 1e-8
-
-
-class AngleError(ValueError):
-    """Contact angle is not constant along the boundary."""
 
 
 @dataclass(frozen=True)
@@ -73,20 +66,14 @@ class IdentityReport:
     theta: float
 
 
-def angle_stats(S: ParamSurface, Q: QuadratureSpec) -> tuple[float, float]:
-    """(mean, standard deviation) of the contact angle at the face nodes."""
-    theta = node_set(S, Q, face=True).frames.theta
-    return float(theta.mean()), float(theta.std())
-
-
-def cmc_stats(S: ParamSurface, Q: QuadratureSpec) -> tuple[float, float]:
+def cmc_stats(S: ProfileSurface, Q: QuadratureSpec) -> tuple[float, float]:
     """Area-weighted mean of H and the max-node spread |H - mean|."""
     H = node_set(S, Q).fields.H
     H_mean = integrate_M(S, H, Q) / integrate_M(S, 1.0, Q)
     return float(H_mean), float(np.max(np.abs(H - H_mean)))
 
 
-def _sides(S: ParamSurface, Q: QuadratureSpec, theta: float,
+def _sides(S: ProfileSurface, Q: QuadratureSpec, theta: float,
            H_mean: float) -> dict[str, tuple[float, float]]:
     """{identity id: (lhs, rhs)} of all five identities at the quadrature Q."""
     n = S.n
@@ -107,17 +94,13 @@ def _sides(S: ParamSurface, Q: QuadratureSpec, theta: float,
     }
 
 
-def suite(S: ParamSurface, Q: QuadratureSpec) -> list[IdentityReport]:
+def suite(S: ProfileSurface, Q: QuadratureSpec) -> list[IdentityReport]:
     """All five identities in deterministic (alphabetical) order.
 
     Each residual is graded against the scheme tolerance, from one
     evaluation at Q and one at the doubled order.
     """
-    theta, theta_spread = angle_stats(S, Q)
-    if theta_spread > ANGLE_SPREAD_TOL:
-        raise AngleError(
-            f"contact angle varies along the boundary (std {theta_spread:.3e})"
-        )
+    theta = float(S.boundary_frame_at().theta)
     H_mean, H_spread = cmc_stats(S, Q)
     cmc_ok = H_spread <= max(CMC_SPREAD_TOL, CMC_SPREAD_TOL * abs(H_mean))
     coarse = _sides(S, Q, theta, H_mean)
@@ -144,7 +127,7 @@ def suite(S: ParamSurface, Q: QuadratureSpec) -> list[IdentityReport]:
     return reports
 
 
-def verify(S: ParamSurface, identity_id: str, Q: QuadratureSpec
+def verify(S: ProfileSurface, identity_id: str, Q: QuadratureSpec
            ) -> IdentityReport:
     """One identity's report: its row of the suite."""
     if identity_id not in IDENTITY_IDS:

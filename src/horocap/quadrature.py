@@ -1,10 +1,10 @@
 """Quadrature plumbing: Gauss-Legendre rules and sphere factors.
 
-Profile (axisymmetric) charts integrate with a 1-D Gauss-Legendre rule
-along the profile parameter times the exact area of the unit
-(n-1)-sphere; box charts use tensor-product Gauss-Legendre.  Fields on
-the uniform nodal grids integrate on the same rules, through their
-splines.
+Every surface integrates with a 1-D Gauss-Legendre rule along the
+profile parameter times the exact measure of its cross-section (the unit
+(n-1)-sphere of a rotation sweep, the cube of a translation sweep).
+Fields on the uniform nodal grids integrate on the same rules, through
+their splines.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre order per chart axis."""
+    """Gauss-Legendre order along the profile parameter."""
 
     order: int = 128
 

@@ -45,7 +45,7 @@ import scipy
 
 from .identities import cmc_stats
 from .quadrature import QuadratureSpec, gauss_legendre, unit_sphere_area
-from .surfaces import (ParamSurface, ProfileSurface, integrate_dM, integrate_M,
+from .surfaces import (GridSurface, ProfileSurface, integrate_dM, integrate_M,
                        node_set)
 
 __all__ = [
@@ -81,7 +81,7 @@ class GridError(ValueError):
 # ----------------------------------------------------------------------
 
 class _ProfileGrid:
-    """Nodes, boundary measure and P1 elements for one grid."""
+    """Nodes and P1 elements for one grid."""
 
     def __init__(self, S: ProfileSurface, resolution: int):
         if resolution < MIN_RESOLUTION:
@@ -93,9 +93,6 @@ class _ProfileGrid:
         self.S = weakref.proxy(S)
         self.N = resolution
         self.nodes = np.linspace(0.0, S.t1, resolution + 1)
-        n = S.n
-        self.boundary_measure = (unit_sphere_area(n - 1)
-                                 * S.boundary_radius ** (n - 1))
 
     @functools.cached_property
     def elements(self) -> SimpleNamespace:
@@ -121,16 +118,17 @@ class _ProfileGrid:
         K0 = (_band(stiff[:, None, None] * np.array([[1.0, -1.0],
                                                       [-1.0, 1.0]]))
               + mass(n - h2))
-        K0[-1, 1] -= robin_q(S) * self.boundary_measure
+        K0[-1, 1] -= robin_q(S) * S.boundary_measure
         M = mass(1.0)
         # the hat functions sum to one, so the row sums of M are int phi_a
         return SimpleNamespace(K0=K0, P=mass(1.0 / (B * B)), M=M,
                                c=M.sum(axis=1) + np.append(M[1:, 0], 0.0))
 
 
-def _grid(S: ParamSurface, resolution: int) -> _ProfileGrid:
-    """The cached grid of S; only a profile chart has one."""
-    if not isinstance(S, ProfileSurface):
+def _grid(S: ProfileSurface, resolution: int) -> _ProfileGrid:
+    """The cached grid of S; a translation-swept chart has none (its
+    modes are not spherical harmonics)."""
+    if isinstance(S, GridSurface):
         raise GridError(
             "discrete operators require an axisymmetric (profile) chart"
         )
@@ -212,7 +210,7 @@ class ScalarField:
         return integrate_M(self.surface, self.spline, Q)
 
 
-def robin_q(S: ParamSurface) -> float:
+def robin_q(S: ProfileSurface) -> float:
     """q = csc(theta) + cot(theta) h(mu,mu) at the (constant-angle) boundary."""
     bf = S.boundary_frame_at()
     return 1.0 / math.sin(bf.theta) + bf.hmumu / math.tan(bf.theta)
@@ -222,7 +220,7 @@ def robin_q(S: ParamSurface) -> float:
 # quadratic form and constrained spectra
 # ----------------------------------------------------------------------
 
-def quadratic_form(S: ParamSurface, phi: ScalarField,
+def quadratic_form(S: ProfileSurface, phi: ScalarField,
                    Q: QuadratureSpec = FIELD_RULE) -> float:
     """Second variation of energy in symmetric Dirichlet form.
 
@@ -363,7 +361,7 @@ def _sbgvx(ab: np.ndarray, bb: np.ndarray, which: bytes = b"A",
     return w[:found[0]]
 
 
-def constrained_spectrum(S: ParamSurface, constraint: str = "VOLUME",
+def constrained_spectrum(S: ProfileSurface, constraint: str = "VOLUME",
                          resolution: int = 128, k: int = 10,
                          max_mode: int = 40,
                          upto: float = math.inf) -> SpectrumResult:
@@ -468,7 +466,7 @@ class _Variation:
             raise ValueError(
                 "conormal is horizontal; boundary slide undefined")
         self.S, self.frame, self.spline, self.sign = S, bf, phi.spline, m.sign
-        self.w = Q.rule(0.0, S.t1)[1]  # bare: area(s) forms its own element
+        self.w = ns.gauss_weights  # bare: area(s) forms its own element
         self.nubar_sign = 1.0 if bf.boundary_normal[0] > 0 else -1.0
         self.rho1 = float(bf.coords[0])  # the boundary radius
         self.eta1 = -phi.values[-1] * nu1[1] / mu1[1]
@@ -525,7 +523,7 @@ class _Variation:
         return self.area(s) - math.cos(self.frame.theta) * self.wetting_area(s)
 
 
-def fd_variation_check(S: ParamSurface, phi: ScalarField, step: float = 1e-3,
+def fd_variation_check(S: ProfileSurface, phi: ScalarField, step: float = 1e-3,
                        Q: Optional[QuadratureSpec] = None
                        ) -> dict[str, VariationCheck]:
     """Richardson-extrapolated d/ds of each functional vs its printed formula.
@@ -554,7 +552,7 @@ def fd_variation_check(S: ParamSurface, phi: ScalarField, step: float = 1e-3,
     # boundary terms: g(Y, mu) = eta1 and g(Y, nubar) at t1
     gYmu = float(np.dot(var.Y1, bf.conormal[[0, -1]]))
     gYnubar = float(np.dot(var.Y1, bf.boundary_normal[[0, -1]]))
-    bm = integrate_dM(S, 1.0, Q)
+    bm = S.boundary_measure
     formulas = {
         "AREA": (bulk_Hphi + bm * gYmu, (bulk_Hphi, bm * gYmu)),
         "WETTING_AREA": (bm * gYnubar, ()),
@@ -566,7 +564,7 @@ def fd_variation_check(S: ParamSurface, phi: ScalarField, step: float = 1e-3,
             for d, (name, (f, terms)) in zip(fd, formulas.items())}
 
 
-def energy_second_difference(S: ParamSurface, phi: ScalarField,
+def energy_second_difference(S: ProfileSurface, phi: ScalarField,
                              step: float = 1e-2,
                              Q: Optional[QuadratureSpec] = None
                              ) -> VariationCheck:
@@ -597,7 +595,7 @@ def energy_second_difference(S: ParamSurface, phi: ScalarField,
 # umbilicity deficit
 # ----------------------------------------------------------------------
 
-def umbilicity_deficit(S: ParamSurface,
+def umbilicity_deficit(S: ProfileSurface,
                        Q: Optional[QuadratureSpec] = None) -> float:
     """D(S) = int_M n g(E^T,E^T)(n|h|^2 - H^2) + |grad Phi|^2 dA.
 
@@ -606,11 +604,12 @@ def umbilicity_deficit(S: ParamSurface,
     uses the area-weighted mean.  On an umbilical cap the integrand is 0
     node by node, so there D = 0 checks the pointwise consistency of the
     curvature formulas, not the theorem; the checks that can fail are a
-    control's D and boundary_cancellation.  grad Phi is closed form on
-    both chart kinds: grad V = -E^T and, by Weingarten, d g(E,nu) =
-    h(E^T, .), so with e = dw / w^2 (the chart components of g(E, .)),
-    dPhi = H e - n h g^-1 e (on a profile chart E^T is meridian and g, h
-    diagonal: only g00, h00 enter), read off the cached node-set geometry.
+    control's D and boundary_cancellation.  grad Phi is closed form:
+    grad V = -E^T and, by Weingarten, d g(E,nu) = h(E^T, .), so with
+    e = dw / w^2 (the chart components of g(E, .)), dPhi = H e - n h g^-1 e.
+    E^T is meridian and g, h are diagonal in the (meridian, cross-section)
+    frame of either sweep, so only g00 and h00 enter, read off the node
+    set's Meridian.
     """
     Q = Q or QuadratureSpec()
     n = S.n
@@ -618,18 +617,13 @@ def umbilicity_deficit(S: ParamSurface,
     fl = ns.fields
     H_mean, _ = cmc_stats(S, Q)
     cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)  # Cauchy-Schwarz term
-    if (m := ns.meridian) is not None:
-        e, g00 = m.dz / (fl.w * fl.w), m.g00
-        dphi = H_mean * e - n * m.h00 * (e / g00)
-        return integrate_M(S, cs + dphi * (dphi / g00), Q)
-    sd = ns.shapes
-    e = (sd.dw / (fl.w * fl.w)[..., None])[..., None]  # column vectors
-    dphi = H_mean * e - n * sd.h @ np.linalg.solve(sd.g, e)
-    grad_sq = np.sum(dphi * np.linalg.solve(sd.g, dphi), axis=(-2, -1))
-    return integrate_M(S, cs + grad_sq, Q)
+    m = ns.meridian
+    e, g00 = m.dz / (fl.w * fl.w), m.g00
+    dphi = H_mean * e - n * m.h00 * (e / g00)
+    return integrate_M(S, cs + dphi * (dphi / g00), Q)
 
 
-def boundary_cancellation(S: ParamSurface,
+def boundary_cancellation(S: ProfileSurface,
                           Q: Optional[QuadratureSpec] = None) -> float:
     """int_dM [ -sin(theta) + cos(theta) g(x,nubar) + h(mu,mu) g(x,nubar) ] ds.
 

@@ -9,7 +9,7 @@ from horocap.families import CapKind, CapSpec, PerturbationSpec, build, perturb
 from horocap.identities import cmc_stats
 from horocap.quadrature import QuadratureSpec
 from horocap.stability import FIELD_RULE, ScalarField, _grid
-from horocap.surfaces import GridSurface, fields_at, integrate_M
+from horocap.surfaces import fields_at, integrate_M
 
 
 def cap(kind=CapKind.SPHERE_CAP, n=2, a=1.0, r=0.5, **kw):
@@ -53,25 +53,6 @@ def vertical_plane():
 def tilted_plane():
     return build(CapSpec(kind=CapKind.TILTED_PLANE_CAP, n=2,
                          beta=math.pi / 3, extent=1.0))
-
-
-@pytest.fixture(scope="session")
-def saddle_chart():
-    """Saddle-like box chart whose contact angle varies along the cut."""
-    return GridSurface(2, [(0.0, 0.5), (0.1, 0.6)], saddle_jet)
-
-
-def saddle_jet(u):
-    """Jet of x = (u0, u1, 1 + u0 (1 + u1/2)) at chart points u (..., 2)."""
-    u0, u1 = u[..., 0], u[..., 1]
-    x = np.stack([u0, u1, 1.0 + u0 * (1.0 + 0.5 * u1)], axis=-1)
-    J = np.zeros(u.shape[:-1] + (3, 2))
-    J[..., 0, 0] = J[..., 1, 1] = 1.0
-    J[..., 2, 0] = 1.0 + 0.5 * u1
-    J[..., 2, 1] = 0.5 * u0
-    Hess = np.zeros(u.shape[:-1] + (3, 2, 2))
-    Hess[..., 2, 0, 1] = Hess[..., 2, 1, 0] = 0.5
-    return x, J, Hess
 
 
 @pytest.fixture(scope="session")

@@ -56,12 +56,18 @@ class TestBuild:
                 k = S.shape_at(t).principal_curvatures
                 assert np.ptp(k) < 1e-10
 
-    def test_tilted_plane_curvature_magnitude(self, tilted_plane):
-        # plane tilted by beta is equidistant with |curvature| = cos(beta)
-        sd = tilted_plane.shape_at(np.array([0.3, 0.0]))
-        np.testing.assert_allclose(np.abs(sd.principal_curvatures),
-                                   math.cos(math.pi / 3), atol=1e-12)
-        assert sd.H > 0
+    def test_tilted_plane_curvature_magnitude(self):
+        # plane tilted by beta is equidistant with |curvature| = |cos(beta)|
+        # in the meridian and in every translation direction
+        for n, beta in ((2, math.pi / 3), (3, 1.0), (3, 2.2)):
+            S = build(CapSpec(kind=CapKind.TILTED_PLANE_CAP, n=n, beta=beta,
+                              extent=1.0))
+            for t in (0.0, 0.3, 1.0):
+                sd = S.shape_at(t)
+                assert sd.principal_curvatures.shape == (n,)
+                np.testing.assert_allclose(np.abs(sd.principal_curvatures),
+                                           abs(math.cos(beta)), atol=1e-12)
+                assert sd.H > 0
 
 
 class TestBump:

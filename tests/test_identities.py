@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from horocap.families import CapKind, CapSpec, build, solve_for_angle
-from horocap.identities import (IDENTITY_IDS, AngleError, angle_stats,
-                                cmc_stats, suite, verify)
+from horocap.identities import IDENTITY_IDS, cmc_stats, suite, verify
 from horocap.quadrature import QuadratureSpec
-from horocap.surfaces import GridSurface, ProfileSurface
+from horocap.surfaces import ProfileSurface
 
 
 class TestSingleIdentity:
@@ -66,10 +65,10 @@ class TestNegativeControl:
 
     def test_angle_stats_unchanged_by_bump(self, ortho_cap, bumped_cap,
                                            quad):
-        th0, _ = angle_stats(ortho_cap, quad)
-        th1, dev = angle_stats(bumped_cap, quad)
-        assert th1 == th0
-        assert dev == 0.0
+        th0 = ortho_cap.boundary_frame_at().theta
+        assert bumped_cap.boundary_frame_at().theta == th0
+        for rep in suite(bumped_cap, quad):
+            assert rep.theta == th0
 
 
 class TestSuite:
@@ -93,22 +92,22 @@ class TestSuite:
 
     def test_one_frame_evaluation_per_quadrature_order(self, monkeypatch):
         calls = []
-        for cls in (ProfileSurface, GridSurface):
-            def counting(S, s, _frames=cls.boundary_frames):
-                calls.append(np.shape(s))
-                return _frames(S, s)
-            monkeypatch.setattr(cls, "boundary_frames", counting)
+        frames = ProfileSurface.boundary_frames
+
+        def counting(S, s):
+            calls.append(np.shape(s))
+            return frames(S, s)
+        monkeypatch.setattr(ProfileSurface, "boundary_frames", counting)
         Q = QuadratureSpec(16)
-        # fresh surfaces: node sets, and the frames on them, are cached; a
-        # profile chart's boundary orbit has one frame, whatever the order
-        for spec, want in ((CapSpec(CapKind.TILTED_PLANE_CAP, n=2,
-                                    beta=math.pi / 3, extent=1.0), 2),
-                           (CapSpec(CapKind.SPHERE_CAP, n=2, a=1.0, r=0.5),
-                            1)):
+        # fresh surfaces: every boundary is one orbit of rotations or of
+        # translations, with one frame, whatever the order
+        for spec in (CapSpec(CapKind.TILTED_PLANE_CAP, n=2, beta=math.pi / 3,
+                             extent=1.0),
+                     CapSpec(CapKind.SPHERE_CAP, n=2, a=1.0, r=0.5)):
             S = build(spec)
             calls.clear()
             suite(S, Q)
-            assert len(calls) == want, (spec.kind, calls)
+            assert len(calls) == 1, (spec.kind, calls)
 
     def test_verify_is_the_suite_row(self, tilted_cap, bumped_cap,
                                      tilted_plane, quad_fast):
@@ -148,9 +147,3 @@ class TestBoundaryPointwiseReduction:
             reduced = math.sin(th) * (n * math.sin(th) - gxnubar * H
                                       - n * math.cos(th) * gxnubar)
             assert phi == pytest.approx(reduced, abs=1e-10)
-
-
-class TestVaryingAngleRejection:
-    def test_non_constant_angle_raises(self, saddle_chart, quad_fast):
-        with pytest.raises(AngleError):
-            verify(saddle_chart, "I_X_NU", quad_fast)

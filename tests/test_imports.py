@@ -1,5 +1,6 @@
 """Start-up cost: which modules each command loads."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -92,3 +93,56 @@ def test_no_command_loads_the_halfspace_records(tmp_path):
     assert seen == {"import": False, "verify": False, "spectrum": False,
                     "variation-check": False, "deficit": False,
                     "sweep": False}
+
+
+TRACED_MODULES = ("cli", "config", "families", "halfspace", "identities",
+                  "quadrature", "reports", "stability", "surfaces")
+
+
+def _attributes() -> dict:
+    """Every attribute of the horocap modules and of the classes they
+    define, and the entries of the CLI's suite table, by identity."""
+    seen = {}
+    for name, mod in list(sys.modules.items()):
+        if name != "horocap" and not name.startswith("horocap."):
+            continue
+        for attr, value in vars(mod).items():
+            seen[name, attr] = value
+            if isinstance(value, type) and value.__module__ == name:
+                for key, member in vars(value).items():
+                    seen[name, attr, key] = member
+    cli = sys.modules["horocap.cli"]
+    seen.update((("_SUITES", k), v) for k, v in cli._SUITES.items())
+    return seen
+
+
+def test_benchmark_tracer_patches_existing_targets_and_restores_them(
+        monkeypatch):
+    """The benchmark's tracer (perfbench/tracer.py) rebinds module functions
+    and patches class attributes by name; each one it names must exist, and
+    uninstall must put every one back, over repeated rounds."""
+    root = Path(horocap.__file__).resolve().parents[2]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    for name in TRACED_MODULES:
+        importlib.import_module(f"horocap.{name}")
+    stability = sys.modules["horocap.stability"]
+    linalg = stability.scipy.linalg
+    eigh = linalg.eigh
+    before = _attributes()
+    pairs = tracer.PairTimer()
+    trace = tracer.Tracer()
+    for _ in range(2):  # perfbench/run.py installs once per traced round
+        trace.install()
+        patched = _attributes()
+        for _, targets in tracer.METHOD_SPANS.items():
+            for mod, cls, attr in targets:
+                key = (f"horocap.{mod}", cls, attr)
+                assert patched[key] is not before[key], key
+        trace.uninstall()
+    pairs.uninstall()
+    after = _attributes()
+    assert after.keys() == before.keys()
+    moved = [key for key in before if after[key] is not before[key]]
+    assert moved == []
+    assert linalg.eigh is eigh

@@ -18,6 +18,15 @@ def sphere_cap(n=2, a=1.0, r=0.5):
     return build(CapSpec(kind=CapKind.SPHERE_CAP, n=n, a=a, r=r))
 
 
+def plane(n, beta=math.pi / 2, extent=1.0):
+    return build(CapSpec(kind=CapKind.TILTED_PLANE_CAP, n=n, beta=beta,
+                         extent=extent))
+
+
+PLANE_CASES = [(2, math.pi / 2, 1.0), (3, math.pi / 2, 0.7), (2, 1.0, 1.3),
+               (3, 1.0, 1.0), (3, 2.2, 0.8)]
+
+
 def support_normal(bf):
     """Euclidean components of the outward support normal Nbar = -E_d."""
     e = np.zeros_like(bf.conormal)
@@ -60,10 +69,14 @@ class TestShapeData:
                                        atol=1e-12)
 
     def test_vertical_plane_is_totally_geodesic(self, vertical_plane):
-        u = np.array([0.3, 0.1])
-        sd = vertical_plane.shape_at(u)
-        assert abs(sd.H) < 1e-12
-        np.testing.assert_allclose(sd.h, 0.0, atol=1e-12)
+        for S in (vertical_plane, plane(3)):
+            for t in (0.0, 0.3 * S.t1, S.t1):
+                sd = S.shape_at(t)
+                assert abs(sd.H) < 1e-12
+                np.testing.assert_allclose(sd.h, 0.0, atol=1e-12)
+                # |kappa| = |cos(beta)| = 0 in both directions
+                np.testing.assert_allclose(sd.principal_curvatures, 0.0,
+                                           atol=1e-12)
 
     def test_geodesic_sphere_curvature_value(self):
         S = sphere_cap(a=2.0, r=1.5)
@@ -118,6 +131,15 @@ class TestBoundaryFrame:
             assert bf.theta == pytest.approx(math.acos((1 - a) / r),
                                              abs=1e-12)
 
+    def test_plane_boundary_is_a_flat_cube(self):
+        """The boundary of a plane piece is a cube of side extent in a
+        hyperplane of the flat support: measure extent^(n-1), Hhat = 0."""
+        for n, beta, extent in PLANE_CASES:
+            S = plane(n, beta, extent)
+            assert integrate_dM(S, 1.0, QuadratureSpec(16)) == pytest.approx(
+                extent ** (n - 1), rel=1e-15)
+            assert S.boundary_frame_at().Hhat == 0.0
+
     def test_angle_constant_along_grid_boundary(self, tilted_plane):
         thetas = [tilted_plane.boundary_frame_at(np.array([s])).theta
                   for s in np.linspace(-0.4, 0.4, 32)]
@@ -147,45 +169,6 @@ class TestBoundaryFrame:
         w = x[-1]
         assert np.dot(x, support_normal(bf)) / (w * w) == pytest.approx(
             -1.0, abs=1e-12)
-
-    def test_skewed_face_frame_against_graph_curvature(self):
-        """Non-orthogonal face tangents: nubar stays normal to the face and
-        Hhat is the mean curvature of the face as a graph in the horosphere.
-
-        The face u_0 = 0 of x = (u0 + 0.3 u1^2 + 0.2 u2^2, u1 + u2/2, u2,
-        1 + u0) is the graph x_0 = f(x_1, x_2); nubar points along +x_0,
-        so Hhat = -div(grad f / sqrt(1 + |grad f|^2)), evaluated by sympy.
-        """
-        sympy = pytest.importorskip("sympy")
-
-        def embed_jet(u):
-            u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
-            x = np.stack([u0 + 0.3 * u1 ** 2 + 0.2 * u2 ** 2, u1 + 0.5 * u2,
-                          u2, 1.0 + u0], axis=-1)
-            J = np.zeros(u.shape[:-1] + (4, 3))
-            J[..., 0, :] = np.stack([np.ones_like(u0), 0.6 * u1, 0.4 * u2],
-                                    axis=-1)
-            J[..., 1, 1], J[..., 1, 2], J[..., 2, 2] = 1.0, 0.5, 1.0
-            J[..., 3, 0] = 1.0
-            Hess = np.zeros(u.shape[:-1] + (4, 3, 3))
-            Hess[..., 0, 1, 1], Hess[..., 0, 2, 2] = 0.6, 0.4
-            return x, J, Hess
-
-        S = GridSurface(3, [(0.0, 0.3), (-0.2, 0.3), (-0.2, 0.3)], embed_jet)
-        s = np.array([0.1, 0.05])
-        bf = S.boundary_frame_at(s)
-        T = embed_jet(np.array([0.0, *s]))[1][:, 1:]
-        np.testing.assert_allclose(bf.boundary_normal @ T, 0.0, atol=1e-14)
-        assert bf.boundary_normal[0] > 0
-
-        x1, x2 = sympy.symbols("x1 x2")
-        f = (sympy.Rational(3, 10) * (x1 - x2 / 2) ** 2
-             + sympy.Rational(1, 5) * x2 ** 2)
-        norm = sympy.sqrt(1 + f.diff(x1) ** 2 + f.diff(x2) ** 2)
-        Hg = (f.diff(x1) / norm).diff(x1) + (f.diff(x2) / norm).diff(x2)
-        want = -float(Hg.subs({x1: sympy.Rational(1, 8),
-                               x2: sympy.Rational(1, 20)}))
-        assert bf.Hhat == pytest.approx(want, abs=1e-10)
 
     def test_boundary_off_support_rejected(self):
         # a valid sphere profile truncated before it reaches the support;
@@ -236,24 +219,33 @@ class TestIntegration:
         area = integrate_M(vertical_plane, lambda u: 1.0, quad_fast)
         # embed: z = 1 + u_0, horizontal width 1 -> int_0^1 dz/z^2 = 1/2
         assert area == pytest.approx(0.5, rel=1e-12)
+        # tilted by beta, z = 1 + u sin(beta) over u in [0, e], times the
+        # cube's e^(n-1): e^(n-1) (1 - (1 + e sin(beta))^(1-n)) /
+        # ((n-1) sin(beta))
+        for n, beta, e in PLANE_CASES:
+            want = (e ** (n - 1) * (1.0 - (1.0 + e * math.sin(beta))
+                                    ** (1 - n)) / ((n - 1) * math.sin(beta)))
+            got = integrate_M(plane(n, beta, e), 1.0, quad_fast)
+            assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestImmersionChecks:
     def test_degenerate_grid_chart_rejected(self):
-        # two parallel tangent columns: the only two at n = 2 (d = 3), the
-        # last two beside an independent first one at n = 3 (d = 4)
+        # the translations are independent of the meridian, so a grid chart
+        # degenerates only where its meridian tangent vanishes: here at
+        # t = 1/4, on (rho, z) = ((t - 1/4)^2, 2 + (t - 1/4)^3)
+        def jet(t):
+            v = np.asarray(t, dtype=float) - 0.25
+            return (v * v, 2.0 + v ** 3, 2.0 * v, 3.0 * v * v, 2.0 + 0.0 * v,
+                    6.0 * v)
+
         for n in (2, 3):
-            d = n + 1
-            J = np.zeros((d, n))
-            J[0, 0] = 1.0
-            J[n - 2, n - 2:] = 1.0  # columns n-2 and n-1 both along E_{n-2}
-            Hess = np.zeros((d, n, n))
-            origin = np.zeros(d)
-            origin[-1] = 1.0
-            S = GridSurface(n, [(0.0, 1.0)] * n,
-                            lambda u: (origin + J @ u, J, Hess))
-            with pytest.raises(ImmersionError, match="not positive definite"):
-                S.shape_at(np.full(n, 0.5))
+            S = GridSurface(n, 1.0, jet, 1.0)
+            S.shapes(np.array([0.2, 0.7]))
+            with pytest.raises(ImmersionError, match="tangent vanishes"):
+                S.shape_at(0.25)
+            with pytest.raises(ImmersionError, match="tangent vanishes"):
+                S.shapes(np.array([0.2, 0.25, 0.7]))
 
     def test_valid_cap_passes(self, ortho_cap):
         check_immersion(ortho_cap, QuadratureSpec(32))
