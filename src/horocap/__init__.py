@@ -2,13 +2,13 @@
 
 from .quadrature import QuadratureSpec, gauss_legendre, unit_sphere_area
 from .surfaces import (BoundaryFrame, EvaluationError, GeometryError,
-                       GridSurface, ImmersionError, ProfileSurface, ShapeData,
-                       SupportError, SurfaceFields, check_immersion, fields_at,
+                       GridSurface, ImmersionError, ProfileSurface,
+                       SupportError, SurfaceFields, check_immersion,
                        integrate_M, integrate_dM)
 from .families import (AmplitudeError, CapKind, CapSpec, ConstructionError,
                        InfeasibleError, PerturbationSpec, build, perturb,
                        solve_for_angle)
-from .identities import IDENTITY_IDS, IdentityReport, suite, verify
+from .identities import IDENTITY_IDS, IdentityReport, suite
 from .stability import (ScalarField, SpectrumResult, VariationCheck,
                         boundary_cancellation, constrained_spectrum,
                         energy_second_difference, fd_variation_check,

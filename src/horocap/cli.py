@@ -147,7 +147,7 @@ def _suite_deficit(entry: SurfaceEntry, cfg: RunConfig):
     Q = QuadratureSpec(cfg.numerics.quad_order)
     S = _build_surface(entry, Q)
     D = umbilicity_deficit(S, Q)
-    bc = boundary_cancellation(S, Q)
+    bc = boundary_cancellation(S)
     if entry.is_control:
         status = grade(D > DEFICIT_CONTROL_TOL)
     else:

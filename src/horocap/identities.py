@@ -36,7 +36,6 @@ from .surfaces import ProfileSurface, integrate_M, integrate_dM, node_set
 __all__ = [
     "IDENTITY_IDS",
     "IdentityReport",
-    "verify",
     "suite",
     "cmc_stats",
 ]
@@ -79,18 +78,18 @@ def _sides(S: ProfileSurface, Q: QuadratureSpec, theta: float,
     n = S.n
     ct, st = math.cos(theta), math.sin(theta)
     fl = node_set(S, Q).fields
-    bf = node_set(S, Q, face=True).frames
+    bf = S.boundary_frame_at()
     gxnubar = bf.gxnubar
     return {
-        "I_BOUNDARY_MINK": (
-            integrate_dM(S, gxnubar * bf.Hhat - (n - 1), Q), 0.0),
+        "I_BOUNDARY_MINK": (integrate_dM(S, gxnubar * bf.Hhat - (n - 1)),
+                            0.0),
         "I_COR": (integrate_dM(
-            S, n * st - gxnubar * H_mean - n * ct * gxnubar, Q), 0.0),
+            S, n * st - gxnubar * H_mean - n * ct * gxnubar), 0.0),
         "I_HX_NU": (integrate_M(S, fl.gxnu * fl.H, Q),
-                    integrate_dM(S, -ct * gxnubar + st, Q)),
+                    integrate_dM(S, -ct * gxnubar + st)),
         "I_MINK1": (integrate_M(
             S, n * fl.V - fl.gXnu * fl.H - n * ct * fl.gxnu, Q), 0.0),
-        "I_X_NU": (integrate_M(S, n * fl.gxnu, Q), integrate_dM(S, gxnubar, Q)),
+        "I_X_NU": (integrate_M(S, n * fl.gxnu, Q), integrate_dM(S, gxnubar)),
     }
 
 
@@ -126,10 +125,3 @@ def suite(S: ProfileSurface, Q: QuadratureSpec) -> list[IdentityReport]:
             H_spread=H_spread, theta=theta))
     return reports
 
-
-def verify(S: ProfileSurface, identity_id: str, Q: QuadratureSpec
-           ) -> IdentityReport:
-    """One identity's report: its row of the suite."""
-    if identity_id not in IDENTITY_IDS:
-        raise ValueError(f"unknown identity id {identity_id!r}")
-    return suite(S, Q)[IDENTITY_IDS.index(identity_id)]

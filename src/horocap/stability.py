@@ -129,9 +129,8 @@ def _grid(S: ProfileSurface, resolution: int) -> _ProfileGrid:
     """The cached grid of S; a translation-swept chart has none (its
     modes are not spherical harmonics)."""
     if isinstance(S, GridSurface):
-        raise GridError(
-            "discrete operators require an axisymmetric (profile) chart"
-        )
+        raise GridError("the modes are spherical harmonics of a rotation "
+                        "orbit and a translation orbit has none")
     cache = S.__dict__.setdefault("_stability_grids", {})
     if resolution not in cache:
         cache[resolution] = _ProfileGrid(S, resolution)
@@ -233,7 +232,7 @@ def quadratic_form(S: ProfileSurface, phi: ScalarField,
     t = ns.nodes
     bulk = integrate_M(S, phi.spline(t, 1) ** 2 / ns.meridian.g00
                        - (ns.fields.h2 - S.n) * phi.spline(t) ** 2, Q)
-    return bulk - robin_q(S) * integrate_dM(S, phi.values[-1] ** 2, Q)
+    return bulk - robin_q(S) * integrate_dM(S, phi.values[-1] ** 2)
 
 
 def sphere_mode_multiplicity(n: int, l: int) -> int:
@@ -623,15 +622,13 @@ def umbilicity_deficit(S: ProfileSurface,
     return integrate_M(S, cs + dphi * (dphi / g00), Q)
 
 
-def boundary_cancellation(S: ProfileSurface,
-                          Q: Optional[QuadratureSpec] = None) -> float:
+def boundary_cancellation(S: ProfileSurface) -> float:
     """int_dM [ -sin(theta) + cos(theta) g(x,nubar) + h(mu,mu) g(x,nubar) ] ds.
 
     Vanishes on constant-angle CMC caps (the key boundary cancellation of
     the stability argument).
     """
-    Q = Q or QuadratureSpec()
-    bf = node_set(S, Q, face=True).frames
+    bf = S.boundary_frame_at()
     gxnubar, th = bf.gxnubar, bf.theta
     return integrate_dM(
-        S, lambda s: -np.sin(th) + np.cos(th) * gxnubar + bf.hmumu * gxnubar, Q)
+        S, -np.sin(th) + np.cos(th) * gxnubar + bf.hmumu * gxnubar)

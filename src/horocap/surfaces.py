@@ -21,14 +21,15 @@ cross-section and of the boundary orbit (``orbit_measure``,
 ``boundary_measure``) and the mean curvature Hhat of the boundary in the
 flat support (``_Hhat``).
 
-A surface answers array calls: ``shapes`` takes an array of t and
-``boundary_frames`` an array of support-face points s; ``shape_at``,
-``boundary_frame_at`` and ``fields_at`` are that pass at one point.  It
-reads everything off one ``Meridian`` (one ``profile_jet`` call) per node
-array, and builds ``ShapeData`` only for ``shapes``.  Its boundary is one
-orbit: whatever the order, its one support-face node set is the node
-s = 0 weighted by the orbit's measure, with one frame, so the contact
-angle is constant by symmetry.  Every derivative is read off the jets.
+The shape of a surface at an array of t (at one t: scalars) is one
+``Meridian`` record, read off one ``profile_jet`` call: the meridian
+jet, the metric A^2 dt^2 + B^2 dsigma^2 and the principal curvatures
+(kappa_m along the meridian, kappa_a across it), with g and h diagonal
+in the (meridian, cross-section) frame.  The boundary is one orbit, so
+it has one ``BoundaryFrame``, built from the meridian at t1, and the
+contact angle is constant by symmetry; a boundary integral is a value
+times the orbit's measure (``integrate_dM``).  Every derivative is read
+off the jets.
 
 Curvature conventions: the second fundamental form is h(X, Y) =
 g(nabla_X nu, Y), computed from the profile jet through the conformal
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -56,7 +56,6 @@ __all__ = [
     "ImmersionError",
     "SupportError",
     "EvaluationError",
-    "ShapeData",
     "Meridian",
     "BoundaryFrame",
     "ProfileSurface",
@@ -85,65 +84,48 @@ class EvaluationError(ValueError):
 
 
 @dataclass(frozen=True)
-class ShapeData:
-    """First/second fundamental data at chart points, as a struct of arrays.
-
-    The leading axes of every field index the points (none at one point).
-    coords and normal are the Euclidean components of the position and
-    of the unit normal nu; the principal curvatures are ascending.
-    """
-
-    coords: np.ndarray
-    normal: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-    H: np.ndarray
-    h2: np.ndarray
-    principal_curvatures: np.ndarray
-
-
-@dataclass(frozen=True)
 class BoundaryFrame:
-    """Frame and contact data at boundary points, as a struct of arrays.
+    """Frame and contact data of the boundary orbit, at one point of it.
 
     The Euclidean components of the position, of the unit normal nu, of
     the outward conormal mu in the surface (``conormal``) and of the
     normal nubar of the boundary inside the (flat) horosphere
     (``boundary_normal``); theta is the contact angle fixed by
     cos(theta) = -g(nu, Nbar), with Nbar = -E_d the outward support
-    normal.
+    normal.  The vectors have n+1 components; the rest are scalars.
     """
 
     coords: np.ndarray
     normal: np.ndarray
     conormal: np.ndarray
     boundary_normal: np.ndarray
-    theta: np.ndarray
-    hmumu: np.ndarray
-    Hhat: np.ndarray
+    theta: float
+    hmumu: float
+    Hhat: float
 
     @property
-    def gxnubar(self) -> np.ndarray:
+    def gxnubar(self) -> float:
         """g(x, nubar) of the position field."""
         x = self.coords
-        return np.sum(x * self.boundary_normal, axis=-1) / x[..., -1] ** 2
+        return np.sum(x * self.boundary_normal) / x[-1] ** 2
 
 
-def _contact(nu: np.ndarray, w, mu: np.ndarray):
+def _contact(nu: np.ndarray, w: float, mu: np.ndarray):
     """(theta, nubar) from cos(theta) = -g(nu, Nbar) with Nbar = -E_d."""
-    cos_t = np.minimum(np.maximum(nu[..., -1] / (w * w), -1.0), 1.0)
+    cos_t = np.minimum(np.maximum(nu[-1] / (w * w), -1.0), 1.0)
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t ** 2))
-    return np.arccos(cos_t), cos_t[..., None] * mu + sin_t[..., None] * nu
+    return np.arccos(cos_t), cos_t * mu + sin_t * nu
 
 
 class Meridian(namedtuple(
         "Meridian", "n sign rho w dr dz d2r d2z s B m0 m1 kappa_m kappa_a")):
-    """A profile jet at an array of t (at one t: scalars) as meridian arrays:
-    rho, the height w, their first and second derivatives dr, dz, d2r, d2z,
-    the speed s, the cross-section factor B, the meridian-plane unit normal
-    (m0, m1) and the principal curvatures; g and h are diagonal.  A
-    vector's (horizontal, vertical) parts are its Euclidean first and last
-    components."""
+    """The shape of a surface at an array of t (at one t: scalars), as
+    meridian arrays: rho, the height w, their first and second derivatives
+    dr, dz, d2r, d2z, the speed s, the cross-section factor B, the
+    meridian-plane unit normal (m0, m1) and the principal curvatures.  In
+    the (meridian, cross-section) frame g = diag(g00, B^2, ...) and
+    h = diag(h00, kappa_a B^2, ...).  A vector's (horizontal, vertical)
+    parts are its Euclidean first and last components (``embed``)."""
 
     __slots__ = ()
     A = property(lambda m: m.s / m.w)  # metric A^2 dt^2 + B^2 dsigma^2
@@ -162,21 +144,6 @@ class Meridian(namedtuple(
         nu_r, nu_d = self.normal
         return SurfaceFields.of(self.w, self.rho * nu_r + self.w * nu_d, nu_d,
                                 self.H, self.h2)
-
-    def shape_data(self) -> ShapeData:
-        n, B = self.n, self.B
-        lead = np.shape(self.w)
-        # diagonal in the (meridian, cross-section...) frame: fill the diagonals
-        g, h = np.zeros(lead + (n, n)), np.zeros(lead + (n, n))
-        gd, hd = (a.reshape(lead + (n * n,))[..., ::n + 1] for a in (g, h))
-        gd[..., 0], hd[..., 0] = self.g00, self.h00
-        gd[..., 1:] = (B * B)[..., None]
-        hd[..., 1:] = (self.kappa_a * B * B)[..., None]
-        kappa = np.empty(lead + (n,))
-        kappa[..., 0], kappa[..., 1:] = self.kappa_m, self.kappa_a[..., None]
-        kappa.sort(axis=-1)
-        return ShapeData(self.embed(self.rho, self.w), self.embed(*self.normal),
-                         g, h, self.H, self.h2, kappa)
 
 
 class ProfileSurface:
@@ -222,7 +189,7 @@ class ProfileSurface:
     def _Hhat(self, m: Meridian, nubar: np.ndarray):
         """Mean curvature of the boundary sphere of Euclidean radius rho in
         the flat horosphere, w.r.t. nubar: from its radial component."""
-        return (self.n - 1) * nubar[..., 0] / m.rho
+        return (self.n - 1) * nubar[0] / m.rho
 
     # -- orientation and shape -----------------------------------------
     def orientation_sign(self) -> int:
@@ -258,35 +225,26 @@ class ProfileSurface:
         return Meridian(self.n, sign, rho, w, dr, dz, d2r, d2z, s, B, m0, m1,
                         kappa_m, kappa_a)
 
-    def shapes(self, t) -> ShapeData:
-        """Shape data at an array of t, in one batched pass."""
-        return self.meridian(t).shape_data()
-
-    def shape_at(self, t: float) -> ShapeData:
-        return self.shapes(float(t))
+    def shape_at(self, t: float) -> Meridian:
+        """The shape at one t: its Meridian.  No command calls it; the
+        benchmark tracer (perfbench/tracer.py) wraps it."""
+        return self.meridian(float(t))
 
     # -- boundary ------------------------------------------------------
-    def boundary_frames(self, s) -> BoundaryFrame:
-        """Frames at support-face points s of shape (..., n-1), batched.
-
-        The boundary is the orbit of t = t1, so every point carries the
-        frame on the representative meridian.
-        """
-        m = self.meridian(np.full(np.shape(s)[:-1], self.t1))
-        off = np.abs(m.w - 1.0) > 1e-9
-        if np.any(off):
-            raise SupportError(f"boundary point height {m.w[off][0]} "
-                               "is off the horosphere")
-        w, nu = m.w, m.embed(*m.normal)
-        mu = m.embed(w * m.dr / m.s, w * m.dz / m.s)
-        theta, nubar = _contact(nu, w, mu)
-        return BoundaryFrame(m.embed(m.rho, w), nu, mu, nubar, theta,
-                             hmumu=m.h00 / m.g00, Hhat=self._Hhat(m, nubar))
-
-    def boundary_frame_at(self, s=None) -> BoundaryFrame:
-        """The frame at one boundary point, built once: every s gives it."""
+    def boundary_frame_at(self) -> BoundaryFrame:
+        """The frame of the boundary orbit, from the meridian at t1; built
+        once."""
         if "_frame" not in self.__dict__:
-            self._frame = self.boundary_frames(np.zeros(self.n - 1))
+            m = self.meridian(self.t1)
+            if abs(m.w - 1.0) > 1e-9:
+                raise SupportError(f"boundary point height {m.w} "
+                                   "is off the horosphere")
+            w, nu = m.w, m.embed(*m.normal)
+            mu = m.embed(w * m.dr / m.s, w * m.dz / m.s)
+            theta, nubar = _contact(nu, w, mu)
+            self._frame = BoundaryFrame(
+                m.embed(m.rho, w), nu, mu, nubar, theta, hmumu=m.h00 / m.g00,
+                Hhat=self._Hhat(m, nubar))
         return self._frame
 
 
@@ -336,7 +294,8 @@ class GridSurface(ProfileSurface):
 class SurfaceFields:
     """Scalar fields of the distinguished ambient quantities at chart points.
 
-    A struct of arrays with the point axes of the ShapeData it comes from.
+    A struct of arrays with the point axes of the Meridian it comes from
+    (``Meridian.fields``).
     """
 
     w: np.ndarray
@@ -349,12 +308,6 @@ class SurfaceFields:
     E_tan_sq: np.ndarray  # g(E_d^T, E_d^T), tangential part of the vertical field
 
     @staticmethod
-    def from_shape(sd: ShapeData) -> "SurfaceFields":
-        x, nu = sd.coords, sd.normal
-        return SurfaceFields.of(x[..., -1], np.sum(x * nu, axis=-1),
-                                nu[..., -1], sd.H, sd.h2)
-
-    @staticmethod
     def of(w, x_nu, nu_d, H, h2) -> "SurfaceFields":
         """From the height w, the Euclidean x . nu and nu_d, H and |h|^2."""
         w2 = w * w
@@ -363,83 +316,65 @@ class SurfaceFields:
                              (1.0 - (nu_d / w) ** 2) / w2)
 
 
-def fields_at(S: ProfileSurface, t) -> SurfaceFields:
-    return S.meridian(t).fields()
-
-
 # ----------------------------------------------------------------------
 # quadrature node sets and integration
 # ----------------------------------------------------------------------
 
 class NodeSet:
-    """Gauss-Legendre nodes on [0, t1] or on the support face, the bare
-    Gauss weights (``gauss_weights``), the weights times the area element
-    and the cross-section measure (``weights``), and the nodes' Meridian;
-    fields are computed on first use.  The face is the boundary orbit: one
-    node, s = 0, weighted by the orbit's measure, with the surface's one
-    boundary frame.  The surface caches its node sets and is held weakly.
+    """Gauss-Legendre nodes on [0, t1], the bare Gauss weights
+    (``gauss_weights``), the weights times the area element and the
+    cross-section measure (``weights``), and the nodes' Meridian; fields
+    are computed on first use.  The surface caches its node sets.
     """
 
-    def __init__(self, S: ProfileSurface, Q: QuadratureSpec, face: bool):
-        self.S = weakref.proxy(S)
-        if face:
-            self.nodes = np.zeros((1, S.n - 1))
-            self.weights = np.array([S.boundary_measure])
-        else:
-            self.nodes, self.gauss_weights = Q.rule(0.0, S.t1)
-            self.meridian = m = S.meridian(self.nodes)
-            self.weights = (self.gauss_weights * m.A * m.B ** (S.n - 1)
-                            * S.orbit_measure)
+    def __init__(self, S: ProfileSurface, Q: QuadratureSpec):
+        self.nodes, self.gauss_weights = Q.rule(0.0, S.t1)
+        self.meridian = m = S.meridian(self.nodes)
+        self.weights = (self.gauss_weights * m.A * m.B ** (S.n - 1)
+                        * S.orbit_measure)
 
     @functools.cached_property
     def fields(self) -> SurfaceFields:
         return self.meridian.fields()
 
-    @property
-    def frames(self) -> BoundaryFrame:
-        return self.S.boundary_frame_at()
 
-
-def node_set(S: ProfileSurface, Q: QuadratureSpec,
-             face: bool = False) -> NodeSet:
-    """The node set of Q's order on S (face: on its support face, one per
-    surface, whatever the order)."""
+def node_set(S: ProfileSurface, Q: QuadratureSpec) -> NodeSet:
+    """The node set of Q's order on S."""
     cache = S.__dict__.setdefault("_node_sets", {})
-    key = (None if face else Q.order, face)
-    if key not in cache:
-        cache[key] = NodeSet(S, Q, face)
-    return cache[key]
-
-
-def _integrate(ns: NodeSet, f, label: str) -> float:
-    """The weighted sum of f (m values, or one constant) on the node set;
-    label names the first node whose value is not finite."""
-    val = np.asarray(f(ns.nodes) if callable(f) else f, dtype=float)
-    # a constant, as a stride-0 view: a filled copy sums in another order
-    if val.shape != ns.weights.shape:
-        val = np.broadcast_to(val, ns.weights.shape)
-    total = float(ns.weights @ val)  # not finite if any value is not
-    if not math.isfinite(total) and not (finite := np.isfinite(val)).all():
-        raise EvaluationError(f"non-finite {label}{ns.nodes[finite.argmin()]}")
-    return total
+    if Q.order not in cache:
+        cache[Q.order] = NodeSet(S, Q)
+    return cache[Q.order]
 
 
 def integrate_M(S: ProfileSurface, f, Q: QuadratureSpec) -> float:
     """Integral of the scalar field f over the surface.
 
     f is called once with the whole node array t of shape (m,), or is one
-    constant; it returns m values or one constant.
+    constant; it returns m values or one constant.  A value that is not
+    finite raises EvaluationError naming the first such node.
     """
-    return _integrate(node_set(S, Q), f, "integrand at t=")
+    ns = node_set(S, Q)
+    val = np.asarray(f(ns.nodes) if callable(f) else f, dtype=float)
+    # a constant, as a stride-0 view: a filled copy sums in another order
+    if val.shape != ns.weights.shape:
+        val = np.broadcast_to(val, ns.weights.shape)
+    total = float(ns.weights @ val)  # not finite if any value is not
+    if not math.isfinite(total) and not (finite := np.isfinite(val)).all():
+        raise EvaluationError(
+            f"non-finite integrand at t={ns.nodes[finite.argmin()]}")
+    return total
 
 
-def integrate_dM(S: ProfileSurface, f, Q: QuadratureSpec) -> float:
-    """Integral of the boundary scalar field f over the on-support boundary.
+def integrate_dM(S: ProfileSurface, value) -> float:
+    """Integral over the on-support boundary of a boundary value.
 
-    f (or a constant) is called once with the one support-face node
-    s = 0, shape (1, n-1), of the boundary orbit.
+    The boundary is one orbit, so every boundary field is one value on
+    it, and its integral is the value times ``S.boundary_measure``.
     """
-    return _integrate(node_set(S, Q, face=True), f, "boundary integrand at s=")
+    total = float(S.boundary_measure * value)
+    if not math.isfinite(total):
+        raise EvaluationError(f"non-finite boundary integrand {value}")
+    return total
 
 
 def check_immersion(S: ProfileSurface, Q: QuadratureSpec) -> None:

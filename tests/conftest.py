@@ -9,7 +9,7 @@ from horocap.families import CapKind, CapSpec, PerturbationSpec, build, perturb
 from horocap.identities import cmc_stats
 from horocap.quadrature import QuadratureSpec
 from horocap.stability import FIELD_RULE, ScalarField, _grid
-from horocap.surfaces import fields_at, integrate_M
+from horocap.surfaces import integrate_M
 
 
 def cap(kind=CapKind.SPHERE_CAP, n=2, a=1.0, r=0.5, **kw):
@@ -82,11 +82,11 @@ def distinguished_fields():
 
     phi_test = n V - H g(X,nu) - n cos(theta) g(x,nu) is the test function
     of the stability argument and Phi = -H V - n g(E,nu) its auxiliary
-    function, read off fields_at at the grid nodes; H is the area-weighted
-    mean of cmc_stats on FIELD_RULE.
+    function, read off the Meridian's fields at the grid nodes; H is the
+    area-weighted mean of cmc_stats on FIELD_RULE.
     """
     def fields(S, resolution=128):
-        fl = fields_at(S, _grid(S, resolution).nodes)
+        fl = S.meridian(_grid(S, resolution).nodes).fields()
         n, (H, _) = S.n, cmc_stats(S, FIELD_RULE)
         ct = math.cos(S.boundary_frame_at().theta)
         return (ScalarField(S, n * fl.V - H * fl.gXnu - n * ct * fl.gxnu),

@@ -1,27 +1,32 @@
 """Array paths of the geometry and stability layers against per-node
 scalar references.
 
-The references below are the straightforward loops: one shape-data
-evaluation per chart point (on a plane piece from its Euclidean embedding
-jet in the box chart (t, y): SVD normal, Cholesky check and generalized
-eigenproblem; on a profile chart the meridian formulas), one boundary
-frame per support point, one profile-jet, spline and ramp
-evaluation per node and per variation parameter s, and one metric/shape
-evaluation per element Gauss point and per angular mode.  The array code
-must reproduce them up to rounding.  The closed-form grad Phi of the
-umbilicity deficit is checked against a 5-point finite-difference stencil.
-The references read the metric and the stencil weights in closed form,
-A = |gamma'|/z and B = rho/z off profile_jet, and (1, -8, 0, 8, -1)/12.
+The references below are the straightforward loops: one shape evaluation
+per chart point (from the Euclidean embedding jet of a chart (t, y):
+SVD normal, Cholesky check and generalized eigenproblem; on a plane
+piece y runs over the translations, on a cap over hyperspherical angles
+of the rotation orbit; or from the meridian formulas), one boundary
+frame per support point (Hhat by central differences of nubar along the
+orbit), one profile-jet, spline and ramp evaluation per node and per
+variation parameter s, and one metric/shape evaluation per element
+Gauss point and per angular mode.  The Meridian of a node array, its
+fields and the surface's one boundary frame must reproduce them up to
+rounding.  The closed-form grad Phi of the umbilicity deficit is checked
+against a 5-point finite-difference stencil.  The references read the
+metric and the stencil weights in closed form, A = |gamma'|/z and
+B = rho/z off profile_jet, and (1, -8, 0, 8, -1)/12.
 """
 
 import copy
 import dataclasses
+import functools
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import sympy as sp
 
 from horocap.families import CapKind, CapSpec, PerturbationSpec, build, perturb
 from horocap.quadrature import QuadratureSpec, gauss_legendre, unit_sphere_area
@@ -29,9 +34,10 @@ from horocap import stability
 from horocap.identities import cmc_stats
 from horocap.stability import (ScalarField, _grid, _Variation, robin_q,
                                umbilicity_deficit)
-from horocap.surfaces import (EvaluationError, GeometryError, ImmersionError,
-                              Meridian, ProfileSurface, SurfaceFields,
-                              fields_at, integrate_dM, integrate_M, node_set)
+from horocap.surfaces import (EvaluationError, GeometryError, GridSurface,
+                              ImmersionError, Meridian, ProfileSurface,
+                              SurfaceFields, integrate_dM, integrate_M,
+                              node_set)
 
 REL = 1e-12
 CAPS = ("ortho_cap", "tilted_cap", "cap_3d", "bumped_cap")
@@ -107,8 +113,9 @@ def ref_fields(sd):
 
 
 def plane_jet(S, t, y):
-    """Euclidean embedding jet of a plane piece at the box-chart point
-    (t, y): x = (rho(t), y_1, ..., y_(n-1), z(t)), off profile_jet."""
+    """Euclidean embedding jet of a plane piece at the chart point (t, y)
+    of its translations: x = (rho(t), y_1, ..., y_(n-1), z(t)), off
+    profile_jet."""
     n = S.n
     rho, z, dr, dz, d2r, d2z = S.profile_jet(t)
     x = np.zeros(n + 1)
@@ -121,18 +128,57 @@ def plane_jet(S, t, y):
     return x, J, Hess
 
 
-def ref_chart_shape(S, t, y=0.0):
+@functools.cache
+def sphere_chart(k):
+    """y -> (sigma, dsigma, d2sigma): hyperspherical coordinates on S^k,
+    sigma = (cos y_1, sin y_1 cos y_2, ..., sin y_1 ... sin y_k), and its
+    first and second derivatives, differentiated by sympy."""
+    y = sp.symbols(f"y0:{k}")
+    sigma, prod = [], sp.Integer(1)
+    for yi in y:
+        sigma.append(prod * sp.cos(yi))
+        prod *= sp.sin(yi)
+    sigma.append(prod)
+    f = sp.lambdify(y, sigma + [sp.diff(c, a) for c in sigma for a in y]
+                    + [sp.diff(c, a, b) for c in sigma for a in y for b in y],
+                    "math")
+
+    def chart(yv):
+        v, m = np.array(f(*yv), dtype=float), k + 1
+        return (v[:m], v[m:m + m * k].reshape(m, k),
+                v[m + m * k:].reshape(m, k, k))
+    return chart
+
+
+def orbit_jet(S, t, y):
+    """Euclidean embedding jet of a cap at the chart point (t, y) of its
+    rotations: x = (rho(t) sigma(y), z(t)); at sigma = E_1 it is the
+    meridian plane of the code."""
+    n = S.n
+    rho, z, dr, dz, d2r, d2z = S.profile_jet(t)
+    sig, dsig, d2sig = sphere_chart(n - 1)(np.atleast_1d(y))
+    x = np.append(rho * sig, z)
+    J = np.zeros((n + 1, n))
+    J[:n, 0], J[-1, 0], J[:n, 1:] = dr * sig, dz, rho * dsig
+    Hess = np.zeros((n + 1, n, n))
+    Hess[:n, 0, 0], Hess[-1, 0, 0] = d2r * sig, d2z
+    Hess[:n, 0, 1:] = Hess[:n, 1:, 0] = dr * dsig
+    Hess[:n, 1:, 1:] = rho * d2sig
+    return x, J, Hess
+
+
+def ref_chart_shape(S, t, y=0.0, jet=plane_jet):
     """The reference at (t, y), oriented by its own positive-H rule at
-    t1/2 (nu_d >= 0 there if H = 0)."""
-    probe = ref_shape_from_jet(*plane_jet(S, 0.5 * S.t1, 0.0), 1)
+    (t1/2, y) (nu_d >= 0 there if H = 0)."""
+    probe = ref_shape_from_jet(*jet(S, 0.5 * S.t1, y), 1)
     key = probe.H if abs(probe.H) > 1e-9 else probe.nu[-1]
-    return ref_shape_from_jet(*plane_jet(S, t, y), 1 if key >= 0 else -1)
+    return ref_shape_from_jet(*jet(S, t, y), 1 if key >= 0 else -1)
 
 
-def ref_nubar(S, s):
+def ref_nubar(S, s, jet):
     """(nubar, mu, theta, shape) at the support point (t1, s)."""
-    sd = ref_chart_shape(S, S.t1, s)
-    _, J, _ = plane_jet(S, S.t1, s)
+    sd = ref_chart_shape(S, S.t1, s, jet)
+    _, J, _ = jet(S, S.t1, s)
     w = sd.x[-1]
     v = J[:, 0].copy()  # outward: towards larger t
     for k in range(1, S.n):
@@ -144,16 +190,18 @@ def ref_nubar(S, s):
     return cos_t * mu + sin_t * sd.nu, mu, math.acos(cos_t), sd
 
 
-def ref_boundary_frame(S, s, step=1e-4):
-    """theta, Hhat (central differences of nubar), h(mu, mu) and nubar."""
+def ref_boundary_frame(S, s, jet=plane_jet, step=1e-4):
+    """theta, Hhat (central differences of nubar along the orbit's
+    orthogonal chart directions), h(mu, mu) and nubar at (t1, s)."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    nubar, mu, theta, sd = ref_nubar(S, s)
-    _, J0, _ = plane_jet(S, S.t1, s)
+    nubar, mu, theta, sd = ref_nubar(S, s, jet)
+    _, J0, _ = jet(S, S.t1, s)
     Hhat = 0.0
     for k in range(S.n - 1):
         e = np.zeros(S.n - 1)
         e[k] = step
-        dnb = (ref_nubar(S, s + e)[0] - ref_nubar(S, s - e)[0]) / (2 * step)
+        dnb = (ref_nubar(S, s + e, jet)[0]
+               - ref_nubar(S, s - e, jet)[0]) / (2 * step)
         tangent = J0[:-1, 1 + k]
         Hhat += np.dot(dnb[:-1], tangent) / np.dot(tangent, tangent)
     mu_chart = np.linalg.lstsq(J0, mu, rcond=None)[0]
@@ -169,12 +217,27 @@ def profile_nodes(S):
     return np.concatenate([[0.0], np.linspace(0.0, t1, 17)[1:], edges])
 
 
-def assert_shape_matches(got, i, want):
-    for field, ref in (("coords", want.x), ("normal", want.nu), ("g", want.g),
-                       ("h", want.h), ("H", want.H), ("h2", want.h2),
-                       ("principal_curvatures", want.kappa)):
-        np.testing.assert_allclose(getattr(got, field)[i], ref, rtol=REL,
-                                   atol=REL, err_msg=field)
+def meridian_matrices(m):
+    """(g, h) of a Meridian, diagonal in the (meridian, cross-section)
+    frame, with the point axes of m."""
+    k, eye = m.n - 1, np.eye(m.n)
+    g = np.stack([m.g00] + [m.B ** 2] * k, axis=-1)
+    h = np.stack([m.h00] + [m.kappa_a * m.B ** 2] * k, axis=-1)
+    return g[..., None] * eye, h[..., None] * eye
+
+
+def assert_meridian_matches(m, i, want):
+    """Point i of the Meridian m against a per-point reference: x, nu, g,
+    h, H, |h|^2 and the sorted principal curvatures."""
+    g, h = meridian_matrices(m)
+    kappa = np.sort([m.kappa_m[i]] + [m.kappa_a[i]] * (m.n - 1))
+    for field, got, ref in (
+            ("coords", m.embed(m.rho, m.w)[i], want.x),
+            ("normal", m.embed(*m.normal)[i], want.nu), ("g", g[i], want.g),
+            ("h", h[i], want.h), ("H", m.H[i], want.H),
+            ("h2", m.h2[i], want.h2), ("kappa", kappa, want.kappa)):
+        np.testing.assert_allclose(got, ref, rtol=REL, atol=REL,
+                                   err_msg=field)
 
 
 def assert_fields_match(got, i, want):
@@ -183,36 +246,37 @@ def assert_fields_match(got, i, want):
                                    atol=REL, err_msg=field)
 
 
-# -- batched geometry --------------------------------------------------
+# -- the Meridian of a node array ----------------------------------------
 
 @pytest.mark.parametrize("name", CAPS)
 def test_profile_batch_matches_meridian_formulas(name, request):
     S = request.getfixturevalue(name)
     t = profile_nodes(S)
-    shapes, fields = S.shapes(t), fields_at(S, t)
+    m = S.meridian(t)
     sign = S.orientation_sign()
     for i, ti in enumerate(t):
         want = ref_meridian_shape(S, ti, sign)
-        assert_shape_matches(shapes, i, want)
-        assert_fields_match(fields, i, want)
+        assert_meridian_matches(m, i, want)
+        assert_fields_match(m.fields(), i, want)
 
 
 @pytest.mark.parametrize("name", PLANES + ("tilted_plane_3d",))
-def test_box_batch_matches_per_point_shape(name, request):
-    """A plane piece's box chart (t, y) sweeps the meridian by translations,
-    so the batch over t matches the embedding-jet reference at every y."""
+def test_plane_meridian_matches_per_point_shape(name, request):
+    """A plane piece's chart (t, y) sweeps the meridian by translations,
+    so the Meridian over t matches the embedding-jet reference at every y."""
     S = request.getfixturevalue(name)
     t = np.linspace(0.0, S.t1, 9)
-    shapes, fields = S.shapes(t), fields_at(S, t)
+    m = S.meridian(t)
     y = np.linspace(-0.5, 0.5, S.n - 1) * S.side
     for i, ti in enumerate(t):
         want = ref_chart_shape(S, ti)
-        assert_shape_matches(shapes, i, want)
-        assert_fields_match(fields, i, want)
+        assert_meridian_matches(m, i, want)
+        assert_fields_match(m.fields(), i, want)
         moved = ref_chart_shape(S, ti, y)
         single = S.shape_at(ti)
-        for got, ref in ((single.normal, moved.nu), (single.g, moved.g),
-                         (single.h, moved.h)):
+        g, h = meridian_matrices(single)
+        for got, ref in ((single.embed(*single.normal), moved.nu),
+                         (g, moved.g), (h, moved.h)):
             np.testing.assert_allclose(got, ref, rtol=REL, atol=REL)
     # the node set: Gauss nodes on [0, t1], and weights equal to the Gauss
     # weights times the cube's measure times sqrt(det g)
@@ -227,25 +291,25 @@ def test_box_batch_matches_per_point_shape(name, request):
 
 
 @pytest.mark.parametrize("name", PLANES)
-def test_box_boundary_frames_match_per_point_frame(name, request):
+def test_plane_boundary_frame_matches_per_point_frames(name, request):
+    """Every point of the translation orbit carries the one frame."""
     S = request.getfixturevalue(name)
-    s = np.linspace(-0.5, 0.5, 9) * S.side
-    frames = S.boundary_frames(s[:, None])
-    for i, si in enumerate(s):
+    one = S.boundary_frame_at()
+    for si in np.linspace(-0.5, 0.5, 9) * S.side:
         want = ref_boundary_frame(S, si)
-        assert frames.theta[i] == pytest.approx(want.theta, rel=REL, abs=REL)
-        assert frames.hmumu[i] == pytest.approx(want.hmumu, rel=REL, abs=REL)
+        assert one.theta == pytest.approx(want.theta, rel=REL, abs=REL)
+        assert one.hmumu == pytest.approx(want.hmumu, rel=REL, abs=REL)
         # Hhat divides nubar differences by 2e-4: rounding grows by 1e4
-        assert frames.Hhat[i] == pytest.approx(want.Hhat, abs=1e-11)
-        np.testing.assert_allclose(frames.boundary_normal[i], want.nubar,
+        assert one.Hhat == pytest.approx(want.Hhat, abs=1e-11)
+        np.testing.assert_allclose(one.boundary_normal, want.nubar,
                                    rtol=REL, atol=REL)
-        assert S.boundary_frame_at(si).Hhat == frames.Hhat[i]
 
 
 @pytest.mark.parametrize("name", PLANES + ("tilted_plane_3d",))
-def test_box_chart_path_runs_no_factorization(name, request, monkeypatch):
-    """Shapes, frames, node weights and the deficit of a plane piece take no
-    SVD, pseudo-inverse, inverse, solve, Cholesky factor or eigensolve."""
+def test_plane_path_runs_no_factorization(name, request, monkeypatch):
+    """The Meridian, the frame, node weights and the deficit of a plane
+    piece take no SVD, pseudo-inverse, inverse, solve, Cholesky factor or
+    eigensolve."""
     S = copy.copy(request.getfixturevalue(name))
     for cached in ("_node_sets", "_frame", "boundary_measure"):
         S.__dict__.pop(cached, None)  # a copy without the cached geometry
@@ -259,8 +323,8 @@ def test_box_chart_path_runs_no_factorization(name, request, monkeypatch):
             calls.append(_a)
             return _f(*args, **kw)
         monkeypatch.setattr(np.linalg, attr, counting)
-    S.shapes(np.linspace(0.0, S.t1, 5))
-    S.boundary_frames(np.zeros((3, S.n - 1)))
+    S.meridian(np.linspace(0.0, S.t1, 5))
+    S.boundary_frame_at()
     node_set(S, Q).weights
     umbilicity_deficit(S, Q)
     assert calls == []
@@ -274,68 +338,74 @@ def test_degenerate_node_in_a_batch_raises():
 
     t = np.array([0.1, 0.3, 0.4])
     P = ProfileSurface(2, 0.5, lambda t: profile_jet(t, 1.5))
-    P.shapes(t[[0, 2]])
+    P.meridian(t[[0, 2]])
     with pytest.raises(ImmersionError):
-        P.shapes(t)
+        P.meridian(t)
     with pytest.raises(GeometryError):  # z = 0.4 - t leaves the half-space
-        ProfileSurface(2, 0.5, lambda t: profile_jet(t, 0.4)).shapes(t)
+        ProfileSurface(2, 0.5, lambda t: profile_jet(t, 0.4)).meridian(t)
 
 
 @pytest.mark.parametrize("name", CAPS)
 def test_profile_boundary_frames_repeat_the_orbit_frame(name, request):
+    """Every point of the rotation orbit carries the one frame, rotated:
+    the per-point reference at hyperspherical angles y off the meridian
+    plane has its theta, h(mu, mu) and Hhat, and its nubar rotated."""
     S = request.getfixturevalue(name)
-    s = np.linspace(-1.0, 1.0, 6 * (S.n - 1)).reshape(6, S.n - 1)
-    frames, one = S.boundary_frames(s), S.boundary_frame_at()
-    pairs = [(getattr(frames, f), getattr(one, f)) for f in
-             ("coords", "normal", "conormal", "boundary_normal", "theta",
-              "hmumu", "Hhat")]
-    for got, want in pairs:
-        assert got.shape == (6,) + np.shape(want)
-        np.testing.assert_allclose(got, np.broadcast_to(want, got.shape),
-                                   rtol=1e-15, atol=1e-15)
+    one = S.boundary_frame_at()
+    rng = np.random.default_rng(7)
+    for y in rng.uniform(0.3, 2.5, (4, S.n - 1)):
+        want = ref_boundary_frame(S, y, jet=orbit_jet)
+        sigma = sphere_chart(S.n - 1)(y)[0]
+        assert one.theta == pytest.approx(want.theta, rel=REL, abs=REL)
+        assert one.hmumu == pytest.approx(want.hmumu, rel=REL, abs=REL)
+        # central differences of step 1e-4 on a sphere: error ~ step^2 / 6
+        assert one.Hhat == pytest.approx(want.Hhat, rel=1e-8)
+        nubar = one.boundary_normal
+        np.testing.assert_allclose(np.append(nubar[0] * sigma, nubar[-1]),
+                                   want.nubar, rtol=REL, atol=REL)
 
 
 @pytest.mark.parametrize("name", CAPS)
 def test_profile_boundary_frame_is_built_once(name, request):
+    """One meridian evaluation at t1 builds the frame, kept on the surface;
+    a fresh surface builds the same frame."""
     S = request.getfixturevalue(name)
-    one = S.boundary_frame_at()
-    assert S.boundary_frame_at() is one
-    assert S.boundary_frame_at(np.full(S.n - 1, 0.3)) is one
-    batch = S.boundary_frames(np.zeros((1, S.n - 1)))
-    for got, want in ((one.coords, batch.coords[0]),
-                      (one.normal, batch.normal[0]),
-                      (one.conormal, batch.conormal[0]),
-                      (one.boundary_normal, batch.boundary_normal[0]),
-                      (one.theta, batch.theta[0]), (one.hmumu, batch.hmumu[0]),
-                      (one.Hhat, batch.Hhat[0])):
-        np.testing.assert_array_equal(got, want)
-
-
-@pytest.mark.parametrize("name", CAPS)
-def test_profile_face_node_set_is_one_per_surface(name, request):
-    S = request.getfixturevalue(name)
-    Q = QuadratureSpec(16)
-    face = node_set(S, Q, face=True)
-    assert node_set(S, Q.refined(), face=True) is face
-    assert face.frames is S.boundary_frame_at()
+    fresh = ProfileSurface(S.n, S.t1, S.profile_jet)
+    fresh._sign_cache = S.orientation_sign()
+    calls, meridian = [], fresh.meridian
+    fresh.meridian = lambda t, sign=None: (calls.append(t), meridian(t))[1]
+    one = fresh.boundary_frame_at()
+    assert fresh.boundary_frame_at() is one
+    assert fresh.boundary_measure > 0.0
+    assert calls == [S.t1]
+    want = S.boundary_frame_at()
+    for field in dataclasses.fields(want):
+        np.testing.assert_array_equal(getattr(one, field.name),
+                                      getattr(want, field.name))
 
 
 @pytest.mark.parametrize("name", ["bumped_cap", "tilted_cap",
                                   "equidistant_cap", "minimal_cap"])
 def test_orientation_needs_no_shape_pass(name, request, monkeypatch):
+    """The orientation reads H (or nu_d) of one Meridian at t1/2: one
+    profile_jet call, and no fields or embedded vectors."""
     S = (build(CapSpec(CapKind.EQUIDISTANT_SPHERE_CAP, a=0.0, r=1.5))
          if name == "minimal_cap" else request.getfixturevalue(name))
-    probe = S.shapes(0.5 * S.t1)  # under the surface's sign
+    probe = S.shape_at(0.5 * S.t1)  # under the surface's sign
     minimal = abs(probe.H) <= 1e-9
     assert minimal == (name == "minimal_cap")  # H = 0: the nu_d rule
     key = probe.normal[-1] if minimal else probe.H
     assert key >= 0  # the surface's sign is the rule's
-    fresh = ProfileSurface(S.n, S.t1, S.profile_jet)
+    calls = []
+    fresh = ProfileSurface(S.n, S.t1, lambda t: (calls.append(t),
+                                                  S.profile_jet(t))[1])
 
     def no_shapes(*args):
         raise AssertionError("orientation_sign ran a shape pass")
-    monkeypatch.setattr(Meridian, "shape_data", no_shapes)
+    monkeypatch.setattr(Meridian, "fields", no_shapes)
+    monkeypatch.setattr(Meridian, "embed", no_shapes)
     assert fresh.orientation_sign() == S.orientation_sign()
+    assert calls == [0.5 * S.t1]
 
 
 # -- the meridian record of a profile chart -----------------------------
@@ -367,15 +437,28 @@ def assert_close_to_scale(got, want, err_msg=""):
                                err_msg=err_msg)
 
 
+def ref_shapes(S, t):
+    """The per-point references of S at the nodes t: from the embedding
+    jet on a plane piece, from the meridian formulas on a cap."""
+    if isinstance(S, GridSurface):
+        return [ref_chart_shape(S, ti) for ti in t]
+    return [ref_meridian_shape(S, ti, S.orientation_sign()) for ti in t]
+
+
 @pytest.mark.parametrize("kind,n", MERIDIAN_CASES)
 def test_node_set_fields_match_the_shape_data(kind, n):
     S = meridian_case(kind, n)
     for Q in (QuadratureSpec(16), QuadratureSpec(128)):
         ns = node_set(S, Q)
-        want = SurfaceFields.from_shape(S.shapes(ns.nodes))
+        refs = [ref_fields(sd) for sd in ref_shapes(S, ns.nodes)]
         for field in dataclasses.fields(SurfaceFields):
-            assert_close_to_scale(getattr(ns.fields, field.name),
-                                  getattr(want, field.name), field.name)
+            got = getattr(ns.fields, field.name)
+            want = [r[field.name] for r in refs]
+            if kind == "plane":  # the SVD reference rounds to about REL
+                np.testing.assert_allclose(got, want, rtol=REL, atol=REL,
+                                           err_msg=field.name)
+            else:
+                assert_close_to_scale(got, want, field.name)
 
 
 @pytest.mark.parametrize("kind,n", MERIDIAN_CASES)
@@ -386,15 +469,17 @@ def test_profile_deficit_integrand_is_the_matrix_formula(kind, n,
     monkeypatch.setattr(stability, "integrate_M", lambda S, f, Q: (
         integrands.append(f), integrate(S, f, Q))[1])
     umbilicity_deficit(S, Q)
-    # dPhi = H e - n h g^-1 e with full matrices; dw = (z', 0, ..., 0)
+    # dPhi = H e - n h g^-1 e with the reference's full matrices;
+    # dw = (z', 0, ..., 0)
     ns = node_set(S, Q)
-    fl, sd = ns.fields, S.shapes(ns.nodes)
+    fl, refs = ns.fields, ref_shapes(S, ns.nodes)
+    g, h = np.array([r.g for r in refs]), np.array([r.h for r in refs])
     cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)
-    dw = np.zeros(sd.g.shape[:-1])
+    dw = np.zeros(g.shape[:-1])
     dw[:, 0] = S.profile_jet(ns.nodes)[3]
     e = (dw / (fl.w * fl.w)[..., None])[..., None]
-    dphi = cmc_stats(S, Q)[0] * e - n * sd.h @ np.linalg.solve(sd.g, e)
-    want = cs + np.sum(dphi * np.linalg.solve(sd.g, dphi), axis=(-2, -1))
+    dphi = cmc_stats(S, Q)[0] * e - n * h @ np.linalg.solve(g, e)
+    want = cs + np.sum(dphi * np.linalg.solve(g, dphi), axis=(-2, -1))
     assert len(integrands) == 1
     assert_close_to_scale(integrands[0], want)
 
@@ -402,13 +487,12 @@ def test_profile_deficit_integrand_is_the_matrix_formula(kind, n,
 @pytest.mark.parametrize("name", CAPS)
 def test_profile_boundary_integral_is_the_orbit_measure(name, request):
     S = request.getfixturevalue(name)
-    Q = QuadratureSpec(16)
     rho1 = S.boundary_frame_at().coords[0]
     measure = rho1 ** (S.n - 1) * unit_sphere_area(S.n - 1)
-    assert integrate_dM(S, 2.5, Q) == pytest.approx(2.5 * measure, rel=1e-15)
+    assert integrate_dM(S, 2.5) == pytest.approx(2.5 * measure, rel=1e-15)
     gxnubar = S.boundary_frame_at().gxnubar
-    got = integrate_dM(S, lambda s: S.boundary_frames(s).gxnubar, Q)
-    assert got == pytest.approx(gxnubar * measure, rel=1e-15)
+    assert integrate_dM(S, gxnubar) == pytest.approx(gxnubar * measure,
+                                                     rel=1e-15)
 
 
 def test_non_finite_integrand_names_first_bad_node(ortho_cap):
@@ -488,7 +572,7 @@ def ref_mode_matrices(g, l):
             Wt = omega * A * B ** (n - 1) * he * wq
             shp = np.array([1.0 - xi, xi])
             dsh = np.array([-1.0, 1.0]) / he
-            pot = (n - fields_at(S, t).h2) + (lam / (B * B) if l > 0 else 0.0)
+            pot = (n - S.meridian(t).h2) + (lam / (B * B) if l > 0 else 0.0)
             for a in range(2):
                 c[e + a] += Wt * shp[a]
                 for b in range(2):
@@ -576,7 +660,7 @@ def test_mode_matrices_match_per_point_assembly(name, request):
 def ref_deficit(S, Q, step=1e-4):
     """D(S) with grad Phi from 5-point central differences in t."""
     n = S.n
-    fl = fields_at(S, node_set(S, Q).nodes)
+    fl = node_set(S, Q).fields
     area = integrate_M(S, 1.0, Q)
     H_mean = integrate_M(S, fl.H, Q) / area
     cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)
@@ -584,7 +668,7 @@ def ref_deficit(S, Q, step=1e-4):
 
     def dphi(points):
         """Derivative of Phi from the 5 stencil points on the last point axis."""
-        f = fields_at(S, points)
+        f = S.meridian(points).fields()
         phi = -H_mean * f.V - n * f.gEnu
         return sum(c * phi[..., k] for k, c in enumerate(w5))
 

@@ -513,7 +513,7 @@ class TestRun:
         cfg = load_config(write_config(tmp_path))
         assert run(cfg, "deficit").statuses["cap-ortho"] == "PASS"
         monkeypatch.setattr(cli, "boundary_cancellation",
-                            lambda S, Q: DEFICIT_ZERO_TOL)
+                            lambda S: DEFICIT_ZERO_TOL)
         statuses = run(cfg, "deficit").statuses
         assert statuses["cap-ortho"] == statuses["cap-tilt"] == "FAIL"
         assert statuses["control"] == "PASS"
@@ -531,13 +531,14 @@ class TestRun:
 
     def test_one_boundary_frame_per_fresh_surface(self, tmp_path,
                                                   monkeypatch):
-        frames, seen = ProfileSurface.boundary_frames, []
+        meridian, seen = ProfileSurface.meridian, []
 
-        def counting(S, s):
-            seen.append(S)  # held, so no two surfaces share an id
-            return frames(S, s)
+        def counting(S, t, sign=None):
+            if np.ndim(t) == 0 and t == S.t1:  # the frame's one evaluation
+                seen.append(S)  # held, so no two surfaces share an id
+            return meridian(S, t, sign)
 
-        monkeypatch.setattr(ProfileSurface, "boundary_frames", counting)
+        monkeypatch.setattr(ProfileSurface, "meridian", counting)
         cfg = load_config(write_config(
             tmp_path, sweep={"kind": "sphere_cap", "thetas": [1.2],
                              "radii": [0.6]},

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from horocap.families import CapKind, CapSpec, build, solve_for_angle
-from horocap.identities import IDENTITY_IDS, cmc_stats, suite, verify
+from horocap.identities import IDENTITY_IDS, cmc_stats, suite
 from horocap.quadrature import QuadratureSpec
 from horocap.surfaces import ProfileSurface
+
+
+def row(S, identity_id, Q):
+    """The suite's row of one identity."""
+    return next(r for r in suite(S, Q) if r.identity_id == identity_id)
 
 
 class TestSingleIdentity:
@@ -19,12 +24,8 @@ class TestSingleIdentity:
                 assert rep.status == "PASS", (rep.identity_id, rep.rel_residual)
                 assert rep.rel_residual < 1e-8
 
-    def test_unknown_identity_rejected(self, ortho_cap, quad):
-        with pytest.raises(ValueError):
-            verify(ortho_cap, "I_NOPE", quad)
-
     def test_relative_residual_normalization(self, tilted_cap, quad):
-        rep = verify(tilted_cap, "I_HX_NU", quad)
+        rep = row(tilted_cap, "I_HX_NU", quad)
         scale = max(abs(rep.lhs), abs(rep.rhs), 1.0)
         assert rep.rel_residual == pytest.approx(rep.abs_residual / scale)
 
@@ -32,27 +33,27 @@ class TestSingleIdentity:
                                                         quad_fast):
         """g(x,nu) = 0 on the vertical plane and the boundary side cancels
         by reflection symmetry."""
-        rep = verify(vertical_plane, "I_X_NU", quad_fast)
+        rep = row(vertical_plane, "I_X_NU", quad_fast)
         assert abs(rep.lhs) < 1e-10
         assert abs(rep.rhs) < 1e-10
 
     def test_plane_charts_flag_open_cut(self, tilted_plane, quad_fast):
         # divergence-theorem identities cannot close on an open chart
-        rep = verify(tilted_plane, "I_MINK1", quad_fast)
+        rep = row(tilted_plane, "I_MINK1", quad_fast)
         assert tilted_plane.artificial_cut
         assert rep.status in ("PASS", "EXPECTED_FAIL")
 
 
 class TestNegativeControl:
     def test_cmc_identity_fails_and_is_flagged(self, bumped_cap, quad):
-        rep = verify(bumped_cap, "I_COR", quad)
+        rep = row(bumped_cap, "I_COR", quad)
         assert rep.requires_cmc and not rep.cmc_ok
         assert rep.rel_residual > 1e-5
         assert rep.status == "EXPECTED_FAIL"
 
     def test_angle_only_identities_still_hold(self, bumped_cap, quad):
         for iid in ("I_BOUNDARY_MINK", "I_HX_NU", "I_X_NU", "I_MINK1"):
-            rep = verify(bumped_cap, iid, quad)
+            rep = row(bumped_cap, iid, quad)
             assert rep.rel_residual < 1e-6, (iid, rep.rel_residual)
             assert rep.status == "PASS"
 
@@ -91,13 +92,15 @@ class TestSuite:
         assert r2 < max(r1 * 2.0, 1e-12)
 
     def test_one_frame_evaluation_per_quadrature_order(self, monkeypatch):
+        """The suite evaluates the meridian at t1 once, for the one frame."""
         calls = []
-        frames = ProfileSurface.boundary_frames
+        meridian = ProfileSurface.meridian
 
-        def counting(S, s):
-            calls.append(np.shape(s))
-            return frames(S, s)
-        monkeypatch.setattr(ProfileSurface, "boundary_frames", counting)
+        def counting(S, t, sign=None):
+            if np.ndim(t) == 0 and t == S.t1:
+                calls.append(t)
+            return meridian(S, t, sign)
+        monkeypatch.setattr(ProfileSurface, "meridian", counting)
         Q = QuadratureSpec(16)
         # fresh surfaces: every boundary is one orbit of rotations or of
         # translations, with one frame, whatever the order
@@ -108,13 +111,6 @@ class TestSuite:
             calls.clear()
             suite(S, Q)
             assert len(calls) == 1, (spec.kind, calls)
-
-    def test_verify_is_the_suite_row(self, tilted_cap, bumped_cap,
-                                     tilted_plane, quad_fast):
-        for S in (tilted_cap, bumped_cap, tilted_plane):
-            rows = suite(S, quad_fast)
-            for iid, row in zip(IDENTITY_IDS, rows):
-                assert verify(S, iid, quad_fast) == row
 
     def test_angle_grid_of_caps_all_pass(self, quad):
         thetas = [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3]

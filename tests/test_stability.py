@@ -379,4 +379,4 @@ class TestDeficit:
     def test_boundary_cancellation_on_caps(self, ortho_cap, tilted_cap,
                                            cap_3d, quad):
         for S in (ortho_cap, tilted_cap, cap_3d):
-            assert abs(boundary_cancellation(S, quad)) < 1e-8
+            assert abs(boundary_cancellation(S)) < 1e-8

@@ -1,4 +1,4 @@
-"""Shape data, boundary frames and integration on parametric surfaces."""
+"""Shape (the Meridian), boundary frames and integration on swept surfaces."""
 
 import math
 
@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from horocap.families import CapKind, CapSpec, build
 from horocap.quadrature import QuadratureSpec
-from horocap.surfaces import (GeometryError, GridSurface, ImmersionError,
-                              ProfileSurface, SupportError, check_immersion,
-                              fields_at, integrate_dM, integrate_M)
+from horocap.surfaces import (EvaluationError, GeometryError, GridSurface,
+                              ImmersionError, ProfileSurface, SupportError,
+                              check_immersion, integrate_dM, integrate_M)
 
 
 def sphere_cap(n=2, a=1.0, r=0.5):
@@ -25,6 +25,11 @@ def plane(n, beta=math.pi / 2, extent=1.0):
 
 PLANE_CASES = [(2, math.pi / 2, 1.0), (3, math.pi / 2, 0.7), (2, 1.0, 1.3),
                (3, 1.0, 1.0), (3, 2.2, 0.8)]
+
+
+def kappas(m):
+    """The principal curvatures of a Meridian: kappa_m, then kappa_a."""
+    return np.array([m.kappa_m, m.kappa_a])
 
 
 def support_normal(bf):
@@ -42,7 +47,8 @@ def fd_normal_transport_curvature(S, t, delta=1e-6):
     kappa = g(nabla_T nu, T) / g(T, T) with T the chart tangent.
     """
     def nu(tt):
-        return S.shape_at(tt).normal
+        m = S.shape_at(tt)
+        return m.embed(*m.normal)
 
     rho, z, dr, dz, *_ = S.profile_jet(t)
     x = np.zeros(S.n + 1)
@@ -64,35 +70,33 @@ class TestShapeData:
     def test_horosphere_type_cap_has_unit_curvatures(self):
         S = sphere_cap(a=0.7, r=0.7)
         for t in np.linspace(0.0, S.t1, 9):
-            sd = S.shape_at(t)
-            np.testing.assert_allclose(sd.principal_curvatures, 1.0,
+            np.testing.assert_allclose(kappas(S.shape_at(t)), 1.0,
                                        atol=1e-12)
 
     def test_vertical_plane_is_totally_geodesic(self, vertical_plane):
         for S in (vertical_plane, plane(3)):
             for t in (0.0, 0.3 * S.t1, S.t1):
-                sd = S.shape_at(t)
-                assert abs(sd.H) < 1e-12
-                np.testing.assert_allclose(sd.h, 0.0, atol=1e-12)
-                # |kappa| = |cos(beta)| = 0 in both directions
-                np.testing.assert_allclose(sd.principal_curvatures, 0.0,
+                m = S.shape_at(t)
+                assert abs(m.H) < 1e-12
+                # h = diag(h00, kappa_a B^2, ...)
+                np.testing.assert_allclose([m.h00, m.kappa_a * m.B ** 2], 0.0,
                                            atol=1e-12)
+                # |kappa| = |cos(beta)| = 0 in both directions
+                np.testing.assert_allclose(kappas(m), 0.0, atol=1e-12)
 
     def test_geodesic_sphere_curvature_value(self):
         S = sphere_cap(a=2.0, r=1.5)
-        sd = S.shape_at(0.4 * S.t1)
-        np.testing.assert_allclose(sd.principal_curvatures, 2.0 / 1.5,
-                                   atol=1e-12)
-        assert sd.H == pytest.approx(2 * 2.0 / 1.5, abs=1e-12)
+        m = S.shape_at(0.4 * S.t1)
+        np.testing.assert_allclose(kappas(m), 2.0 / 1.5, atol=1e-12)
+        assert m.H == pytest.approx(2 * 2.0 / 1.5, abs=1e-12)
 
     def test_meridian_curvature_against_normal_transport_oracle(self):
         for spec in [(2, 2.0, 1.5), (2, 0.6, 0.7), (3, 1.0, 0.5)]:
             S = sphere_cap(*spec)
             for t in (0.3 * S.t1, 0.7 * S.t1):
                 kappa_oracle = fd_normal_transport_curvature(S, t)
-                sd = S.shape_at(t)
-                g_tt = sd.g[0, 0]
-                kappa_m = sd.h[0, 0] / g_tt
+                m = S.shape_at(t)
+                kappa_m = m.h00 / m.g00
                 assert kappa_m == pytest.approx(kappa_oracle, abs=1e-6)
 
     def test_mean_curvature_positive_orientation(self):
@@ -106,9 +110,8 @@ class TestShapeData:
         # choose a so the cut is transversal: |1 - a| < r
         a = 1.0 - r * (2.0 * frac - 1.0) * 0.99
         S = sphere_cap(a=a, r=r)
-        sd = S.shape_at(0.5 * S.t1)
         # the positive-H orientation makes the curvature |a|/r
-        np.testing.assert_allclose(sd.principal_curvatures, abs(a) / r,
+        np.testing.assert_allclose(kappas(S.shape_at(0.5 * S.t1)), abs(a) / r,
                                    atol=1e-10)
 
 
@@ -119,7 +122,7 @@ class TestBoundaryFrame:
             assert bf.theta == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_vertical_plane_orthogonal_with_flat_boundary(self, vertical_plane):
-        bf = vertical_plane.boundary_frame_at(np.array([0.1]))
+        bf = vertical_plane.boundary_frame_at()
         assert bf.theta == pytest.approx(math.pi / 2, abs=1e-10)
         assert abs(bf.Hhat) < 1e-6
         assert abs(bf.hmumu) < 1e-10
@@ -132,26 +135,62 @@ class TestBoundaryFrame:
                                              abs=1e-12)
 
     def test_plane_boundary_is_a_flat_cube(self):
-        """The boundary of a plane piece is a cube of side extent in a
-        hyperplane of the flat support: measure extent^(n-1), Hhat = 0."""
-        for n, beta, extent in PLANE_CASES:
-            S = plane(n, beta, extent)
-            assert integrate_dM(S, 1.0, QuadratureSpec(16)) == pytest.approx(
+        """The boundary of a plane piece, of either kind, is a cube of side
+        extent in a hyperplane of the flat support: measure extent^(n-1),
+        Hhat = 0."""
+        cases = [(plane(n, beta, extent), n, extent)
+                 for n, beta, extent in PLANE_CASES]
+        cases += [(build(CapSpec(kind=CapKind.VERTICAL_PLANE_DISK, n=n,
+                                 extent=0.8)), n, 0.8) for n in (2, 3)]
+        for S, n, extent in cases:
+            assert integrate_dM(S, 1.0) == pytest.approx(
                 extent ** (n - 1), rel=1e-15)
             assert S.boundary_frame_at().Hhat == 0.0
 
+    @pytest.mark.parametrize("kind,a,r", [
+        (CapKind.SPHERE_CAP, 0.6, 0.7), (CapKind.SPHERE_CAP, 1.4, 0.9),
+        (CapKind.EQUIDISTANT_SPHERE_CAP, -0.5, 2.0),
+        (CapKind.EQUIDISTANT_SPHERE_CAP, 0.0, 1.5)])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cap_boundary_is_a_flat_sphere_of_closed_form_radius(
+            self, kind, a, r, n):
+        """The sphere of center height a and radius r cuts the support in
+        the flat (n-1)-sphere of radius rho1 = sqrt(r^2 - (1-a)^2): its
+        mean curvature is (n-1)/rho1, its normal in the support is
+        horizontal and unit, and its measure is |S^(n-1)| rho1^(n-1), with
+        |S^(n-1)| = 2 pi^(n/2) / Gamma(n/2).  Every expected value comes
+        from (a, r) alone."""
+        S = build(CapSpec(kind=kind, n=n, a=a, r=r))
+        rho1 = math.sqrt(r * r - (1.0 - a) ** 2)
+        bf = S.boundary_frame_at()
+        assert abs(bf.Hhat) == pytest.approx((n - 1) / rho1, rel=1e-13)
+        nubar = bf.boundary_normal
+        assert abs(nubar[-1]) < 1e-14
+        assert np.linalg.norm(nubar) == pytest.approx(1.0, rel=1e-14)
+        sphere = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
+        assert integrate_dM(S, 1.0) == pytest.approx(sphere * rho1 ** (n - 1),
+                                                     rel=1e-13)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_boundary_value_raises(self, ortho_cap, vertical_plane,
+                                              value):
+        for S in (ortho_cap, vertical_plane):
+            with pytest.raises(EvaluationError, match="boundary integrand"):
+                integrate_dM(S, value)
+
     def test_angle_constant_along_grid_boundary(self, tilted_plane):
-        thetas = [tilted_plane.boundary_frame_at(np.array([s])).theta
-                  for s in np.linspace(-0.4, 0.4, 32)]
-        assert np.std(thetas) < 1e-10
+        """The boundary is one translation orbit with one frame (the frame
+        against per-point references along the orbit: test_array_paths)."""
+        bf = tilted_plane.boundary_frame_at()
+        assert tilted_plane.boundary_frame_at() is bf
         # positive-H orientation: a plane tilted by beta meets at pi - beta
-        assert thetas[0] == pytest.approx(math.pi - tilted_plane.beta,
-                                          abs=1e-10)
+        assert bf.theta == pytest.approx(math.pi - tilted_plane.beta,
+                                         abs=1e-10)
 
     def test_frame_reconstruction_identities(self, tilted_cap, tilted_plane):
         """Nbar = sin(theta) mu - cos(theta) nu and the inverse relations."""
         frames = [tilted_cap.boundary_frame_at(),
-                  tilted_plane.boundary_frame_at(np.array([0.2]))]
+                  tilted_plane.boundary_frame_at()]
         for bf in frames:
             st_, ct = math.sin(bf.theta), math.cos(bf.theta)
             mu, nu, nubar = bf.conormal, bf.normal, bf.boundary_normal
@@ -185,7 +224,7 @@ class TestBoundaryFrame:
 class TestIntegration:
     def test_zero_integrand(self, ortho_cap, quad):
         assert integrate_M(ortho_cap, lambda t: 0.0, quad) == 0.0
-        assert integrate_dM(ortho_cap, lambda s: 0.0, quad) == 0.0
+        assert integrate_dM(ortho_cap, 0.0) == 0.0
 
     def test_area_self_convergence_on_geodesic_hemisphere(
             self, geodesic_hemisphere, quad):
@@ -195,7 +234,7 @@ class TestIntegration:
 
     def test_boundary_is_flat_circle(self, ortho_cap, quad):
         """The support is intrinsically flat: circumference = 2*pi*rho."""
-        circ = integrate_dM(ortho_cap, lambda s: 1.0, quad)
+        circ = integrate_dM(ortho_cap, 1.0)
         assert circ == pytest.approx(2.0 * math.pi * 0.5, rel=1e-14)
 
     def test_bulk_boundary_identity_for_curvature_weighted_position(
@@ -205,13 +244,11 @@ class TestIntegration:
         th = bf.theta
         lhs = integrate_M(
             tilted_cap,
-            lambda t: fields_at(tilted_cap, t).gxnu
-            * fields_at(tilted_cap, t).H, quad)
+            lambda t: tilted_cap.meridian(t).fields().gxnu
+            * tilted_cap.meridian(t).fields().H, quad)
         x = bf.coords
         gxnubar = float(np.dot(x, bf.boundary_normal) / x[-1] ** 2)
-        rhs = integrate_dM(
-            tilted_cap, lambda s: -math.cos(th) * gxnubar + math.sin(th),
-            quad)
+        rhs = integrate_dM(tilted_cap, -math.cos(th) * gxnubar + math.sin(th))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_grid_area_matches_flat_plane(self, vertical_plane, quad_fast):
@@ -241,11 +278,11 @@ class TestImmersionChecks:
 
         for n in (2, 3):
             S = GridSurface(n, 1.0, jet, 1.0)
-            S.shapes(np.array([0.2, 0.7]))
+            S.meridian(np.array([0.2, 0.7]))
             with pytest.raises(ImmersionError, match="tangent vanishes"):
                 S.shape_at(0.25)
             with pytest.raises(ImmersionError, match="tangent vanishes"):
-                S.shapes(np.array([0.2, 0.25, 0.7]))
+                S.meridian(np.array([0.2, 0.25, 0.7]))
 
     def test_valid_cap_passes(self, ortho_cap):
         check_immersion(ortho_cap, QuadratureSpec(32))
@@ -279,5 +316,4 @@ class TestImmersionChecks:
     def test_umbilical_spread_small_everywhere(self, tilted_cap, cap_3d):
         for S in (tilted_cap, cap_3d):
             for t in np.linspace(0.0, S.t1, 17):
-                k = S.shape_at(t).principal_curvatures
-                assert np.ptp(k) < 1e-8
+                assert np.ptp(kappas(S.shape_at(t))) < 1e-8
