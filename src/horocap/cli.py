@@ -1,9 +1,9 @@
 """Batch front end: named verification suites over configured surfaces.
 
 Subcommands: verify (integral identities), spectrum (constrained
-eigenvalues), variation-check (finite-difference variation formulas),
-deficit (umbilicity deficit functional), sweep (angle x radius family
-grid).  Each run writes one CSV and/or JSON report per suite plus a
+eigenvalues), variation-check (exact s-derivatives against the variation
+formulas), deficit (umbilicity deficit functional), sweep (angle x radius
+family grid).  Each run writes one CSV and/or JSON report per suite plus a
 manifest.  ``reports.grade`` decides every PASS, FAIL and EXPECTED_FAIL;
 a surface whose suite raises is an ERROR row.  The exit status is 0 iff no
 surface reports FAIL or ERROR (EXPECTED_FAIL is allowed: it marks declared
@@ -83,13 +83,13 @@ def _suite_spectrum(entry: SurfaceEntry, cfg: RunConfig):
     num = cfg.numerics
     Q = QuadratureSpec(num.quad_order)
     S = _build_surface(entry, Q)
-    res = constrained_spectrum(S, num.constraint, num.grid, num.eig_count)
+    res = constrained_spectrum(S, num.constraint, num.eig_count)
     lowest = float(res.eigenvalues[0])
     # a declared non-CMC control may legitimately be unstable
     status = grade(lowest >= -num.stability_tol, entry.is_control)
     theta = S.boundary_frame_at().theta
     row = _spec_columns(entry) + [
-        theta, res.constraint, res.resolution, lowest, res.morse_index,
+        theta, res.constraint, res.degree, lowest, res.morse_index,
         res.zero_modes, res.modes_used,
         ";".join("%.16e" % v for v in res.eigenvalues), status,
     ]
@@ -97,7 +97,7 @@ def _suite_spectrum(entry: SurfaceEntry, cfg: RunConfig):
 
 
 SPECTRUM_HEADER = SPEC_HEADER + [
-    "theta", "constraint", "resolution", "lowest_eigenvalue", "morse_index",
+    "theta", "constraint", "degree", "lowest_eigenvalue", "morse_index",
     "zero_modes", "modes_used", "eigenvalues", "status"]
 
 
@@ -133,14 +133,12 @@ def _suite_variation(entry: SurfaceEntry, cfg: RunConfig):
         # the identity needs a critical point; non-CMC controls are not one
         st = grade(rel < tol, second and entry.is_control)
         rows.append(_spec_columns(entry) + [
-            chk.functional, chk.fd_value, chk.formula_value, rel, chk.step,
-            chk.richardson_order, st])
+            chk.functional, chk.fd_value, chk.formula_value, rel, st])
     return rows, worst(*(row[-1] for row in rows))
 
 
 VARIATION_HEADER = SPEC_HEADER + [
-    "functional", "fd_value", "formula_value", "rel_error", "step",
-    "richardson_order", "status"]
+    "functional", "fd_value", "formula_value", "rel_error", "status"]
 
 
 def _suite_deficit(entry: SurfaceEntry, cfg: RunConfig):
@@ -190,8 +188,8 @@ def _suite_sweep(entry: _SweepMember, cfg: RunConfig):
     reports = identity_suite(S, Q)
     max_res = max(rep.rel_residual for rep in reports)
     # the row prints the lowest value and the counts of values <= the
-    # zero-mode tolerance: only those are solved for
-    res = constrained_spectrum(S, num.constraint, num.grid, num.eig_count,
+    # zero-mode tolerance: the scan stops above it
+    res = constrained_spectrum(S, num.constraint, num.eig_count,
                                upto=ZERO_MODE_TOL)
     lowest = float(res.eigenvalues[0])
     status = worst(grade(lowest >= -num.stability_tol),
@@ -277,7 +275,7 @@ def main(argv=None) -> int:
     parser.add_argument("--format", action="append", dest="formats",
                         choices=["csv", "json"],
                         help="output format (repeatable; overrides config)")
-    parser.add_argument("--grid", type=int, help="grid resolution override")
+    parser.add_argument("--grid", type=int, help="variation-field grid override")
     parser.add_argument("--quad", type=int, help="quadrature order override")
     parser.add_argument("--seed", type=int, help="seed for random test fields")
     args = parser.parse_args(argv)

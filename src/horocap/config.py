@@ -113,8 +113,8 @@ class SweepSpec:
 @dataclass(frozen=True)
 class Numerics:
     """Numerical resolution; every instance, overrides included, is checked.
-    grid counts the uniform P1 intervals on [0, t1]: a field has grid + 1
-    nodes."""
+    grid counts the uniform intervals on [0, t1] of the variation fields:
+    a field has grid + 1 nodes."""
 
     quad_order: int = 128
     grid: int = 128

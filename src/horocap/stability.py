@@ -1,30 +1,27 @@
 """Jacobi operator, stability quadratic form, spectra and variation checks.
 
-Discrete machinery lives on the 1-D profile grid of axisymmetric
-surfaces: uniform nodes t_j = j*t1/N on [0, t1] including both ends.  The
-induced metric is A(t)^2 dt^2 + B(t)^2 dsigma^2, so the Jacobi operator
-J f = Delta f + (|h|^2 - n) f of the second variation has, on
-axisymmetric fields, the profile form
+The induced metric of an axisymmetric surface is A^2 dt^2 + B^2 dsigma^2
+on [0, t1], so on axisymmetric fields the Jacobi operator Delta + |h|^2 - n
+has Delta f = f''/A^2 + f' [(n-1)B'/(A^2 B) - A'/A^3], and the second
+variation reads, in symmetric Dirichlet form,
 
-    Laplace-Beltrami:  Delta f = f''/A^2 + f' * [(n-1)B'/(A^2 B) - A'/A^3].
+    Q(phi) = int_M |grad phi|^2 - (|h|^2 - n) phi^2 dA - int_dM q phi^2 ds.
 
-A field's one continuous form is the not-a-knot spline through its
-nodes, and every integral of it reads that spline on the surface's
-Gauss node set (FIELD_RULE by default).
+The constrained spectra decompose over angular modes: mode l adds the
+potential l(l+n-2)/B^2 and is a dense Legendre-Galerkin pencil, on
+P_0 ... P_degree in x = 2t/t1 - 1 (times t for l >= 1, which vanish on
+the axis), orthonormal under the area weight of one Gauss rule of
+2 degree + 16 points, so M = I and each mode is one symmetric eigensolve.
+The space is conforming, so every value bounds its continuous one from
+above (Rayleigh-Ritz), and it converges exponentially on analytic
+profiles.  The volume (int_M phi = 0) and wetting (int_dM phi = 0)
+constraints restrict the axisymmetric mode only.
 
-The quadratic form is read there in the symmetric Dirichlet shape
-
-    Q(phi) = int_M |grad phi|^2 - (|h|^2 - n) phi^2 dA - int_dM q phi^2 ds,
-
-and the constrained spectra decompose over angular modes: mode l adds
-the potential l(l+n-2)/B^2 and is discretized with conforming P1
-elements, so every discrete eigenvalue bounds its continuous one from
-above (Rayleigh-Ritz).  The volume (int_M phi = 0) and wetting
-(int_dM phi = 0) constraints act on the axisymmetric mode only, on a
-banded local basis of their null space; every mode pencil is banded and
-solved by LAPACK's dsbgvx, up to a mode that lies above the k values found.
-A bounded spectrum (a sweep row's) solves only for the lowest value and
-the values <= its bound, by dsbgvx's index and value ranges.
+A variation field on the uniform grid t_j = j*t1/N is the not-a-knot
+spline through its nodes, read on the surface's Gauss node set
+(FIELD_RULE by default).  The variation checks deform the surface along
+the straight line x + s*Y, so area, wetting area and volume are explicit
+in s, and their s-derivatives at 0 are exact, from Taylor coefficients.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -44,7 +40,7 @@ import numpy as np
 import scipy
 
 from .identities import cmc_stats
-from .quadrature import QuadratureSpec, gauss_legendre, unit_sphere_area
+from .quadrature import QuadratureSpec, gauss_legendre
 from .surfaces import (GridSurface, ProfileSurface, integrate_dM, integrate_M,
                        node_set)
 
@@ -55,6 +51,7 @@ __all__ = [
     "GridError",
     "MIN_RESOLUTION",
     "ZERO_MODE_TOL",
+    "DEGREE",
     "robin_q",
     "quadratic_form",
     "constrained_spectrum",
@@ -67,6 +64,8 @@ __all__ = [
 
 MIN_RESOLUTION = 16
 ZERO_MODE_TOL = 1e-6
+# the Legendre degree of the spectra: P_0 ... P_DEGREE on the meridian
+DEGREE = 24
 # the rule of field integrals; the boundary-collar ramp of the variations
 # has large high derivatives and needs it this fine
 FIELD_RULE = QuadratureSpec(256)
@@ -81,65 +80,77 @@ class GridError(ValueError):
 # ----------------------------------------------------------------------
 
 class _ProfileGrid:
-    """Nodes and P1 elements for one grid."""
+    """The uniform nodes of the variation fields on one grid."""
 
     def __init__(self, S: ProfileSurface, resolution: int):
         if resolution < MIN_RESOLUTION:
             raise GridError(
                 f"grid resolution {resolution} < minimum {MIN_RESOLUTION}"
             )
-        # weak: S caches its grids, and a cycle would keep their element
-        # bands alive until the cyclic garbage collector runs
-        self.S = weakref.proxy(S)
-        self.N = resolution
         self.nodes = np.linspace(0.0, S.t1, resolution + 1)
 
-    @functools.cached_property
-    def elements(self) -> SimpleNamespace:
-        """Mode-independent parts of the P1 matrices, built on first use.
 
-        Four Gauss points per element.  Mode l has stiffness
-        K0 + l(l+n-2) P, where P is the mass matrix of the weight 1/B^2;
-        K0 carries the Robin term robin_q(S).  K0, P, M: upper bands (_band).
-        """
-        S, n = self.S, self.S.n
-        xi, wq = gauss_legendre(4, 0.0, 1.0)
-        he = np.diff(self.nodes)[:, None]
-        t = (self.nodes[:-1, None] + he * xi).ravel()
-        m = S.meridian(t)
-        A, B, h2 = (c.reshape(self.N, 4) for c in (m.A, m.B, m.h2))
-        W = unit_sphere_area(n - 1) * A * B ** (n - 1) * he * wq
-        shp = np.stack([1.0 - xi, xi])
-
-        def mass(f):  # sum over Gauss points of W f phi_a phi_b
-            return _band(np.einsum("eq,aq,bq->eab", W * f, shp, shp))
-
-        stiff = np.sum(W / (A * A), axis=1) / he[:, 0] ** 2
-        K0 = (_band(stiff[:, None, None] * np.array([[1.0, -1.0],
-                                                      [-1.0, 1.0]]))
-              + mass(n - h2))
-        K0[-1, 1] -= robin_q(S) * S.boundary_measure
-        M = mass(1.0)
-        # the hat functions sum to one, so the row sums of M are int phi_a
-        return SimpleNamespace(K0=K0, P=mass(1.0 / (B * B)), M=M,
-                               c=M.sum(axis=1) + np.append(M[1:, 0], 0.0))
-
-
-def _grid(S: ProfileSurface, resolution: int) -> _ProfileGrid:
-    """The cached grid of S; a translation-swept chart has none (its
-    modes are not spherical harmonics)."""
+def _rotation_orbit(S: ProfileSurface) -> None:
+    """GridError on a translation-swept chart: its modes are not
+    spherical harmonics."""
     if isinstance(S, GridSurface):
         raise GridError("the modes are spherical harmonics of a rotation "
                         "orbit and a translation orbit has none")
-    cache = S.__dict__.setdefault("_stability_grids", {})
-    if resolution not in cache:
-        cache[resolution] = _ProfileGrid(S, resolution)
-    return cache[resolution]
+
+
+def _cached(S: ProfileSurface, name: str, key, build: Callable):
+    """build(), cached on S under name and key."""
+    cache = S.__dict__.setdefault(name, {})
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+def _grid(S: ProfileSurface, resolution: int) -> _ProfileGrid:
+    """The cached grid of S."""
+    _rotation_orbit(S)
+    return _cached(S, "_stability_grids", resolution,
+                   lambda: _ProfileGrid(S, resolution))
 
 
 # ----------------------------------------------------------------------
 # scalar fields
 # ----------------------------------------------------------------------
+
+# the ILP64 OpenBLAS that numpy's wheel bundles, and the routines horocap
+# binds: name -> (pointer arguments with info, hidden character lengths)
+_OPENBLAS_DIR = Path(np.__file__).parents[1] / "numpy.libs"
+LAPACK_ROUTINES = {"dgtsv": (8, 0)}
+
+
+@functools.cache
+def _lapack(name: str):
+    """The LAPACK routine name, as scipy_<name>_64_ of numpy's OpenBLAS."""
+    symbol = f"scipy_{name}_64_"
+    found = sorted(_OPENBLAS_DIR.glob("libscipy_openblas64_*.so*"))
+    if len(found) != 1 or not hasattr(lib := ctypes.CDLL(str(found[0])),
+                                      symbol):
+        raise ImportError(f"no single libscipy_openblas64_*.so* exporting "
+                          f"{symbol} in {_OPENBLAS_DIR}")
+    fn = getattr(lib, symbol)
+    fn.restype = None
+    pointers, lengths = LAPACK_ROUTINES[name]
+    fn.argtypes = pointers * [ctypes.c_void_p] + lengths * [ctypes.c_size_t]
+    return fn
+
+
+def _call(name: str, *args) -> int:
+    """info of the routine on args: ints by reference as int64, contiguous
+    float64 arrays by their data."""
+    if any(isinstance(a, np.ndarray) and not (
+            a.dtype == np.float64 and a.flags.c_contiguous) for a in args):
+        raise TypeError(f"{name} takes contiguous float64 arrays")
+    info = ctypes.c_int64()
+    _lapack(name)(*(a.ctypes.data if isinstance(a, np.ndarray)
+                    else ctypes.byref(ctypes.c_int64(a)) for a in args),
+                  ctypes.byref(info))
+    return info.value
+
 
 def _cubic_spline(x: np.ndarray, y: np.ndarray) -> Callable:
     """Not-a-knot cubic spline through (x, y), as scipy's CubicSpline.
@@ -194,12 +205,8 @@ class ScalarField:
             raise GridError("field values must be finite")
 
     @property
-    def resolution(self) -> int:
-        return self.values.shape[0] - 1
-
-    @property
     def nodes(self) -> np.ndarray:
-        return _grid(self.surface, self.resolution).nodes
+        return _grid(self.surface, len(self.values) - 1).nodes
 
     @functools.cached_property
     def spline(self) -> Callable:
@@ -252,224 +259,134 @@ class SpectrumResult:
     """The k lowest eigenvalues, ascending, with their counts.
 
     A bounded call (constrained_spectrum's upto) may return fewer than k:
-    the values <= upto among the k lowest, the lowest value, and what
-    else its modes 0 and 1 gave; morse_index and zero_modes are those of
-    the full call whenever upto >= ZERO_MODE_TOL.
+    the values <= upto among the k lowest, or the lowest value alone;
+    morse_index and zero_modes are those of the full call whenever
+    upto >= ZERO_MODE_TOL.
     """
 
     constraint: str  # VOLUME | WETTING | NONE
     eigenvalues: np.ndarray
     morse_index: int
     zero_modes: int
-    resolution: int
-    num_requested: int
+    degree: int
     modes_used: int
 
 
-def _band(blocks: np.ndarray) -> np.ndarray:
-    """LAPACK upper band, rows (A[j-1, j], A[j, j]), of the global matrix
-    of symmetric 2x2 blocks; block e couples nodes e and e+1."""
-    out = np.zeros((blocks.shape[0] + 1, 2))
-    out[:-1, 1] += blocks[:, 0, 0]
-    out[1:, 1] += blocks[:, 1, 1]
-    out[1:, 0] = blocks[:, 0, 1]
-    return out
-
-
-def _congruence(X: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Z^T X Z as a kd = 2 band, for a kd = 1 band X and the basis
-    z_j = e_j / c_j - e_(j+1) / c_(j+1) of c-perp (no c_j is 0)."""
-    # second differences of the band of diag(1/c) X diag(1/c)
-    d, u = X[:, 1] / c ** 2, X[1:, 0] / (c[:-1] * c[1:])
-    out = np.zeros((len(u), 3))
-    out[:, 2] = d[:-1] - 2.0 * u + d[1:]
-    out[1:, 1] = u[:-1] - d[1:-1] + u[1:]
-    out[2:, 0] = -u[1:-1]
-    return out
-
-
-# the ILP64 OpenBLAS that numpy's wheel bundles, and the routines horocap
-# binds: name -> (pointer arguments with info, hidden character lengths)
-_OPENBLAS_DIR = Path(np.__file__).parents[1] / "numpy.libs"
-LAPACK_ROUTINES = {"dsbgvx": (25, 3), "dpbtrf": (6, 1), "dgtsv": (8, 0)}
-
-
 @functools.cache
-def _lapack(name: str):
-    """The LAPACK routine name, as scipy_<name>_64_ of numpy's OpenBLAS."""
-    symbol = f"scipy_{name}_64_"
-    found = sorted(_OPENBLAS_DIR.glob("libscipy_openblas64_*.so*"))
-    if len(found) != 1 or not hasattr(lib := ctypes.CDLL(str(found[0])),
-                                      symbol):
-        raise ImportError(f"no single libscipy_openblas64_*.so* exporting "
-                          f"{symbol} in {_OPENBLAS_DIR}")
-    fn = getattr(lib, symbol)
-    fn.restype = None
-    pointers, lengths = LAPACK_ROUTINES[name]
-    fn.argtypes = pointers * [ctypes.c_void_p] + lengths * [ctypes.c_size_t]
-    return fn
+def _legendre(degree: int) -> tuple:
+    """The reference Gauss rule (x, w) of 2 degree + 16 points on [-1, 1],
+    and the values V and d/dx dV of the two basis families there, stacked:
+    P_j(x) for mode 0 and (1 + x)/2 P_j(x), which is t P_j / t1, for modes
+    l >= 1.  Every basis function is 1 at x = 1."""
+    x, w = gauss_legendre(2 * degree + 16, -1.0, 1.0)
+    leg = np.polynomial.legendre
+    V = leg.legvander(x, degree)
+    dV = leg.legval(x, leg.legder(np.eye(degree + 1))).T
+    half = 0.5 * (1.0 + x)[:, None]
+    return x, w, np.stack([V, half * V]), np.stack([dV, 0.5 * V + half * dV])
 
 
-def _call(name: str, *args) -> int:
-    """info of the routine on args: ints by reference as int64, floats by
-    reference as double, contiguous float64 or int64 arrays by their data,
-    bytes with a hidden size_t length each."""
-    if any(isinstance(a, np.ndarray) and not (
-            a.dtype in (np.float64, np.int64) and a.flags.c_contiguous)
-           for a in args):
-        raise TypeError(f"{name} takes contiguous float64 or int64 arrays")
-    refs = [ctypes.byref(ctypes.c_int64(a)) if isinstance(a, (int, np.integer))
-            else ctypes.byref(ctypes.c_double(a)) if isinstance(a, float)
-            else a.ctypes.data if isinstance(a, np.ndarray) else a
-            for a in args]
-    info = ctypes.c_int64()
-    _lapack(name)(*refs, ctypes.byref(info),
-                  *(len(a) for a in args if isinstance(a, bytes)))
-    return info.value
+def _galerkin(S: ProfileSurface, degree: int) -> tuple:
+    """({constraint: K of mode 0}, K1, P) on the Legendre space of degree,
+    built once per surface and degree; mode l >= 1 is K1 + l(l+n-2) P.
 
-
-# dsbgvx's bisection tolerance for its index and value ranges:
-# 2 * dlamch("S"), the most accurate it allows
-_ABSTOL = 2.0 * np.finfo(np.float64).tiny
-
-
-def _sbgvx(ab: np.ndarray, bb: np.ndarray, which: bytes = b"A",
-           vu: float = math.inf) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric-definite banded pencil (A, B):
-    all of them (which b"A"), the lowest (b"I") or every one <= vu (b"V").
-
-    ab, bb: LAPACK upper bands (m, ka+1) and (m, kb+1), kb <= ka, row j
-    holding A[j-ka, j], ..., A[j, j].  dsbgvx (Crawford's split Cholesky)
-    overwrites them, so it gets copies.  All values come from dsterf, a
-    range from bisection (dstebz).  LinAlgError if B is not definite.
+    Each family is orthonormalized under the area weight W by one QR of
+    sqrt(W) V, so M = I; with Qr = sqrt(W) V R^-1, a weighted integral is
+    Qr^T f Qr.  K carries the Robin term -q |dM| e e^T, e the basis values
+    at t1.  VOLUME and WETTING restrict mode 0 to the null space of c^T,
+    c = int_M of the basis, or of e^T: the last columns of the Householder
+    reflector of c or e.  The two families and the two constraints each
+    go through numpy as one stack.
     """
-    ab, bb = (np.array(x, dtype=np.float64, order="C") for x in (ab, bb))
-    (m, lda), (mb, ldb) = ab.shape, bb.shape
-    if m != mb or m == 0 or not 1 <= ldb <= lda:
-        raise ValueError(f"incompatible bands {ab.shape} and {bb.shape}")
-    found, w = np.zeros(1, dtype=np.int64), np.empty(m)
-    iwork, ifail = (np.empty(c * m, dtype=np.int64) for c in (5, 1))
-    # jobz = "N": q and z are never referenced; abstol 0 makes range "A"
-    # take dsterf
-    info = _call("dsbgvx", b"N", which, b"U", m, lda - 1, ldb - 1, ab, lda,
-                 bb, ldb, None, 1, -math.inf, float(vu), 1, 1,
-                 0.0 if which == b"A" else _ABSTOL, found, w, None, 1,
-                 np.empty(7 * m), iwork, ifail)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsbgvx failed with info = {info}")
-    return w[:found[0]]
+    _rotation_orbit(S)
+
+    def build():
+        x, w, V, dV = _legendre(degree)
+        n, m = S.n, S.meridian(0.5 * S.t1 * (1.0 + x))
+        sq = np.sqrt(0.5 * S.t1 * w * S.orbit_measure * m.A * m.B ** (n - 1))
+        Qr, R = np.linalg.qr(sq[:, None] * V)
+        Rinv = np.linalg.inv(R)
+        G = (2.0 / S.t1 * sq / m.A)[:, None] * (dV @ Rinv)
+        e = Rinv.sum(axis=1)
+        K0, K1 = (G.mT @ G + Qr.mT @ ((n - m.h2)[:, None] * Qr)
+                  - robin_q(S) * S.boundary_measure * e[:, :, None]
+                  * e[:, None, :])
+        u = np.stack([Qr[0].T @ sq, e[0]])  # c and e of mode 0
+        u[:, 0] += np.copysign(np.linalg.norm(u, axis=1), u[:, 0])
+        H = np.eye(degree + 1) - 2.0 * (u[:, :, None] * u[:, None, :]) / (
+            u * u).sum(axis=1)[:, None, None]
+        volume, wetting = (H @ K0 @ H)[:, 1:, 1:]
+        return ({"NONE": K0, "VOLUME": volume, "WETTING": wetting},
+                K1, Qr[1].T @ (Qr[1] / (m.B * m.B)[:, None]))
+    return _cached(S, "_galerkin", degree, build)
 
 
 def constrained_spectrum(S: ProfileSurface, constraint: str = "VOLUME",
-                         resolution: int = 128, k: int = 10,
-                         max_mode: int = 40,
-                         upto: float = math.inf) -> SpectrumResult:
+                         k: int = 10, max_mode: int = 40,
+                         upto: float = math.inf,
+                         degree: int = DEGREE) -> SpectrumResult:
     """Lowest eigenvalues of the second-variation form under one constraint.
 
     The linear constraint (volume or wetting mean) only restricts the
     axisymmetric mode; every higher angular mode satisfies it identically
-    and contributes with its spherical-harmonic multiplicity.
-
-    With a finite upto, only the lowest value and the values <= upto are
-    solved for: modes 0 and 1 give their lowest value, and each mode its
-    values <= sigma = min(upto, the k-th value so far).  Mode l >= 1 is
-    mode 1 plus a positive definite potential, so its values lie above
-    mode 1's: the lowest value is the lowest of modes 0 and 1, and a mode
-    l >= 2 with no value <= sigma ends the scan.
+    and contributes with its spherical-harmonic multiplicity.  Mode
+    l >= 1 is mode 1 plus a positive definite potential, so its values lie
+    above mode 1's: the scan ends at the first mode l >= 2 whose lowest
+    value exceeds sigma = min(upto, the k-th value so far).  With a finite
+    upto the values above it may miss a mode the scan skipped, so only the
+    values <= upto (at least the lowest) are returned.
     """
     if constraint not in ("VOLUME", "WETTING", "NONE"):
         raise ValueError(f"unknown constraint {constraint!r}")
-    el = _grid(S, resolution).elements
-    bounded = math.isfinite(upto)
+    mode0, K1, P = _galerkin(S, degree)
     collected: list[float] = []
-    modes_used = 0
     for l in range(max_mode + 1):
-        K, M = el.K0 + l * (l + S.n - 2) * el.P, el.M
-        if l > 0:
-            # pole regularity: modes with angular dependence vanish on the axis
-            K, M = K[1:], M[1:]
-        elif constraint == "WETTING":  # int_dM phi is the boundary value
-            K, M = K[:-1], M[:-1]
-        elif constraint == "VOLUME":  # every c_j > 0: a row sum of M
-            K, M = _congruence(K, el.c), _congruence(M, el.c)
+        vals = np.linalg.eigvalsh(
+            mode0[constraint] if l == 0 else K1 + l * (l + S.n - 2) * P)
         modes_used = l + 1
         sigma = min(upto, collected[k - 1]) if len(collected) >= k else upto
-        # K - sigma M definite (a banded Cholesky): every value of mode l
-        # exceeds sigma and cannot enter the k values
-        above = (math.isfinite(sigma) and (bounded or l >= 2) and _call(
-            "dpbtrf", b"U", len(K), K.shape[1] - 1, K - sigma * M,
-            K.shape[1]) == 0)
-        if above and l >= 2:
+        if l >= 2 and vals[0] > sigma:
             break
-        try:
-            if not bounded:
-                vals = _sbgvx(K, M)
-            else:
-                vals = () if above else _sbgvx(K, M, b"V", sigma)
-                if l < 2 and not len(vals):  # modes 0 and 1: the lowest
-                    vals = _sbgvx(K, M, b"I")
-        except np.linalg.LinAlgError as exc:
-            raise ArithmeticError(
-                f"eigenvalue solve failed for angular mode {l}: {exc}"
-            ) from exc
         mult = sphere_mode_multiplicity(S.n, l)
         collected.extend([float(v) for v in vals[:k] for _ in range(mult)])
         collected.sort()
     eigs = np.array(collected[:k])
-    zero_modes = int(np.sum(np.abs(eigs) <= ZERO_MODE_TOL))
-    morse = int(np.sum(eigs < -ZERO_MODE_TOL))
-    return SpectrumResult(
-        constraint=constraint,
-        eigenvalues=eigs,
-        morse_index=morse,
-        zero_modes=zero_modes,
-        resolution=resolution,
-        num_requested=k,
-        modes_used=modes_used,
-    )
+    if math.isfinite(upto):
+        eigs = eigs[:max(1, int(np.sum(eigs <= upto)))]
+    return SpectrumResult(constraint, eigs, int(np.sum(eigs < -ZERO_MODE_TOL)),
+                          int(np.sum(np.abs(eigs) <= ZERO_MODE_TOL)), degree,
+                          modes_used)
 
 
 # ----------------------------------------------------------------------
-# finite-difference variation cross-checks
+# exact variation cross-checks
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class VariationCheck:
     functional: str  # AREA | WETTING_AREA | VOLUME | ENERGY | ENERGY_SECOND
-    fd_value: float
+    fd_value: float  # the s-derivative along the deformation, at s = 0
     formula_value: float
-    step: float
-    richardson_order: int
     # the signed summands of formula_value, where it has more than one
     terms: tuple = ()
 
 
-class _Variation:
-    """Straight-line admissible variation x + s*Y from a nodal scalar.
+def _collar(S: ProfileSurface, Q: QuadratureSpec) -> SimpleNamespace:
+    """The field-independent parts of every variation of S on the node set
+    of Q, built once per surface and order: the meridian jet, the normal
+    nu and the conormal mu with their t-derivatives, the boundary-collar
+    ramp with its derivative, and nu and mu at t1.
 
-    Y = phi*nu + eta*mu with eta a boundary-collar ramp chosen so the
-    vertical component of Y vanishes at the boundary: the displaced
-    boundary slides inside the flat support exactly.  Y is independent
-    of s, so the constructor evaluates Y and Y' once on the node set of
-    Q, in closed form off its Meridian and the boundary frame, and every
-    functional of s reads them.  With T = (dr, dz)/s, N = (m0, m1) and
-    the curvature k = (dr d2z - dz d2r)/s^2, T' = -k N and N' = k T.
+    With T = (dr, dz)/s, N = (m0, m1) and the curvature
+    k = (dr d2z - dz d2r)/s^2, T' = -k N and N' = k T.
     """
-
-    def __init__(self, S: ProfileSurface, phi: ScalarField,
-                 Q: QuadratureSpec):
+    def build():
         ns, bf = node_set(S, Q), S.boundary_frame_at()
         m, t = ns.meridian, ns.nodes
-        nu1, mu1 = bf.normal[[0, -1]], bf.conormal[[0, -1]]
+        mu1 = bf.conormal[[0, -1]]
         if abs(mu1[1]) < 1e-12:
             raise ValueError(
                 "conormal is horizontal; boundary slide undefined")
-        self.S, self.frame, self.spline, self.sign = S, bf, phi.spline, m.sign
-        self.w = ns.gauss_weights  # bare: area(s) forms its own element
-        self.nubar_sign = 1.0 if bf.boundary_normal[0] > 0 else -1.0
-        self.rho1 = float(bf.coords[0])  # the boundary radius
-        self.eta1 = -phi.values[-1] * nu1[1] / mu1[1]
-        self.Y1 = phi.values[-1] * nu1 + self.eta1 * mu1
         # the collar ramp a/(a + b) of u in [0, 1] over [0.8 t1, t1]
         t_ramp = 0.8 * S.t1
         u = np.clip((t - t_ramp) / (S.t1 - t_ramp), 0.0, 1.0)
@@ -481,69 +398,98 @@ class _Variation:
                 0.0) / (S.t1 - t_ramp)
         T, N = np.array([m.dr, m.dz]) / m.s, np.array([m.m0, m.m1])
         k = (m.dr * m.d2z - m.dz * m.d2r) / (m.s * m.s)
-        nu, mu = m.sign * m.w * N, m.w * T
-        dnu = m.sign * (m.dz * N + m.w * k * T)
-        dmu = m.dz * T - m.w * k * N
-        f, df = phi.spline(t), phi.spline(t, 1)
-        self.jet = np.array([m.rho, m.w, m.dr, m.dz])
-        self.Y = f * nu + self.eta1 * ramp * mu
-        self.Yp = (df * nu + f * dnu
-                   + self.eta1 * (dramp * mu + ramp * dmu))
-
-    # -- functionals of the deformed surface ---------------------------
-    def area(self, s: float) -> float:
-        n = self.S.n
-        rho, z, dr, dz = self.jet + s * np.concatenate([self.Y, self.Yp])
-        return unit_sphere_area(n - 1) * float(np.sum(
-            self.w * np.hypot(dr, dz) * rho ** (n - 1) / z ** n))
-
-    def wetting_area(self, s: float) -> float:
-        """Signed flat area swept on the support relative to s = 0."""
-        n, rho1 = self.S.n, self.rho1
-        rho_s = rho1 + s * self.Y1[0]
-        return (self.nubar_sign * unit_sphere_area(n - 1)
-                * (rho_s ** n - rho1 ** n) / n)
-
-    def volume(self, s: float) -> float:
-        """Signed enclosed-volume change relative to s = 0 (swept region)."""
-        if s == 0.0:
-            return 0.0
-        n = self.S.n
-        snodes, swts = gauss_legendre(8, min(s, 0.0), max(s, 0.0))
-        # axis 1 runs over the inner s-nodes
-        rho, z, dr, dz = (self.jet + snodes[:, None, None] * np.concatenate(
-            [self.Y, self.Yp])).transpose(1, 2, 0)
-        f = ((self.Y[0][:, None] * dz - self.Y[1][:, None] * dr)
-             * rho ** (n - 1) / z ** (n + 1))
-        return (self.sign * math.copysign(1.0, s) * unit_sphere_area(n - 1)
-                * float(self.w @ f @ swts))
-
-    def energy(self, s: float) -> float:
-        return self.area(s) - math.cos(self.frame.theta) * self.wetting_area(s)
+        return SimpleNamespace(
+            t=t, w=ns.gauss_weights, sign=m.sign,
+            jet=np.array([m.rho, m.w, m.dr, m.dz]),
+            nu=m.sign * m.w * N, dnu=m.sign * (m.dz * N + m.w * k * T),
+            mu=m.w * T, dmu=m.dz * T - m.w * k * N, ramp=ramp, dramp=dramp,
+            nu1=bf.normal[[0, -1]], mu1=mu1)
+    return _cached(S, "_collars", Q.order, build)
 
 
-def fd_variation_check(S: ProfileSurface, phi: ScalarField, step: float = 1e-3,
+def _taylor_mul(a: tuple, b: tuple) -> tuple:
+    """The product of two Taylor coefficient triples (c0, c1, c2) in s."""
+    return (a[0] * b[0], a[0] * b[1] + a[1] * b[0],
+            a[0] * b[2] + a[1] * b[1] + a[2] * b[0])
+
+
+def _taylor_pow(x0, x1, p: int) -> tuple:
+    """Taylor coefficients to s^2 of (x0 + s x1)^p."""
+    y = x0 ** (p - 2)
+    return (y * x0 * x0, p * y * x0 * x1, 0.5 * p * (p - 1) * y * x1 * x1)
+
+
+class _Variation:
+    """Straight-line admissible variation x + s*Y from a nodal scalar.
+
+    Y = phi*nu + eta*mu with eta a boundary-collar ramp chosen so the
+    vertical component of Y vanishes at the boundary: the displaced
+    boundary slides inside the flat support exactly.  Y is independent
+    of s, so the constructor reads Y and Y' once on the node set of Q, off
+    the surface's collar and the field's spline, and each node's meridian
+    jet (rho, z, dr, dz) moves by s (Y, Y').
+    """
+
+    def __init__(self, S: ProfileSurface, phi: ScalarField,
+                 Q: QuadratureSpec):
+        c, bf = _collar(S, Q), S.boundary_frame_at()
+        self.S, self.frame, self.spline, self.sign = S, bf, phi.spline, c.sign
+        self.w, self.jet = c.w, c.jet  # bare weights: the area element moves
+        self.nubar_sign = 1.0 if bf.boundary_normal[0] > 0 else -1.0
+        self.rho1 = float(bf.coords[0])  # the boundary radius
+        self.eta1 = -phi.values[-1] * c.nu1[1] / c.mu1[1]
+        self.Y1 = phi.values[-1] * c.nu1 + self.eta1 * c.mu1
+        f, df = phi.spline(c.t), phi.spline(c.t, 1)
+        self.Y = f * c.nu + self.eta1 * c.ramp * c.mu
+        self.Yp = (df * c.nu + f * c.dnu
+                   + self.eta1 * (c.dramp * c.mu + c.ramp * c.dmu))
+
+    def derivatives(self) -> dict[str, tuple]:
+        """(first, second) s-derivative at s = 0 of AREA, WETTING_AREA and
+        VOLUME, exact up to the quadrature.
+
+        area(s) = |S^(n-1)| sum w |(dr, dz)| rho^(n-1) / z^n, and the
+        volume swept from s = 0 has volume'(s) = sign |S^(n-1)| sum w f(s),
+        f = (Y_r dz - Y_z dr) rho^(n-1) / z^(n+1); both read the Taylor
+        coefficients to s^2 of each node's integrand.  The signed wetting
+        area |S^(n-1)| ((rho1 + s Y1_r)^n - rho1^n) / n is a polynomial.
+        """
+        n, om = self.S.n, self.S.orbit_measure
+        rho, z, dr, dz = self.jet
+        (Yr, Yz), (Ydr, Ydz) = self.Y, self.Yp
+        q0, q1 = dr * dr + dz * dz, 2.0 * (dr * Ydr + dz * Ydz)
+        s0 = np.sqrt(q0)
+        s1 = 0.5 * q1 / s0
+        speed = (s0, s1, 0.5 * (Ydr * Ydr + Ydz * Ydz - s1 * s1) / s0)
+        radial = _taylor_pow(rho, Yr, n - 1)
+        area = _taylor_mul(_taylor_mul(speed, radial), _taylor_pow(z, Yz, -n))
+        flux = _taylor_mul(_taylor_mul(
+            (Yr * dz - Yz * dr, Yr * Ydz - Yz * Ydr, 0.0), radial),
+            _taylor_pow(z, Yz, -n - 1))
+        wet = _taylor_pow(self.rho1, float(self.Y1[0]), n)
+        ws, vs = self.nubar_sign * om / n, self.sign * om
+        return {"AREA": (om * float(self.w @ area[1]),
+                         2.0 * om * float(self.w @ area[2])),
+                "WETTING_AREA": (ws * wet[1], 2.0 * ws * wet[2]),
+                "VOLUME": (vs * float(self.w @ flux[0]),
+                           vs * float(self.w @ flux[1]))}
+
+
+def fd_variation_check(S: ProfileSurface, phi: ScalarField,
                        Q: Optional[QuadratureSpec] = None
                        ) -> dict[str, VariationCheck]:
-    """Richardson-extrapolated d/ds of each functional vs its printed formula.
+    """The s-derivative at 0 of each functional vs its printed formula.
 
-    One pass: area, wetting area and volume are evaluated once at each of
-    +-step and +-step/2, and the energy is A - cos(theta) W of those
-    values.  The four formulas share one set of bulk and boundary terms.
-    Returns AREA, WETTING_AREA, VOLUME and ENERGY, in that order.
+    One pass: the first derivatives of area, wetting area and volume, and
+    the energy's, A' - cos(theta) W'.  The four formulas share one set of
+    bulk and boundary terms.  Returns AREA, WETTING_AREA, VOLUME and
+    ENERGY, in that order.
     """
     Q = Q or FIELD_RULE
     var = _Variation(S, phi, Q)
     bf, ct = var.frame, math.cos(var.frame.theta)
-
-    def values(s):
-        a, w = var.area(s), var.wetting_area(s)
-        return np.array([a, w, var.volume(s), a - ct * w])
-
-    def central(d):
-        return (values(d) - values(-d)) / (2.0 * d)
-
-    fd = (4.0 * central(step / 2.0) - central(step)) / 3.0
+    d = {name: first for name, (first, _) in var.derivatives().items()}
+    d["ENERGY"] = d["AREA"] - ct * d["WETTING_AREA"]
     # g(Y, nu) = phi everywhere: the collar term of Y is along mu, tangent
     H = node_set(S, Q).fields.H
     bulk_phi = phi.integral_M(Q)
@@ -559,35 +505,26 @@ def fd_variation_check(S: ProfileSurface, phi: ScalarField, step: float = 1e-3,
         "ENERGY": (bulk_Hphi + bm * (gYmu - ct * gYnubar),
                    (bulk_Hphi, bm * gYmu, -bm * (ct * gYnubar))),
     }
-    return {name: VariationCheck(name, float(d), f, step, 4, terms)
-            for d, (name, (f, terms)) in zip(fd, formulas.items())}
+    return {name: VariationCheck(name, d[name], f, terms)
+            for name, (f, terms) in formulas.items()}
 
 
 def energy_second_difference(S: ProfileSurface, phi: ScalarField,
-                             step: float = 1e-2,
                              Q: Optional[QuadratureSpec] = None
                              ) -> VariationCheck:
-    """FD second derivative of E - H_mean*V against quadratic_form.
+    """The second s-derivative at 0 of E - H_mean*V against quadratic_form.
 
     At a capillary critical point the second derivative of the volume
     Lagrangian along the straight-line variation depends only on the
     normal scalar, so it must reproduce the quadratic form.
     """
     Q = Q or FIELD_RULE
-    var = _Variation(S, phi, Q)
+    d = _Variation(S, phi, Q).derivatives()
     H, _ = cmc_stats(S, Q)
-
-    def L(s):
-        return var.energy(s) - H * var.volume(s)
-
-    L0 = L(0.0)
-
-    def second(d):
-        return (L(d) - 2.0 * L0 + L(-d)) / (d * d)
-
-    fd2 = (16.0 * second(step / 2.0) - second(step)) / 15.0
-    return VariationCheck("ENERGY_SECOND", fd2, quadratic_form(S, phi, Q),
-                          step, 4)
+    ct = math.cos(S.boundary_frame_at().theta)
+    second = (d["AREA"][1] - ct * d["WETTING_AREA"][1]
+              - H * d["VOLUME"][1])
+    return VariationCheck("ENERGY_SECOND", second, quadratic_form(S, phi, Q))
 
 
 # ----------------------------------------------------------------------

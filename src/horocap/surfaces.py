@@ -274,7 +274,11 @@ class GridSurface(ProfileSurface):
         """Measure of the cross-section at B = 1: side^(n-1)."""
         return self.side ** (self.n - 1)
 
-    boundary_measure = orbit_measure  # the cube at w = 1
+    @functools.cached_property
+    def boundary_measure(self) -> float:
+        """side^(n-1), the cube at w = 1, once the frame is on the support."""
+        self.boundary_frame_at()
+        return self.orbit_measure
 
     def _Hhat(self, m: Meridian, nubar: np.ndarray):
         """0: the boundary is a flat hyperplane of the flat support."""

@@ -8,10 +8,11 @@ piece y runs over the translations, on a cap over hyperspherical angles
 of the rotation orbit; or from the meridian formulas), one boundary
 frame per support point (Hhat by central differences of nubar along the
 orbit), one profile-jet, spline and ramp evaluation per node and per
-variation parameter s, and one metric/shape evaluation per element
-Gauss point and per angular mode.  The Meridian of a node array, its
-fields and the surface's one boundary frame must reproduce them up to
-rounding.  The closed-form grad Phi of the umbilicity deficit is checked
+variation parameter s (whose differences in s check the exact
+s-derivatives), and one metric/shape evaluation per Gauss point and per
+angular mode of the raw Legendre pencil.  The Meridian of a node array,
+its fields and the surface's one boundary frame must reproduce them up
+to rounding.  The closed-form grad Phi of the umbilicity deficit is checked
 against a 5-point finite-difference stencil.  The references read the
 metric and the stencil weights in closed form, A = |gamma'|/z and
 B = rho/z off profile_jet, and (1, -8, 0, 8, -1)/12.
@@ -558,29 +559,38 @@ def ref_metric(S, t):
     return np.hypot(dr, dz) / z, rho / z
 
 
-def ref_mode_matrices(g, l):
-    S, n, N = g.S, g.S.n, g.N
-    lam = l * (l + n - 2)
-    omega = unit_sphere_area(n - 1)
-    K, M, c = np.zeros((N + 1, N + 1)), np.zeros((N + 1, N + 1)), np.zeros(N + 1)
-    glx, glw = gauss_legendre(4, 0.0, 1.0)
-    for e in range(N):
-        he = g.nodes[e + 1] - g.nodes[e]
-        for xi, wq in zip(glx, glw):
-            t = g.nodes[e] + he * xi
-            A, B = ref_metric(S, t)
-            Wt = omega * A * B ** (n - 1) * he * wq
-            shp = np.array([1.0 - xi, xi])
-            dsh = np.array([-1.0, 1.0]) / he
-            pot = (n - S.meridian(t).h2) + (lam / (B * B) if l > 0 else 0.0)
-            for a in range(2):
-                c[e + a] += Wt * shp[a]
-                for b in range(2):
-                    K[e + a, e + b] += Wt * (dsh[a] * dsh[b] / (A * A)
-                                             + pot * shp[a] * shp[b])
-                    M[e + a, e + b] += Wt * shp[a] * shp[b]
-    K[N, N] -= robin_q(S) * S.boundary_measure
-    return K, M, c
+def ref_legendre(x, degree):
+    """P_0 ... P_degree and their derivatives at one x, by the three-term
+    recurrence and P'_(j+1) = P'_(j-1) + (2j + 1) P_j."""
+    P, dP = [1.0, x], [0.0, 1.0]
+    for j in range(1, degree):
+        P.append(((2 * j + 1) * x * P[j] - j * P[j - 1]) / (j + 1))
+        dP.append(dP[j - 1] + (2 * j + 1) * P[j])
+    return np.array(P[:degree + 1]), np.array(dP[:degree + 1])
+
+
+def ref_mode_values(S, l, degree, constraint):
+    """Eigenvalues of mode l on the raw basis P_j(2t/t1 - 1) (times t for
+    l >= 1), assembled one Gauss point at a time and solved as a
+    generalized pencil; mode 0 restricted to the null space of int_M phi
+    (VOLUME) or of phi(t1) (WETTING)."""
+    n, t1, size = S.n, S.t1, degree + 1
+    K, M, c = np.zeros((size, size)), np.zeros((size, size)), np.zeros(size)
+    for t, wq in zip(*QuadratureSpec(2 * degree + 16).rule(0.0, t1)):
+        A, B = ref_metric(S, t)
+        W = unit_sphere_area(n - 1) * A * B ** (n - 1) * wq
+        P, dP = ref_legendre(2.0 * t / t1 - 1.0, degree)
+        phi, dphi = (t * P, P + t * dP * 2.0 / t1) if l else (P, dP * 2.0 / t1)
+        pot = n - S.meridian(t).h2 + (l * (l + n - 2) / B ** 2 if l else 0.0)
+        K += W * (np.outer(dphi, dphi) / A ** 2 + pot * np.outer(phi, phi))
+        M += W * np.outer(phi, phi)
+        c += W * phi
+    e = np.full(size, t1 if l else 1.0)  # phi at t1
+    K -= robin_q(S) * S.boundary_measure * np.outer(e, e)
+    if l == 0 and constraint != "NONE":
+        Z = scipy.linalg.null_space((c if constraint == "VOLUME" else e)[None])
+        K, M = Z.T @ K @ Z, Z.T @ M @ Z
+    return scipy.linalg.eigh(K, M, eigvals_only=True)
 
 
 # -- equivalence -------------------------------------------------------
@@ -592,16 +602,26 @@ def variation(S, Q, resolution=64):
     return _Variation(S, ScalarField(S, vals), Q)
 
 
+def richardson(f, h):
+    """f'(0) and f''(0) by central differences at h and h/2, extrapolated."""
+    f0 = f(0.0)
+    d1, d2 = ([(f(d) - f(-d)) / (2.0 * d), (f(d) - 2.0 * f0 + f(-d)) / d ** 2]
+              for d in (h, 0.5 * h))
+    return [(4.0 * b - a) / 3.0 for a, b in zip(d1, d2)]
+
+
 @pytest.mark.parametrize("name", CAPS)
-def test_area_and_volume_match_per_node_loops(name, request):
+def test_taylor_derivatives_match_per_node_loops(name, request):
+    """The exact s-derivatives of area and volume against differences of
+    the per-node loops of area(s) and volume(s)."""
     S = request.getfixturevalue(name)
     Q = QuadratureSpec(64)
     var = variation(S, Q)
-    for s in (-1e-2, -5e-4, 0.0, 5e-4, 1e-2):
-        assert var.area(s) == pytest.approx(ref_area(var, s, Q), rel=REL)
-        if s != 0.0:
-            assert var.volume(s) == pytest.approx(ref_volume(var, s, Q),
-                                                  rel=REL)
+    got = var.derivatives()
+    for key, ref in (("AREA", ref_area), ("VOLUME", ref_volume)):
+        first, second = richardson(lambda s: ref(var, s, Q), 1e-3)
+        assert got[key][0] == pytest.approx(first, rel=1e-9), key
+        assert got[key][1] == pytest.approx(second, rel=1e-6), key
 
 
 YP_CAPS = {
@@ -638,21 +658,18 @@ def test_closed_form_Yp_matches_a_stencil_of_the_jet(name):
 
 
 @pytest.mark.parametrize("name", CAPS)
-def test_mode_matrices_match_per_point_assembly(name, request):
+def test_mode_pencils_match_per_point_assembly(name, request):
+    """The orthonormalized mode matrices have the eigenvalues of the raw
+    Legendre pencil, assembled per Gauss point."""
     S = request.getfixturevalue(name)
-    g = _grid(S, 32)
-    el = g.elements
-    off_band = np.abs(np.subtract.outer(*2 * [np.arange(g.N + 1)])) > 1
-    for l in (0, 1, 2, 7):
-        # the mode-l bands constrained_spectrum reads off the elements
-        K_ref, M_ref, c_ref = ref_mode_matrices(g, l)
-        for got, want in ((el.K0 + l * (l + S.n - 2) * el.P, K_ref),
-                          (el.M, M_ref)):
-            assert np.all(want[off_band] == 0.0)  # tridiagonal
-            band = np.column_stack([np.r_[0.0, np.diag(want, 1)],
-                                    np.diag(want)])
-            assert np.max(np.abs(got - band)) <= REL * np.max(np.abs(want))
-        assert np.max(np.abs(el.c - c_ref)) <= REL * np.max(np.abs(c_ref))
+    mode0, K1, P = stability._galerkin(S, 16)
+    for l, constraint in ((0, "NONE"), (0, "VOLUME"), (0, "WETTING"),
+                          (1, None), (2, None), (7, None)):
+        K = mode0[constraint] if l == 0 else K1 + l * (l + S.n - 2) * P
+        got = np.linalg.eigvalsh(K)[:5]
+        want = ref_mode_values(S, l, 16, constraint)[:5]
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-9 * max(1.0, abs(want[-1])))
 
 
 # -- umbilicity deficit: closed-form grad Phi vs a stencil --------------

@@ -220,6 +220,21 @@ class TestBoundaryFrame:
             with pytest.raises(SupportError):
                 bad.boundary_frame_at()
 
+    @pytest.mark.parametrize("surface", ["cap", "plane"])
+    def test_boundary_integral_off_support_rejected(self, surface):
+        """Both sweeps check the support before a boundary integral: a
+        vertical line ending at height 1.5, swept by rotations or by
+        translations, has no boundary on the horosphere."""
+        def jet(t):  # x(t) = (1, 1 + t) on [0, 0.5]
+            t = np.asarray(t, dtype=float)
+            return (1.0 + 0.0 * t, 1.0 + t, 0.0 * t, 1.0 + 0.0 * t,
+                    0.0 * t, 0.0 * t)
+        S = (GridSurface(2, 0.5, jet, 1.0) if surface == "plane"
+             else ProfileSurface(2, 0.5, jet))
+        for _ in range(2):
+            with pytest.raises(SupportError):
+                integrate_dM(S, 1.0)
+
 
 class TestIntegration:
     def test_zero_integrand(self, ortho_cap, quad):

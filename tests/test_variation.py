@@ -1,4 +1,4 @@
-"""Finite-difference cross-checks of the first and second variation."""
+"""Exact s-derivatives of the variations against their formulas."""
 
 import gc
 import math
@@ -10,9 +10,10 @@ import pytest
 
 from horocap.cli import _variation_field, run
 from horocap.config import parse_config
-from horocap.families import CapKind, CapSpec, build, solve_for_angle
+from horocap.families import CapKind, CapSpec, build
 from horocap.identities import cmc_stats, suite
 from horocap.quadrature import QuadratureSpec
+from horocap import stability
 from horocap.stability import (ScalarField, energy_second_difference,
                                fd_variation_check, quadratic_form,
                                umbilicity_deficit, _cubic_spline, _grid,
@@ -143,19 +144,26 @@ class TestSecondVariation:
             fd2, qf = chk.fd_value, chk.formula_value
             assert abs(fd2 - qf) / max(abs(qf), 1e-12) < 1e-3
 
-    @pytest.mark.parametrize("theta,step,bound", [(0.75, 3e-4, 2e-7),
-                                                  (0.3, 1e-4, 5e-7)])
-    def test_converges_below_the_nodal_floor(self, theta, step, bound):
-        """Q and the finite difference read one spline, so the error falls
-        with the step below the 1.6e-6 that a nodal Q left."""
-        S = build(solve_for_angle(CapKind.SPHERE_CAP, theta, n=2, r=0.8))
+    # (n, theta, r, seed of the CLI field): thin, flat, small and wide caps
+    # of a = 1 - r cos(theta), on which a finite difference in s was off by
+    # up to 33 relative
+    @pytest.mark.parametrize("n,theta,r,seed", [
+        (2, 0.1, 0.05, 0), (2, 0.1, 0.3, 0), (2, 0.3, 0.8, 1),
+        (2, 0.75, 0.8, 1), (2, 2.8, 0.8, 1), (2, 3.0, 0.05, 0),
+        (3, 0.1, 0.3, 1), (6, 1.0, 10.0, 0)])
+    def test_matches_the_quadratic_form_to_quadrature_accuracy(
+            self, n, theta, r, seed):
+        """Q and the exact second derivative read one spline on one rule,
+        so they agree to the quadrature error."""
+        S = build(CapSpec(CapKind.SPHERE_CAP, n, a=1.0 - r * math.cos(theta),
+                          r=r))
         Q = QuadratureSpec(512)
-        phi = _variation_field(S, 128, 1)
+        phi = _variation_field(S, 128, seed)
         phi0 = ScalarField(S, phi.values - phi.integral_M(Q)
                            / integrate_M(S, 1.0, Q))
-        chk = energy_second_difference(S, phi0, step=step, Q=Q)
+        chk = energy_second_difference(S, phi0, Q=Q)
         assert chk.formula_value == quadratic_form(S, phi0, Q)
-        assert rel_err(chk) < bound
+        assert rel_err(chk) < 1e-8
 
     def test_kernel_direction_gives_tiny_second_difference(
             self, tilted_cap, distinguished_fields, norm_sq):
@@ -177,29 +185,38 @@ class TestSecondVariation:
         assert rel_err(fine) <= rel_err(crude)
 
 
-def count_evaluations(monkeypatch) -> Counter:
-    """Count the area and wetting-area evaluations of every variation."""
+def count_builds(monkeypatch) -> Counter:
+    """Count the derivative passes of every variation and the distinct
+    collars (the field-independent parts of a surface's variations) that
+    they read."""
     calls = Counter()
-    for name in ("area", "wetting_area"):
-        def counted(self, s, _fn=getattr(_Variation, name), _name=name):
-            calls[_name] += 1
-            return _fn(self, s)
-        monkeypatch.setattr(_Variation, name, counted)
+    derivatives, collar = _Variation.derivatives, stability._collar
+
+    def counted(self):
+        calls["derivatives"] += 1
+        return derivatives(self)
+
+    def recorded(S, Q):
+        c = collar(S, Q)
+        calls[id(c)] += 1
+        return c
+
+    monkeypatch.setattr(_Variation, "derivatives", counted)
+    monkeypatch.setattr(stability, "_collar", recorded)
     return calls
 
 
 class TestOnePass:
-    def test_each_functional_once_per_step(self, tilted_cap, monkeypatch):
-        calls = count_evaluations(monkeypatch)
+    def test_one_derivative_pass_per_check(self, tilted_cap, monkeypatch):
+        calls = count_builds(monkeypatch)
         checks = fd_variation_check(tilted_cap, smooth_field(tilted_cap),
                                     Q=QuadratureSpec(64))
         assert list(checks) == list(FUNCTIONALS)
         assert [c.functional for c in checks.values()] == list(FUNCTIONALS)
-        # +-step and +-step/2; the energy reuses the area and wetting area
-        assert calls == {"area": 4, "wetting_area": 4}
+        assert calls["derivatives"] == 1
 
     def test_one_cli_surface(self, tmp_path, monkeypatch):
-        calls = count_evaluations(monkeypatch)
+        calls = count_builds(monkeypatch)
         cfg = parse_config({
             "schema_version": 1,
             "surfaces": [{"label": "cap", "kind": "sphere_cap", "a": 0.6,
@@ -208,18 +225,28 @@ class TestOnePass:
             "output": {"dir": str(tmp_path), "formats": ["csv"]},
         })
         assert run(cfg, "variation-check").ok
-        # 4 for the first variations and 5 for the second difference
-        # (the energy at 0 once, and at +-step and +-step/2)
-        assert calls == {"area": 9, "wetting_area": 9}
+        # one pass for the first variations and one for the second; the
+        # collar of the surface is built once and read by both
+        assert calls.pop("derivatives") == 2
+        assert list(calls.values()) == [2]
 
-    def test_second_difference_row_carries_its_step(self, tilted_cap):
+    def test_collar_is_shared_and_moves_no_value(self, tilted_cap):
+        """Variations of one surface read one collar; a fresh surface
+        gives the same derivatives."""
+        Q, phi = QuadratureSpec(64), smooth_field(tilted_cap)
+        a, b = _Variation(tilted_cap, phi, Q), _Variation(
+            tilted_cap, smooth_field(tilted_cap, coeffs=(1.0,)), Q)
+        assert a.jet is b.jet
+        fresh = build(CapSpec(kind=CapKind.SPHERE_CAP, a=0.6, r=0.7))
+        assert _Variation(fresh, ScalarField(fresh, phi.values),
+                          Q).derivatives() == a.derivatives()
+
+    def test_second_variation_row_reads_the_quadratic_form(self, tilted_cap):
         phi = smooth_field(tilted_cap)
-        chk = energy_second_difference(tilted_cap, phi, step=4e-3)
-        assert (chk.functional, chk.step, chk.richardson_order) == (
-            "ENERGY_SECOND", 4e-3, 4)
+        chk = energy_second_difference(tilted_cap, phi)
+        assert chk.functional == "ENERGY_SECOND"
         assert chk.formula_value == quadratic_form(tilted_cap, phi)
         assert chk.terms == ()
-        assert energy_second_difference(tilted_cap, phi).step == 1e-2
 
     def test_summands_of_one_sign_never_exceed_the_formula(self, tilted_cap,
                                                            cap_3d):
