@@ -29,9 +29,10 @@ from .identities import suite as identity_suite
 from .quadrature import QuadratureSpec
 from .reports import (RunManifest, config_hash, grade, worst, write_csv,
                       write_json)
-from .stability import (ZERO_MODE_TOL, ScalarField, boundary_cancellation,
-                        constrained_spectrum, energy_second_difference,
-                        fd_variation_check, umbilicity_deficit, _grid)
+from .stability import (DEGREE, ZERO_MODE_TOL, ScalarField,
+                        boundary_cancellation, constrained_spectrum,
+                        energy_second_difference, fd_variation_check,
+                        umbilicity_deficit, _grid)
 from .surfaces import integrate_M
 
 __all__ = ["main", "run"]
@@ -83,13 +84,13 @@ def _suite_spectrum(entry: SurfaceEntry, cfg: RunConfig):
     num = cfg.numerics
     Q = QuadratureSpec(num.quad_order)
     S = _build_surface(entry, Q)
-    res = constrained_spectrum(S, num.constraint, num.eig_count)
+    res = constrained_spectrum(S, num.constraint, num.eig_count, Q=Q)
     lowest = float(res.eigenvalues[0])
     # a declared non-CMC control may legitimately be unstable
     status = grade(lowest >= -num.stability_tol, entry.is_control)
     theta = S.boundary_frame_at().theta
     row = _spec_columns(entry) + [
-        theta, res.constraint, res.degree, lowest, res.morse_index,
+        theta, res.constraint, DEGREE, lowest, res.morse_index,
         res.zero_modes, res.modes_used,
         ";".join("%.16e" % v for v in res.eigenvalues), status,
     ]
@@ -190,7 +191,7 @@ def _suite_sweep(entry: _SweepMember, cfg: RunConfig):
     # the row prints the lowest value and the counts of values <= the
     # zero-mode tolerance: the scan stops above it
     res = constrained_spectrum(S, num.constraint, num.eig_count,
-                               upto=ZERO_MODE_TOL)
+                               upto=ZERO_MODE_TOL, Q=Q)
     lowest = float(res.eigenvalues[0])
     status = worst(grade(lowest >= -num.stability_tol),
                    *(rep.status for rep in reports))

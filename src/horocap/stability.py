@@ -9,13 +9,13 @@ variation reads, in symmetric Dirichlet form,
 
 The constrained spectra decompose over angular modes: mode l adds the
 potential l(l+n-2)/B^2 and is a dense Legendre-Galerkin pencil, on
-P_0 ... P_degree in x = 2t/t1 - 1 (times t for l >= 1, which vanish on
-the axis), orthonormal under the area weight of one Gauss rule of
-2 degree + 16 points, so M = I and each mode is one symmetric eigensolve.
-The space is conforming, so every value bounds its continuous one from
-above (Rayleigh-Ritz), and it converges exponentially on analytic
-profiles.  The volume (int_M phi = 0) and wetting (int_dM phi = 0)
-constraints restrict the axisymmetric mode only.
+P_0 ... P_DEGREE in x = 2t/t1 - 1 (times t for l >= 1, which vanish on
+the axis), orthonormal under the area weight of the command's Gauss rule
+(at least 2 DEGREE + 16 points), so M = I and each mode is one symmetric
+eigensolve.  The space is conforming, so every value bounds its
+continuous one from above (Rayleigh-Ritz), and it converges exponentially
+on analytic profiles.  The volume (int_M phi = 0) and wetting
+(int_dM phi = 0) constraints restrict the axisymmetric mode only.
 
 A variation field on the uniform grid t_j = j*t1/N is the not-a-knot
 spline through its nodes, read on the surface's Gauss node set
@@ -268,29 +268,27 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     morse_index: int
     zero_modes: int
-    degree: int
     modes_used: int
 
 
 @functools.cache
-def _legendre(degree: int) -> tuple:
-    """The reference Gauss rule (x, w) of 2 degree + 16 points on [-1, 1],
-    and the values V and d/dx dV of the two basis families there, stacked:
-    P_j(x) for mode 0 and (1 + x)/2 P_j(x), which is t P_j / t1, for modes
-    l >= 1.  Every basis function is 1 at x = 1."""
-    x, w = gauss_legendre(2 * degree + 16, -1.0, 1.0)
-    leg = np.polynomial.legendre
-    V = leg.legvander(x, degree)
-    dV = leg.legval(x, leg.legder(np.eye(degree + 1))).T
+def _legendre(order: int) -> tuple:
+    """V and d/dx V at the order Gauss nodes on [-1, 1] of the two basis
+    families, stacked: P_j(x) for mode 0 and (1 + x)/2 P_j(x), which is
+    t P_j / t1, for modes l >= 1.  Every basis function is 1 at x = 1."""
+    x, leg = gauss_legendre(order, -1.0, 1.0)[0], np.polynomial.legendre
+    V = leg.legvander(x, DEGREE)
+    dV = leg.legval(x, leg.legder(np.eye(DEGREE + 1))).T
     half = 0.5 * (1.0 + x)[:, None]
-    return x, w, np.stack([V, half * V]), np.stack([dV, 0.5 * V + half * dV])
+    return np.stack([V, half * V]), np.stack([dV, 0.5 * V + half * dV])
 
 
-def _galerkin(S: ProfileSurface, degree: int) -> tuple:
-    """({constraint: K of mode 0}, K1, P) on the Legendre space of degree,
-    built once per surface and degree; mode l >= 1 is K1 + l(l+n-2) P.
+def _galerkin(S: ProfileSurface, Q: QuadratureSpec) -> tuple:
+    """({constraint: K of mode 0}, K1, P) on the Legendre space, built once
+    per surface and rule; mode l >= 1 is K1 + l(l+n-2) P.
 
-    Each family is orthonormalized under the area weight W by one QR of
+    The integrals run on the node set of Q, of at least 2 DEGREE + 16 points.
+    Each family is orthonormalized under its area weights W by one QR of
     sqrt(W) V, so M = I; with Qr = sqrt(W) V R^-1, a weighted integral is
     Qr^T f Qr.  K carries the Robin term -q |dM| e e^T, e the basis values
     at t1.  VOLUME and WETTING restrict mode 0 to the null space of c^T,
@@ -299,11 +297,11 @@ def _galerkin(S: ProfileSurface, degree: int) -> tuple:
     go through numpy as one stack.
     """
     _rotation_orbit(S)
+    order = max(Q.order, 2 * DEGREE + 16)
 
     def build():
-        x, w, V, dV = _legendre(degree)
-        n, m = S.n, S.meridian(0.5 * S.t1 * (1.0 + x))
-        sq = np.sqrt(0.5 * S.t1 * w * S.orbit_measure * m.A * m.B ** (n - 1))
+        ns, (V, dV) = node_set(S, QuadratureSpec(order)), _legendre(order)
+        n, m, sq = S.n, ns.meridian, np.sqrt(ns.weights)
         Qr, R = np.linalg.qr(sq[:, None] * V)
         Rinv = np.linalg.inv(R)
         G = (2.0 / S.t1 * sq / m.A)[:, None] * (dV @ Rinv)
@@ -313,18 +311,18 @@ def _galerkin(S: ProfileSurface, degree: int) -> tuple:
                   * e[:, None, :])
         u = np.stack([Qr[0].T @ sq, e[0]])  # c and e of mode 0
         u[:, 0] += np.copysign(np.linalg.norm(u, axis=1), u[:, 0])
-        H = np.eye(degree + 1) - 2.0 * (u[:, :, None] * u[:, None, :]) / (
+        H = np.eye(DEGREE + 1) - 2.0 * (u[:, :, None] * u[:, None, :]) / (
             u * u).sum(axis=1)[:, None, None]
         volume, wetting = (H @ K0 @ H)[:, 1:, 1:]
         return ({"NONE": K0, "VOLUME": volume, "WETTING": wetting},
                 K1, Qr[1].T @ (Qr[1] / (m.B * m.B)[:, None]))
-    return _cached(S, "_galerkin", degree, build)
+    return _cached(S, "_galerkin", order, build)
 
 
-def constrained_spectrum(S: ProfileSurface, constraint: str = "VOLUME",
-                         k: int = 10, max_mode: int = 40,
-                         upto: float = math.inf,
-                         degree: int = DEGREE) -> SpectrumResult:
+def constrained_spectrum(
+        S: ProfileSurface, constraint: str = "VOLUME", k: int = 10,
+        max_mode: int = 40, upto: float = math.inf,
+        Q: QuadratureSpec = QuadratureSpec()) -> SpectrumResult:
     """Lowest eigenvalues of the second-variation form under one constraint.
 
     The linear constraint (volume or wetting mean) only restricts the
@@ -334,11 +332,12 @@ def constrained_spectrum(S: ProfileSurface, constraint: str = "VOLUME",
     above mode 1's: the scan ends at the first mode l >= 2 whose lowest
     value exceeds sigma = min(upto, the k-th value so far).  With a finite
     upto the values above it may miss a mode the scan skipped, so only the
-    values <= upto (at least the lowest) are returned.
+    values <= upto (at least the lowest) are returned.  Q sets the rule of
+    the matrices (_galerkin).
     """
     if constraint not in ("VOLUME", "WETTING", "NONE"):
         raise ValueError(f"unknown constraint {constraint!r}")
-    mode0, K1, P = _galerkin(S, degree)
+    mode0, K1, P = _galerkin(S, Q)
     collected: list[float] = []
     for l in range(max_mode + 1):
         vals = np.linalg.eigvalsh(
@@ -354,7 +353,7 @@ def constrained_spectrum(S: ProfileSurface, constraint: str = "VOLUME",
     if math.isfinite(upto):
         eigs = eigs[:max(1, int(np.sum(eigs <= upto)))]
     return SpectrumResult(constraint, eigs, int(np.sum(eigs < -ZERO_MODE_TOL)),
-                          int(np.sum(np.abs(eigs) <= ZERO_MODE_TOL)), degree,
+                          int(np.sum(np.abs(eigs) <= ZERO_MODE_TOL)),
                           modes_used)
 
 

@@ -569,14 +569,15 @@ def ref_legendre(x, degree):
     return np.array(P[:degree + 1]), np.array(dP[:degree + 1])
 
 
-def ref_mode_values(S, l, degree, constraint):
-    """Eigenvalues of mode l on the raw basis P_j(2t/t1 - 1) (times t for
-    l >= 1), assembled one Gauss point at a time and solved as a
-    generalized pencil; mode 0 restricted to the null space of int_M phi
-    (VOLUME) or of phi(t1) (WETTING)."""
-    n, t1, size = S.n, S.t1, degree + 1
+def ref_mode_values(S, l, order, constraint):
+    """Eigenvalues of mode l on the raw basis P_j(2t/t1 - 1), j <= DEGREE
+    (times t for l >= 1), assembled one point of the Gauss rule of order
+    at a time and solved as a generalized pencil; mode 0 restricted to the
+    null space of int_M phi (VOLUME) or of phi(t1) (WETTING)."""
+    n, t1, degree = S.n, S.t1, stability.DEGREE
+    size = degree + 1
     K, M, c = np.zeros((size, size)), np.zeros((size, size)), np.zeros(size)
-    for t, wq in zip(*QuadratureSpec(2 * degree + 16).rule(0.0, t1)):
+    for t, wq in zip(*QuadratureSpec(order).rule(0.0, t1)):
         A, B = ref_metric(S, t)
         W = unit_sphere_area(n - 1) * A * B ** (n - 1) * wq
         P, dP = ref_legendre(2.0 * t / t1 - 1.0, degree)
@@ -662,14 +663,30 @@ def test_mode_pencils_match_per_point_assembly(name, request):
     """The orthonormalized mode matrices have the eigenvalues of the raw
     Legendre pencil, assembled per Gauss point."""
     S = request.getfixturevalue(name)
-    mode0, K1, P = stability._galerkin(S, 16)
+    mode0, K1, P = stability._galerkin(S, QuadratureSpec(64))
     for l, constraint in ((0, "NONE"), (0, "VOLUME"), (0, "WETTING"),
                           (1, None), (2, None), (7, None)):
         K = mode0[constraint] if l == 0 else K1 + l * (l + S.n - 2) * P
         got = np.linalg.eigvalsh(K)[:5]
-        want = ref_mode_values(S, l, 16, constraint)[:5]
+        want = ref_mode_values(S, l, 64, constraint)[:5]
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=1e-9 * max(1.0, abs(want[-1])))
+
+
+def test_narrow_bump_spectrum_follows_the_rule():
+    """A bump 0.1 t1 wide: the lowest values of modes 0 and 1 on the rule
+    of 512 points match the per-point assembly on 1024, and the fewest
+    points of the spectra, 2 DEGREE + 16, miss them: the matrices are
+    integrated on the rule the caller sets."""
+    S = perturb(build(YP_CAPS["sphere_cap"]),
+                PerturbationSpec(amplitude=1e-2, support=(0.4, 0.5)))
+    want = [ref_mode_values(S, l, 1024, "VOLUME")[:3] for l in (0, 1)]
+    for order, resolved in ((512, True), (2 * stability.DEGREE + 16, False)):
+        mode0, K1, P = stability._galerkin(S, QuadratureSpec(order))
+        for K, ref in zip((mode0["VOLUME"], K1 + (S.n - 1) * P), want):
+            got = np.linalg.eigvalsh(K)[:3]
+            assert np.allclose(got, ref, rtol=1e-5, atol=0.0) == resolved, (
+                order, got, ref)
 
 
 # -- umbilicity deficit: closed-form grad Phi vs a stencil --------------

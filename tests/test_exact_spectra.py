@@ -25,6 +25,7 @@ import pytest
 
 from horocap import stability
 from horocap.families import CapKind, CapSpec, ConstructionError, build
+from horocap.quadrature import QuadratureSpec
 from horocap.stability import ZERO_MODE_TOL, constrained_spectrum
 
 DPS = 30
@@ -88,7 +89,7 @@ def exact_root(F, guess):
 
 def mode_values(S, l, constraint):
     """The discrete values of mode l alone (the spectrum merges modes)."""
-    mode0, K1, P = stability._galerkin(S, stability.DEGREE)
+    mode0, K1, P = stability._galerkin(S, QuadratureSpec())
     K = mode0[constraint] if l == 0 else K1 + l * (l + S.n - 2) * P
     return np.linalg.eigvalsh(K)
 

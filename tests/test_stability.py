@@ -15,7 +15,7 @@ from horocap.stability import (GridError, ScalarField, boundary_cancellation,
                                constrained_spectrum, quadratic_form, robin_q,
                                sphere_mode_multiplicity, umbilicity_deficit,
                                ZERO_MODE_TOL)
-from horocap.surfaces import integrate_M
+from horocap.surfaces import integrate_M, node_set
 
 
 class TestDiscreteOperators:
@@ -101,16 +101,20 @@ class TestSpectra:
         assert (res.morse_index, res.zero_modes) == (0, ortho_cap.n)
 
     def test_cached_forms_unchanged_by_solves(self, tilted_cap):
-        # the Galerkin matrices are built once per surface and degree, and
-        # no solve writes into them
-        forms = stability._galerkin(tilted_cap, 16)
+        # the Galerkin matrices are built once per surface and rule, a
+        # rule below 2 DEGREE + 16 points shares that rule's, and no solve
+        # writes into them
+        Q = QuadratureSpec(2 * stability.DEGREE + 16)
+        forms = stability._galerkin(tilted_cap, Q)
         before = [{c: K.copy() for c, K in forms[0].items()},
                   forms[1].copy(), forms[2].copy()]
         for c in ("VOLUME", "WETTING", "NONE"):
-            constrained_spectrum(tilted_cap, c, 6, degree=16)
+            constrained_spectrum(tilted_cap, c, 6, Q=Q)
             constrained_spectrum(tilted_cap, c, 6, upto=ZERO_MODE_TOL,
-                                 degree=16)
-        assert stability._galerkin(tilted_cap, 16) is forms
+                                 Q=QuadratureSpec(32))
+        assert stability._galerkin(tilted_cap, Q) is forms
+        assert stability._galerkin(tilted_cap, QuadratureSpec(32)) is forms
+        assert stability._galerkin(tilted_cap, QuadratureSpec()) is not forms
         for c, K in before[0].items():
             np.testing.assert_array_equal(forms[0][c], K, err_msg=c)
         np.testing.assert_array_equal(forms[1], before[1])
@@ -133,19 +137,19 @@ class TestSpectra:
         assert set(shapes[1:]) == {(stability.DEGREE + 1,) * 2}
 
     def test_basis_is_orthonormal_and_meets_the_constraints(self, cap_3d):
-        """The mass matrix of each family is the identity on the reference
-        rule, and the mode-0 complements are those of int_M phi and of
-        phi(t1): the constrained values interlace the unconstrained ones."""
-        x, w, families, _ = stability._legendre(16)
-        m = cap_3d.meridian(0.5 * cap_3d.t1 * (1.0 + x))
-        W = (0.5 * cap_3d.t1 * w * cap_3d.orbit_measure * m.A
-             * m.B ** (cap_3d.n - 1))
-        for V in families:
+        """The mass matrix of each family is the identity on the node set
+        of the rule, and the mode-0 complements are those of int_M phi and
+        of phi(t1): the constrained values interlace the unconstrained
+        ones."""
+        Q = QuadratureSpec(80)
+        W = node_set(cap_3d, Q).weights
+        for V in stability._legendre(Q.order)[0]:
             R = np.linalg.qr(np.sqrt(W)[:, None] * V)[1]
             U = V @ np.linalg.inv(R)
-            np.testing.assert_allclose(U.T @ (W[:, None] * U), np.eye(17),
+            np.testing.assert_allclose(U.T @ (W[:, None] * U),
+                                       np.eye(stability.DEGREE + 1),
                                        rtol=0.0, atol=1e-12)
-        mode0 = stability._galerkin(cap_3d, 16)[0]
+        mode0 = stability._galerkin(cap_3d, Q)[0]
         free = np.linalg.eigvalsh(mode0["NONE"])
         for c in ("VOLUME", "WETTING"):
             got = np.linalg.eigvalsh(mode0[c])
@@ -162,7 +166,7 @@ class TestSpectra:
             # every mode of the default max_mode 40, and so every mode up
             # to modes_used: a scan that stops too early drops values
             (mode0, K1, P), collected = stability._galerkin(
-                S, stability.DEGREE), []
+                S, QuadratureSpec()), []
             for l in range(41):
                 K = mode0[constraint] if l == 0 else K1 + l * (
                     l + S.n - 2) * P
@@ -188,9 +192,9 @@ class TestSpectra:
         assert len(surfaces) >= 2
         for S in surfaces:
             for constraint in ("VOLUME", "WETTING", "NONE"):
-                for degree in (16, 24):
-                    full = constrained_spectrum(S, constraint, degree=degree)
-                    got = constrained_spectrum(S, constraint, degree=degree,
+                for Q in (QuadratureSpec(64), QuadratureSpec(128)):
+                    full = constrained_spectrum(S, constraint, Q=Q)
+                    got = constrained_spectrum(S, constraint, Q=Q,
                                                upto=ZERO_MODE_TOL)
                     assert (got.morse_index, got.zero_modes) == (
                         full.morse_index, full.zero_modes)
