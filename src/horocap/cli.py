@@ -118,9 +118,9 @@ def _suite_variation(entry: SurfaceEntry, cfg: RunConfig):
     Q = QuadratureSpec(max(num.quad_order, 256))
     S = _build_surface(entry, Q)
     phi = _variation_field(S, num.grid, cfg.seed)
-    # the second difference of the volume Lagrangian needs a mean-zero field
-    phi0 = replace(phi, values=phi.values - phi.integral_M(Q)
-                   / integrate_M(S, 1.0, Q))
+    # the second difference of the volume Lagrangian needs a mean-zero
+    # field; it shares phi's spline slopes and reads
+    phi0 = phi.minus(phi.integral_M(Q) / integrate_M(S, 1.0, Q))
     checks = [*fd_variation_check(S, phi, Q=Q).values(),
               energy_second_difference(S, phi0, Q=Q)]
     rows = []
@@ -173,6 +173,12 @@ def _sweep_entries(cfg: RunConfig) -> list[SurfaceEntry]:
     sw = cfg.sweep
     if sw is None:
         raise ConfigError("sweep", "the sweep command needs a 'sweep' section")
+    # a label keeps six decimals; members under one label would share one
+    # manifest status, so an earlier FAIL could exit 0
+    for key, values in (("thetas", sw.thetas), ("radii", sw.radii)):
+        if len({f"{v:.6f}" for v in values}) < len(values):
+            raise ConfigError(f"sweep.{key}", "two values agree to the six "
+                              "decimals of the sweep labels")
     return [_SweepMember(label=f"sweep-theta-{th:.6f}-r-{r:.6f}", theta=th,
                          spec=CapSpec(sw.kind, sw.n, r=r))
             for th in sw.thetas for r in sw.radii]

@@ -24,8 +24,10 @@ and any other key is an error.  Schema (JSON, versioned):
 A surface takes the ``CapSpec`` fields plus ``label`` and, on a sphere
 kind only, ``perturbation``.  A perturbation's optional ``support`` is
 its bump window [lo, hi], in fractions of the chart range:
-0.1 <= lo < hi <= 0.9.  A sweep's ``kind`` is a sphere kind
-(``sphere_cap`` or ``equidistant_sphere_cap``).
+0.1 <= lo < hi <= 0.9 and hi - lo >= 0.1.  A sweep's ``kind`` is a
+sphere kind (``sphere_cap`` or ``equidistant_sphere_cap``), and its
+``thetas`` and ``radii`` must stay distinct at the six decimals of the
+sweep labels.
 """
 
 from __future__ import annotations

@@ -120,8 +120,9 @@ class CapSpec:
 class PerturbationSpec:
     """Compactly supported normal bump; zero outside the interior window.
 
-    The support is [lo, hi] in fractions of the chart parameter range and
-    must keep >= 10% clearance to both chart ends.
+    The support is [lo, hi] in fractions of the chart parameter range; it
+    must keep >= 10% clearance to both chart ends and be at least as wide
+    as that clearance, so that the Gauss rules resolve the bump.
     """
 
     amplitude: float
@@ -129,10 +130,10 @@ class PerturbationSpec:
 
     def validate(self) -> None:
         lo, hi = self.support
-        if not (0.1 - 1e-12 <= lo < hi <= 0.9 + 1e-12):
-            raise ValueError(
-                "bump support must keep 10% clearance to the chart ends"
-            )
+        if not (0.1 - 1e-12 <= lo < hi <= 0.9 + 1e-12
+                and hi - lo >= 0.1 - 1e-12):
+            raise ValueError("bump support must keep 10% clearance to the "
+                             "chart ends and be at least 0.1 wide")
 
 
 # ----------------------------------------------------------------------

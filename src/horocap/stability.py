@@ -18,19 +18,19 @@ on analytic profiles.  The volume (int_M phi = 0) and wetting
 (int_dM phi = 0) constraints restrict the axisymmetric mode only.
 
 A variation field on the uniform grid t_j = j*t1/N is the not-a-knot
-spline through its nodes, read on the surface's Gauss node set
-(FIELD_RULE by default).  The variation checks deform the surface along
-the straight line x + s*Y, so area, wetting area and volume are explicit
-in s, and their s-derivatives at 0 are exact, from Taylor coefficients.
+spline through its nodes, whose slopes one Thomas elimination solves in
+numpy, in O(N); phi and phi' are read once per Gauss node set of the
+surface (FIELD_RULE by default).  The variation checks deform the
+surface along the straight line x + s*Y, so area, wetting area and
+volume are explicit in s, and their s-derivatives at 0 are exact, from
+Taylor coefficients.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -98,9 +98,9 @@ def _rotation_orbit(S: ProfileSurface) -> None:
                         "orbit and a translation orbit has none")
 
 
-def _cached(S: ProfileSurface, name: str, key, build: Callable):
-    """build(), cached on S under name and key."""
-    cache = S.__dict__.setdefault(name, {})
+def _cached(owner, name: str, key, build: Callable):
+    """build(), cached on owner (a surface or a field) under name and key."""
+    cache = owner.__dict__.setdefault(name, {})
     if key not in cache:
         cache[key] = build()
     return cache[key]
@@ -117,78 +117,37 @@ def _grid(S: ProfileSurface, resolution: int) -> _ProfileGrid:
 # scalar fields
 # ----------------------------------------------------------------------
 
-# the ILP64 OpenBLAS that numpy's wheel bundles, and the routines horocap
-# binds: name -> (pointer arguments with info, hidden character lengths)
-_OPENBLAS_DIR = Path(np.__file__).parents[1] / "numpy.libs"
-LAPACK_ROUTINES = {"dgtsv": (8, 0)}
+def _slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The node slopes of the not-a-knot cubic spline through (x, y) on a
+    uniform grid, by Thomas elimination in O(len(x)); they are scipy's
+    CubicSpline's up to the rounding of the nodes.
 
-
-@functools.cache
-def _lapack(name: str):
-    """The LAPACK routine name, as scipy_<name>_64_ of numpy's OpenBLAS."""
-    symbol = f"scipy_{name}_64_"
-    found = sorted(_OPENBLAS_DIR.glob("libscipy_openblas64_*.so*"))
-    if len(found) != 1 or not hasattr(lib := ctypes.CDLL(str(found[0])),
-                                      symbol):
-        raise ImportError(f"no single libscipy_openblas64_*.so* exporting "
-                          f"{symbol} in {_OPENBLAS_DIR}")
-    fn = getattr(lib, symbol)
-    fn.restype = None
-    pointers, lengths = LAPACK_ROUTINES[name]
-    fn.argtypes = pointers * [ctypes.c_void_p] + lengths * [ctypes.c_size_t]
-    return fn
-
-
-def _call(name: str, *args) -> int:
-    """info of the routine on args: ints by reference as int64, contiguous
-    float64 arrays by their data."""
-    if any(isinstance(a, np.ndarray) and not (
-            a.dtype == np.float64 and a.flags.c_contiguous) for a in args):
-        raise TypeError(f"{name} takes contiguous float64 arrays")
-    info = ctypes.c_int64()
-    _lapack(name)(*(a.ctypes.data if isinstance(a, np.ndarray)
-                    else ctypes.byref(ctypes.c_int64(a)) for a in args),
-                  ctypes.byref(info))
-    return info.value
-
-
-def _cubic_spline(x: np.ndarray, y: np.ndarray) -> Callable:
-    """Not-a-knot cubic spline through (x, y), as scipy's CubicSpline.
-
-    The node slopes s solve one tridiagonal system (LAPACK's dgtsv); the
-    end pieces extrapolate.  spline(t, nu) is the nu-th derivative, each
-    piece Horner's rule in t - x_i.
+    Divided by the spacing, the system's rows are (1, 2), (1, 4, 1) and
+    (2, 1); its right-hand side takes only differences of y, so y - c
+    has the slopes of y.  Every pivot is at least 0.4: no row needs
+    pivoting.
     """
-    dx, m = np.diff(x), np.diff(y) / np.diff(x)
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    s = np.r_[
-        ((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0,
-        3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:]),
-        (dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1]
-    # s becomes the slopes; T goes as its sub-, main and superdiagonal
-    if info := _call("dgtsv", len(s), 1, np.r_[dx[1:], d1],
-                     np.r_[dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]],
-                     np.r_[d0, dx[:-1]], s, len(s)):
-        raise np.linalg.LinAlgError(f"dgtsv failed with info = {info}")
-    c = (s[:-1] + s[1:] - 2.0 * m) / dx
-    coeffs = (c / dx, (m - s[:-1]) / dx - c, s[:-1], y[:-1])
-
-    def spline(t, nu=0):
-        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(dx) - 1)
-        u, out = t - x[i], 0.0
-        # coeffs[k] multiplies u^(3-k); its nu-th derivative (3-k)!/(3-k-nu)!
-        for k, a in enumerate(coeffs[:4 - nu]):
-            out = out * u + math.perm(3 - k, nu) * a[i]
-        return out
-    return spline
+    m = np.diff(y) / ((x[-1] - x[0]) / (len(x) - 1))
+    r = np.r_[2.5 * m[0] + 0.5 * m[1], 3.0 * (m[:-1] + m[1:]),
+              0.5 * m[-2] + 2.5 * m[-1]].tolist()
+    # row 1 less row 0 has the pivot 2; each next pivot is 4 - 1/p
+    p, r[1] = [1.0, 2.0], r[1] - r[0]
+    for i in range(2, len(r) - 1):
+        r[i] -= r[i - 1] / p[-1]
+        p.append(4.0 - 1.0 / p[-1])
+    r[-1] = (r[-1] - 2.0 * r[-2] / p[-1]) / (1.0 - 2.0 / p[-1])
+    for i in range(len(r) - 2, 0, -1):
+        r[i] = (r[i] - r[i + 1]) / p[i]
+    r[0] -= 2.0 * r[1]
+    return np.array(r, dtype=float)
 
 
 @dataclass(frozen=True)
 class ScalarField:
     """Axisymmetric nodal field on the uniform profile grid.
 
-    Its continuous form is the not-a-knot spline through the nodes, built
-    once; integrals over M read the spline on the node set of a rule Q.
+    Its continuous form is the not-a-knot spline through the nodes, whose
+    slopes are solved once; read gives phi and phi' once per node set.
     """
 
     surface: ProfileSurface
@@ -209,11 +168,39 @@ class ScalarField:
         return _grid(self.surface, len(self.values) - 1).nodes
 
     @functools.cached_property
-    def spline(self) -> Callable:
-        return _cubic_spline(self.nodes, self.values)
+    def slopes(self) -> np.ndarray:
+        return _slopes(self.nodes, self.values)
+
+    def spline(self, t, nu: int = 0):
+        """The nu-th derivative of the spline at t: on each piece, Horner's
+        rule in t - x_i; the end pieces extrapolate."""
+        x, y, s = self.nodes, self.values, self.slopes
+        dx, m = np.diff(x), np.diff(y) / np.diff(x)
+        c = (s[:-1] + s[1:] - 2.0 * m) / dx
+        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(dx) - 1)
+        u, out = t - x[i], 0.0
+        # the coefficient of u^(3-k); its nu-th derivative (3-k)!/(3-k-nu)!
+        for k, a in enumerate(
+                (c / dx, (m - s[:-1]) / dx - c, s[:-1], y[:-1])[:4 - nu]):
+            out = out * u + math.perm(3 - k, nu) * a[i]
+        return out
+
+    def read(self, Q: QuadratureSpec = FIELD_RULE) -> tuple:
+        """(phi, phi') on the node set of Q, read once per order."""
+        t = node_set(self.surface, Q).nodes
+        return _cached(self, "_reads", Q.order,
+                       lambda: (self.spline(t), self.spline(t, 1)))
+
+    def minus(self, c: float) -> ScalarField:
+        """The field phi - c, with phi's slopes and its reads shifted by c."""
+        out = ScalarField(self.surface, self.values - c)
+        out.__dict__.update(slopes=self.slopes, _reads={
+            order: (f - c, df)
+            for order, (f, df) in self.__dict__.get("_reads", {}).items()})
+        return out
 
     def integral_M(self, Q: QuadratureSpec = FIELD_RULE) -> float:
-        return integrate_M(self.surface, self.spline, Q)
+        return integrate_M(self.surface, self.read(Q)[0], Q)
 
 
 def robin_q(S: ProfileSurface) -> float:
@@ -230,15 +217,15 @@ def quadratic_form(S: ProfileSurface, phi: ScalarField,
                    Q: QuadratureSpec = FIELD_RULE) -> float:
     """Second variation of energy in symmetric Dirichlet form.
 
-    phi and phi' are its spline's, on the node set of Q; |grad phi|^2 is
-    phi'^2 / A^2, A^2 the metric's t-t entry (g00 of the node set's Meridian).
+    phi and phi' are its spline's, read on the node set of Q; |grad phi|^2
+    is phi'^2 / A^2, A^2 the metric's t-t entry (g00 of the node set's
+    Meridian).
     """
     if phi.surface is not S:
         raise GridError("field was built on a different surface")
-    ns = node_set(S, Q)
-    t = ns.nodes
-    bulk = integrate_M(S, phi.spline(t, 1) ** 2 / ns.meridian.g00
-                       - (ns.fields.h2 - S.n) * phi.spline(t) ** 2, Q)
+    ns, (f, df) = node_set(S, Q), phi.read(Q)
+    bulk = integrate_M(S, df ** 2 / ns.meridian.g00
+                       - (ns.fields.h2 - S.n) * f ** 2, Q)
     return bulk - robin_q(S) * integrate_dM(S, phi.values[-1] ** 2)
 
 
@@ -398,7 +385,7 @@ def _collar(S: ProfileSurface, Q: QuadratureSpec) -> SimpleNamespace:
         T, N = np.array([m.dr, m.dz]) / m.s, np.array([m.m0, m.m1])
         k = (m.dr * m.d2z - m.dz * m.d2r) / (m.s * m.s)
         return SimpleNamespace(
-            t=t, w=ns.gauss_weights, sign=m.sign,
+            w=ns.gauss_weights, sign=m.sign,
             jet=np.array([m.rho, m.w, m.dr, m.dz]),
             nu=m.sign * m.w * N, dnu=m.sign * (m.dz * N + m.w * k * T),
             mu=m.w * T, dmu=m.dz * T - m.w * k * N, ramp=ramp, dramp=dramp,
@@ -425,7 +412,7 @@ class _Variation:
     vertical component of Y vanishes at the boundary: the displaced
     boundary slides inside the flat support exactly.  Y is independent
     of s, so the constructor reads Y and Y' once on the node set of Q, off
-    the surface's collar and the field's spline, and each node's meridian
+    the surface's collar and the field's reads, and each node's meridian
     jet (rho, z, dr, dz) moves by s (Y, Y').
     """
 
@@ -438,7 +425,7 @@ class _Variation:
         self.rho1 = float(bf.coords[0])  # the boundary radius
         self.eta1 = -phi.values[-1] * c.nu1[1] / c.mu1[1]
         self.Y1 = phi.values[-1] * c.nu1 + self.eta1 * c.mu1
-        f, df = phi.spline(c.t), phi.spline(c.t, 1)
+        f, df = phi.read(Q)
         self.Y = f * c.nu + self.eta1 * c.ramp * c.mu
         self.Yp = (df * c.nu + f * c.dnu
                    + self.eta1 * (c.dramp * c.mu + c.ramp * c.dmu))
@@ -492,7 +479,7 @@ def fd_variation_check(S: ProfileSurface, phi: ScalarField,
     # g(Y, nu) = phi everywhere: the collar term of Y is along mu, tangent
     H = node_set(S, Q).fields.H
     bulk_phi = phi.integral_M(Q)
-    bulk_Hphi = integrate_M(S, lambda t: H * phi.spline(t), Q)
+    bulk_Hphi = integrate_M(S, H * phi.read(Q)[0], Q)
     # boundary terms: g(Y, mu) = eta1 and g(Y, nubar) at t1
     gYmu = float(np.dot(var.Y1, bf.conormal[[0, -1]]))
     gYnubar = float(np.dot(var.Y1, bf.boundary_normal[[0, -1]]))

@@ -244,7 +244,7 @@ class TestConfigSchema:
         ("amplitude", None), ("support", "0.1,0.9"), ("support", [0.2]),
         ("support", [0.1, 0.5, 0.9]), ("support", [0.2, "0.8"]),
         ("support", [0.2, math.inf]), ("support", [0.8, 0.2]),
-        ("support", [0.0, 0.9])])
+        ("support", [0.0, 0.9]), ("support", [0.45, 0.46])])
     def test_perturbation_named_by_field(self, field, value, tmp_path,
                                          capsys):
         pert = {"amplitude": 0.01, field: value}
@@ -255,6 +255,27 @@ class TestConfigSchema:
         p = write_config(tmp_path, surfaces=[surf])
         assert main(["verify", "--config", str(p)]) == 2
         assert f"'{path}" in capsys.readouterr().err
+
+    def test_a_support_as_wide_as_the_clearance_is_valid(self):
+        # 0.5 - 0.4 is 0.1 less one ulp: the width check keeps 1e-12 slack
+        surf = dict(BASE_CONFIG["surfaces"][0], perturbation={
+            "amplitude": 0.01, "support": [0.4, 0.5]})
+        cfg = parse_config({"schema_version": 1, "surfaces": [surf]})
+        assert cfg.surfaces[0].perturbation.support == (0.4, 0.5)
+
+    @pytest.mark.parametrize("key,values", [
+        ("thetas", [1.0, 1.0000000001]), ("radii", [0.5, 0.5])])
+    def test_sweep_labels_must_not_collide(self, key, values, tmp_path,
+                                           capsys):
+        # members whose labels agree would share one manifest status, so
+        # an earlier FAIL row could exit 0
+        sweep = {"thetas": [1.0], "radii": [0.5], key: values}
+        p = write_config(tmp_path, sweep=sweep)
+        with pytest.raises(ConfigError, match=re.escape(f"'sweep.{key}'")):
+            run(load_config(p), "sweep")
+        assert main(["sweep", "--config", str(p)]) == 2
+        assert f"'sweep.{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_perturbation_must_be_an_object_with_an_amplitude(self):
         surf = dict(BASE_CONFIG["surfaces"][0])

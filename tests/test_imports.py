@@ -49,8 +49,9 @@ def test_scipy_submodules_load_only_where_used(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    # the eigensolves call numpy's bundled LAPACK and the variation
-    # fields use a numpy spline: no command needs a scipy submodule
+    # the eigensolves are numpy.linalg's and the variation fields'
+    # spline solves its slopes in numpy: no command needs a scipy
+    # submodule
     assert seen == {"import": [], "load_config": [], "verify": [],
                     "deficit": [], "spectrum": [], "variation-check": [],
                     "sweep": []}

@@ -1,8 +1,6 @@
 """Fields, the Robin coefficient, the quadratic form, spectra and the deficit."""
 
-import inspect
 import math
-import re
 
 import numpy as np
 import pytest
@@ -231,31 +229,6 @@ class TestSpectra:
         # the n translations, at round-off
         assert len(res.eigenvalues) == res.zero_modes == tilted_cap.n
         assert np.max(np.abs(res.eigenvalues)) < 1e-10
-
-
-class TestLapack:
-    def test_every_bound_routine_is_listed(self):
-        # the CI step resolves LAPACK_ROUTINES before the tests run
-        called = re.findall(r'_call\(\s*"(\w+)"', inspect.getsource(stability))
-        assert set(called) == set(stability.LAPACK_ROUTINES) == {"dgtsv"}
-
-    def test_missing_lapack_stops_the_spline(self, tmp_path, monkeypatch,
-                                             tilted_cap):
-        monkeypatch.setattr(stability, "_OPENBLAS_DIR", tmp_path)
-        stability._lapack.cache_clear()
-        with pytest.raises(ImportError, match="scipy_dgtsv_64_"):
-            ScalarField(tilted_cap, np.ones(33)).spline
-
-    def test_spectra_and_deficit_run_without_the_binding(
-            self, tmp_path, monkeypatch, quad):
-        S = build(CapSpec(kind=CapKind.SPHERE_CAP, a=0.6, r=0.7))
-        monkeypatch.setattr(stability, "_OPENBLAS_DIR", tmp_path)
-        stability._lapack.cache_clear()
-        # the lookup is lazy: only the variation fields' spline needs it
-        assert constrained_spectrum(S, "VOLUME", 4).zero_modes == 2
-        assert abs(umbilicity_deficit(S, quad)) < 1e-8
-        with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
-            ScalarField(S, np.ones(33)).spline
 
 
 class TestDeficit:

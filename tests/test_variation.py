@@ -16,9 +16,8 @@ from horocap.quadrature import QuadratureSpec
 from horocap import stability
 from horocap.stability import (ScalarField, energy_second_difference,
                                fd_variation_check, quadratic_form,
-                               umbilicity_deficit, _cubic_spline, _grid,
-                               _Variation)
-from horocap.surfaces import integrate_M
+                               umbilicity_deficit, _grid, _Variation)
+from horocap.surfaces import integrate_M, node_set
 
 FUNCTIONALS = ("AREA", "WETTING_AREA", "VOLUME", "ENERGY")
 
@@ -45,8 +44,8 @@ class TestSpline:
             return ((0.7 * t - 1.3) * t + 0.4) * t - 2.1
 
         t = np.r_[np.linspace(-0.1, t1 + 0.1, 401), t1 - 1e-6, t1 + 1e-6]
-        np.testing.assert_allclose(_cubic_spline(x, cubic(x))(t), cubic(t),
-                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(ScalarField(tilted_cap, cubic(x)).spline(t),
+                                   cubic(t), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_matches_scipy(self, tilted_cap, seed):
@@ -56,17 +55,17 @@ class TestSpline:
         x = phi.nodes
         t = np.r_[QuadratureSpec(256).rule(0.0, x[-1])[0], x,
                   x[-1] - 1e-6, x[-1] + 1e-6]
-        got = _cubic_spline(x, phi.values)(t)
+        got = phi.spline(t)
         want = CubicSpline(x, phi.values)(t)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
 
     def test_derivatives_reproduce_a_cubic(self, tilted_cap):
         # the nu-th derivative carries round-off of order eps |y| / h^nu;
         # on the coarsest grid that stays below the 1e-12 asked here
         x = _grid(tilted_cap, 16).nodes
         t = np.linspace(-0.1, x[-1] + 0.1, 401)
-        spline = _cubic_spline(x, ((0.7 * x - 1.3) * x + 0.4) * x - 2.1)
+        spline = ScalarField(
+            tilted_cap, ((0.7 * x - 1.3) * x + 0.4) * x - 2.1).spline
         for nu, want in ((1, (2.1 * t - 2.6) * t + 0.4), (2, 4.2 * t - 2.6)):
             assert (np.max(np.abs(spline(t, nu) - want))
                     <= 1e-12 * np.max(np.abs(want))), nu
@@ -81,6 +80,34 @@ class TestSpline:
             got = phi.spline(t, nu)
             want = CubicSpline(x, phi.values)(t, nu)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("resolution", [16, 64, 128, 1024])
+    def test_reads_match_scipy_on_every_rule(self, tilted_cap, resolution):
+        # the uniform grid's Thomas elimination against scipy's not-a-knot
+        # solve on the rounded nodes, in values and first derivatives on
+        # the Gauss node sets (8e-14 apart at grid 1024)
+        from scipy.interpolate import CubicSpline
+        phi = _variation_field(tilted_cap, resolution, 3)
+        want = CubicSpline(phi.nodes, phi.values, bc_type="not-a-knot")
+        for order in (32, 64, 256, 512):
+            t = node_set(tilted_cap, QuadratureSpec(order)).nodes
+            for nu, got in enumerate(phi.read(QuadratureSpec(order))):
+                ref = want(t, nu)
+                assert (np.max(np.abs(got - ref))
+                        <= 1e-12 * np.max(np.abs(ref))), (order, nu)
+
+    def test_minus_shares_the_slopes(self, tilted_cap):
+        # the right-hand side of the slopes takes differences of the node
+        # values: phi - c has phi's slopes, and its reads are phi's - c
+        phi, Q = _variation_field(tilted_cap, 128, 5), QuadratureSpec(256)
+        f, df = phi.read(Q)
+        phi0 = phi.minus(0.3)
+        assert phi0.slopes is phi.slopes
+        fresh = ScalarField(tilted_cap, phi.values - 0.3)
+        for got, want in [*zip(phi0.read(Q), fresh.read(Q)),
+                          (phi0.slopes, fresh.slopes)]:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert phi0.read(Q)[1] is df
 
     def test_constant_field_integrates_to_the_area(self, tilted_cap, cap_3d):
         for S in (tilted_cap, cap_3d):
@@ -229,6 +256,32 @@ class TestOnePass:
         # collar of the surface is built once and read by both
         assert calls.pop("derivatives") == 2
         assert list(calls.values()) == [2]
+
+    def test_one_spline_per_cli_surface(self, tmp_path, monkeypatch):
+        # the mean-zero field of the second variation shares the slopes
+        # and reads of the first: one slope solve, and phi and phi' read
+        # once on the one node set
+        calls, slopes, spline = Counter(), stability._slopes, ScalarField.spline
+
+        def solved(x, y):
+            calls["slopes"] += 1
+            return slopes(x, y)
+
+        def read(self, t, nu=0):
+            calls[nu] += 1
+            return spline(self, t, nu)
+
+        monkeypatch.setattr(stability, "_slopes", solved)
+        monkeypatch.setattr(ScalarField, "spline", read)
+        cfg = parse_config({
+            "schema_version": 1,
+            "surfaces": [{"label": "cap", "kind": "sphere_cap", "a": 0.6,
+                          "r": 0.7}],
+            "numerics": {"quad_order": 64, "grid": 64},
+            "output": {"dir": str(tmp_path), "formats": ["csv"]},
+        })
+        assert run(cfg, "variation-check").ok
+        assert calls == {"slopes": 1, 0: 1, 1: 1}
 
     def test_collar_is_shared_and_moves_no_value(self, tilted_cap):
         """Variations of one surface read one collar; a fresh surface
