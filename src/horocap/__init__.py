@@ -3,8 +3,8 @@
 from .quadrature import QuadratureSpec, gauss_legendre, unit_sphere_area
 from .surfaces import (BoundaryFrame, EvaluationError, GeometryError,
                        GridSurface, ImmersionError, ProfileSurface,
-                       SupportError, SurfaceFields, check_immersion,
-                       integrate_M, integrate_dM)
+                       SupportError, check_immersion, integrate_M,
+                       integrate_dM)
 from .families import (AmplitudeError, CapKind, CapSpec, ConstructionError,
                        InfeasibleError, PerturbationSpec, build, perturb,
                        solve_for_angle)

@@ -185,12 +185,9 @@ def _sweep_entries(cfg: RunConfig) -> list[SurfaceEntry]:
 
 
 def _suite_sweep(entry: _SweepMember, cfg: RunConfig):
-    num = cfg.numerics
+    num, spec = cfg.numerics, entry.spec
     Q = QuadratureSpec(num.quad_order)
-    spec = entry.spec
-    entry = replace(entry, spec=solve_for_angle(spec.kind, entry.theta,
-                                                n=spec.n, r=spec.r))
-    S = _build_surface(entry, Q)
+    S = solve_for_angle(spec.kind, entry.theta, n=spec.n, r=spec.r)
     theta = S.boundary_frame_at().theta
     reports = identity_suite(S, Q)
     max_res = max(rep.rel_residual for rep in reports)
@@ -201,9 +198,8 @@ def _suite_sweep(entry: _SweepMember, cfg: RunConfig):
     lowest = float(res.eigenvalues[0])
     status = worst(grade(lowest >= -num.stability_tol),
                    *(rep.status for rep in reports))
-    row = [entry.label, entry.spec.kind.value, entry.spec.n, theta,
-           entry.spec.r, entry.spec.a, max_res, lowest, res.morse_index,
-           res.zero_modes, status]
+    row = [entry.label, spec.kind.value, spec.n, theta, spec.r, S.a,
+           max_res, lowest, res.morse_index, res.zero_modes, status]
     return [row], status
 
 
@@ -255,6 +251,9 @@ def run(config: RunConfig, command: str) -> RunManifest:
     out_dir = config.output.directory
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = command.replace("-", "_")
+    # a previous run's report of this command, which this run may not write
+    for suffix in (".csv", "_errors.csv", ".json"):
+        (out_dir / f"{stem}{suffix}").unlink(missing_ok=True)
     if "csv" in config.output.formats:
         write_csv(out_dir / f"{stem}.csv", header, rows)
         if errors:

@@ -219,8 +219,9 @@ def _surface(i: int, raw) -> SurfaceEntry:
 def _output(raw) -> OutputSpec:
     out = _section("output", raw, ("dir", "formats"))
     formats = out.get("formats", ["csv"])
-    if not isinstance(formats, list):
-        raise ConfigError("output.formats", f"must be a list, got {formats!r}")
+    if not isinstance(formats, list) or not formats:
+        raise ConfigError("output.formats",
+                          f"must be a non-empty list, got {formats!r}")
     for f in formats:
         if f not in VALID_FORMATS:
             raise ConfigError("output.formats",

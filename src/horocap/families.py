@@ -241,8 +241,9 @@ def perturb(base: ProfileSurface, p: PerturbationSpec,
             Q: Optional[QuadratureSpec] = None) -> ProfileSurface:
     """Constant-angle, non-CMC control: base with a collar-avoiding bump.
 
-    Verifies that the perturbed map is still an immersion; on failure the
-    raised error reports the maximal feasible amplitude (bisection).
+    Returns the bumped surface once it has checked that its map is still
+    an immersion; on failure the raised error reports the maximal feasible
+    amplitude (bisection).
     """
     p.validate()
     if p.amplitude == 0.0:
@@ -251,40 +252,36 @@ def perturb(base: ProfileSurface, p: PerturbationSpec,
         raise TypeError("perturb currently supports sphere-cap bases")
     Q = Q or QuadratureSpec()
 
-    def feasible(eps: float) -> bool:
+    def immersed(S: BumpedCapSurface) -> bool:
         try:
-            check_immersion(BumpedCapSurface(base, replace(p, amplitude=eps)), Q)
+            check_immersion(S, Q)
             return True
         except (ImmersionError, ValueError):
             return False
 
-    if not feasible(p.amplitude):
+    S = BumpedCapSurface(base, p)
+    if not immersed(S):
         lo, hi = 0.0, p.amplitude
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if feasible(mid):
+            if immersed(BumpedCapSurface(base, replace(p, amplitude=mid))):
                 lo = mid
             else:
                 hi = mid
         raise AmplitudeError(p.amplitude, lo)
-    return BumpedCapSurface(base, p)
+    return S
 
 
 # ----------------------------------------------------------------------
 # inverse convenience: angle-targeted construction
 # ----------------------------------------------------------------------
 
-def _derived_theta(spec: CapSpec) -> float:
-    return build(spec).boundary_frame_at().theta
-
-
 def solve_for_angle(kind: CapKind, theta_target: float, n: int = 2, *,
-                    r: float) -> CapSpec:
-    """CapSpec of the sphere-family member of radius r whose built surface
-    meets the support at theta_target.
-
-    The closed form a = 1 - r cos(theta) is checked against the derived
-    angle of the built surface.
+                    r: float) -> ProfileSurface:
+    """The sphere-family member of radius r that meets the support at
+    theta_target: the surface built from the closed form
+    a = 1 - r cos(theta), whose derived angle was checked against
+    theta_target (its boundary frame is built).
     """
     if kind not in SPHERE_KINDS:
         raise InfeasibleError(f"{kind.value} is not a sphere family")
@@ -298,18 +295,17 @@ def solve_for_angle(kind: CapKind, theta_target: float, n: int = 2, *,
     a = 1.0 - r * math.cos(theta_target)
     lo = max(1.0 - r * (1.0 - 1e-12), 1e-12)
     if a < lo:
-        theta_lo = _derived_theta(CapSpec(kind=kind, n=n, a=lo, r=r))
+        edge = build(CapSpec(kind=kind, n=n, a=lo, r=r))
         raise InfeasibleError(
             f"{kind.value} members of radius {r} only reach contact angles "
-            f">= {theta_lo:.6g} under the positive-mean-curvature orientation"
-        )
-    spec = CapSpec(kind=kind, n=n, a=a, r=r)
+            f">= {edge.boundary_frame_at().theta:.6g} under the "
+            "positive-mean-curvature orientation")
     try:
-        spec.validate()
+        S = build(CapSpec(kind=kind, n=n, a=a, r=r))
     except ConstructionError as exc:
         raise InfeasibleError(str(exc)) from exc
-    if abs(_derived_theta(spec) - theta_target) > 1e-10:
+    if abs(S.boundary_frame_at().theta - theta_target) > 1e-10:
         raise InfeasibleError(
             f"no {kind.value} member with theta = {theta_target} at r = {r}"
         )
-    return spec
+    return S

@@ -67,7 +67,7 @@ class IdentityReport:
 
 def cmc_stats(S: ProfileSurface, Q: QuadratureSpec) -> tuple[float, float]:
     """Area-weighted mean of H and the max-node spread |H - mean|."""
-    H = node_set(S, Q).fields.H
+    H = node_set(S, Q).meridian.H
     H_mean = integrate_M(S, H, Q) / integrate_M(S, 1.0, Q)
     return float(H_mean), float(np.max(np.abs(H - H_mean)))
 
@@ -77,7 +77,8 @@ def _sides(S: ProfileSurface, Q: QuadratureSpec, theta: float,
     """{identity id: (lhs, rhs)} of all five identities at the quadrature Q."""
     n = S.n
     ct, st = math.cos(theta), math.sin(theta)
-    fl = node_set(S, Q).fields
+    m = node_set(S, Q).meridian
+    H, gxnu = m.H, m.gxnu
     bf = S.boundary_frame_at()
     gxnubar = bf.gxnubar
     return {
@@ -85,11 +86,11 @@ def _sides(S: ProfileSurface, Q: QuadratureSpec, theta: float,
                             0.0),
         "I_COR": (integrate_dM(
             S, n * st - gxnubar * H_mean - n * ct * gxnubar), 0.0),
-        "I_HX_NU": (integrate_M(S, fl.gxnu * fl.H, Q),
+        "I_HX_NU": (integrate_M(S, gxnu * H, Q),
                     integrate_dM(S, -ct * gxnubar + st)),
-        "I_MINK1": (integrate_M(
-            S, n * fl.V - fl.gXnu * fl.H - n * ct * fl.gxnu, Q), 0.0),
-        "I_X_NU": (integrate_M(S, n * fl.gxnu, Q), integrate_dM(S, gxnubar)),
+        "I_MINK1": (integrate_M(S, n * m.V - m.gXnu * H - n * ct * gxnu, Q),
+                    0.0),
+        "I_X_NU": (integrate_M(S, n * gxnu, Q), integrate_dM(S, gxnubar)),
     }
 
 

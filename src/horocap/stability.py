@@ -52,6 +52,7 @@ __all__ = [
     "MIN_RESOLUTION",
     "ZERO_MODE_TOL",
     "DEGREE",
+    "MAX_MODE",
     "robin_q",
     "quadratic_form",
     "constrained_spectrum",
@@ -66,6 +67,8 @@ MIN_RESOLUTION = 16
 ZERO_MODE_TOL = 1e-6
 # the Legendre degree of the spectra: P_0 ... P_DEGREE on the meridian
 DEGREE = 24
+# the highest angular mode a spectrum scans
+MAX_MODE = 40
 # the rule of field integrals; the boundary-collar ramp of the variations
 # has large high derivatives and needs it this fine
 FIELD_RULE = QuadratureSpec(256)
@@ -223,9 +226,8 @@ def quadratic_form(S: ProfileSurface, phi: ScalarField,
     """
     if phi.surface is not S:
         raise GridError("field was built on a different surface")
-    ns, (f, df) = node_set(S, Q), phi.read(Q)
-    bulk = integrate_M(S, df ** 2 / ns.meridian.g00
-                       - (ns.fields.h2 - S.n) * f ** 2, Q)
+    m, (f, df) = node_set(S, Q).meridian, phi.read(Q)
+    bulk = integrate_M(S, df ** 2 / m.g00 - (m.h2 - S.n) * f ** 2, Q)
     return bulk - robin_q(S) * integrate_dM(S, phi.values[-1] ** 2)
 
 
@@ -308,7 +310,7 @@ def _galerkin(S: ProfileSurface, Q: QuadratureSpec) -> tuple:
 
 def constrained_spectrum(
         S: ProfileSurface, constraint: str = "VOLUME", k: int = 10,
-        max_mode: int = 40, upto: float = math.inf,
+        upto: float = math.inf,
         Q: QuadratureSpec = QuadratureSpec()) -> SpectrumResult:
     """Lowest eigenvalues of the second-variation form under one constraint.
 
@@ -317,16 +319,16 @@ def constrained_spectrum(
     and contributes with its spherical-harmonic multiplicity.  Mode
     l >= 1 is mode 1 plus a positive definite potential, so its values lie
     above mode 1's: the scan ends at the first mode l >= 2 whose lowest
-    value exceeds sigma = min(upto, the k-th value so far).  With a finite
-    upto the values above it may miss a mode the scan skipped, so only the
-    values <= upto (at least the lowest) are returned.  Q sets the rule of
-    the matrices (_galerkin).
+    value exceeds sigma = min(upto, the k-th value so far), or after
+    MAX_MODE.  With a finite upto the values above it may miss a mode the
+    scan skipped, so only the values <= upto (at least the lowest) are
+    returned.  Q sets the rule of the matrices (_galerkin).
     """
     if constraint not in ("VOLUME", "WETTING", "NONE"):
         raise ValueError(f"unknown constraint {constraint!r}")
     mode0, K1, P = _galerkin(S, Q)
     collected: list[float] = []
-    for l in range(max_mode + 1):
+    for l in range(MAX_MODE + 1):
         vals = np.linalg.eigvalsh(
             mode0[constraint] if l == 0 else K1 + l * (l + S.n - 2) * P)
         modes_used = l + 1
@@ -477,9 +479,8 @@ def fd_variation_check(S: ProfileSurface, phi: ScalarField,
     d = {name: first for name, (first, _) in var.derivatives().items()}
     d["ENERGY"] = d["AREA"] - ct * d["WETTING_AREA"]
     # g(Y, nu) = phi everywhere: the collar term of Y is along mu, tangent
-    H = node_set(S, Q).fields.H
     bulk_phi = phi.integral_M(Q)
-    bulk_Hphi = integrate_M(S, H * phi.read(Q)[0], Q)
+    bulk_Hphi = integrate_M(S, node_set(S, Q).meridian.H * phi.read(Q)[0], Q)
     # boundary terms: g(Y, mu) = eta1 and g(Y, nubar) at t1
     gYmu = float(np.dot(var.Y1, bf.conormal[[0, -1]]))
     gYnubar = float(np.dot(var.Y1, bf.boundary_normal[[0, -1]]))
@@ -534,13 +535,10 @@ def umbilicity_deficit(S: ProfileSurface,
     set's Meridian.
     """
     Q = Q or QuadratureSpec()
-    n = S.n
-    ns = node_set(S, Q)
-    fl = ns.fields
+    n, m = S.n, node_set(S, Q).meridian
     H_mean, _ = cmc_stats(S, Q)
-    cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)  # Cauchy-Schwarz term
-    m = ns.meridian
-    e, g00 = m.dz / (fl.w * fl.w), m.g00
+    cs = n * m.E_tan_sq * (n * m.h2 - m.H ** 2)  # Cauchy-Schwarz term
+    e, g00 = m.dz / (m.w * m.w), m.g00
     dphi = H_mean * e - n * m.h00 * (e / g00)
     return integrate_M(S, cs + dphi * (dphi / g00), Q)
 

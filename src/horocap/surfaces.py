@@ -25,11 +25,13 @@ The shape of a surface at an array of t (at one t: scalars) is one
 ``Meridian`` record, read off one ``profile_jet`` call: the meridian
 jet, the metric A^2 dt^2 + B^2 dsigma^2 and the principal curvatures
 (kappa_m along the meridian, kappa_a across it), with g and h diagonal
-in the (meridian, cross-section) frame.  The boundary is one orbit, so
-it has one ``BoundaryFrame``, built from the meridian at t1, and the
-contact angle is constant by symmetry; a boundary integral is a value
-times the orbit's measure (``integrate_dM``).  Every derivative is read
-off the jets.
+in the (meridian, cross-section) frame, and the ambient fields V,
+g(x, nu), g(E_d, nu) and |E_d^T|^2 that the identities integrate
+against H and |h|^2; it is the one per-node record of a node set.  The
+boundary is one orbit, so it has one ``BoundaryFrame``, built from the
+meridian at t1, and the contact angle is constant by symmetry; a
+boundary integral is a value times the orbit's measure
+(``integrate_dM``).  Every derivative is read off the jets.
 
 Curvature conventions: the second fundamental form is h(X, Y) =
 g(nabla_X nu, Y), computed from the profile jet through the conformal
@@ -60,7 +62,6 @@ __all__ = [
     "BoundaryFrame",
     "ProfileSurface",
     "GridSurface",
-    "SurfaceFields",
     "integrate_M",
     "integrate_dM",
     "check_immersion",
@@ -125,7 +126,9 @@ class Meridian(namedtuple(
     meridian-plane unit normal (m0, m1) and the principal curvatures.  In
     the (meridian, cross-section) frame g = diag(g00, B^2, ...) and
     h = diag(h00, kappa_a B^2, ...).  A vector's (horizontal, vertical)
-    parts are its Euclidean first and last components (``embed``)."""
+    parts are its Euclidean first and last components (``embed``).  Every
+    derived quantity is a property, recomputed on each access: a reader
+    that uses one more than once binds it to a local."""
 
     __slots__ = ()
     A = property(lambda m: m.s / m.w)  # metric A^2 dt^2 + B^2 dsigma^2
@@ -134,16 +137,19 @@ class Meridian(namedtuple(
     H = property(lambda m: m.kappa_m + (m.n - 1) * m.kappa_a)
     h2 = property(lambda m: m.kappa_m ** 2 + (m.n - 1) * m.kappa_a ** 2)
     normal = property(lambda m: (m.sign * m.w * m.m0, m.sign * m.w * m.m1))
+    # the ambient fields, from the Euclidean x . nu and nu_d
+    V = property(lambda m: 1.0 / m.w)  # 1 / x_d
+    gxnu = property(lambda m: (m.rho * m.normal[0] + m.w * m.normal[1])
+                    / (m.w * m.w))  # g(x, nu)
+    gEnu = property(lambda m: m.normal[1] / (m.w * m.w))  # g(E_d, nu)
+    gXnu = property(lambda m: m.gxnu - m.gEnu)  # g(x - E_d, nu)
+    E_tan_sq = property(  # g(E_d^T, E_d^T), E_d's tangential part
+        lambda m: (1.0 - (m.normal[1] / m.w) ** 2) / (m.w * m.w))
 
     def embed(self, radial, vertical) -> np.ndarray:
         v = np.zeros(np.shape(self.w) + (self.n + 1,))
         v[..., 0], v[..., -1] = radial, vertical
         return v
-
-    def fields(self) -> "SurfaceFields":
-        nu_r, nu_d = self.normal
-        return SurfaceFields.of(self.w, self.rho * nu_r + self.w * nu_d, nu_d,
-                                self.H, self.h2)
 
 
 class ProfileSurface:
@@ -291,44 +297,14 @@ class GridSurface(ProfileSurface):
 
 
 # ----------------------------------------------------------------------
-# pointwise geometric scalars used by the identities and the stability layer
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SurfaceFields:
-    """Scalar fields of the distinguished ambient quantities at chart points.
-
-    A struct of arrays with the point axes of the Meridian it comes from
-    (``Meridian.fields``).
-    """
-
-    w: np.ndarray
-    V: np.ndarray         # 1 / x_d
-    gxnu: np.ndarray      # g(x, nu)
-    gEnu: np.ndarray      # g(E_d, nu)
-    gXnu: np.ndarray      # g(x - E_d, nu)
-    H: np.ndarray
-    h2: np.ndarray
-    E_tan_sq: np.ndarray  # g(E_d^T, E_d^T), tangential part of the vertical field
-
-    @staticmethod
-    def of(w, x_nu, nu_d, H, h2) -> "SurfaceFields":
-        """From the height w, the Euclidean x . nu and nu_d, H and |h|^2."""
-        w2 = w * w
-        gxnu, gEnu = x_nu / w2, nu_d / w2
-        return SurfaceFields(w, 1.0 / w, gxnu, gEnu, gxnu - gEnu, H, h2,
-                             (1.0 - (nu_d / w) ** 2) / w2)
-
-
-# ----------------------------------------------------------------------
 # quadrature node sets and integration
 # ----------------------------------------------------------------------
 
 class NodeSet:
     """Gauss-Legendre nodes on [0, t1], the bare Gauss weights
     (``gauss_weights``), the weights times the area element and the
-    cross-section measure (``weights``), and the nodes' Meridian; fields
-    are computed on first use.  The surface caches its node sets.
+    cross-section measure (``weights``), and the nodes' Meridian, which
+    holds every per-node quantity.  The surface caches its node sets.
     """
 
     def __init__(self, S: ProfileSurface, Q: QuadratureSpec):
@@ -336,10 +312,6 @@ class NodeSet:
         self.meridian = m = S.meridian(self.nodes)
         self.weights = (self.gauss_weights * m.A * m.B ** (S.n - 1)
                         * S.orbit_measure)
-
-    @functools.cached_property
-    def fields(self) -> SurfaceFields:
-        return self.meridian.fields()
 
 
 def node_set(S: ProfileSurface, Q: QuadratureSpec) -> NodeSet:
@@ -353,12 +325,12 @@ def node_set(S: ProfileSurface, Q: QuadratureSpec) -> NodeSet:
 def integrate_M(S: ProfileSurface, f, Q: QuadratureSpec) -> float:
     """Integral of the scalar field f over the surface.
 
-    f is called once with the whole node array t of shape (m,), or is one
-    constant; it returns m values or one constant.  A value that is not
-    finite raises EvaluationError naming the first such node.
+    f is its m values on the node set of Q, of shape (m,), or one
+    constant.  A value that is not finite raises EvaluationError naming
+    the first such node.
     """
     ns = node_set(S, Q)
-    val = np.asarray(f(ns.nodes) if callable(f) else f, dtype=float)
+    val = np.asarray(f, dtype=float)
     # a constant, as a stride-0 view: a filled copy sums in another order
     if val.shape != ns.weights.shape:
         val = np.broadcast_to(val, ns.weights.shape)

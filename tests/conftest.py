@@ -82,15 +82,15 @@ def distinguished_fields():
 
     phi_test = n V - H g(X,nu) - n cos(theta) g(x,nu) is the test function
     of the stability argument and Phi = -H V - n g(E,nu) its auxiliary
-    function, read off the Meridian's fields at the grid nodes; H is the
+    function, read off the Meridian at the grid nodes; H is the
     area-weighted mean of cmc_stats on FIELD_RULE.
     """
     def fields(S, resolution=128):
-        fl = S.meridian(_grid(S, resolution).nodes).fields()
+        m = S.meridian(_grid(S, resolution).nodes)
         n, (H, _) = S.n, cmc_stats(S, FIELD_RULE)
         ct = math.cos(S.boundary_frame_at().theta)
-        return (ScalarField(S, n * fl.V - H * fl.gXnu - n * ct * fl.gxnu),
-                ScalarField(S, -H * fl.V - n * fl.gEnu))
+        return (ScalarField(S, n * m.V - H * m.gXnu - n * ct * m.gxnu),
+                ScalarField(S, -H * m.V - n * m.gEnu))
     return fields
 
 
@@ -99,6 +99,6 @@ def norm_sq():
     """norm_sq(phi): the L2 norm squared of a field's spline over its
     surface, on FIELD_RULE; the scale of the kernel bounds."""
     def norm_sq(phi):
-        return integrate_M(phi.surface, lambda t: phi.spline(t) ** 2,
+        return integrate_M(phi.surface, phi.read(FIELD_RULE)[0] ** 2,
                            FIELD_RULE)
     return norm_sq

@@ -52,7 +52,7 @@ def cap_grid():
     caps = []
     for th in THETAS:
         for r in RADII:
-            caps.append(build(solve_for_angle(CapKind.SPHERE_CAP, th, r=r)))
+            caps.append(solve_for_angle(CapKind.SPHERE_CAP, th, r=r))
     return caps
 
 

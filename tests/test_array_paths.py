@@ -37,8 +37,7 @@ from horocap.stability import (ScalarField, _grid, _Variation, robin_q,
                                umbilicity_deficit)
 from horocap.surfaces import (EvaluationError, GeometryError, GridSurface,
                               ImmersionError, Meridian, ProfileSurface,
-                              SurfaceFields, integrate_dM, integrate_M,
-                              node_set)
+                              integrate_dM, integrate_M, node_set)
 
 REL = 1e-12
 CAPS = ("ortho_cap", "tilted_cap", "cap_3d", "bumped_cap")
@@ -258,7 +257,7 @@ def test_profile_batch_matches_meridian_formulas(name, request):
     for i, ti in enumerate(t):
         want = ref_meridian_shape(S, ti, sign)
         assert_meridian_matches(m, i, want)
-        assert_fields_match(m.fields(), i, want)
+        assert_fields_match(m, i, want)
 
 
 @pytest.mark.parametrize("name", PLANES + ("tilted_plane_3d",))
@@ -272,7 +271,7 @@ def test_plane_meridian_matches_per_point_shape(name, request):
     for i, ti in enumerate(t):
         want = ref_chart_shape(S, ti)
         assert_meridian_matches(m, i, want)
-        assert_fields_match(m.fields(), i, want)
+        assert_fields_match(m, i, want)
         moved = ref_chart_shape(S, ti, y)
         single = S.shape_at(ti)
         g, h = meridian_matrices(single)
@@ -389,7 +388,7 @@ def test_profile_boundary_frame_is_built_once(name, request):
                                   "equidistant_cap", "minimal_cap"])
 def test_orientation_needs_no_shape_pass(name, request, monkeypatch):
     """The orientation reads H (or nu_d) of one Meridian at t1/2: one
-    profile_jet call, and no fields or embedded vectors."""
+    profile_jet call, and no ambient fields, normal or embedded vectors."""
     S = (build(CapSpec(CapKind.EQUIDISTANT_SPHERE_CAP, a=0.0, r=1.5))
          if name == "minimal_cap" else request.getfixturevalue(name))
     probe = S.shape_at(0.5 * S.t1)  # under the surface's sign
@@ -403,7 +402,8 @@ def test_orientation_needs_no_shape_pass(name, request, monkeypatch):
 
     def no_shapes(*args):
         raise AssertionError("orientation_sign ran a shape pass")
-    monkeypatch.setattr(Meridian, "fields", no_shapes)
+    for name in ("V", "gxnu", "gEnu", "gXnu", "E_tan_sq", "normal"):
+        monkeypatch.setattr(Meridian, name, property(no_shapes))
     monkeypatch.setattr(Meridian, "embed", no_shapes)
     assert fresh.orientation_sign() == S.orientation_sign()
     assert calls == [0.5 * S.t1]
@@ -452,14 +452,14 @@ def test_node_set_fields_match_the_shape_data(kind, n):
     for Q in (QuadratureSpec(16), QuadratureSpec(128)):
         ns = node_set(S, Q)
         refs = [ref_fields(sd) for sd in ref_shapes(S, ns.nodes)]
-        for field in dataclasses.fields(SurfaceFields):
-            got = getattr(ns.fields, field.name)
-            want = [r[field.name] for r in refs]
+        for field in refs[0]:
+            got = getattr(ns.meridian, field)
+            want = [r[field] for r in refs]
             if kind == "plane":  # the SVD reference rounds to about REL
                 np.testing.assert_allclose(got, want, rtol=REL, atol=REL,
-                                           err_msg=field.name)
+                                           err_msg=field)
             else:
-                assert_close_to_scale(got, want, field.name)
+                assert_close_to_scale(got, want, field)
 
 
 @pytest.mark.parametrize("kind,n", MERIDIAN_CASES)
@@ -473,12 +473,12 @@ def test_profile_deficit_integrand_is_the_matrix_formula(kind, n,
     # dPhi = H e - n h g^-1 e with the reference's full matrices;
     # dw = (z', 0, ..., 0)
     ns = node_set(S, Q)
-    fl, refs = ns.fields, ref_shapes(S, ns.nodes)
+    m, refs = ns.meridian, ref_shapes(S, ns.nodes)
     g, h = np.array([r.g for r in refs]), np.array([r.h for r in refs])
-    cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)
+    cs = n * m.E_tan_sq * (n * m.h2 - m.H ** 2)
     dw = np.zeros(g.shape[:-1])
     dw[:, 0] = S.profile_jet(ns.nodes)[3]
-    e = (dw / (fl.w * fl.w)[..., None])[..., None]
+    e = (dw / (m.w * m.w)[..., None])[..., None]
     dphi = cmc_stats(S, Q)[0] * e - n * h @ np.linalg.solve(g, e)
     want = cs + np.sum(dphi * np.linalg.solve(g, dphi), axis=(-2, -1))
     assert len(integrands) == 1
@@ -500,7 +500,7 @@ def test_non_finite_integrand_names_first_bad_node(ortho_cap):
     Q = QuadratureSpec(16)
     t, _ = Q.rule(0.0, ortho_cap.t1)
     with pytest.raises(EvaluationError, match=f"t={t[5]}"):
-        integrate_M(ortho_cap, lambda u: np.where(u >= t[5], np.nan, 1.0), Q)
+        integrate_M(ortho_cap, np.where(t >= t[5], np.nan, 1.0), Q)
 
 
 # -- scalar references -------------------------------------------------
@@ -693,23 +693,23 @@ def test_narrow_bump_spectrum_follows_the_rule():
 
 def ref_deficit(S, Q, step=1e-4):
     """D(S) with grad Phi from 5-point central differences in t."""
-    n = S.n
-    fl = node_set(S, Q).fields
+    n, ns = S.n, node_set(S, Q)
+    m = ns.meridian
     area = integrate_M(S, 1.0, Q)
-    H_mean = integrate_M(S, fl.H, Q) / area
-    cs = n * fl.E_tan_sq * (n * fl.h2 - fl.H ** 2)
+    H_mean = integrate_M(S, m.H, Q) / area
+    cs = n * m.E_tan_sq * (n * m.h2 - m.H ** 2)
     w5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * step)
 
     def dphi(points):
         """Derivative of Phi from the 5 stencil points on the last point axis."""
-        f = S.meridian(points).fields()
+        f = S.meridian(points)
         phi = -H_mean * f.V - n * f.gEnu
         return sum(c * phi[..., k] for k, c in enumerate(w5))
 
-    def integrand(t):  # Phi depends on t alone: grad Phi is along t
-        A = ref_metric(S, t)[0]
-        return cs + (dphi(t[:, None] + np.arange(-2, 3) * step) / A) ** 2
-    return integrate_M(S, integrand, Q)
+    t = ns.nodes  # Phi depends on t alone: grad Phi is along t
+    A = ref_metric(S, t)[0]
+    return integrate_M(
+        S, cs + (dphi(t[:, None] + np.arange(-2, 3) * step) / A) ** 2, Q)
 
 
 @pytest.fixture(scope="module")

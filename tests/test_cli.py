@@ -10,14 +10,15 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from horocap import cli
+from horocap import cli, families
 from horocap.cli import DEFICIT_CONTROL_TOL, DEFICIT_ZERO_TOL, main, run
 from horocap.config import (ConfigError, RunConfig, SweepSpec, load_config,
                             parse_config)
-from horocap.families import CapKind, CapSpec, PerturbationSpec
+from horocap.families import (BumpedCapSurface, CapKind, CapSpec,
+                              PerturbationSpec)
 from horocap.reports import (STATUSES, config_hash, fmt_float, format_cell,
                              grade, worst, write_csv)
-from horocap.surfaces import ProfileSurface
+from horocap.surfaces import ProfileSurface, check_immersion
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -39,6 +40,35 @@ OPEN_CHARTS = [
     {"label": "plane-tilted", "kind": "tilted_plane_cap", "n": 2,
      "beta": 1.0, "extent": 1.0},
 ]
+
+
+def count_jet_calls(monkeypatch) -> dict:
+    """{surface: [node array of each profile_jet call]} of every surface
+    built from now on, counted through the instance attribute, as the
+    benchmark tracer counts them.  The calls inside perturb's immersion
+    check, which evaluates its rule's nodes without a sign, are left out."""
+    init, calls, checking = ProfileSurface.__init__, {}, []
+
+    def counting_init(S, *args, **kwargs):
+        init(S, *args, **kwargs)
+        jet = S.profile_jet
+
+        def counting(t):
+            if not checking:
+                calls[S].append(np.array(t, dtype=float, ndmin=1))
+            return jet(t)
+        S.profile_jet, calls[S] = counting, []  # held: no id reuse
+
+    def check(S, Q):
+        checking.append(S)
+        try:
+            check_immersion(S, Q)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(ProfileSurface, "__init__", counting_init)
+    monkeypatch.setattr(families, "check_immersion", check)
+    return calls
 
 
 def write_config(tmp_path, overrides=None, **kw):
@@ -153,7 +183,8 @@ class TestConfigSchema:
     @pytest.mark.parametrize("key,value", [("dir", 5), ("dir", None),
                                            ("dir", ["out"]),
                                            ("formats", "csv"),
-                                           ("formats", 5)])
+                                           ("formats", 5),
+                                           ("formats", [])])
     def test_output_section_types(self, key, value, tmp_path, capsys):
         output = {"dir": str(tmp_path / "out"), "formats": ["csv"],
                   key: value}
@@ -569,9 +600,52 @@ class TestRun:
             seen.clear()
             assert run(cfg, command).ok
             per_surface = Counter(map(id, seen))
-            # three surfaces, or a sweep member and its angle solve's builds
-            assert len(per_surface) >= (1 if command == "sweep" else 3)
+            # the three configured surfaces, or the one sweep member, whose
+            # angle solve built the surface the suite reads
+            assert len(per_surface) == (1 if command == "sweep" else 3)
             assert set(per_surface.values()) == {1}, command
+
+    def test_one_bumped_surface_per_control(self, tmp_path, monkeypatch):
+        """perturb returns the bumped surface whose immersion it checked,
+        so each command builds one per control."""
+        init, built = BumpedCapSurface.__init__, []
+
+        def counting(S, *args, **kwargs):
+            init(S, *args, **kwargs)
+            built.append(S)
+
+        monkeypatch.setattr(BumpedCapSurface, "__init__", counting)
+        cfg = load_config(write_config(
+            tmp_path, numerics={"quad_order": 32, "grid": 32,
+                                "eig_count": 4}))
+        for command in ("verify", "deficit", "spectrum", "variation-check"):
+            built.clear()
+            assert run(cfg, command).ok
+            assert len(built) == 1, command
+
+    def test_rerun_leaves_no_stale_reports(self, tmp_path):
+        """A rerun into one output directory deletes its command's reports
+        that it does not write: the errors of a surface the config no
+        longer has, and a format it no longer writes."""
+        numerics = {"quad_order": 32, "grid": 32, "eig_count": 4}
+        cap = BASE_CONFIG["surfaces"][:1]
+        cfg = load_config(write_config(tmp_path, surfaces=OPEN_CHARTS[:1]
+                                       + cap, numerics=numerics))
+        out = cfg.output.directory
+        assert not run(cfg, "spectrum").ok
+        assert "ERROR" in (out / "spectrum_errors.csv").read_text()
+        (out / "verify.csv").write_text("another command's report\n")
+        cfg = load_config(write_config(tmp_path, surfaces=cap,
+                                       numerics=numerics))
+        assert run(cfg, "spectrum").ok
+        assert not (out / "spectrum_errors.csv").exists()
+        assert (out / "spectrum.json").exists()
+        cfg = load_config(write_config(
+            tmp_path, surfaces=cap, numerics=numerics,
+            output={"dir": str(out), "formats": ["csv"]}))
+        assert run(cfg, "spectrum").ok
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "spectrum.csv", "verify.csv"]
 
     def test_one_profile_jet_call_per_node_array(self, tmp_path,
                                                  monkeypatch):
@@ -579,18 +653,7 @@ class TestRun:
         once: the orientation probe, the boundary orbit and the quadrature
         node sets (verify: two orders).  Counted through the instance
         attribute, as the benchmark tracer counts them."""
-        init, calls = ProfileSurface.__init__, {}
-
-        def counting_init(S, *args, **kwargs):
-            init(S, *args, **kwargs)
-            jet = S.profile_jet
-
-            def counting(t):
-                calls[S].append(np.array(t, dtype=float, ndmin=1))
-                return jet(t)
-            S.profile_jet, calls[S] = counting, []  # held: no id reuse
-
-        monkeypatch.setattr(ProfileSurface, "__init__", counting_init)
+        calls = count_jet_calls(monkeypatch)
         cfg = load_config(write_config(tmp_path))
         for command, most in (("verify", 4), ("deficit", 3)):
             calls.clear()
@@ -604,21 +667,10 @@ class TestRun:
         """variation-check reads the profile jet of a surface at most three
         times for its five checks: the orientation probe, the boundary
         orbit and the node set, whose Meridian and frame give Y and Y'."""
-        init, calls = ProfileSurface.__init__, {}
-
-        def counting_init(S, *args, **kwargs):
-            init(S, *args, **kwargs)
-            jet = S.profile_jet
-
-            def counting(t):
-                calls[S] += 1
-                return jet(t)
-            S.profile_jet, calls[S] = counting, 0  # held: no id reuse
-
-        monkeypatch.setattr(ProfileSurface, "__init__", counting_init)
+        calls = count_jet_calls(monkeypatch)
         cfg = load_config(write_config(tmp_path))
         assert run(cfg, "variation-check").ok
-        kept = [c for c in calls.values() if c > 1]  # not a bump probe
+        kept = [len(c) for c in calls.values() if c]  # not a control's base
         assert len(kept) == 3 and max(kept) <= 3
 
     def test_sweep_requires_section(self, tmp_path):

@@ -136,8 +136,8 @@ class TestPerturb:
 
 class TestSolveForAngle:
     def test_orthogonal_sphere_is_support_centered(self):
-        spec = solve_for_angle(CapKind.SPHERE_CAP, math.pi / 2, r=0.5)
-        assert spec.a == pytest.approx(1.0, abs=1e-10)
+        S = solve_for_angle(CapKind.SPHERE_CAP, math.pi / 2, r=0.5)
+        assert S.a == pytest.approx(1.0, abs=1e-10)
 
     @given(st.floats(0.4, math.pi - 0.4), st.floats(0.3, 1.5))
     @settings(max_examples=25, deadline=None)
@@ -145,7 +145,9 @@ class TestSolveForAngle:
         # radii above 1 cannot reach angles below arccos(1/r) (the
         # positive-H orientation flips at center height zero)
         assume(r <= 1.0 or theta > math.acos(1.0 / r) + 1e-6)
-        spec = solve_for_angle(CapKind.SPHERE_CAP, theta, r=r)
+        # a fresh build of the returned member's (a, r) meets the angle
+        S = solve_for_angle(CapKind.SPHERE_CAP, theta, r=r)
+        spec = CapSpec(CapKind.SPHERE_CAP, a=S.a, r=S.r)
         assert build(spec).boundary_frame_at().theta == pytest.approx(
             theta, abs=1e-10)
 

@@ -115,8 +115,8 @@ class TestSuite:
     def test_angle_grid_of_caps_all_pass(self, quad):
         thetas = [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3]
         for th in thetas:
-            spec = solve_for_angle(CapKind.SPHERE_CAP, th, r=0.6)
-            for rep in suite(build(spec), quad):
+            for rep in suite(solve_for_angle(CapKind.SPHERE_CAP, th, r=0.6),
+                             quad):
                 assert rep.status == "PASS"
 
 

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from horocap import stability
-from horocap.families import (CapKind, CapSpec, InfeasibleError, build,
-                              solve_for_angle)
+from horocap.families import CapKind, InfeasibleError, solve_for_angle
 from horocap.quadrature import QuadratureSpec
 from horocap.stability import (GridError, ScalarField, boundary_cancellation,
                                constrained_spectrum, quadratic_form, robin_q,
@@ -161,11 +160,11 @@ class TestSpectra:
         for S in (ortho_cap, tilted_cap, cap_3d):
             res = constrained_spectrum(S, constraint, k)
             assert res.modes_used < 41  # the scan stopped early
-            # every mode of the default max_mode 40, and so every mode up
-            # to modes_used: a scan that stops too early drops values
+            # every mode up to MAX_MODE, and so every mode up to
+            # modes_used: a scan that stops too early drops values
             (mode0, K1, P), collected = stability._galerkin(
                 S, QuadratureSpec()), []
-            for l in range(41):
+            for l in range(stability.MAX_MODE + 1):
                 K = mode0[constraint] if l == 0 else K1 + l * (
                     l + S.n - 2) * P
                 collected.extend(float(v) for v in np.linalg.eigvalsh(K)[:k]
@@ -183,10 +182,9 @@ class TestSpectra:
         for theta in (0.45, 0.8, 1.2, 1.57, 2.0):
             for r in (0.5, 1.0):
                 try:
-                    spec = solve_for_angle(kind, theta, n=n, r=r)
+                    surfaces.append(solve_for_angle(kind, theta, n=n, r=r))
                 except InfeasibleError:
                     continue
-                surfaces.append(build(spec))
         assert len(surfaces) >= 2
         for S in surfaces:
             for constraint in ("VOLUME", "WETTING", "NONE"):
@@ -206,7 +204,7 @@ class TestSpectra:
     def test_bounded_spectrum_keeps_at_most_k_values(self):
         # n = 3, no constraint: a negative value and three zero translation
         # values lie below the bound, more than k = 2
-        S = build(solve_for_angle(CapKind.SPHERE_CAP, 1.2, n=3, r=0.5))
+        S = solve_for_angle(CapKind.SPHERE_CAP, 1.2, n=3, r=0.5)
         full = constrained_spectrum(S, "NONE", 10)
         assert np.sum(full.eigenvalues <= ZERO_MODE_TOL) == 4
         got = constrained_spectrum(S, "NONE", 2, upto=ZERO_MODE_TOL)

@@ -11,7 +11,8 @@ from horocap.families import CapKind, CapSpec, build
 from horocap.quadrature import QuadratureSpec
 from horocap.surfaces import (EvaluationError, GeometryError, GridSurface,
                               ImmersionError, ProfileSurface, SupportError,
-                              check_immersion, integrate_dM, integrate_M)
+                              check_immersion, integrate_dM, integrate_M,
+                              node_set)
 
 
 def sphere_cap(n=2, a=1.0, r=0.5):
@@ -238,13 +239,13 @@ class TestBoundaryFrame:
 
 class TestIntegration:
     def test_zero_integrand(self, ortho_cap, quad):
-        assert integrate_M(ortho_cap, lambda t: 0.0, quad) == 0.0
+        assert integrate_M(ortho_cap, 0.0, quad) == 0.0
         assert integrate_dM(ortho_cap, 0.0) == 0.0
 
     def test_area_self_convergence_on_geodesic_hemisphere(
             self, geodesic_hemisphere, quad):
-        a1 = integrate_M(geodesic_hemisphere, lambda t: 1.0, quad)
-        a2 = integrate_M(geodesic_hemisphere, lambda t: 1.0, quad.refined())
+        a1 = integrate_M(geodesic_hemisphere, 1.0, quad)
+        a2 = integrate_M(geodesic_hemisphere, 1.0, quad.refined())
         assert abs(a1 - a2) / abs(a2) < 1e-10
 
     def test_boundary_is_flat_circle(self, ortho_cap, quad):
@@ -257,10 +258,8 @@ class TestIntegration:
         """int_M g(x,nu) H dA = int_dM [-cos(theta) g(x,nubar) + sin(theta)]."""
         bf = tilted_cap.boundary_frame_at()
         th = bf.theta
-        lhs = integrate_M(
-            tilted_cap,
-            lambda t: tilted_cap.meridian(t).fields().gxnu
-            * tilted_cap.meridian(t).fields().H, quad)
+        m = node_set(tilted_cap, quad).meridian
+        lhs = integrate_M(tilted_cap, m.gxnu * m.H, quad)
         x = bf.coords
         gxnubar = float(np.dot(x, bf.boundary_normal) / x[-1] ** 2)
         rhs = integrate_dM(tilted_cap, -math.cos(th) * gxnubar + math.sin(th))
@@ -268,7 +267,7 @@ class TestIntegration:
 
     def test_grid_area_matches_flat_plane(self, vertical_plane, quad_fast):
         # the vertical unit-extent plane piece: area = int 1/z^2 over the strip
-        area = integrate_M(vertical_plane, lambda u: 1.0, quad_fast)
+        area = integrate_M(vertical_plane, 1.0, quad_fast)
         # embed: z = 1 + u_0, horizontal width 1 -> int_0^1 dz/z^2 = 1/2
         assert area == pytest.approx(0.5, rel=1e-12)
         # tilted by beta, z = 1 + u sin(beta) over u in [0, e], times the
