@@ -17,19 +17,19 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, SurfaceEntry, load_config
-from .families import CapSpec, build, perturb, solve_for_angle
+from .families import build, perturb, solve_for_angle
 from .identities import suite as identity_suite
 from .quadrature import QuadratureSpec
 from .reports import (RunManifest, config_hash, grade, worst, write_csv,
                       write_json)
-from .stability import (DEGREE, ZERO_MODE_TOL, ScalarField,
+from .stability import (DEGREE, FIELD_RULE, ZERO_MODE_TOL, ScalarField,
                         boundary_cancellation, constrained_spectrum,
                         energy_second_difference, fd_variation_check,
                         umbilicity_deficit, _grid)
@@ -115,7 +115,7 @@ def _variation_field(S, resolution: int, seed: int) -> ScalarField:
 
 def _suite_variation(entry: SurfaceEntry, cfg: RunConfig):
     num = cfg.numerics
-    Q = QuadratureSpec(max(num.quad_order, 256))
+    Q = QuadratureSpec(max(num.quad_order, FIELD_RULE.order))
     S = _build_surface(entry, Q)
     phi = _variation_field(S, num.grid, cfg.seed)
     # the second difference of the volume Lagrangian needs a mean-zero
@@ -161,33 +161,12 @@ def _suite_deficit(entry: SurfaceEntry, cfg: RunConfig):
 DEFICIT_HEADER = SPEC_HEADER + ["deficit", "boundary_cancellation", "status"]
 
 
-@dataclass(frozen=True)
-class _SweepMember(SurfaceEntry):
-    """A sweep point; the suite solves spec (kind, n, r) for theta, so an
+def _suite_sweep(entry, cfg: RunConfig):
+    """One sweep member: the suite solves (kind, n, r) for theta, so an
     infeasible member becomes an ERROR row instead of failing the run."""
-
-    theta: float = math.pi / 2
-
-
-def _sweep_entries(cfg: RunConfig) -> list[SurfaceEntry]:
-    sw = cfg.sweep
-    if sw is None:
-        raise ConfigError("sweep", "the sweep command needs a 'sweep' section")
-    # a label keeps six decimals; members under one label would share one
-    # manifest status, so an earlier FAIL could exit 0
-    for key, values in (("thetas", sw.thetas), ("radii", sw.radii)):
-        if len({f"{v:.6f}" for v in values}) < len(values):
-            raise ConfigError(f"sweep.{key}", "two values agree to the six "
-                              "decimals of the sweep labels")
-    return [_SweepMember(label=f"sweep-theta-{th:.6f}-r-{r:.6f}", theta=th,
-                         spec=CapSpec(sw.kind, sw.n, r=r))
-            for th in sw.thetas for r in sw.radii]
-
-
-def _suite_sweep(entry: _SweepMember, cfg: RunConfig):
-    num, spec = cfg.numerics, entry.spec
+    num, sw = cfg.numerics, cfg.sweep
     Q = QuadratureSpec(num.quad_order)
-    S = solve_for_angle(spec.kind, entry.theta, n=spec.n, r=spec.r)
+    S = solve_for_angle(sw.kind, entry.theta, n=sw.n, r=entry.r)
     theta = S.boundary_frame_at().theta
     reports = identity_suite(S, Q)
     max_res = max(rep.rel_residual for rep in reports)
@@ -198,7 +177,7 @@ def _suite_sweep(entry: _SweepMember, cfg: RunConfig):
     lowest = float(res.eigenvalues[0])
     status = worst(grade(lowest >= -num.stability_tol),
                    *(rep.status for rep in reports))
-    row = [entry.label, spec.kind.value, spec.n, theta, spec.r, S.a,
+    row = [entry.label, sw.kind.value, sw.n, theta, entry.r, S.a,
            max_res, lowest, res.morse_index, res.zero_modes, status]
     return [row], status
 
@@ -226,7 +205,9 @@ def run(config: RunConfig, command: str) -> RunManifest:
     if command not in _SUITES:
         raise ValueError(f"unknown command {command!r}")
     suite_fn, header = _SUITES[command]
-    entries = (_sweep_entries(config) if command == "sweep"
+    if command == "sweep" and config.sweep is None:
+        raise ConfigError("sweep", "the sweep command needs a 'sweep' section")
+    entries = (config.sweep.members() if command == "sweep"
                else list(config.surfaces))
     if not entries:
         raise ConfigError("surfaces", "no surfaces to process")

@@ -2,7 +2,11 @@
 
 The frozen records below, with ``CapSpec`` and ``PerturbationSpec`` of
 ``families``, are the schema: a section's keys are its record's fields,
-and any other key is an error.  Schema (JSON, versioned):
+and any other key is an error.  Each record checks its own fields, so
+the rules hold for records read from a file, built in code or rebuilt
+with ``dataclasses.replace``; the reader maps keys, checks types and
+puts an entry's path in front of its record's error.  Schema (JSON,
+versioned):
 
     {
       "schema_version": 1,
@@ -35,11 +39,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import namedtuple
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
-from .families import SPHERE_KINDS, CapKind, CapSpec, PerturbationSpec
+from .families import (SPHERE_KINDS, CapKind, CapSpec, ConstructionError,
+                       PerturbationSpec)
 
 __all__ = ["ConfigError", "SurfaceEntry", "SweepSpec", "Numerics",
            "OutputSpec", "RunConfig", "load_config", "parse_config"]
@@ -54,14 +60,25 @@ class ConfigError(ValueError):
 
     def __init__(self, path: str, message: str):
         super().__init__(f"config field '{path}': {message}")
-        self.path = path
+        self.path, self.message = path, message
 
 
 @dataclass(frozen=True)
 class SurfaceEntry:
+    """One configured surface; its errors name the field in the entry."""
+
     label: str
     spec: CapSpec
     perturbation: Optional[PerturbationSpec] = None
+
+    def __post_init__(self):
+        if not isinstance(self.label, str) or not self.label:
+            raise ConfigError("label", "must be a non-empty string, got "
+                              f"{self.label!r}")
+        if (self.perturbation is not None
+                and self.spec.kind not in SPHERE_KINDS):
+            raise ConfigError("perturbation",
+                              "only sphere kinds take a perturbation")
 
     @property
     def is_control(self) -> bool:
@@ -102,14 +119,34 @@ def _finite_list(path: str, value) -> tuple:
     return tuple(_finite(f"{path}[{i}]", v) for i, v in enumerate(value))
 
 
+SweepMember = namedtuple("SweepMember", "label theta r")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """The angle x radius grid of the sweep command."""
+    """The angle x radius grid of the sweep command over a sphere kind."""
 
     thetas: tuple
     radii: tuple
     kind: CapKind = CapKind.SPHERE_CAP
     n: int = 2
+
+    def __post_init__(self):
+        if self.kind not in SPHERE_KINDS:
+            raise ConfigError("sweep.kind", "a sweep takes sphere kinds only: "
+                              + ", ".join(k.value for k in SPHERE_KINDS))
+        # a label keeps six decimals; members under one label would share
+        # one manifest status, so an earlier FAIL could exit 0
+        for key in ("thetas", "radii"):
+            values = getattr(self, key)
+            if len({f"{v:.6f}" for v in values}) < len(values):
+                raise ConfigError(f"sweep.{key}", "two values agree to the "
+                                  "six decimals of the sweep labels")
+
+    def members(self) -> list:
+        """The sweep points (label, theta, r), angle-major."""
+        return [SweepMember(f"sweep-theta-{th:.6f}-r-{r:.6f}", th, r)
+                for th in self.thetas for r in self.radii]
 
 
 @dataclass(frozen=True)
@@ -142,6 +179,14 @@ class OutputSpec:
     directory: Path = Path("out")  # the key "dir" in the file
     formats: tuple = ("csv",)
 
+    def __post_init__(self):
+        if not self.formats:
+            raise ConfigError("output.formats", "must not be empty")
+        for f in self.formats:
+            if f not in VALID_FORMATS:
+                raise ConfigError("output.formats", f"unknown format {f!r}; "
+                                  f"valid: {VALID_FORMATS}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -153,6 +198,12 @@ class RunConfig:
 
     def __post_init__(self):
         _integer("seed", self.seed, 0)
+        if not self.surfaces and self.sweep is None:
+            raise ConfigError("surfaces",
+                              "at least one surface spec is required")
+        labels = [s.label for s in self.surfaces]
+        if len(set(labels)) != len(labels):
+            raise ConfigError("surfaces", "surface labels must be unique")
 
 
 def _names(record) -> tuple:
@@ -170,9 +221,11 @@ def _section(path: str, raw, keys: tuple) -> dict:
     return raw
 
 
-def _record(cls, path: str, raw, checks: dict, extra: tuple = ()):
+def _record(cls, path: str, raw, checks: dict, extra: tuple = (),
+            at: str = ""):
     """cls from the object raw: checks[name] (default _finite) reads each
-    field it holds.  A field without a default is required."""
+    field it holds.  A field without a default is required.  A families
+    record's ConstructionError is placed at path + at."""
     _section(path, raw, _names(cls) + extra)
     values = {}
     for f in fields(cls):
@@ -181,65 +234,36 @@ def _record(cls, path: str, raw, checks: dict, extra: tuple = ()):
             values[f.name] = check(f"{path}.{f.name}", raw[f.name])
         elif f.default is MISSING:
             raise ConfigError(f"{path}.{f.name}", "missing required field")
-    return cls(**values)
-
-
-def _perturbation(path: str, raw) -> PerturbationSpec:
-    pert = _record(PerturbationSpec, path, raw, {"support": _finite_list})
-    if len(pert.support) != 2:
-        raise ConfigError(f"{path}.support", "must be a list of two numbers")
     try:
-        pert.validate()
-    except ValueError as exc:
-        raise ConfigError(f"{path}.support", str(exc)) from exc
-    return pert
+        return cls(**values)
+    except ConstructionError as exc:
+        raise ConfigError(path + at, str(exc)) from exc
 
 
 def _surface(i: int, raw) -> SurfaceEntry:
     path = f"surfaces[{i}]"
     spec = _record(CapSpec, path, raw, {"kind": _kind, "n": _dimension},
                    extra=("label", "perturbation"))
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
     pert = None
     if "perturbation" in raw:
-        if spec.kind not in SPHERE_KINDS:
-            raise ConfigError(f"{path}.perturbation",
-                              "only sphere kinds take a perturbation")
-        pert = _perturbation(f"{path}.perturbation", raw["perturbation"])
-    label = raw.get("label", f"{spec.kind.value}-{i}")
-    if not isinstance(label, str) or not label:
-        raise ConfigError(f"{path}.label",
-                          f"must be a non-empty string, got {label!r}")
-    return SurfaceEntry(label=label, spec=spec, perturbation=pert)
+        pert = _record(PerturbationSpec, f"{path}.perturbation",
+                       raw["perturbation"], {"support": _finite_list},
+                       at=".support")
+    try:
+        return SurfaceEntry(raw.get("label", f"{spec.kind.value}-{i}"),
+                            spec, pert)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc.path}", exc.message) from None
 
 
 def _output(raw) -> OutputSpec:
     out = _section("output", raw, ("dir", "formats"))
-    formats = out.get("formats", ["csv"])
-    if not isinstance(formats, list) or not formats:
-        raise ConfigError("output.formats",
-                          f"must be a non-empty list, got {formats!r}")
-    for f in formats:
-        if f not in VALID_FORMATS:
-            raise ConfigError("output.formats",
-                              f"unknown format {f!r}; valid: {VALID_FORMATS}")
-    out_dir = out.get("dir", "out")
+    formats, out_dir = out.get("formats", ["csv"]), out.get("dir", "out")
+    if not isinstance(formats, list):
+        raise ConfigError("output.formats", f"must be a list, got {formats!r}")
     if not isinstance(out_dir, str):
         raise ConfigError("output.dir", f"must be a string, got {out_dir!r}")
     return OutputSpec(directory=Path(out_dir), formats=tuple(formats))
-
-
-def _sweep(raw) -> SweepSpec:
-    sweep = _record(SweepSpec, "sweep", raw, {
-        "kind": _kind, "n": _dimension, "thetas": _finite_list,
-        "radii": _finite_list})
-    if sweep.kind not in SPHERE_KINDS:
-        raise ConfigError("sweep.kind", "a sweep takes sphere kinds only: "
-                          + ", ".join(k.value for k in SPHERE_KINDS))
-    return sweep
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -248,23 +272,19 @@ def parse_config(raw: dict) -> RunConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version",
                           f"expected {SCHEMA_VERSION}, got {version!r}")
-
     raw_surfaces = raw.get("surfaces", [])
     if not isinstance(raw_surfaces, list):
         raise ConfigError("surfaces", "must be a list")
-    if not raw_surfaces and "sweep" not in raw:
-        raise ConfigError("surfaces", "at least one surface spec is required")
-    surfaces = tuple(_surface(i, s) for i, s in enumerate(raw_surfaces))
-    labels = [s.label for s in surfaces]
-    if len(set(labels)) != len(labels):
-        raise ConfigError("surfaces", "surface labels must be unique")
-
     num_raw = _section("numerics", raw.get("numerics", {}), _names(Numerics))
     sweep = raw.get("sweep")
-    return RunConfig(surfaces=surfaces, numerics=Numerics(**num_raw),
-                     output=_output(raw.get("output", {})),
-                     sweep=None if sweep is None else _sweep(sweep),
-                     seed=raw.get("seed", 0))
+    if sweep is not None:
+        sweep = _record(SweepSpec, "sweep", sweep, {
+            "kind": _kind, "n": _dimension, "thetas": _finite_list,
+            "radii": _finite_list})
+    return RunConfig(
+        surfaces=tuple(_surface(i, s) for i, s in enumerate(raw_surfaces)),
+        numerics=Numerics(**num_raw), output=_output(raw.get("output", {})),
+        sweep=sweep, seed=raw.get("seed", 0))
 
 
 def load_config(path: Path | str) -> RunConfig:

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 class ConstructionError(ValueError):
-    """Family parameters do not cut the support horosphere transversally."""
+    """Family or bump parameters out of range (see CapSpec, PerturbationSpec)."""
 
 
 class AmplitudeError(ValueError):
@@ -83,7 +83,7 @@ class CapSpec:
     """Euclidean construction parameters of one family member.
 
     The contact angle is always derived from the built surface, never
-    prescribed here.
+    prescribed here.  Every instance is checked (ConstructionError).
     """
 
     kind: CapKind
@@ -93,7 +93,7 @@ class CapSpec:
     beta: float = math.pi / 2  # plane tilt angle
     extent: float = 1.0        # plane chart size
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n < 2:
             raise ConstructionError("dimension n must be >= 2")
         if self.kind in SPHERE_KINDS:
@@ -122,18 +122,21 @@ class PerturbationSpec:
 
     The support is [lo, hi] in fractions of the chart parameter range; it
     must keep >= 10% clearance to both chart ends and be at least as wide
-    as that clearance, so that the Gauss rules resolve the bump.
+    as that clearance, so that the Gauss rules resolve the bump; every
+    instance is checked (ConstructionError).
     """
 
     amplitude: float
     support: tuple[float, float] = (0.1, 0.9)
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        if len(self.support) != 2:
+            raise ConstructionError("bump support must be two numbers")
         lo, hi = self.support
         if not (0.1 - 1e-12 <= lo < hi <= 0.9 + 1e-12
                 and hi - lo >= 0.1 - 1e-12):
-            raise ValueError("bump support must keep 10% clearance to the "
-                             "chart ends and be at least 0.1 wide")
+            raise ConstructionError("bump support must keep 10% clearance to "
+                                    "the chart ends and be at least 0.1 wide")
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +232,6 @@ class PlaneCapSurface(GridSurface):
 
 def build(spec: CapSpec) -> ProfileSurface:
     """Construct the surface of a family member (analytic derivatives)."""
-    spec.validate()
     if spec.kind in SPHERE_KINDS:
         return SphereCapSurface(spec.n, spec.a, spec.r)
     if spec.kind is CapKind.VERTICAL_PLANE_DISK:
@@ -245,7 +247,6 @@ def perturb(base: ProfileSurface, p: PerturbationSpec,
     an immersion; on failure the raised error reports the maximal feasible
     amplitude (bisection).
     """
-    p.validate()
     if p.amplitude == 0.0:
         return base
     if not isinstance(base, SphereCapSurface):

@@ -86,10 +86,6 @@ class _ProfileGrid:
     """The uniform nodes of the variation fields on one grid."""
 
     def __init__(self, S: ProfileSurface, resolution: int):
-        if resolution < MIN_RESOLUTION:
-            raise GridError(
-                f"grid resolution {resolution} < minimum {MIN_RESOLUTION}"
-            )
         self.nodes = np.linspace(0.0, S.t1, resolution + 1)
 
 

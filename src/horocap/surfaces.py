@@ -356,10 +356,10 @@ def integrate_dM(S: ProfileSurface, value) -> float:
 def check_immersion(S: ProfileSurface, Q: QuadratureSpec) -> None:
     """Raise ImmersionError if the induced metric degenerates at any node
     (GeometryError, also a ValueError, if a profile leaves the half-space)."""
-    nodes, _ = Q.rule(0.0, S.t1)
-    m = S.meridian(nodes, +1)  # A and B do not depend on the sign
-    A, B = m.A, m.B
+    ns = node_set(S, Q)  # the node set the commands then integrate on
+    A, B = ns.meridian.A, ns.meridian.B
     bad = np.flatnonzero(~((A > 0) & (B > 0) & np.isfinite(A)
                            & np.isfinite(B)))
     if bad.size:
-        raise ImmersionError(f"degenerate induced metric at t={nodes[bad[0]]}")
+        raise ImmersionError(
+            f"degenerate induced metric at t={ns.nodes[bad[0]]}")

@@ -5,20 +5,21 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from horocap import cli, families
+from horocap import cli
 from horocap.cli import DEFICIT_CONTROL_TOL, DEFICIT_ZERO_TOL, main, run
-from horocap.config import (ConfigError, RunConfig, SweepSpec, load_config,
+from horocap.config import (ConfigError, Numerics, OutputSpec, RunConfig,
+                            SurfaceEntry, SweepSpec, load_config,
                             parse_config)
 from horocap.families import (BumpedCapSurface, CapKind, CapSpec,
                               PerturbationSpec)
 from horocap.reports import (STATUSES, config_hash, fmt_float, format_cell,
                              grade, worst, write_csv)
-from horocap.surfaces import ProfileSurface, check_immersion
+from horocap.surfaces import ProfileSurface
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -45,29 +46,19 @@ OPEN_CHARTS = [
 def count_jet_calls(monkeypatch) -> dict:
     """{surface: [node array of each profile_jet call]} of every surface
     built from now on, counted through the instance attribute, as the
-    benchmark tracer counts them.  The calls inside perturb's immersion
-    check, which evaluates its rule's nodes without a sign, are left out."""
-    init, calls, checking = ProfileSurface.__init__, {}, []
+    benchmark tracer counts them."""
+    init, calls = ProfileSurface.__init__, {}
 
     def counting_init(S, *args, **kwargs):
         init(S, *args, **kwargs)
         jet = S.profile_jet
 
         def counting(t):
-            if not checking:
-                calls[S].append(np.array(t, dtype=float, ndmin=1))
+            calls[S].append(np.array(t, dtype=float, ndmin=1))
             return jet(t)
         S.profile_jet, calls[S] = counting, []  # held: no id reuse
 
-    def check(S, Q):
-        checking.append(S)
-        try:
-            check_immersion(S, Q)
-        finally:
-            checking.pop()
-
     monkeypatch.setattr(ProfileSurface, "__init__", counting_init)
-    monkeypatch.setattr(families, "check_immersion", check)
     return calls
 
 
@@ -328,9 +319,51 @@ class TestConfigSchema:
         assert pert == PerturbationSpec(0.02, (0.2, 0.8))
         assert cfg.sweep == SweepSpec((1.0,), (0.5, 0.75),
                                       CapKind.SPHERE_CAP, 3)
-        assert [e.label for e in cli._sweep_entries(cfg)] == [
+        assert [e.label for e in cfg.sweep.members()] == [
             "sweep-theta-1.000000-r-0.500000",
             "sweep-theta-1.000000-r-0.750000"]
+
+
+class TestRecordsInCode:
+    """A record built in code, or rebuilt with dataclasses.replace, is
+    checked as one read from a config file."""
+
+    def test_duplicate_labels_rejected(self, tmp_path):
+        # a plane and a cap under one label: the manifest's one status
+        # would hide the plane's ERROR row
+        plane = SurfaceEntry("x", CapSpec(CapKind.VERTICAL_PLANE_DISK))
+        cap = SurfaceEntry("x", CapSpec(CapKind.SPHERE_CAP))
+        with pytest.raises(ConfigError, match="'surfaces'"):
+            run(RunConfig((plane, cap), Numerics(),
+                          OutputSpec(tmp_path / "out")), "spectrum")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("formats", [(), ("xml",), ("csv", "plotscript")])
+    def test_output_formats(self, formats, tmp_path):
+        with pytest.raises(ConfigError, match=re.escape("'output.formats'")):
+            OutputSpec(tmp_path / "out", formats)
+        with pytest.raises(ConfigError, match=re.escape("'output.formats'")):
+            replace(OutputSpec(tmp_path / "out"), formats=formats)
+
+    @pytest.mark.parametrize("kind", [CapKind.VERTICAL_PLANE_DISK,
+                                      CapKind.TILTED_PLANE_CAP])
+    def test_plane_sweep_and_perturbed_plane(self, kind):
+        with pytest.raises(ConfigError, match=re.escape("'sweep.kind'")):
+            SweepSpec((1.0,), (0.5,), kind)
+        with pytest.raises(ConfigError, match="'perturbation'"):
+            SurfaceEntry("plane", CapSpec(kind), PerturbationSpec(0.01))
+
+    def test_sweep_values_distinct_at_six_decimals(self):
+        sweep = SweepSpec((1.0, 2.0), (0.5, 0.6))
+        with pytest.raises(ConfigError, match=re.escape("'sweep.radii'")):
+            replace(sweep, radii=(0.5, 0.5000001))
+        with pytest.raises(ConfigError, match=re.escape("'sweep.thetas'")):
+            replace(sweep, thetas=(1.0, 1.0000000001))
+
+    @pytest.mark.parametrize("label", ["", None])
+    def test_label_must_be_a_non_empty_string(self, label):
+        with pytest.raises(ConfigError, match="'label'"):
+            SurfaceEntry(label, CapSpec(CapKind.SPHERE_CAP))
 
 
 class TestReports:

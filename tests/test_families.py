@@ -1,6 +1,7 @@
 """Family constructors, perturbations and the angle-targeted solver."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,19 +23,29 @@ def kappas(m):
 class TestCapSpec:
     def test_tangent_sphere_rejected(self):
         with pytest.raises(ConstructionError):
-            CapSpec(kind=CapKind.SPHERE_CAP, a=2.0, r=1.0).validate()
+            CapSpec(kind=CapKind.SPHERE_CAP, a=2.0, r=1.0)
 
     def test_disjoint_sphere_rejected(self):
         with pytest.raises(ConstructionError):
-            CapSpec(kind=CapKind.SPHERE_CAP, a=5.0, r=1.0).validate()
+            CapSpec(kind=CapKind.SPHERE_CAP, a=5.0, r=1.0)
 
     def test_equidistant_needs_center_inside_radius(self):
         with pytest.raises(ConstructionError):
-            CapSpec(kind=CapKind.EQUIDISTANT_SPHERE_CAP, a=3.0, r=2.5).validate()
+            CapSpec(kind=CapKind.EQUIDISTANT_SPHERE_CAP, a=3.0, r=2.5)
+
+    def test_checked_when_constructed(self):
+        with pytest.raises(ConstructionError):
+            CapSpec(CapKind.SPHERE_CAP, a=9.0, r=0.5)
+        spec = CapSpec(CapKind.SPHERE_CAP, a=1.0, r=0.5)
+        with pytest.raises(ConstructionError):
+            replace(spec, a=9.0)
+        for support in ((0.0, 0.9), (0.2,), (0.45, 0.46)):
+            with pytest.raises(ConstructionError):
+                PerturbationSpec(0.01, support)
 
     def test_dimension_lower_bound(self):
         with pytest.raises(ConstructionError):
-            CapSpec(kind=CapKind.SPHERE_CAP, n=1).validate()
+            CapSpec(kind=CapKind.SPHERE_CAP, n=1)
 
 
 class TestBuild:

@@ -302,9 +302,10 @@ class TestImmersionChecks:
         check_immersion(ortho_cap, QuadratureSpec(32))
 
     def test_profile_check_is_one_meridian_evaluation(self):
-        """A profile chart's A and B come from one jet call on the nodes
-        (no orientation probe), and each failure is a ValueError, which
-        the bump bisection of families.perturb catches."""
+        """A profile chart's A and B come from its node set of the rule,
+        which the commands then integrate on (one jet call on the nodes,
+        after the orientation probe), and each failure is a ValueError,
+        which the bump bisection of families.perturb catches."""
         calls = []
 
         def line(slope, height):  # rho = slope t, z = 1 + height (1 - t)
@@ -316,8 +317,11 @@ class TestImmersionChecks:
                         -height * one, zero, zero)
             return ProfileSurface(2, 1.0, jet)
 
-        check_immersion(line(1.0, 0.5), QuadratureSpec(16))
-        assert len(calls) == 1
+        S = line(1.0, 0.5)
+        check_immersion(S, QuadratureSpec(16))
+        assert len(calls) == 2
+        node_set(S, QuadratureSpec(16))
+        assert len(calls) == 2
         with pytest.raises(ImmersionError, match="degenerate induced metric"):
             check_immersion(line(-1.0, 0.5), QuadratureSpec(16))
         with pytest.raises(GeometryError, match="upper half-space"):
