@@ -1,10 +1,9 @@
 """Numerical laboratory for capillary hypersurfaces on a horospherical support."""
 
 from .quadrature import QuadratureSpec, gauss_legendre, unit_sphere_area
-from .surfaces import (BoundaryFrame, EvaluationError, GeometryError,
-                       GridSurface, ImmersionError, ProfileSurface,
-                       SupportError, check_immersion, integrate_M,
-                       integrate_dM)
+from .surfaces import (EvaluationError, GeometryError, GridSurface,
+                       ImmersionError, ProfileSurface, SupportError,
+                       check_immersion, integrate_M, integrate_dM)
 from .families import (AmplitudeError, CapKind, CapSpec, ConstructionError,
                        InfeasibleError, PerturbationSpec, build, perturb,
                        solve_for_angle)

@@ -114,8 +114,8 @@ def _finite(path: str, value) -> float:
 
 
 def _finite_list(path: str, value) -> tuple:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(path, "must be a non-empty list")
+    if not isinstance(value, list):
+        raise ConfigError(path, f"must be a list, got {value!r}")
     return tuple(_finite(f"{path}[{i}]", v) for i, v in enumerate(value))
 
 
@@ -135,10 +135,13 @@ class SweepSpec:
         if self.kind not in SPHERE_KINDS:
             raise ConfigError("sweep.kind", "a sweep takes sphere kinds only: "
                               + ", ".join(k.value for k in SPHERE_KINDS))
+        _dimension("sweep.n", self.n)
         # a label keeps six decimals; members under one label would share
         # one manifest status, so an earlier FAIL could exit 0
         for key in ("thetas", "radii"):
             values = getattr(self, key)
+            if not values:
+                raise ConfigError(f"sweep.{key}", "must not be empty")
             if len({f"{v:.6f}" for v in values}) < len(values):
                 raise ConfigError(f"sweep.{key}", "two values agree to the "
                                   "six decimals of the sweep labels")
@@ -278,8 +281,9 @@ def parse_config(raw: dict) -> RunConfig:
     num_raw = _section("numerics", raw.get("numerics", {}), _names(Numerics))
     sweep = raw.get("sweep")
     if sweep is not None:
+        # SweepSpec checks n and that neither axis is empty
         sweep = _record(SweepSpec, "sweep", sweep, {
-            "kind": _kind, "n": _dimension, "thetas": _finite_list,
+            "kind": _kind, "n": lambda path, n: n, "thetas": _finite_list,
             "radii": _finite_list})
     return RunConfig(
         surfaces=tuple(_surface(i, s) for i, s in enumerate(raw_surfaces)),

@@ -79,10 +79,9 @@ def _sides(S: ProfileSurface, Q: QuadratureSpec, theta: float,
     ct, st = math.cos(theta), math.sin(theta)
     m = node_set(S, Q).meridian
     H, gxnu = m.H, m.gxnu
-    bf = S.boundary_frame_at()
-    gxnubar = bf.gxnubar
+    gxnubar = S.boundary_frame_at().gxnubar
     return {
-        "I_BOUNDARY_MINK": (integrate_dM(S, gxnubar * bf.Hhat - (n - 1)),
+        "I_BOUNDARY_MINK": (integrate_dM(S, gxnubar * S.Hhat() - (n - 1)),
                             0.0),
         "I_COR": (integrate_dM(
             S, n * st - gxnubar * H_mean - n * ct * gxnubar), 0.0),

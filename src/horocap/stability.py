@@ -367,7 +367,7 @@ def _collar(S: ProfileSurface, Q: QuadratureSpec) -> SimpleNamespace:
     def build():
         ns, bf = node_set(S, Q), S.boundary_frame_at()
         m, t = ns.meridian, ns.nodes
-        mu1 = bf.conormal[[0, -1]]
+        mu1 = np.array(bf.conormal)
         if abs(mu1[1]) < 1e-12:
             raise ValueError(
                 "conormal is horizontal; boundary slide undefined")
@@ -387,7 +387,7 @@ def _collar(S: ProfileSurface, Q: QuadratureSpec) -> SimpleNamespace:
             jet=np.array([m.rho, m.w, m.dr, m.dz]),
             nu=m.sign * m.w * N, dnu=m.sign * (m.dz * N + m.w * k * T),
             mu=m.w * T, dmu=m.dz * T - m.w * k * N, ramp=ramp, dramp=dramp,
-            nu1=bf.normal[[0, -1]], mu1=mu1)
+            nu1=np.array(bf.normal), mu1=mu1)
     return _cached(S, "_collars", Q.order, build)
 
 
@@ -419,8 +419,8 @@ class _Variation:
         c, bf = _collar(S, Q), S.boundary_frame_at()
         self.S, self.frame, self.spline, self.sign = S, bf, phi.spline, c.sign
         self.w, self.jet = c.w, c.jet  # bare weights: the area element moves
-        self.nubar_sign = 1.0 if bf.boundary_normal[0] > 0 else -1.0
-        self.rho1 = float(bf.coords[0])  # the boundary radius
+        self.nubar_sign = 1.0 if bf.nubar[0] > 0 else -1.0
+        self.rho1 = float(bf.rho)  # the boundary radius
         self.eta1 = -phi.values[-1] * c.nu1[1] / c.mu1[1]
         self.Y1 = phi.values[-1] * c.nu1 + self.eta1 * c.mu1
         f, df = phi.read(Q)
@@ -478,8 +478,8 @@ def fd_variation_check(S: ProfileSurface, phi: ScalarField,
     bulk_phi = phi.integral_M(Q)
     bulk_Hphi = integrate_M(S, node_set(S, Q).meridian.H * phi.read(Q)[0], Q)
     # boundary terms: g(Y, mu) = eta1 and g(Y, nubar) at t1
-    gYmu = float(np.dot(var.Y1, bf.conormal[[0, -1]]))
-    gYnubar = float(np.dot(var.Y1, bf.boundary_normal[[0, -1]]))
+    gYmu = float(np.dot(var.Y1, bf.conormal))
+    gYnubar = float(np.dot(var.Y1, bf.nubar))
     bm = S.boundary_measure
     formulas = {
         "AREA": (bulk_Hphi + bm * gYmu, (bulk_Hphi, bm * gYmu)),

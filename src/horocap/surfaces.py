@@ -19,7 +19,7 @@ class: the metric factor B (rho/w against 1/w) and the curvature kappa_a
 of the cross-section directions (``_section``), the measure of the
 cross-section and of the boundary orbit (``orbit_measure``,
 ``boundary_measure``) and the mean curvature Hhat of the boundary in the
-flat support (``_Hhat``).
+flat support (``Hhat``).
 
 The shape of a surface at an array of t (at one t: scalars) is one
 ``Meridian`` record, read off one ``profile_jet`` call: the meridian
@@ -28,10 +28,11 @@ jet, the metric A^2 dt^2 + B^2 dsigma^2 and the principal curvatures
 in the (meridian, cross-section) frame, and the ambient fields V,
 g(x, nu), g(E_d, nu) and |E_d^T|^2 that the identities integrate
 against H and |h|^2; it is the one per-node record of a node set.  The
-boundary is one orbit, so it has one ``BoundaryFrame``, built from the
-meridian at t1, and the contact angle is constant by symmetry; a
-boundary integral is a value times the orbit's measure
-(``integrate_dM``).  Every derivative is read off the jets.
+boundary is one orbit, so its frame is one ``Meridian``, the one at t1,
+whose conormal, contact angle, nubar, g(x, nubar) and h(mu, mu) are
+properties, and the contact angle is constant by symmetry; a boundary
+integral is a value times the orbit's measure (``integrate_dM``).  Every
+derivative is read off the jets.
 
 Curvature conventions: the second fundamental form is h(X, Y) =
 g(nabla_X nu, Y), computed from the profile jet through the conformal
@@ -46,7 +47,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,7 +59,6 @@ __all__ = [
     "SupportError",
     "EvaluationError",
     "Meridian",
-    "BoundaryFrame",
     "ProfileSurface",
     "GridSurface",
     "integrate_M",
@@ -84,40 +83,6 @@ class EvaluationError(ValueError):
     """Non-finite value encountered during integration."""
 
 
-@dataclass(frozen=True)
-class BoundaryFrame:
-    """Frame and contact data of the boundary orbit, at one point of it.
-
-    The Euclidean components of the position, of the unit normal nu, of
-    the outward conormal mu in the surface (``conormal``) and of the
-    normal nubar of the boundary inside the (flat) horosphere
-    (``boundary_normal``); theta is the contact angle fixed by
-    cos(theta) = -g(nu, Nbar), with Nbar = -E_d the outward support
-    normal.  The vectors have n+1 components; the rest are scalars.
-    """
-
-    coords: np.ndarray
-    normal: np.ndarray
-    conormal: np.ndarray
-    boundary_normal: np.ndarray
-    theta: float
-    hmumu: float
-    Hhat: float
-
-    @property
-    def gxnubar(self) -> float:
-        """g(x, nubar) of the position field."""
-        x = self.coords
-        return np.sum(x * self.boundary_normal) / x[-1] ** 2
-
-
-def _contact(nu: np.ndarray, w: float, mu: np.ndarray):
-    """(theta, nubar) from cos(theta) = -g(nu, Nbar) with Nbar = -E_d."""
-    cos_t = np.minimum(np.maximum(nu[-1] / (w * w), -1.0), 1.0)
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t ** 2))
-    return np.arccos(cos_t), cos_t * mu + sin_t * nu
-
-
 class Meridian(namedtuple(
         "Meridian", "n sign rho w dr dz d2r d2z s B m0 m1 kappa_m kappa_a")):
     """The shape of a surface at an array of t (at one t: scalars), as
@@ -125,10 +90,12 @@ class Meridian(namedtuple(
     dr, dz, d2r, d2z, the speed s, the cross-section factor B, the
     meridian-plane unit normal (m0, m1) and the principal curvatures.  In
     the (meridian, cross-section) frame g = diag(g00, B^2, ...) and
-    h = diag(h00, kappa_a B^2, ...).  A vector's (horizontal, vertical)
-    parts are its Euclidean first and last components (``embed``).  Every
-    derived quantity is a property, recomputed on each access: a reader
-    that uses one more than once binds it to a local."""
+    h = diag(h00, kappa_a B^2, ...).  A vector is its (radial, vertical)
+    pair: its Euclidean first and last components, since every other
+    component vanishes in the meridian plane.  Every derived quantity is a
+    property, recomputed on each access: a reader that uses one more than
+    once binds it to a local.  The surface's boundary frame is its
+    Meridian at t1."""
 
     __slots__ = ()
     A = property(lambda m: m.s / m.w)  # metric A^2 dt^2 + B^2 dsigma^2
@@ -146,10 +113,27 @@ class Meridian(namedtuple(
     E_tan_sq = property(  # g(E_d^T, E_d^T), E_d's tangential part
         lambda m: (1.0 - (m.normal[1] / m.w) ** 2) / (m.w * m.w))
 
-    def embed(self, radial, vertical) -> np.ndarray:
-        v = np.zeros(np.shape(self.w) + (self.n + 1,))
-        v[..., 0], v[..., -1] = radial, vertical
-        return v
+    # the boundary frame, read at t1: the outward conormal mu, the contact
+    # angle from cos(theta) = -g(nu, Nbar) = g(E_d, nu) with Nbar = -E_d,
+    # the normal nubar of the boundary in the flat support and h(mu, mu)
+    conormal = property(lambda m: (m.w * m.dr / m.s, m.w * m.dz / m.s))
+    _cos_theta = property(
+        lambda m: np.minimum(np.maximum(m.gEnu, -1.0), 1.0))
+    theta = property(lambda m: np.arccos(m._cos_theta))
+    hmumu = property(lambda m: m.h00 / m.g00)
+
+    @property
+    def nubar(self) -> tuple:
+        ct = self._cos_theta
+        st = np.sqrt(np.maximum(0.0, 1.0 - ct ** 2))
+        (mu0, mu1), (nu0, nu1) = self.conormal, self.normal
+        return ct * mu0 + st * nu0, ct * mu1 + st * nu1
+
+    @property
+    def gxnubar(self):
+        """g(x, nubar) of the position field."""
+        nb0, nb1 = self.nubar
+        return (self.rho * nb0 + self.w * nb1) / self.w ** 2
 
 
 class ProfileSurface:
@@ -189,13 +173,14 @@ class ProfileSurface:
     @functools.cached_property
     def boundary_measure(self) -> float:
         """Flat measure of the boundary orbit: |S^(n-1)| rho(t1)^(n-1)."""
-        rho1 = float(self.boundary_frame_at().coords[0])
+        rho1 = float(self.boundary_frame_at().rho)
         return self.orbit_measure * rho1 ** (self.n - 1)
 
-    def _Hhat(self, m: Meridian, nubar: np.ndarray):
+    def Hhat(self) -> float:
         """Mean curvature of the boundary sphere of Euclidean radius rho in
         the flat horosphere, w.r.t. nubar: from its radial component."""
-        return (self.n - 1) * nubar[0] / m.rho
+        m = self.boundary_frame_at()
+        return (self.n - 1) * m.nubar[0] / m.rho
 
     # -- orientation and shape -----------------------------------------
     def orientation_sign(self) -> int:
@@ -237,20 +222,15 @@ class ProfileSurface:
         return self.meridian(float(t))
 
     # -- boundary ------------------------------------------------------
-    def boundary_frame_at(self) -> BoundaryFrame:
-        """The frame of the boundary orbit, from the meridian at t1; built
-        once."""
+    def boundary_frame_at(self) -> Meridian:
+        """The frame of the boundary orbit: the Meridian at t1, checked on
+        the support; built once."""
         if "_frame" not in self.__dict__:
             m = self.meridian(self.t1)
             if abs(m.w - 1.0) > 1e-9:
                 raise SupportError(f"boundary point height {m.w} "
                                    "is off the horosphere")
-            w, nu = m.w, m.embed(*m.normal)
-            mu = m.embed(w * m.dr / m.s, w * m.dz / m.s)
-            theta, nubar = _contact(nu, w, mu)
-            self._frame = BoundaryFrame(
-                m.embed(m.rho, w), nu, mu, nubar, theta, hmumu=m.h00 / m.g00,
-                Hhat=self._Hhat(m, nubar))
+            self._frame = m
         return self._frame
 
 
@@ -286,9 +266,9 @@ class GridSurface(ProfileSurface):
         self.boundary_frame_at()
         return self.orbit_measure
 
-    def _Hhat(self, m: Meridian, nubar: np.ndarray):
+    def Hhat(self) -> float:
         """0: the boundary is a flat hyperplane of the flat support."""
-        return 0.0 * m.rho
+        return 0.0
 
     # the benchmark tracer (perfbench/tracer.py) patches these two through
     # vars(GridSurface); they are the profile methods

@@ -19,7 +19,6 @@ B = rho/z off profile_jet, and (1, -8, 0, 8, -1)/12.
 """
 
 import copy
-import dataclasses
 import functools
 import math
 from types import SimpleNamespace
@@ -42,6 +41,8 @@ from horocap.surfaces import (EvaluationError, GeometryError, GridSurface,
 REL = 1e-12
 CAPS = ("ortho_cap", "tilted_cap", "cap_3d", "bumped_cap")
 PLANES = ("vertical_plane", "tilted_plane")
+# the Meridian's boundary-frame properties
+FRAME_PROPERTIES = ("conormal", "theta", "nubar", "gxnubar", "hmumu")
 
 
 # -- per-point shape and frame references ------------------------------
@@ -226,15 +227,24 @@ def meridian_matrices(m):
     return g[..., None] * eye, h[..., None] * eye
 
 
+def assert_pair_matches(pair, ref, err_msg=""):
+    """A (radial, vertical) pair against the first and last components of
+    a Euclidean reference vector, whose other components must be 0."""
+    np.testing.assert_allclose(pair, ref[[0, -1]], rtol=REL, atol=REL,
+                               err_msg=err_msg)
+    np.testing.assert_allclose(ref[1:-1], 0.0, rtol=REL, atol=REL,
+                               err_msg=err_msg)
+
+
 def assert_meridian_matches(m, i, want):
     """Point i of the Meridian m against a per-point reference: x, nu, g,
     h, H, |h|^2 and the sorted principal curvatures."""
     g, h = meridian_matrices(m)
     kappa = np.sort([m.kappa_m[i]] + [m.kappa_a[i]] * (m.n - 1))
+    assert_pair_matches((m.rho[i], m.w[i]), want.x, "coords")
+    assert_pair_matches((m.normal[0][i], m.normal[1][i]), want.nu, "normal")
     for field, got, ref in (
-            ("coords", m.embed(m.rho, m.w)[i], want.x),
-            ("normal", m.embed(*m.normal)[i], want.nu), ("g", g[i], want.g),
-            ("h", h[i], want.h), ("H", m.H[i], want.H),
+            ("g", g[i], want.g), ("h", h[i], want.h), ("H", m.H[i], want.H),
             ("h2", m.h2[i], want.h2), ("kappa", kappa, want.kappa)):
         np.testing.assert_allclose(got, ref, rtol=REL, atol=REL,
                                    err_msg=field)
@@ -275,8 +285,8 @@ def test_plane_meridian_matches_per_point_shape(name, request):
         moved = ref_chart_shape(S, ti, y)
         single = S.shape_at(ti)
         g, h = meridian_matrices(single)
-        for got, ref in ((single.embed(*single.normal), moved.nu),
-                         (g, moved.g), (h, moved.h)):
+        assert_pair_matches(single.normal, moved.nu)
+        for got, ref in ((g, moved.g), (h, moved.h)):
             np.testing.assert_allclose(got, ref, rtol=REL, atol=REL)
     # the node set: Gauss nodes on [0, t1], and weights equal to the Gauss
     # weights times the cube's measure times sqrt(det g)
@@ -300,9 +310,8 @@ def test_plane_boundary_frame_matches_per_point_frames(name, request):
         assert one.theta == pytest.approx(want.theta, rel=REL, abs=REL)
         assert one.hmumu == pytest.approx(want.hmumu, rel=REL, abs=REL)
         # Hhat divides nubar differences by 2e-4: rounding grows by 1e4
-        assert one.Hhat == pytest.approx(want.Hhat, abs=1e-11)
-        np.testing.assert_allclose(one.boundary_normal, want.nubar,
-                                   rtol=REL, atol=REL)
+        assert S.Hhat() == pytest.approx(want.Hhat, abs=1e-11)
+        assert_pair_matches(one.nubar, want.nubar)
 
 
 @pytest.mark.parametrize("name", PLANES + ("tilted_plane_3d",))
@@ -359,9 +368,9 @@ def test_profile_boundary_frames_repeat_the_orbit_frame(name, request):
         assert one.theta == pytest.approx(want.theta, rel=REL, abs=REL)
         assert one.hmumu == pytest.approx(want.hmumu, rel=REL, abs=REL)
         # central differences of step 1e-4 on a sphere: error ~ step^2 / 6
-        assert one.Hhat == pytest.approx(want.Hhat, rel=1e-8)
-        nubar = one.boundary_normal
-        np.testing.assert_allclose(np.append(nubar[0] * sigma, nubar[-1]),
+        assert S.Hhat() == pytest.approx(want.Hhat, rel=1e-8)
+        nubar = one.nubar  # (radial, vertical)
+        np.testing.assert_allclose(np.append(nubar[0] * sigma, nubar[1]),
                                    want.nubar, rtol=REL, atol=REL)
 
 
@@ -379,16 +388,17 @@ def test_profile_boundary_frame_is_built_once(name, request):
     assert fresh.boundary_measure > 0.0
     assert calls == [S.t1]
     want = S.boundary_frame_at()
-    for field in dataclasses.fields(want):
-        np.testing.assert_array_equal(getattr(one, field.name),
-                                      getattr(want, field.name))
+    for field in want._fields + FRAME_PROPERTIES:
+        np.testing.assert_array_equal(getattr(one, field),
+                                      getattr(want, field), err_msg=field)
+    assert fresh.Hhat() == S.Hhat()
 
 
 @pytest.mark.parametrize("name", ["bumped_cap", "tilted_cap",
                                   "equidistant_cap", "minimal_cap"])
 def test_orientation_needs_no_shape_pass(name, request, monkeypatch):
     """The orientation reads H (or nu_d) of one Meridian at t1/2: one
-    profile_jet call, and no ambient fields, normal or embedded vectors."""
+    profile_jet call, and no ambient fields, normal or frame vectors."""
     S = (build(CapSpec(CapKind.EQUIDISTANT_SPHERE_CAP, a=0.0, r=1.5))
          if name == "minimal_cap" else request.getfixturevalue(name))
     probe = S.shape_at(0.5 * S.t1)  # under the surface's sign
@@ -402,9 +412,9 @@ def test_orientation_needs_no_shape_pass(name, request, monkeypatch):
 
     def no_shapes(*args):
         raise AssertionError("orientation_sign ran a shape pass")
-    for name in ("V", "gxnu", "gEnu", "gXnu", "E_tan_sq", "normal"):
+    for name in ("V", "gxnu", "gEnu", "gXnu", "E_tan_sq",
+                 "normal") + FRAME_PROPERTIES:
         monkeypatch.setattr(Meridian, name, property(no_shapes))
-    monkeypatch.setattr(Meridian, "embed", no_shapes)
     assert fresh.orientation_sign() == S.orientation_sign()
     assert calls == [0.5 * S.t1]
 
@@ -488,7 +498,7 @@ def test_profile_deficit_integrand_is_the_matrix_formula(kind, n,
 @pytest.mark.parametrize("name", CAPS)
 def test_profile_boundary_integral_is_the_orbit_measure(name, request):
     S = request.getfixturevalue(name)
-    rho1 = S.boundary_frame_at().coords[0]
+    rho1 = S.boundary_frame_at().rho
     measure = rho1 ** (S.n - 1) * unit_sphere_area(S.n - 1)
     assert integrate_dM(S, 2.5) == pytest.approx(2.5 * measure, rel=1e-15)
     gxnubar = S.boundary_frame_at().gxnubar

@@ -360,6 +360,14 @@ class TestRecordsInCode:
         with pytest.raises(ConfigError, match=re.escape("'sweep.thetas'")):
             replace(sweep, thetas=(1.0, 1.0000000001))
 
+    @pytest.mark.parametrize("args,kw,path", [
+        (((1.0,), (0.5,)), {"n": 1}, "sweep.n"),
+        (((), (0.5,)), {}, "sweep.thetas"),
+        (((1.0,), ()), {}, "sweep.radii")])
+    def test_sweep_dimension_and_axes(self, args, kw, path):
+        with pytest.raises(ConfigError, match=re.escape(f"'{path}'")):
+            SweepSpec(*args, **kw)
+
     @pytest.mark.parametrize("label", ["", None])
     def test_label_must_be_a_non_empty_string(self, label):
         with pytest.raises(ConfigError, match="'label'"):

@@ -129,15 +129,14 @@ class TestBoundaryPointwiseReduction:
             n = S.n
             bf = S.boundary_frame_at()
             th = bf.theta
-            x = bf.coords
-            w = x[-1]
-            nu = bf.normal
-            e_d = np.zeros_like(x)
-            e_d[-1] = 1.0
+            # (radial, vertical) pairs
+            x, w = np.array([bf.rho, bf.w]), bf.w
+            nu = np.array(bf.normal)
+            e_d = np.array([0.0, 1.0])
             V = 1.0 / w
             gXnu = float(np.dot(x - e_d, nu) / (w * w))
             gxnu = float(np.dot(x, nu) / (w * w))
-            gxnubar = float(np.dot(x, bf.boundary_normal) / (w * w))
+            gxnubar = float(np.dot(x, bf.nubar) / (w * w))
             H = S.shape_at(S.t1).H
             phi = n * V - gXnu * H - n * math.cos(th) * gxnu
             reduced = math.sin(th) * (n * math.sin(th) - gxnubar * H

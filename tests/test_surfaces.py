@@ -1,5 +1,6 @@
 """Shape (the Meridian), boundary frames and integration on swept surfaces."""
 
+import copy
 import math
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from horocap.families import CapKind, CapSpec, build
 from horocap.quadrature import QuadratureSpec
 from horocap.surfaces import (EvaluationError, GeometryError, GridSurface,
-                              ImmersionError, ProfileSurface, SupportError,
-                              check_immersion, integrate_dM, integrate_M,
-                              node_set)
+                              ImmersionError, Meridian, ProfileSurface,
+                              SupportError, check_immersion, integrate_dM,
+                              integrate_M, node_set)
 
 
 def sphere_cap(n=2, a=1.0, r=0.5):
@@ -33,11 +34,15 @@ def kappas(m):
     return np.array([m.kappa_m, m.kappa_a])
 
 
-def support_normal(bf):
-    """Euclidean components of the outward support normal Nbar = -E_d."""
-    e = np.zeros_like(bf.conormal)
-    e[-1] = -1.0
-    return e
+# the (radial, vertical) pair of the outward support normal Nbar = -E_d
+SUPPORT_NORMAL = np.array([0.0, -1.0])
+
+
+def euclidean(n, radial, vertical):
+    """The Euclidean (n+1)-vector of a (radial, vertical) pair."""
+    v = np.zeros(n + 1)
+    v[0], v[-1] = radial, vertical
+    return v
 
 
 def fd_normal_transport_curvature(S, t, delta=1e-6):
@@ -48,8 +53,7 @@ def fd_normal_transport_curvature(S, t, delta=1e-6):
     kappa = g(nabla_T nu, T) / g(T, T) with T the chart tangent.
     """
     def nu(tt):
-        m = S.shape_at(tt)
-        return m.embed(*m.normal)
+        return euclidean(S.n, *S.shape_at(tt).normal)
 
     rho, z, dr, dz, *_ = S.profile_jet(t)
     x = np.zeros(S.n + 1)
@@ -125,7 +129,7 @@ class TestBoundaryFrame:
     def test_vertical_plane_orthogonal_with_flat_boundary(self, vertical_plane):
         bf = vertical_plane.boundary_frame_at()
         assert bf.theta == pytest.approx(math.pi / 2, abs=1e-10)
-        assert abs(bf.Hhat) < 1e-6
+        assert abs(vertical_plane.Hhat()) < 1e-6
         assert abs(bf.hmumu) < 1e-10
 
     def test_contact_angle_from_euclidean_intersection(self):
@@ -146,7 +150,7 @@ class TestBoundaryFrame:
         for S, n, extent in cases:
             assert integrate_dM(S, 1.0) == pytest.approx(
                 extent ** (n - 1), rel=1e-15)
-            assert S.boundary_frame_at().Hhat == 0.0
+            assert S.Hhat() == 0.0
 
     @pytest.mark.parametrize("kind,a,r", [
         (CapKind.SPHERE_CAP, 0.6, 0.7), (CapKind.SPHERE_CAP, 1.4, 0.9),
@@ -163,10 +167,9 @@ class TestBoundaryFrame:
         from (a, r) alone."""
         S = build(CapSpec(kind=kind, n=n, a=a, r=r))
         rho1 = math.sqrt(r * r - (1.0 - a) ** 2)
-        bf = S.boundary_frame_at()
-        assert abs(bf.Hhat) == pytest.approx((n - 1) / rho1, rel=1e-13)
-        nubar = bf.boundary_normal
-        assert abs(nubar[-1]) < 1e-14
+        assert abs(S.Hhat()) == pytest.approx((n - 1) / rho1, rel=1e-13)
+        nubar = S.boundary_frame_at().nubar  # (radial, vertical)
+        assert abs(nubar[1]) < 1e-14
         assert np.linalg.norm(nubar) == pytest.approx(1.0, rel=1e-14)
         sphere = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
         assert integrate_dM(S, 1.0) == pytest.approx(sphere * rho1 ** (n - 1),
@@ -188,14 +191,33 @@ class TestBoundaryFrame:
         assert bf.theta == pytest.approx(math.pi - tilted_plane.beta,
                                          abs=1e-10)
 
+    @pytest.mark.parametrize("name", ["tilted_cap", "bumped_cap",
+                                      "tilted_plane"])
+    def test_frame_is_the_meridian_at_t1(self, name, request):
+        """The frame is the Meridian at t1, built by one profile_jet call
+        and kept: a second call returns the same object."""
+        S = copy.copy(request.getfixturevalue(name))
+        for cached in ("_frame", "_node_sets", "boundary_measure"):
+            S.__dict__.pop(cached, None)  # a copy without the cached geometry
+        S.orientation_sign()
+        calls, jet = [], S.profile_jet
+        S.profile_jet = lambda t: (calls.append(t), jet(t))[1]
+        frame = S.boundary_frame_at()
+        assert S.boundary_frame_at() is frame
+        assert calls == [S.t1]
+        assert isinstance(frame, Meridian)
+        want = S.meridian(S.t1)
+        for field in Meridian._fields:
+            assert getattr(frame, field) == getattr(want, field), field
+
     def test_frame_reconstruction_identities(self, tilted_cap, tilted_plane):
         """Nbar = sin(theta) mu - cos(theta) nu and the inverse relations."""
         frames = [tilted_cap.boundary_frame_at(),
                   tilted_plane.boundary_frame_at()]
         for bf in frames:
             st_, ct = math.sin(bf.theta), math.cos(bf.theta)
-            mu, nu, nubar = bf.conormal, bf.normal, bf.boundary_normal
-            Nbar = support_normal(bf)
+            mu, nu, nubar = map(np.array, (bf.conormal, bf.normal, bf.nubar))
+            Nbar = SUPPORT_NORMAL
             np.testing.assert_allclose(Nbar, st_ * mu - ct * nu, atol=1e-10)
             np.testing.assert_allclose(nubar, ct * mu + st_ * nu, atol=1e-10)
             # inverse: mu = sin(theta) Nbar + cos(theta) nubar
@@ -205,9 +227,8 @@ class TestBoundaryFrame:
     def test_position_field_pairing_with_support_normal(self, tilted_cap):
         """g(x, Nbar) = -1 at every boundary point of the support."""
         bf = tilted_cap.boundary_frame_at()
-        x = bf.coords
-        w = x[-1]
-        assert np.dot(x, support_normal(bf)) / (w * w) == pytest.approx(
+        x, w = np.array([bf.rho, bf.w]), bf.w
+        assert np.dot(x, SUPPORT_NORMAL) / (w * w) == pytest.approx(
             -1.0, abs=1e-12)
 
     def test_boundary_off_support_rejected(self):
@@ -260,8 +281,8 @@ class TestIntegration:
         th = bf.theta
         m = node_set(tilted_cap, quad).meridian
         lhs = integrate_M(tilted_cap, m.gxnu * m.H, quad)
-        x = bf.coords
-        gxnubar = float(np.dot(x, bf.boundary_normal) / x[-1] ** 2)
+        x = np.array([bf.rho, bf.w])
+        gxnubar = float(np.dot(x, bf.nubar) / x[-1] ** 2)
         rhs = integrate_dM(tilted_cap, -math.cos(th) * gxnubar + math.sin(th))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
