@@ -29,11 +29,11 @@ from .identities import suite as identity_suite
 from .quadrature import QuadratureSpec
 from .reports import (RunManifest, config_hash, grade, worst, write_csv,
                       write_json)
-from .stability import (DEGREE, FIELD_RULE, ZERO_MODE_TOL, ScalarField,
-                        boundary_cancellation, constrained_spectrum,
-                        energy_second_difference, fd_variation_check,
-                        umbilicity_deficit, _grid)
-from .surfaces import integrate_M
+from .stability import (DEGREE, FIELD_RULE, GALERKIN_ORDER, ZERO_MODE_TOL,
+                        ScalarField, boundary_cancellation,
+                        constrained_spectrum, energy_second_difference,
+                        fd_variation_check, umbilicity_deficit, _grid)
+from .surfaces import GridSurface, evaluate, integrate_M
 
 __all__ = ["main", "run"]
 
@@ -44,11 +44,46 @@ SECOND_VARIATION_TOL = 1e-3
 DEFICIT_ZERO_TOL = 1e-8
 DEFICIT_CONTROL_TOL = 1e-6
 
-def _build_surface(entry: SurfaceEntry, Q: QuadratureSpec):
-    S = build(entry.spec)
-    if entry.perturbation is not None:
-        S = perturb(S, entry.perturbation, Q)
+# label -> the surface, or its build error, of the run in progress: the
+# suites take (entry, config) only, the signature perfbench's timers wrap
+_built: dict = {}
+
+
+def _build_surface(entry):
+    """The entry's surface, built by ``run``; a build error is raised
+    here, in the entry's own suite."""
+    if isinstance(S := _built[entry.label], Exception):
+        raise S
     return S
+
+
+def _build_all(entries: list, cfg: RunConfig, command: str) -> None:
+    """Build every surface once (solve every sweep member) into
+    ``_built``, then evaluate each family on the rules the command
+    integrates on, the first of which checks a control's immersion."""
+    _built.clear()
+    Q = QuadratureSpec(cfg.numerics.quad_order)
+    doubled = [Q, Q.refined()]
+    modes, field = (QuadratureSpec(max(Q.order, least))
+                    for least in (GALERKIN_ORDER, FIELD_RULE.order))
+    rules = {"verify": doubled, "deficit": [Q], "spectrum": [Q, modes],
+             "variation-check": [field], "sweep": doubled + [modes]}[command]
+    for entry in entries:
+        try:
+            if command == "sweep":
+                S = solve_for_angle(cfg.sweep.kind, entry.theta,
+                                    n=cfg.sweep.n, r=entry.r)
+            else:
+                S = build(entry.spec)
+                if entry.perturbation is not None:
+                    S = perturb(S, entry.perturbation, rules[0])
+        except Exception as exc:  # raised again in the entry's suite
+            S = exc
+        _built[entry.label] = S
+    built = [S for S in _built.values() if not isinstance(S, Exception)]
+    if command in ("spectrum", "variation-check"):  # rotation orbits only
+        built = [S for S in built if not isinstance(S, GridSurface)]
+    evaluate(built, rules)
 
 
 def _spec_columns(entry: SurfaceEntry) -> list:
@@ -66,7 +101,7 @@ SPEC_HEADER = ["label", "kind", "n", "a", "r", "beta", "extent", "perturbed"]
 
 def _suite_verify(entry: SurfaceEntry, cfg: RunConfig):
     Q = QuadratureSpec(cfg.numerics.quad_order)
-    S = _build_surface(entry, Q)
+    S = _build_surface(entry)
     reports = identity_suite(S, Q)
     rows = [_spec_columns(entry) + [
         rep.identity_id, rep.lhs, rep.rhs, rep.abs_residual, rep.rel_residual,
@@ -83,7 +118,7 @@ VERIFY_HEADER = SPEC_HEADER + [
 def _suite_spectrum(entry: SurfaceEntry, cfg: RunConfig):
     num = cfg.numerics
     Q = QuadratureSpec(num.quad_order)
-    S = _build_surface(entry, Q)
+    S = _build_surface(entry)
     res = constrained_spectrum(S, num.constraint, num.eig_count, Q=Q)
     lowest = float(res.eigenvalues[0])
     # a declared non-CMC control may legitimately be unstable
@@ -116,7 +151,7 @@ def _variation_field(S, resolution: int, seed: int) -> ScalarField:
 def _suite_variation(entry: SurfaceEntry, cfg: RunConfig):
     num = cfg.numerics
     Q = QuadratureSpec(max(num.quad_order, FIELD_RULE.order))
-    S = _build_surface(entry, Q)
+    S = _build_surface(entry)
     phi = _variation_field(S, num.grid, cfg.seed)
     # the second difference of the volume Lagrangian needs a mean-zero
     # field; it shares phi's spline slopes and reads
@@ -144,7 +179,7 @@ VARIATION_HEADER = SPEC_HEADER + [
 
 def _suite_deficit(entry: SurfaceEntry, cfg: RunConfig):
     Q = QuadratureSpec(cfg.numerics.quad_order)
-    S = _build_surface(entry, Q)
+    S = _build_surface(entry)
     D = umbilicity_deficit(S, Q)
     bc = boundary_cancellation(S)
     if entry.is_control:
@@ -162,11 +197,11 @@ DEFICIT_HEADER = SPEC_HEADER + ["deficit", "boundary_cancellation", "status"]
 
 
 def _suite_sweep(entry, cfg: RunConfig):
-    """One sweep member: the suite solves (kind, n, r) for theta, so an
-    infeasible member becomes an ERROR row instead of failing the run."""
+    """One sweep member, solved for (kind, n, r) and theta by ``run``: an
+    infeasible member is an ERROR row, not a failed run."""
     num, sw = cfg.numerics, cfg.sweep
     Q = QuadratureSpec(num.quad_order)
-    S = solve_for_angle(sw.kind, entry.theta, n=sw.n, r=entry.r)
+    S = _build_surface(entry)
     theta = S.boundary_frame_at().theta
     reports = identity_suite(S, Q)
     max_res = max(rep.rel_residual for rep in reports)
@@ -216,6 +251,7 @@ def run(config: RunConfig, command: str) -> RunManifest:
                            tool_version=__version__)
     t0 = time.perf_counter()
 
+    _build_all(entries, config, command)
     rows, errors = [], []
     for entry in entries:
         try:
@@ -227,6 +263,7 @@ def run(config: RunConfig, command: str) -> RunManifest:
         else:
             rows.extend(entry_rows)
         manifest.statuses[entry.label] = status
+    _built.clear()
     manifest.wall_time_s = time.perf_counter() - t0
 
     out_dir = config.output.directory

@@ -170,19 +170,42 @@ def bump_jet(t, lo: float, hi: float) -> tuple:
 # builders
 # ----------------------------------------------------------------------
 
+def sphere_jet(t, a, r) -> tuple:
+    """The meridian jet of the sphere of center height a and radius r."""
+    st, ct = np.sin(t), np.cos(t)
+    return (r * st, a + r * ct, r * ct, -r * st, -r * st, -r * ct)
+
+
+def bumped_jet(t, a, r, amplitude, lo, hi) -> tuple:
+    """The sphere's jet with the radius r + amplitude * b(t), b the bump
+    on [lo, hi]."""
+    b, db, d2b = bump_jet(t, lo, hi)
+    R = r + amplitude * b
+    dR = amplitude * db
+    d2R = amplitude * d2b
+    st, ct = np.sin(t), np.cos(t)
+    rho = R * st
+    z = a + R * ct
+    drho = dR * st + R * ct
+    dz = dR * ct - R * st
+    d2rho = d2R * st + 2.0 * dR * ct - R * st
+    d2z = d2R * ct - 2.0 * dR * st - R * ct
+    return rho, z, drho, dz, d2rho, d2z
+
+
+def plane_jet(t, beta, extent) -> tuple:
+    """The line x(u) = (-u cos(beta), 1 + u sin(beta)), u = extent - t."""
+    u = extent - np.asarray(t, dtype=float)
+    c, s, zero = np.cos(beta), np.sin(beta), np.zeros_like(u)
+    return -u * c, 1.0 + u * s, zero + c, zero - s, zero, zero
+
+
 class SphereCapSurface(ProfileSurface):
     """Spherical cap of center height a and Euclidean radius r."""
 
     def __init__(self, n: int, a: float, r: float):
-        self.a = a = float(a)
-        self.r = r = float(r)
-        t1 = math.acos((1.0 - a) / r)
-
-        def jet(t):  # closes over a and r, not self: no ref cycle
-            st, ct = np.sin(t), np.cos(t)
-            return (r * st, a + r * ct, r * ct, -r * st, -r * st, -r * ct)
-
-        super().__init__(n, t1, jet)
+        self.a, self.r = a, r = float(a), float(r)
+        super().__init__(n, math.acos((1.0 - a) / r), sphere_jet, a=a, r=r)
 
 
 class BumpedCapSurface(ProfileSurface):
@@ -191,43 +214,20 @@ class BumpedCapSurface(ProfileSurface):
     def __init__(self, base: SphereCapSurface, pspec: PerturbationSpec):
         self.base = base
         self.pspec = pspec
-        a, r, t1 = base.a, base.r, base.t1
-        lo, hi = pspec.support[0] * t1, pspec.support[1] * t1
-        eps = pspec.amplitude
-
-        def jet(t):
-            b, db, d2b = bump_jet(t, lo, hi)
-            R = r + eps * b
-            dR = eps * db
-            d2R = eps * d2b
-            st, ct = np.sin(t), np.cos(t)
-            rho = R * st
-            z = a + R * ct
-            drho = dR * st + R * ct
-            dz = dR * ct - R * st
-            d2rho = d2R * st + 2.0 * dR * ct - R * st
-            d2z = d2R * ct - 2.0 * dR * st - R * ct
-            return rho, z, drho, dz, d2rho, d2z
-
-        super().__init__(base.n, t1, jet)
+        lo, hi = (f * base.t1 for f in pspec.support)
+        super().__init__(base.n, base.t1, bumped_jet, a=base.a, r=base.r,
+                         amplitude=pspec.amplitude, lo=lo, hi=hi)
 
 
 class PlaneCapSurface(GridSurface):
-    """Euclidean plane piece tilted by beta: the line x(u) = (-u cos(beta),
-    1 + u sin(beta)), u = extent - t on [0, extent], swept over a cube of
-    side extent; the cut is at t = 0 and the support at t1 = extent."""
+    """Euclidean plane piece tilted by beta (``plane_jet``) on [0, extent],
+    swept over a cube of side extent; the cut is at t = 0 and the support
+    at t1 = extent."""
 
     def __init__(self, n: int, beta: float, extent: float):
-        self.beta = beta = float(beta)
-        self.extent = extent = float(extent)
-        c, s = math.cos(beta), math.sin(beta)
-
-        def jet(t):
-            u = extent - np.asarray(t, dtype=float)
-            zero = np.zeros_like(u)
-            return -u * c, 1.0 + u * s, zero + c, zero - s, zero, zero
-
-        super().__init__(n, extent, jet, extent)
+        self.beta, self.extent = beta, extent = float(beta), float(extent)
+        super().__init__(n, extent, plane_jet, extent, beta=beta,
+                         extent=extent)
 
 
 def build(spec: CapSpec) -> ProfileSurface:

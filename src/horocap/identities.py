@@ -72,25 +72,26 @@ def cmc_stats(S: ProfileSurface, Q: QuadratureSpec) -> tuple[float, float]:
     return float(H_mean), float(np.max(np.abs(H - H_mean)))
 
 
-def _sides(S: ProfileSurface, Q: QuadratureSpec, theta: float,
-           H_mean: float) -> dict[str, tuple[float, float]]:
-    """{identity id: (lhs, rhs)} of all five identities at the quadrature Q."""
-    n = S.n
-    ct, st = math.cos(theta), math.sin(theta)
-    m = node_set(S, Q).meridian
-    H, gxnu = m.H, m.gxnu
+def _sides(S: ProfileSurface, rules: tuple, theta: float,
+           H_mean: float) -> list[dict[str, tuple[float, float]]]:
+    """{identity id: (lhs, rhs)} of all five identities at each rule; the
+    boundary sides read no rule and are integrated once."""
+    n, ct, st = S.n, math.cos(theta), math.sin(theta)
     gxnubar = S.boundary_frame_at().gxnubar
-    return {
-        "I_BOUNDARY_MINK": (integrate_dM(S, gxnubar * S.Hhat() - (n - 1)),
-                            0.0),
-        "I_COR": (integrate_dM(
-            S, n * st - gxnubar * H_mean - n * ct * gxnubar), 0.0),
-        "I_HX_NU": (integrate_M(S, gxnu * H, Q),
-                    integrate_dM(S, -ct * gxnubar + st)),
-        "I_MINK1": (integrate_M(S, n * m.V - m.gXnu * H - n * ct * gxnu, Q),
-                    0.0),
-        "I_X_NU": (integrate_M(S, n * gxnu, Q), integrate_dM(S, gxnubar)),
-    }
+    mink = integrate_dM(S, gxnubar * S.Hhat() - (n - 1))
+    cor = integrate_dM(S, n * st - gxnubar * H_mean - n * ct * gxnubar)
+    hx, x = integrate_dM(S, -ct * gxnubar + st), integrate_dM(S, gxnubar)
+    tables = []
+    for Q in rules:
+        m = node_set(S, Q).meridian
+        H, gxnu = m.H, m.gxnu
+        gXnu = gxnu - m.gEnu  # m.gXnu, without a second gxnu
+        tables.append({"I_BOUNDARY_MINK": (mink, 0.0), "I_COR": (cor, 0.0),
+                       "I_HX_NU": (integrate_M(S, gxnu * H, Q), hx),
+                       "I_MINK1": (integrate_M(S, n * m.V - gXnu * H
+                                               - n * ct * gxnu, Q), 0.0),
+                       "I_X_NU": (integrate_M(S, n * gxnu, Q), x)})
+    return tables
 
 
 def suite(S: ProfileSurface, Q: QuadratureSpec) -> list[IdentityReport]:
@@ -102,8 +103,7 @@ def suite(S: ProfileSurface, Q: QuadratureSpec) -> list[IdentityReport]:
     theta = float(S.boundary_frame_at().theta)
     H_mean, H_spread = cmc_stats(S, Q)
     cmc_ok = H_spread <= max(CMC_SPREAD_TOL, CMC_SPREAD_TOL * abs(H_mean))
-    coarse = _sides(S, Q, theta, H_mean)
-    fine = _sides(S, Q.refined(), theta, H_mean)
+    coarse, fine = _sides(S, (Q, Q.refined()), theta, H_mean)
 
     reports = []
     for identity_id in IDENTITY_IDS:

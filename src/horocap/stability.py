@@ -35,9 +35,6 @@ from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
-# no command uses scipy; only the benchmark tracer reads stability.scipy
-# (lazily, for scipy.linalg), so this bare import loads no submodule
-import scipy
 
 from .identities import cmc_stats
 from .quadrature import QuadratureSpec, gauss_legendre
@@ -69,9 +66,19 @@ ZERO_MODE_TOL = 1e-6
 DEGREE = 24
 # the highest angular mode a spectrum scans
 MAX_MODE = 40
+GALERKIN_ORDER = 2 * DEGREE + 16  # the least order of the spectra's rule
 # the rule of field integrals; the boundary-collar ramp of the variations
 # has large high derivatives and needs it this fine
 FIELD_RULE = QuadratureSpec(256)
+
+
+def __getattr__(name: str):
+    """``scipy``, imported on its first read (PEP 562): no command uses
+    it; the benchmark tracer reads ``stability.scipy.linalg``."""
+    if name == "scipy":
+        import scipy
+        return scipy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class GridError(ValueError):
@@ -282,7 +289,7 @@ def _galerkin(S: ProfileSurface, Q: QuadratureSpec) -> tuple:
     go through numpy as one stack.
     """
     _rotation_orbit(S)
-    order = max(Q.order, 2 * DEGREE + 16)
+    order = max(Q.order, GALERKIN_ORDER)
 
     def build():
         ns, (V, dV) = node_set(S, QuadratureSpec(order)), _legendre(order)

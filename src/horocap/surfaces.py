@@ -31,7 +31,11 @@ against H and |h|^2; it is the one per-node record of a node set.  The
 boundary is one orbit, so its frame is one ``Meridian``, the one at t1,
 whose conormal, contact angle, nubar, g(x, nubar) and h(mu, mu) are
 properties, and the contact angle is constant by symmetry; a boundary
-integral is a value times the orbit's measure (``integrate_dM``).  Every
+integral is a value times the orbit's measure (``integrate_dM``).  A
+family's jet is one function of t and the member's parameters, and
+``evaluate`` gives the surfaces of one family their signs, frames and
+node sets from one call on the stacked (surfaces x points) array of
+t1/2, t1 and the nodes; a lone surface is a family of one.  Every
 derivative is read off the jets.
 
 Curvature conventions: the second fundamental form is h(X, Y) =
@@ -44,6 +48,7 @@ upper half-space raises ``GeometryError``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from collections import namedtuple
@@ -60,6 +65,7 @@ __all__ = [
     "EvaluationError",
     "Meridian",
     "ProfileSurface",
+    "evaluate",
     "GridSurface",
     "integrate_M",
     "integrate_dM",
@@ -106,8 +112,13 @@ class Meridian(namedtuple(
     normal = property(lambda m: (m.sign * m.w * m.m0, m.sign * m.w * m.m1))
     # the ambient fields, from the Euclidean x . nu and nu_d
     V = property(lambda m: 1.0 / m.w)  # 1 / x_d
-    gxnu = property(lambda m: (m.rho * m.normal[0] + m.w * m.normal[1])
-                    / (m.w * m.w))  # g(x, nu)
+
+    @property
+    def gxnu(self):
+        """g(x, nu)."""
+        nu0, nu1 = self.normal
+        return (self.rho * nu0 + self.w * nu1) / (self.w * self.w)
+
     gEnu = property(lambda m: m.normal[1] / (m.w * m.w))  # g(E_d, nu)
     gXnu = property(lambda m: m.gxnu - m.gEnu)  # g(x - E_d, nu)
     E_tan_sq = property(  # g(E_d^T, E_d^T), E_d's tangential part
@@ -139,22 +150,23 @@ class Meridian(namedtuple(
 class ProfileSurface:
     """Axisymmetric surface from a meridian profile on [0, t1].
 
-    ``profile_jet(t)`` returns (rho, z, rho', z', rho'', z'') and must
-    accept an array of t (componentwise).  The axis point is t = 0
-    (rho(0) = 0) and the boundary t = t1 must satisfy z(t1) = 1 to
-    support tolerance.
+    ``profile_jet(t, **params)`` returns (rho, z, rho', z', rho'', z'')
+    and must accept an array of t (componentwise), its parameters
+    broadcast against it; ``self.profile_jet`` binds this surface's.
+    The axis point is t = 0 (rho(0) = 0) and the boundary t = t1 must
+    satisfy z(t1) = 1 to support tolerance.
     """
 
     artificial_cut = False
-    _sign_cache: Optional[int] = None
 
     def __init__(self, n: int, t1: float,
-                 profile_jet: Callable[[float], tuple]):
+                 profile_jet: Callable[..., tuple], **params):
         if n < 2:
             raise ValueError("surface dimension n must be >= 2")
-        self.n = n
-        self.t1 = float(t1)
-        self.profile_jet = profile_jet
+        self.n, self.t1, self.params = n, float(t1), params
+        self.profile_jet = functools.partial(profile_jet, **params)
+        # surfaces of one class, jet and n stack (evaluate)
+        self.family = (type(self), profile_jet, n) if params else id(self)
 
     # -- the cross-section ---------------------------------------------
     @staticmethod
@@ -184,19 +196,19 @@ class ProfileSurface:
 
     # -- orientation and shape -----------------------------------------
     def orientation_sign(self) -> int:
-        """Global normal sign: H > 0, or nu_d >= 0 at t1/2 if H = 0; one
-        scalar evaluation."""
-        if self._sign_cache is None:
-            m = self.meridian(0.5 * self.t1, +1)
-            key = m.H if abs(m.H) > 1e-9 else m.w * m.m1
-            self._sign_cache = 1 if key >= 0 else -1
-        return self._sign_cache
+        """Global normal sign: H > 0, or nu_d >= 0 at t1/2 if H = 0; set
+        with the frame."""
+        if "_frame" not in self.__dict__:
+            _evaluate([self], ())
+        return self._sign
 
-    def meridian(self, t, sign: Optional[int] = None) -> Meridian:
-        """One profile_jet call at t, under sign (default: the surface's)."""
+    def meridian(self, t, sign: Optional[int] = None, **params) -> Meridian:
+        """One profile_jet call at t, under sign (default: the surface's),
+        with params (columns: of a family's stacked call) if given."""
         sign = self.orientation_sign() if sign is None else sign
         # [()]: at one t, float64 scalars, whose arithmetic is cheaper
-        jet = [np.asarray(c, dtype=float)[()] for c in self.profile_jet(t)]
+        jet = [np.asarray(c, dtype=float)[()]
+               for c in self.profile_jet(t, **params)]
         rho, w, dr, dz, d2r, d2z = (np.broadcast_arrays(*jet) if len(
             {c.shape for c in jet}) > 1 else jet)
         if (w <= 0).any():
@@ -223,14 +235,13 @@ class ProfileSurface:
 
     # -- boundary ------------------------------------------------------
     def boundary_frame_at(self) -> Meridian:
-        """The frame of the boundary orbit: the Meridian at t1, checked on
-        the support; built once."""
+        """The frame of the boundary orbit: the Meridian at t1, kept on the
+        surface and checked on the support at every read."""
         if "_frame" not in self.__dict__:
-            m = self.meridian(self.t1)
-            if abs(m.w - 1.0) > 1e-9:
-                raise SupportError(f"boundary point height {m.w} "
-                                   "is off the horosphere")
-            self._frame = m
+            _evaluate([self], ())
+        if abs(self._frame.w - 1.0) > 1e-9:
+            raise SupportError(f"boundary point height {self._frame.w} "
+                               "is off the horosphere")
         return self._frame
 
 
@@ -244,9 +255,9 @@ class GridSurface(ProfileSurface):
 
     artificial_cut = True
 
-    def __init__(self, n: int, t1: float,
-                 profile_jet: Callable[[float], tuple], side: float):
-        super().__init__(n, t1, profile_jet)
+    def __init__(self, n: int, t1: float, profile_jet: Callable[..., tuple],
+                 side: float, **params):
+        super().__init__(n, t1, profile_jet, **params)
         self.side = float(side)
 
     @staticmethod
@@ -280,26 +291,70 @@ class GridSurface(ProfileSurface):
 # quadrature node sets and integration
 # ----------------------------------------------------------------------
 
-class NodeSet:
-    """Gauss-Legendre nodes on [0, t1], the bare Gauss weights
-    (``gauss_weights``), the weights times the area element and the
-    cross-section measure (``weights``), and the nodes' Meridian, which
-    holds every per-node quantity.  The surface caches its node sets.
-    """
-
-    def __init__(self, S: ProfileSurface, Q: QuadratureSpec):
-        self.nodes, self.gauss_weights = Q.rule(0.0, S.t1)
-        self.meridian = m = S.meridian(self.nodes)
-        self.weights = (self.gauss_weights * m.A * m.B ** (S.n - 1)
-                        * S.orbit_measure)
+# Gauss-Legendre nodes on [0, t1], the bare Gauss weights, the weights
+# times the area element and the cross-section measure, and the nodes'
+# Meridian, which holds every per-node quantity; kept on the surface
+NodeSet = namedtuple("NodeSet", "nodes gauss_weights weights meridian")
 
 
 def node_set(S: ProfileSurface, Q: QuadratureSpec) -> NodeSet:
     """The node set of Q's order on S."""
-    cache = S.__dict__.setdefault("_node_sets", {})
-    if Q.order not in cache:
-        cache[Q.order] = NodeSet(S, Q)
-    return cache[Q.order]
+    if Q.order not in S.__dict__.get("_node_sets", {}):
+        _evaluate([S], (Q,))
+    return S._node_sets[Q.order]
+
+
+def evaluate(surfaces, rules) -> None:
+    """Sign, frame and node sets of the rules for every surface, one
+    profile_jet call per family; if it raises, each surface alone, and
+    one that raises again raises where it is read."""
+    families = {}
+    for S in surfaces:
+        families.setdefault(S.family, []).append(S)
+    for group in families.values():
+        try:
+            _evaluate(group, rules)
+        except Exception:
+            for S in group:
+                with contextlib.suppress(Exception):
+                    _evaluate([S], rules)
+
+
+def _evaluate(group: list, rules) -> None:
+    """One meridian call under sign +1 on the (surfaces x points) array of
+    t1/2 and t1 (if a surface lacks its frame) and the nodes of the rules
+    a surface lacks; what a surface has is kept.  The sign is that of H
+    at t1/2, or of nu_d there where |H| <= 1e-9; where it is -1, kappa_m
+    and kappa_a are negated, which is exact."""
+    rules = [Q for Q in dict.fromkeys(rules) if any(
+        Q.order not in S.__dict__.get("_node_sets", {}) for S in group)]
+    head = 2 * any("_frame" not in S.__dict__ for S in group)
+    if not rules and not head:
+        return
+    nodes = [[Q.rule(0.0, S.t1) for Q in rules] for S in group]
+    t = np.array([np.concatenate([(0.5 * S.t1, S.t1)[:head],
+                                  *(x for x, _ in xw)])
+                  for S, xw in zip(group, nodes)])
+    columns = {k: np.array([S.params[k] for S in group])[:, None]
+               for k in group[0].params}
+    m = group[0].meridian(t, 1, **columns)
+    for i, (S, xw) in enumerate(zip(group, nodes)):
+        row, fresh = [f[i] for f in m[2:]], "_frame" not in S.__dict__
+        if fresh:
+            p = Meridian(S.n, 1, *(f[0] for f in row))  # the probe
+            key = p.H if abs(p.H) > 1e-9 else p.w * p.m1
+            S._sign = 1 if key >= 0 else -1
+        row[-2:] = row[-2] * S._sign, row[-1] * S._sign
+        if fresh:
+            S._frame = Meridian(S.n, S._sign, *(f[1] for f in row))
+        sets, start = S.__dict__.setdefault("_node_sets", {}), head
+        for Q, (x, w) in zip(rules, xw):
+            if Q.order not in sets:
+                q = Meridian(S.n, S._sign,
+                             *(f[start:start + Q.order] for f in row))
+                sets[Q.order] = NodeSet(x, w, w * q.A * q.B ** (S.n - 1)
+                                        * S.orbit_measure, q)
+            start += Q.order
 
 
 def integrate_M(S: ProfileSurface, f, Q: QuadratureSpec) -> float:

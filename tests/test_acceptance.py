@@ -236,6 +236,11 @@ def test_criterion_4_jacobi_and_robin_relations(announce):
 
 def test_criterion_5_kernel_and_constancy(announce, reference_caps,
                                           distinguished_fields, norm_sq):
+    """Q(phi_test) ~ 0 and Phi constant on the reference caps.  On a cap
+    z phi_test reduces to 0 for every t, so the Q(phi_test) half is Q(0)
+    up to rounding; the form is checked where it can fail by
+    tests/test_stability.py::TestQuadraticForm::
+    test_dilation_field_reduces_to_its_boundary."""
     with announce(5, "quadratic form annihilates the distinguished field"):
         for S in reference_caps:
             phi, Phi = distinguished_fields(S, 128)

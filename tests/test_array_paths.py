@@ -320,9 +320,8 @@ def test_plane_path_runs_no_factorization(name, request, monkeypatch):
     piece take no SVD, pseudo-inverse, inverse, solve, Cholesky factor or
     eigensolve."""
     S = copy.copy(request.getfixturevalue(name))
-    for cached in ("_node_sets", "_frame", "boundary_measure"):
+    for cached in ("_node_sets", "_sign", "_frame", "boundary_measure"):
         S.__dict__.pop(cached, None)  # a copy without the cached geometry
-    S._sign_cache = None
     Q = QuadratureSpec(16)
     Q.rule(0.0, 1.0)  # numpy builds the rule by an eigensolve, cached
     calls = []
@@ -376,17 +375,18 @@ def test_profile_boundary_frames_repeat_the_orbit_frame(name, request):
 
 @pytest.mark.parametrize("name", CAPS)
 def test_profile_boundary_frame_is_built_once(name, request):
-    """One meridian evaluation at t1 builds the frame, kept on the surface;
-    a fresh surface builds the same frame."""
+    """One profile_jet call, on (t1/2, t1), builds the frame with the
+    sign, kept on the surface; a fresh surface builds the same frame."""
     S = request.getfixturevalue(name)
-    fresh = ProfileSurface(S.n, S.t1, S.profile_jet)
-    fresh._sign_cache = S.orientation_sign()
-    calls, meridian = [], fresh.meridian
-    fresh.meridian = lambda t, sign=None: (calls.append(t), meridian(t))[1]
+    calls = []
+    fresh = ProfileSurface(S.n, S.t1, lambda t: (calls.append(t),
+                                                  S.profile_jet(t))[1])
     one = fresh.boundary_frame_at()
     assert fresh.boundary_frame_at() is one
     assert fresh.boundary_measure > 0.0
-    assert calls == [S.t1]
+    assert fresh.orientation_sign() == S.orientation_sign()
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], [[0.5 * S.t1, S.t1]])
     want = S.boundary_frame_at()
     for field in want._fields + FRAME_PROPERTIES:
         np.testing.assert_array_equal(getattr(one, field),
@@ -397,8 +397,9 @@ def test_profile_boundary_frame_is_built_once(name, request):
 @pytest.mark.parametrize("name", ["bumped_cap", "tilted_cap",
                                   "equidistant_cap", "minimal_cap"])
 def test_orientation_needs_no_shape_pass(name, request, monkeypatch):
-    """The orientation reads H (or nu_d) of one Meridian at t1/2: one
-    profile_jet call, and no ambient fields, normal or frame vectors."""
+    """The orientation reads H (or nu_d) of the Meridian at t1/2, in the
+    one profile_jet call that builds the frame, and no ambient fields,
+    normal or frame vectors."""
     S = (build(CapSpec(CapKind.EQUIDISTANT_SPHERE_CAP, a=0.0, r=1.5))
          if name == "minimal_cap" else request.getfixturevalue(name))
     probe = S.shape_at(0.5 * S.t1)  # under the surface's sign
@@ -416,7 +417,8 @@ def test_orientation_needs_no_shape_pass(name, request, monkeypatch):
                  "normal") + FRAME_PROPERTIES:
         monkeypatch.setattr(Meridian, name, property(no_shapes))
     assert fresh.orientation_sign() == S.orientation_sign()
-    assert calls == [0.5 * S.t1]
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], [[0.5 * S.t1, S.t1]])
 
 
 # -- the meridian record of a profile chart -----------------------------

@@ -43,23 +43,36 @@ OPEN_CHARTS = [
 ]
 
 
-def count_jet_calls(monkeypatch) -> dict:
-    """{surface: [node array of each profile_jet call]} of every surface
-    built from now on, counted through the instance attribute, as the
-    benchmark tracer counts them."""
-    init, calls = ProfileSurface.__init__, {}
+def count_jet_calls(monkeypatch) -> list:
+    """[(surface, t, parameter columns)] of every profile_jet call of the
+    surfaces built from now on, counted through the instance attribute,
+    as the benchmark tracer counts them: a family's stacked call is one,
+    on its first surface, with t of shape (surfaces, points)."""
+    init, calls = ProfileSurface.__init__, []
 
     def counting_init(S, *args, **kwargs):
         init(S, *args, **kwargs)
         jet = S.profile_jet
 
-        def counting(t):
-            calls[S].append(np.array(t, dtype=float, ndmin=1))
-            return jet(t)
-        S.profile_jet, calls[S] = counting, []  # held: no id reuse
+        def counting(t, **params):
+            calls.append((S, np.array(t, dtype=float, ndmin=2), params))
+            return jet(t, **params)
+        S.profile_jet = counting
 
     monkeypatch.setattr(ProfileSurface, "__init__", counting_init)
     return calls
+
+
+def jet_rows(calls) -> dict:
+    """{surface key: [points of each row]} of the recorded calls; a row
+    is one surface of its call, keyed by the class and its parameters."""
+    rows = {}
+    for S, t, params in calls:
+        for i, points in enumerate(t):
+            key = (type(S), *(float(params[k][i, 0]) if params else v
+                              for k, v in S.params.items()))
+            rows.setdefault(key, []).append(points)
+    return rows
 
 
 def write_config(tmp_path, overrides=None, **kw):
@@ -624,27 +637,23 @@ class TestRun:
 
     def test_one_boundary_frame_per_fresh_surface(self, tmp_path,
                                                   monkeypatch):
-        meridian, seen = ProfileSurface.meridian, []
-
-        def counting(S, t, sign=None):
-            if np.ndim(t) == 0 and t == S.t1:  # the frame's one evaluation
-                seen.append(S)  # held, so no two surfaces share an id
-            return meridian(S, t, sign)
-
-        monkeypatch.setattr(ProfileSurface, "meridian", counting)
+        """Each command evaluates the frame of each surface it reads once:
+        one row of one profile_jet call starts with (t1/2, t1)."""
+        calls = count_jet_calls(monkeypatch)
         cfg = load_config(write_config(
             tmp_path, sweep={"kind": "sphere_cap", "thetas": [1.2],
                              "radii": [0.6]},
             numerics={"quad_order": 32, "grid": 32, "eig_count": 4}))
         for command in ("verify", "deficit", "spectrum", "variation-check",
                         "sweep"):
-            seen.clear()
+            calls.clear()
             assert run(cfg, command).ok
-            per_surface = Counter(map(id, seen))
+            frames = {key: sum(p[1] == 2.0 * p[0] for p in rows)
+                      for key, rows in jet_rows(calls).items()}
             # the three configured surfaces, or the one sweep member, whose
-            # angle solve built the surface the suite reads
-            assert len(per_surface) == (1 if command == "sweep" else 3)
-            assert set(per_surface.values()) == {1}, command
+            # angle solve built the frame the suite reads
+            assert len(frames) == (1 if command == "sweep" else 3), command
+            assert set(frames.values()) == {1}, command
 
     def test_one_bumped_surface_per_control(self, tmp_path, monkeypatch):
         """perturb returns the bumped surface whose immersion it checked,
@@ -690,29 +699,77 @@ class TestRun:
 
     def test_one_profile_jet_call_per_node_array(self, tmp_path,
                                                  monkeypatch):
-        """verify and deficit evaluate each node array of a fresh surface
-        once: the orientation probe, the boundary orbit and the quadrature
-        node sets (verify: two orders).  Counted through the instance
+        """verify and deficit make one profile_jet call per (family, n)
+        group, on the probe, t1 and every node set the command integrates
+        on, plus the lone calls: the control's immersion check (probe,
+        t1 and the quad_order nodes) and, in verify, its doubled nodes.
+        No surface evaluates a point twice.  Counted through the instance
         attribute, as the benchmark tracer counts them."""
         calls = count_jet_calls(monkeypatch)
         cfg = load_config(write_config(tmp_path))
-        for command, most in (("verify", 4), ("deficit", 3)):
+        # the control's check while it is built, then the two caps, n = 2,
+        # in one call, and the control's remaining nodes
+        for command, shapes in (("verify", [(1, 2 + 64), (2, 2 + 64 + 128),
+                                            (1, 128)]),
+                                ("deficit", [(1, 2 + 64), (2, 2 + 64)])):
             calls.clear()
             assert run(cfg, command).ok
-            for arrays in calls.values():
-                assert len(arrays) <= most, command
-                assert len({a.tobytes() for a in arrays}) == len(arrays)
+            assert [t.shape for _, t, _ in calls] == shapes, command
+            for rows in jet_rows(calls).values():
+                points = np.concatenate(rows)
+                assert len(np.unique(points)) == len(points), command
 
     def test_variation_check_reads_three_jets_per_surface(self, tmp_path,
                                                           monkeypatch):
-        """variation-check reads the profile jet of a surface at most three
-        times for its five checks: the orientation probe, the boundary
-        orbit and the node set, whose Meridian and frame give Y and Y'."""
+        """variation-check reads the profile jet once per group, on the
+        probe, t1 and the node set, whose Meridian and frame give Y and
+        Y', plus the control's immersion check on the same points."""
         calls = count_jet_calls(monkeypatch)
         cfg = load_config(write_config(tmp_path))
         assert run(cfg, "variation-check").ok
-        kept = [len(c) for c in calls.values() if c]  # not a control's base
-        assert len(kept) == 3 and max(kept) <= 3
+        assert [t.shape for _, t, _ in calls] == [(1, 2 + 256),
+                                                   (2, 2 + 256)]
+        assert len(jet_rows(calls)) == 3
+
+    def test_build_error_is_its_entry_row(self, tmp_path):
+        """A control whose build raises (AmplitudeError) is one ERROR row;
+        the other surfaces, built and evaluated with it, keep theirs."""
+        cfg = load_config(write_config(tmp_path, surfaces=[
+            *BASE_CONFIG["surfaces"],
+            {"label": "bad", "kind": "sphere_cap", "a": 1.0, "r": 0.5,
+             "perturbation": {"amplitude": -40.0}}]))
+        manifest = run(cfg, "verify")
+        assert manifest.statuses == {"cap-ortho": "PASS", "cap-tilt": "PASS",
+                                     "control": "EXPECTED_FAIL",
+                                     "bad": "ERROR"}
+        out = cfg.output.directory
+        errors = (out / "verify_errors.csv").read_text().splitlines()[1:]
+        assert len(errors) == 1
+        assert errors[0].startswith("bad,ERROR,AmplitudeError: amplitude -40")
+        labels = [row.split(",")[0] for row in
+                  (out / "verify.csv").read_text().splitlines()[1:]]
+        assert labels == [label for label in ("cap-ortho", "cap-tilt",
+                                              "control") for _ in range(5)]
+
+    def test_infeasible_sweep_member_is_its_row(self, tmp_path):
+        """An infeasible sweep member is one ERROR row; the member solved
+        beside it is evaluated with the others and keeps its row."""
+        cfg = load_config(write_config(tmp_path, sweep={
+            "kind": "equidistant_sphere_cap", "thetas": [1.2],
+            "radii": [0.6, 1.5]}))
+        manifest = run(cfg, "sweep")
+        assert sorted(manifest.statuses.values()) == ["ERROR", "PASS"]
+        out = cfg.output.directory
+        with open(out / "sweep_errors.csv", newline="") as fh:
+            errors = list(csv.reader(fh))[1:]
+        assert len(errors) == 1
+        label, status, message = errors[0]
+        assert (label, status) == ("sweep-theta-1.200000-r-0.600000", "ERROR")
+        assert message.startswith("InfeasibleError: ")
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(row[0], row[-1]) for row in rows] == [
+            ("sweep-theta-1.200000-r-1.500000", "PASS")]
 
     def test_sweep_requires_section(self, tmp_path):
         cfg = load_config(write_config(tmp_path))

@@ -8,7 +8,7 @@ import pytest
 from horocap.families import CapKind, CapSpec, build, solve_for_angle
 from horocap.identities import IDENTITY_IDS, cmc_stats, suite
 from horocap.quadrature import QuadratureSpec
-from horocap.surfaces import ProfileSurface
+from horocap.surfaces import evaluate
 
 
 def row(S, identity_id, Q):
@@ -91,26 +91,29 @@ class TestSuite:
         # analytic integrands: either convergent or already at round-off
         assert r2 < max(r1 * 2.0, 1e-12)
 
-    def test_one_frame_evaluation_per_quadrature_order(self, monkeypatch):
-        """The suite evaluates the meridian at t1 once, for the one frame."""
-        calls = []
-        meridian = ProfileSurface.meridian
-
-        def counting(S, t, sign=None):
-            if np.ndim(t) == 0 and t == S.t1:
-                calls.append(t)
-            return meridian(S, t, sign)
-        monkeypatch.setattr(ProfileSurface, "meridian", counting)
+    def test_one_frame_evaluation_per_quadrature_order(self):
+        """On a fresh surface the suite evaluates t1 once, for the one
+        frame, and each order's nodes once; on a surface whose node sets
+        one stacked evaluation made it calls no profile jet."""
         Q = QuadratureSpec(16)
-        # fresh surfaces: every boundary is one orbit of rotations or of
-        # translations, with one frame, whatever the order
+        # every boundary is one orbit of rotations or of translations,
+        # with one frame, whatever the order
         for spec in (CapSpec(CapKind.TILTED_PLANE_CAP, n=2, beta=math.pi / 3,
                              extent=1.0),
                      CapSpec(CapKind.SPHERE_CAP, n=2, a=1.0, r=0.5)):
-            S = build(spec)
-            calls.clear()
-            suite(S, Q)
-            assert len(calls) == 1, (spec.kind, calls)
+            for ready in (False, True):
+                S, calls = build(spec), []
+                if ready:
+                    evaluate([S], (Q, Q.refined()))
+                jet = S.profile_jet
+                S.profile_jet = lambda t, **p: (calls.append(t),
+                                                jet(t, **p))[1]
+                suite(S, Q)
+                if ready:
+                    assert calls == [], spec.kind
+                    continue
+                assert [np.size(t) for t in calls] == [2, 16, 32], spec.kind
+                assert sum(np.count_nonzero(t == S.t1) for t in calls) == 1
 
     def test_angle_grid_of_caps_all_pass(self, quad):
         thetas = [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3]

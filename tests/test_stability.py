@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from horocap import stability
-from horocap.families import CapKind, InfeasibleError, solve_for_angle
+from horocap.families import (CapKind, CapSpec, InfeasibleError, build,
+                              solve_for_angle)
 from horocap.quadrature import QuadratureSpec
 from horocap.stability import (GridError, ScalarField, boundary_cancellation,
                                constrained_spectrum, quadratic_form, robin_q,
@@ -39,10 +40,44 @@ class TestQuadraticForm:
     def test_annihilates_the_test_function(self, ortho_cap, tilted_cap,
                                            cap_3d, distinguished_fields,
                                            norm_sq):
+        """On a cap z phi_test reduces to 0 for every t, so this is Q(0) up
+        to rounding; test_dilation_field_reduces_to_its_boundary is the
+        check of the form that can fail."""
         for S in (ortho_cap, tilted_cap, cap_3d):
             phi, _ = distinguished_fields(S, 128)
             Q = quadratic_form(S, phi)
             assert abs(Q) < 1e-6 * norm_sq(phi) + 1e-18
+
+    @pytest.mark.parametrize("n,a,r,want", [
+        (2, 1.0, 0.5, -3.14159265359), (3, 0.8, 0.6, -6.16079767425),
+        (2, 0.6, 0.7, -6.55246467749), (4, 0.0, 1.5, -37.0110165041),
+        (6, 1.2, 0.4, 0.0892980768393)])
+    def test_dilation_field_reduces_to_its_boundary(self, n, a, r, want,
+                                                    norm_sq):
+        """On a cap f = g(x, nu) = (r + a cos t)/(a + r cos t) generates
+        the dilations, isometries of the half-space, so J f = 0 and Q(f)
+        integrates by parts to |dM| f(t1) (f'(t1)/A(t1) - q f(t1)): the
+        bulk integrand of quadratic_form against its Robin term, on a
+        field where both are large (f is not mean-zero: this says nothing
+        about stability).  want is Q(f) of a callable field at 256 points,
+        to 12 digits.  On the grid of 1024 intervals the spline error is
+        at most 1e-10 of the integral of f^2 (1.4e-7 at 128, on n = 6),
+        against the tolerance 1e-9 of it."""
+        S = build(CapSpec(CapKind.SPHERE_CAP, n=n, a=a, r=r))
+
+        def f(t):
+            return (r + a * np.cos(t)) / (a + r * np.cos(t))
+        ns = node_set(S, stability.FIELD_RULE)
+        assert np.max(np.abs(ns.meridian.gxnu - f(ns.nodes))) < 1e-14
+        phi = ScalarField(S, f(stability._grid(S, 1024).nodes))
+        t1, bf = S.t1, S.boundary_frame_at()
+        df1 = math.sin(t1) * (r * r - a * a) / (a + r * math.cos(t1)) ** 2
+        boundary = S.boundary_measure * f(t1) * (df1 / bf.A
+                                                 - robin_q(S) * f(t1))
+        got = quadratic_form(S, phi)
+        assert abs(got - boundary) < 1e-9 * norm_sq(phi)
+        assert got == pytest.approx(want, rel=1e-11)
+        assert boundary == pytest.approx(want, rel=1e-11)
 
     def test_nonnegative_on_random_mean_zero_fields(self, tilted_cap, rng,
                                                     norm_sq):

@@ -12,8 +12,8 @@ from horocap.families import CapKind, CapSpec, build
 from horocap.quadrature import QuadratureSpec
 from horocap.surfaces import (EvaluationError, GeometryError, GridSurface,
                               ImmersionError, Meridian, ProfileSurface,
-                              SupportError, check_immersion, integrate_dM,
-                              integrate_M, node_set)
+                              SupportError, check_immersion, evaluate,
+                              integrate_dM, integrate_M, node_set)
 
 
 def sphere_cap(n=2, a=1.0, r=0.5):
@@ -194,17 +194,19 @@ class TestBoundaryFrame:
     @pytest.mark.parametrize("name", ["tilted_cap", "bumped_cap",
                                       "tilted_plane"])
     def test_frame_is_the_meridian_at_t1(self, name, request):
-        """The frame is the Meridian at t1, built by one profile_jet call
-        and kept: a second call returns the same object."""
+        """The frame is the Meridian at t1, built with the orientation
+        probe by one profile_jet call on (t1/2, t1) and kept: a second
+        call returns the same object, and the sign costs no call."""
         S = copy.copy(request.getfixturevalue(name))
-        for cached in ("_frame", "_node_sets", "boundary_measure"):
+        for cached in ("_sign", "_frame", "_node_sets", "boundary_measure"):
             S.__dict__.pop(cached, None)  # a copy without the cached geometry
-        S.orientation_sign()
         calls, jet = [], S.profile_jet
-        S.profile_jet = lambda t: (calls.append(t), jet(t))[1]
+        S.profile_jet = lambda t, **p: (calls.append(t), jet(t, **p))[1]
         frame = S.boundary_frame_at()
         assert S.boundary_frame_at() is frame
-        assert calls == [S.t1]
+        S.orientation_sign()
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], [[0.5 * S.t1, S.t1]])
         assert isinstance(frame, Meridian)
         want = S.meridian(S.t1)
         for field in Meridian._fields:
@@ -235,9 +237,9 @@ class TestBoundaryFrame:
         # a valid sphere profile truncated before it reaches the support;
         # a failed frame is not kept, so every call raises
         bad = ProfileSurface(2, 0.5 * math.acos(0.0), lambda t: (
-            0.5 * math.sin(t), 1.0 + 0.5 * math.cos(t),
-            0.5 * math.cos(t), -0.5 * math.sin(t),
-            -0.5 * math.sin(t), -0.5 * math.cos(t)))
+            0.5 * np.sin(t), 1.0 + 0.5 * np.cos(t),
+            0.5 * np.cos(t), -0.5 * np.sin(t),
+            -0.5 * np.sin(t), -0.5 * np.cos(t)))
         for _ in range(2):
             with pytest.raises(SupportError):
                 bad.boundary_frame_at()
@@ -256,6 +258,80 @@ class TestBoundaryFrame:
         for _ in range(2):
             with pytest.raises(SupportError):
                 integrate_dM(S, 1.0)
+
+
+def line_jet(t, c):
+    """rho = t, z = 1 + c (1 - t) on [0, 1]: it leaves the half-space
+    where c < -1."""
+    t = np.asarray(t, dtype=float)
+    one, zero = np.ones_like(t), np.zeros_like(t)
+    return t, 1.0 + c * (1.0 - t), one, -c * one, zero, zero
+
+
+class TestEvaluate:
+    RULES = (QuadratureSpec(16), QuadratureSpec(32))
+
+    def test_stacked_group_matches_each_surface_alone(self):
+        """One stacked evaluation of a family gives each surface the sign,
+        frame and node sets it gets alone, field for field, and that
+        ``meridian`` gives under the sign (where the stacked call negates
+        kappa_m and kappa_a), under either sign: the n = 2 sphere cap
+        (a 0.6, r 0.7) reads -1 and the n = 2 equidistant cap (a -0.3,
+        r 1.5) reads +1."""
+        specs = [CapSpec(CapKind.SPHERE_CAP, n=2, a=0.6, r=0.7),
+                 CapSpec(CapKind.EQUIDISTANT_SPHERE_CAP, n=2, a=-0.3, r=1.5)]
+        group = [build(spec) for spec in specs]
+        calls, jet = [], group[0].profile_jet
+        group[0].profile_jet = lambda t, **p: (calls.append(t),
+                                               jet(t, **p))[1]
+        evaluate(group, self.RULES)
+        assert [np.shape(t) for t in calls] == [(2, 2 + 16 + 32)]
+        for S, spec, sign in zip(group, specs, (-1, 1)):
+            alone = build(spec)
+            assert S.orientation_sign() == alone.orientation_sign() == sign
+            direct = S.meridian(S.t1)
+            for field in Meridian._fields:
+                got = getattr(S.boundary_frame_at(), field)
+                want = getattr(alone.boundary_frame_at(), field)
+                assert type(got) is type(want) and got == want, field
+                assert got == getattr(direct, field), field
+            for Q in self.RULES:
+                ns, lone = node_set(S, Q), node_set(alone, Q)
+                for name in ("nodes", "gauss_weights", "weights"):
+                    np.testing.assert_array_equal(getattr(ns, name),
+                                                  getattr(lone, name))
+                direct = S.meridian(ns.nodes)
+                for field in Meridian._fields:
+                    for want in (lone.meridian, direct):
+                        np.testing.assert_array_equal(
+                            getattr(ns.meridian, field), getattr(want, field),
+                            err_msg=field)
+        # the group's, then the first surface's direct ones: no read of its
+        # sign, frame or node sets made one
+        assert len(calls) == 1 + 1 + len(self.RULES)
+
+    def test_group_whose_call_raises_falls_back_to_each_surface(self):
+        """A family whose stacked call raises is evaluated surface by
+        surface: the good surface keeps its node sets, and only the one
+        that leaves the half-space raises, where it is read."""
+        good = ProfileSurface(2, 1.0, line_jet, c=0.5)
+        bad = ProfileSurface(2, 1.0, line_jet, c=-2.0)
+        assert good.family == bad.family
+        with pytest.raises(GeometryError):
+            node_set(ProfileSurface(2, 1.0, line_jet, c=-2.0), self.RULES[0])
+        evaluate([good, bad], self.RULES)
+        calls, jet = [], good.profile_jet
+        good.profile_jet = lambda t, **p: (calls.append(t), jet(t, **p))[1]
+        for Q in self.RULES:
+            want = node_set(ProfileSurface(2, 1.0, line_jet, c=0.5), Q)
+            np.testing.assert_array_equal(node_set(good, Q).weights,
+                                          want.weights)
+            with pytest.raises(GeometryError, match="upper half-space"):
+                node_set(bad, Q)
+        assert good.boundary_frame_at().w == 1.0
+        assert calls == []
+        with pytest.raises(GeometryError):
+            bad.boundary_frame_at()
 
 
 class TestIntegration:
@@ -324,9 +400,9 @@ class TestImmersionChecks:
 
     def test_profile_check_is_one_meridian_evaluation(self):
         """A profile chart's A and B come from its node set of the rule,
-        which the commands then integrate on (one jet call on the nodes,
-        after the orientation probe), and each failure is a ValueError,
-        which the bump bisection of families.perturb catches."""
+        which the commands then integrate on (one jet call on the
+        orientation probe, t1 and the nodes), and each failure is a
+        ValueError, which the bump bisection of families.perturb catches."""
         calls = []
 
         def line(slope, height):  # rho = slope t, z = 1 + height (1 - t)
@@ -340,9 +416,10 @@ class TestImmersionChecks:
 
         S = line(1.0, 0.5)
         check_immersion(S, QuadratureSpec(16))
-        assert len(calls) == 2
+        assert len(calls) == 1 and np.shape(calls[0]) == (1, 2 + 16)
         node_set(S, QuadratureSpec(16))
-        assert len(calls) == 2
+        S.boundary_frame_at()
+        assert len(calls) == 1
         with pytest.raises(ImmersionError, match="degenerate induced metric"):
             check_immersion(line(-1.0, 0.5), QuadratureSpec(16))
         with pytest.raises(GeometryError, match="upper half-space"):
