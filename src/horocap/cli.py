@@ -32,7 +32,7 @@ from .reports import (RunManifest, config_hash, grade, worst, write_csv,
 from .stability import (DEGREE, FIELD_RULE, GALERKIN_ORDER, ZERO_MODE_TOL,
                         ScalarField, boundary_cancellation,
                         constrained_spectrum, energy_second_difference,
-                        fd_variation_check, umbilicity_deficit, _grid)
+                        fd_variation_check, umbilicity_deficit)
 from .surfaces import GridSurface, evaluate, integrate_M
 
 __all__ = ["main", "run"]
@@ -137,25 +137,23 @@ SPECTRUM_HEADER = SPEC_HEADER + [
     "zero_modes", "modes_used", "eigenvalues", "status"]
 
 
-def _variation_field(S, resolution: int, seed: int) -> ScalarField:
-    """Seeded smooth axisymmetric test field (flat at the pole)."""
-    rng = np.random.default_rng(seed)
-    g = _grid(S, resolution)
-    coeffs = 0.2 * rng.standard_normal(4)
-    t = g.nodes
-    vals = sum(c * np.cos(m * math.pi * t / S.t1)
-               for m, c in enumerate(coeffs, start=0))
-    return ScalarField(S, vals)
+def _variation_field(S, seed: int) -> ScalarField:
+    """Seeded smooth axisymmetric test field, a cosine series in t/t1
+    (flat at the pole), with its closed-form derivative."""
+    k = math.pi * np.arange(4) / S.t1
+    c = 0.2 * np.random.default_rng(seed).standard_normal(4)
+    return ScalarField(S, lambda t: np.cos(np.multiply.outer(t, k)) @ c,
+                       lambda t: -np.sin(np.multiply.outer(t, k)) @ (k * c))
 
 
 def _suite_variation(entry: SurfaceEntry, cfg: RunConfig):
     num = cfg.numerics
     Q = QuadratureSpec(max(num.quad_order, FIELD_RULE.order))
     S = _build_surface(entry)
-    phi = _variation_field(S, num.grid, cfg.seed)
-    # the second difference of the volume Lagrangian needs a mean-zero
-    # field; it shares phi's spline slopes and reads
-    phi0 = phi.minus(phi.integral_M(Q) / integrate_M(S, 1.0, Q))
+    phi = _variation_field(S, cfg.seed)
+    # the second difference of the volume Lagrangian needs a mean-zero field
+    mean = phi.integral_M(Q) / integrate_M(S, 1.0, Q)
+    phi0 = ScalarField(S, lambda t: phi.f(t) - mean, phi.df)
     checks = [*fd_variation_check(S, phi, Q=Q).values(),
               energy_second_difference(S, phi0, Q=Q)]
     rows = []
@@ -299,7 +297,6 @@ def main(argv=None) -> int:
     parser.add_argument("--format", action="append", dest="formats",
                         choices=["csv", "json"],
                         help="output format (repeatable; overrides config)")
-    parser.add_argument("--grid", type=int, help="variation-field grid override")
     parser.add_argument("--quad", type=int, help="quadrature order override")
     parser.add_argument("--seed", type=int, help="seed for random test fields")
     args = parser.parse_args(argv)
@@ -308,8 +305,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         num = cfg.numerics
         # replace() re-runs the Numerics and RunConfig checks on overrides
-        if args.grid is not None:
-            num = replace(num, grid=args.grid)
         if args.quad is not None:
             num = replace(num, quad_order=args.quad)
         out = cfg.output

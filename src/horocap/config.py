@@ -19,7 +19,7 @@ versioned):
         "kind": "sphere_cap", "n": 2,  # a sphere kind
         "thetas": [...], "radii": [...]
       },
-      "numerics": {"quad_order": 128, "grid": 128, "eig_count": 10,
+      "numerics": {"quad_order": 128, "eig_count": 10,
                    "stability_tol": 1e-6, "constraint": "VOLUME"},
       "output": {"dir": "out", "formats": ["csv", "json"]},
       "seed": 0
@@ -31,7 +31,8 @@ its bump window [lo, hi], in fractions of the chart range:
 0.1 <= lo < hi <= 0.9 and hi - lo >= 0.1.  A sweep's ``kind`` is a
 sphere kind (``sphere_cap`` or ``equidistant_sphere_cap``), and its
 ``thetas`` and ``radii`` must stay distinct at the six decimals of the
-sweep labels.
+sweep labels.  ``numerics.grid`` is retired and ignored: it counted the
+nodes of the variation fields, which are now read in closed form.
 """
 
 from __future__ import annotations
@@ -155,18 +156,15 @@ class SweepSpec:
 @dataclass(frozen=True)
 class Numerics:
     """Numerical resolution; every instance, overrides included, is checked.
-    grid counts the uniform intervals on [0, t1] of the variation fields:
-    a field has grid + 1 nodes."""
+    The retired file key numerics.grid has no field: parse_config drops it."""
 
     quad_order: int = 128
-    grid: int = 128
     eig_count: int = 10
     stability_tol: float = 1e-6
     constraint: str = "VOLUME"
 
     def __post_init__(self):
         _integer("numerics.quad_order", self.quad_order, 8)
-        _integer("numerics.grid", self.grid, 16)
         _integer("numerics.eig_count", self.eig_count, 1)
         tol = _finite("numerics.stability_tol", self.stability_tol)
         if tol <= 0:
@@ -278,7 +276,11 @@ def parse_config(raw: dict) -> RunConfig:
     raw_surfaces = raw.get("surfaces", [])
     if not isinstance(raw_surfaces, list):
         raise ConfigError("surfaces", "must be a list")
-    num_raw = _section("numerics", raw.get("numerics", {}), _names(Numerics))
+    num_raw = raw.get("numerics", {})
+    if isinstance(num_raw, dict):
+        # the one retired key: the benchmark's configs still set it
+        num_raw = {k: v for k, v in num_raw.items() if k != "grid"}
+    num_raw = _section("numerics", num_raw, _names(Numerics))
     sweep = raw.get("sweep")
     if sweep is not None:
         # SweepSpec checks n and that neither axis is empty

@@ -3,8 +3,8 @@
 Every surface integrates with a 1-D Gauss-Legendre rule along the
 profile parameter times the exact measure of its cross-section (the unit
 (n-1)-sphere of a rotation sweep, the cube of a translation sweep).
-Fields on the uniform nodal grids integrate on the same rules: their
-not-a-knot splines are read once per node set of a rule.
+The variation fields integrate on the same rules: each is read once per
+node set of a rule.
 """
 
 from __future__ import annotations

@@ -17,13 +17,11 @@ continuous one from above (Rayleigh-Ritz), and it converges exponentially
 on analytic profiles.  The volume (int_M phi = 0) and wetting
 (int_dM phi = 0) constraints restrict the axisymmetric mode only.
 
-A variation field on the uniform grid t_j = j*t1/N is the not-a-knot
-spline through its nodes, whose slopes one Thomas elimination solves in
-numpy, in O(N); phi and phi' are read once per Gauss node set of the
-surface (FIELD_RULE by default).  The variation checks deform the
-surface along the straight line x + s*Y, so area, wetting area and
-volume are explicit in s, and their s-derivatives at 0 are exact, from
-Taylor coefficients.
+A variation field is its function phi of t with its derivative phi',
+both read once per Gauss node set of the surface (FIELD_RULE by default).
+The variation checks deform the surface along the straight line x + s*Y,
+so area, wetting area and volume are explicit in s, and their
+s-derivatives at 0 are exact, from Taylor coefficients.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ __all__ = [
     "SpectrumResult",
     "VariationCheck",
     "GridError",
-    "MIN_RESOLUTION",
     "ZERO_MODE_TOL",
     "DEGREE",
     "MAX_MODE",
@@ -60,7 +57,6 @@ __all__ = [
     "sphere_mode_multiplicity",
 ]
 
-MIN_RESOLUTION = 16
 ZERO_MODE_TOL = 1e-6
 # the Legendre degree of the spectra: P_0 ... P_DEGREE on the meridian
 DEGREE = 24
@@ -82,18 +78,15 @@ def __getattr__(name: str):
 
 
 class GridError(ValueError):
-    """Grid too coarse or incompatible with the surface chart."""
+    """The chart has no rotation orbit, or a field lives on another
+    surface."""
 
-
-# ----------------------------------------------------------------------
-# grid geometry cache
-# ----------------------------------------------------------------------
 
 class _ProfileGrid:
-    """The uniform nodes of the variation fields on one grid."""
+    """No command builds it; only the benchmark tracer wraps __init__."""
 
-    def __init__(self, S: ProfileSurface, resolution: int):
-        self.nodes = np.linspace(0.0, S.t1, resolution + 1)
+    def __init__(self) -> None:
+        pass
 
 
 def _rotation_orbit(S: ProfileSurface) -> None:
@@ -112,98 +105,32 @@ def _cached(owner, name: str, key, build: Callable):
     return cache[key]
 
 
-def _grid(S: ProfileSurface, resolution: int) -> _ProfileGrid:
-    """The cached grid of S."""
-    _rotation_orbit(S)
-    return _cached(S, "_stability_grids", resolution,
-                   lambda: _ProfileGrid(S, resolution))
-
-
 # ----------------------------------------------------------------------
 # scalar fields
 # ----------------------------------------------------------------------
 
-def _slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The node slopes of the not-a-knot cubic spline through (x, y) on a
-    uniform grid, by Thomas elimination in O(len(x)); they are scipy's
-    CubicSpline's up to the rounding of the nodes.
-
-    Divided by the spacing, the system's rows are (1, 2), (1, 4, 1) and
-    (2, 1); its right-hand side takes only differences of y, so y - c
-    has the slopes of y.  Every pivot is at least 0.4: no row needs
-    pivoting.
-    """
-    m = np.diff(y) / ((x[-1] - x[0]) / (len(x) - 1))
-    r = np.r_[2.5 * m[0] + 0.5 * m[1], 3.0 * (m[:-1] + m[1:]),
-              0.5 * m[-2] + 2.5 * m[-1]].tolist()
-    # row 1 less row 0 has the pivot 2; each next pivot is 4 - 1/p
-    p, r[1] = [1.0, 2.0], r[1] - r[0]
-    for i in range(2, len(r) - 1):
-        r[i] -= r[i - 1] / p[-1]
-        p.append(4.0 - 1.0 / p[-1])
-    r[-1] = (r[-1] - 2.0 * r[-2] / p[-1]) / (1.0 - 2.0 / p[-1])
-    for i in range(len(r) - 2, 0, -1):
-        r[i] = (r[i] - r[i + 1]) / p[i]
-    r[0] -= 2.0 * r[1]
-    return np.array(r, dtype=float)
-
-
 @dataclass(frozen=True)
 class ScalarField:
-    """Axisymmetric nodal field on the uniform profile grid.
-
-    Its continuous form is the not-a-knot spline through the nodes, whose
-    slopes are solved once; read gives phi and phi' once per node set.
-    """
+    """Axisymmetric field on a surface of revolution: f and df, its
+    derivative in t, each take an array of t; read gives phi and phi'
+    once per node set.  A chart with no rotation orbit is a GridError."""
 
     surface: ProfileSurface
-    values: np.ndarray
+    f: Callable
+    df: Callable
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.shape[0] < MIN_RESOLUTION + 1:
-            raise GridError(
-                f"field needs >= {MIN_RESOLUTION + 1} nodes, got {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise GridError("field values must be finite")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return _grid(self.surface, len(self.values) - 1).nodes
+        _rotation_orbit(self.surface)
 
     @functools.cached_property
-    def slopes(self) -> np.ndarray:
-        return _slopes(self.nodes, self.values)
-
-    def spline(self, t, nu: int = 0):
-        """The nu-th derivative of the spline at t: on each piece, Horner's
-        rule in t - x_i; the end pieces extrapolate."""
-        x, y, s = self.nodes, self.values, self.slopes
-        dx, m = np.diff(x), np.diff(y) / np.diff(x)
-        c = (s[:-1] + s[1:] - 2.0 * m) / dx
-        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(dx) - 1)
-        u, out = t - x[i], 0.0
-        # the coefficient of u^(3-k); its nu-th derivative (3-k)!/(3-k-nu)!
-        for k, a in enumerate(
-                (c / dx, (m - s[:-1]) / dx - c, s[:-1], y[:-1])[:4 - nu]):
-            out = out * u + math.perm(3 - k, nu) * a[i]
-        return out
+    def boundary_value(self) -> float:
+        return float(self.f(self.surface.t1))
 
     def read(self, Q: QuadratureSpec = FIELD_RULE) -> tuple:
         """(phi, phi') on the node set of Q, read once per order."""
         t = node_set(self.surface, Q).nodes
         return _cached(self, "_reads", Q.order,
-                       lambda: (self.spline(t), self.spline(t, 1)))
-
-    def minus(self, c: float) -> ScalarField:
-        """The field phi - c, with phi's slopes and its reads shifted by c."""
-        out = ScalarField(self.surface, self.values - c)
-        out.__dict__.update(slopes=self.slopes, _reads={
-            order: (f - c, df)
-            for order, (f, df) in self.__dict__.get("_reads", {}).items()})
-        return out
+                       lambda: (self.f(t), self.df(t)))
 
     def integral_M(self, Q: QuadratureSpec = FIELD_RULE) -> float:
         return integrate_M(self.surface, self.read(Q)[0], Q)
@@ -223,15 +150,15 @@ def quadratic_form(S: ProfileSurface, phi: ScalarField,
                    Q: QuadratureSpec = FIELD_RULE) -> float:
     """Second variation of energy in symmetric Dirichlet form.
 
-    phi and phi' are its spline's, read on the node set of Q; |grad phi|^2
-    is phi'^2 / A^2, A^2 the metric's t-t entry (g00 of the node set's
+    phi and phi' are read on the node set of Q; |grad phi|^2 is
+    phi'^2 / A^2, A^2 the metric's t-t entry (g00 of the node set's
     Meridian).
     """
     if phi.surface is not S:
         raise GridError("field was built on a different surface")
     m, (f, df) = node_set(S, Q).meridian, phi.read(Q)
     bulk = integrate_M(S, df ** 2 / m.g00 - (m.h2 - S.n) * f ** 2, Q)
-    return bulk - robin_q(S) * integrate_dM(S, phi.values[-1] ** 2)
+    return bulk - robin_q(S) * integrate_dM(S, phi.boundary_value ** 2)
 
 
 def sphere_mode_multiplicity(n: int, l: int) -> int:
@@ -411,7 +338,7 @@ def _taylor_pow(x0, x1, p: int) -> tuple:
 
 
 class _Variation:
-    """Straight-line admissible variation x + s*Y from a nodal scalar.
+    """Straight-line admissible variation x + s*Y from a scalar field.
 
     Y = phi*nu + eta*mu with eta a boundary-collar ramp chosen so the
     vertical component of Y vanishes at the boundary: the displaced
@@ -424,12 +351,12 @@ class _Variation:
     def __init__(self, S: ProfileSurface, phi: ScalarField,
                  Q: QuadratureSpec):
         c, bf = _collar(S, Q), S.boundary_frame_at()
-        self.S, self.frame, self.spline, self.sign = S, bf, phi.spline, c.sign
+        self.S, self.frame, self.sign = S, bf, c.sign
         self.w, self.jet = c.w, c.jet  # bare weights: the area element moves
         self.nubar_sign = 1.0 if bf.nubar[0] > 0 else -1.0
         self.rho1 = float(bf.rho)  # the boundary radius
-        self.eta1 = -phi.values[-1] * c.nu1[1] / c.mu1[1]
-        self.Y1 = phi.values[-1] * c.nu1 + self.eta1 * c.mu1
+        self.eta1 = -phi.boundary_value * c.nu1[1] / c.mu1[1]
+        self.Y1 = phi.boundary_value * c.nu1 + self.eta1 * c.mu1
         f, df = phi.read(Q)
         self.Y = f * c.nu + self.eta1 * c.ramp * c.mu
         self.Yp = (df * c.nu + f * c.dnu

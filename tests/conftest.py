@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from horocap.families import CapKind, CapSpec, PerturbationSpec, build, perturb
 from horocap.identities import cmc_stats
 from horocap.quadrature import QuadratureSpec
-from horocap.stability import FIELD_RULE, ScalarField, _grid
+from horocap.stability import FIELD_RULE, ScalarField
 from horocap.surfaces import integrate_M
 
 
@@ -76,28 +77,52 @@ def rng():
     return np.random.default_rng(20240824)
 
 
+def cosine_field(S, coeffs) -> ScalarField:
+    """sum_m c_m cos(m pi t / t1) over coeffs, with its derivative, in
+    closed form."""
+    k, c = math.pi * np.arange(len(coeffs)) / S.t1, np.asarray(coeffs)
+    return ScalarField(S, lambda t: np.cos(np.multiply.outer(t, k)) @ c,
+                       lambda t: -np.sin(np.multiply.outer(t, k)) @ (k * c))
+
+
+def mean_zero(phi, Q=FIELD_RULE) -> ScalarField:
+    """phi less its mean over its surface on the rule Q."""
+    mean = phi.integral_M(Q) / integrate_M(phi.surface, 1.0, Q)
+    return ScalarField(phi.surface, lambda t: phi.f(t) - mean, phi.df)
+
+
+def spline_field(S, values) -> ScalarField:
+    """The field of the not-a-knot cubic spline through values at the
+    uniform nodes t_j = j t1 / (len(values) - 1), with its derivative:
+    scipy's CubicSpline, the oracle of the spline the fields once were."""
+    spline = CubicSpline(np.linspace(0.0, S.t1, len(values)), values,
+                         bc_type="not-a-knot")
+    return ScalarField(S, spline, spline.derivative())
+
+
 @pytest.fixture(scope="session")
 def distinguished_fields():
-    """fields(S, resolution) -> (phi_test, Phi) of S on its grid.
+    """fields(S, resolution) -> (phi_test, Phi) of S, as spline_field
+    through resolution + 1 uniform nodes.
 
     phi_test = n V - H g(X,nu) - n cos(theta) g(x,nu) is the test function
     of the stability argument and Phi = -H V - n g(E,nu) its auxiliary
-    function, read off the Meridian at the grid nodes; H is the
-    area-weighted mean of cmc_stats on FIELD_RULE.
+    function, read off the Meridian at the nodes; H is the area-weighted
+    mean of cmc_stats on FIELD_RULE.
     """
     def fields(S, resolution=128):
-        m = S.meridian(_grid(S, resolution).nodes)
+        m = S.meridian(np.linspace(0.0, S.t1, resolution + 1))
         n, (H, _) = S.n, cmc_stats(S, FIELD_RULE)
         ct = math.cos(S.boundary_frame_at().theta)
-        return (ScalarField(S, n * m.V - H * m.gXnu - n * ct * m.gxnu),
-                ScalarField(S, -H * m.V - n * m.gEnu))
+        return (spline_field(S, n * m.V - H * m.gXnu - n * ct * m.gxnu),
+                spline_field(S, -H * m.V - n * m.gEnu))
     return fields
 
 
 @pytest.fixture(scope="session")
 def norm_sq():
-    """norm_sq(phi): the L2 norm squared of a field's spline over its
-    surface, on FIELD_RULE; the scale of the kernel bounds."""
+    """norm_sq(phi): the L2 norm squared of a field over its surface, on
+    FIELD_RULE; the scale of the kernel bounds."""
     def norm_sq(phi):
         return integrate_M(phi.surface, phi.read(FIELD_RULE)[0] ** 2,
                            FIELD_RULE)

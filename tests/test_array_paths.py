@@ -32,11 +32,12 @@ from horocap.families import CapKind, CapSpec, PerturbationSpec, build, perturb
 from horocap.quadrature import QuadratureSpec, gauss_legendre, unit_sphere_area
 from horocap import stability
 from horocap.identities import cmc_stats
-from horocap.stability import (ScalarField, _grid, _Variation, robin_q,
-                               umbilicity_deficit)
+from horocap.stability import _Variation, robin_q, umbilicity_deficit
 from horocap.surfaces import (EvaluationError, GeometryError, GridSurface,
                               ImmersionError, Meridian, ProfileSurface,
                               integrate_dM, integrate_M, node_set)
+
+from conftest import spline_field
 
 REL = 1e-12
 CAPS = ("ortho_cap", "tilted_cap", "cap_3d", "bumped_cap")
@@ -517,7 +518,7 @@ def test_non_finite_integrand_names_first_bad_node(ortho_cap):
 
 # -- scalar references -------------------------------------------------
 
-def ref_displacement(var, t):
+def ref_displacement(var, phi, t):
     rho, z, dr, dz, *_ = var.S.profile_jet(t)
     s = math.hypot(dr, dz)
     nu = var.sign * z * np.array([dz, -dr]) / s
@@ -531,35 +532,36 @@ def ref_displacement(var, t):
     else:
         a, b = math.exp(-1.0 / u), math.exp(-1.0 / (1.0 - u))
         ramp = a / (a + b)
-    return var.spline(t) * nu + var.eta1 * ramp * mu
+    return phi.f(t) * nu + var.eta1 * ramp * mu
 
 
-def ref_meridian(var, t, s, dt=1e-6):
+def ref_meridian(var, phi, t, s, dt=1e-6):
     rho, z, dr, dz, *_ = var.S.profile_jet(t)
-    Y = ref_displacement(var, t)
-    Yp = (ref_displacement(var, t + dt) - ref_displacement(var, t - dt)) / (2 * dt)
+    Y = ref_displacement(var, phi, t)
+    Yp = (ref_displacement(var, phi, t + dt)
+          - ref_displacement(var, phi, t - dt)) / (2 * dt)
     return rho + s * Y[0], z + s * Y[1], dr + s * Yp[0], dz + s * Yp[1]
 
 
-def ref_area(var, s, Q):
+def ref_area(var, phi, s, Q):
     n = var.S.n
     nodes, wts = Q.rule(0.0, var.S.t1)
     total = 0.0
     for t, wq in zip(nodes, wts):
-        rho, z, dr, dz = ref_meridian(var, t, s)
+        rho, z, dr, dz = ref_meridian(var, phi, t, s)
         total += wq * math.hypot(dr, dz) * rho ** (n - 1) / z ** n
     return unit_sphere_area(n - 1) * total
 
 
-def ref_volume(var, s, Q):
+def ref_volume(var, phi, s, Q):
     n = var.S.n
     nodes, wts = Q.rule(0.0, var.S.t1)
     snodes, swts = gauss_legendre(8, min(0.0, s), max(0.0, s))
     total = 0.0
     for t, wq in zip(nodes, wts):
-        Y = ref_displacement(var, t)
+        Y = ref_displacement(var, phi, t)
         for sv, sw in zip(snodes, swts):
-            rho, z, dr, dz = ref_meridian(var, t, sv)
+            rho, z, dr, dz = ref_meridian(var, phi, t, sv)
             total += (wq * sw * (Y[0] * dz - Y[1] * dr)
                       * rho ** (n - 1) / z ** (n + 1))
     return var.sign * math.copysign(1.0, s) * unit_sphere_area(n - 1) * total
@@ -609,10 +611,12 @@ def ref_mode_values(S, l, order, constraint):
 # -- equivalence -------------------------------------------------------
 
 def variation(S, Q, resolution=64):
-    g = _grid(S, resolution)
-    vals = 0.15 - 0.1 * np.cos(math.pi * g.nodes / S.t1) \
-        + 0.08 * np.cos(2 * math.pi * g.nodes / S.t1)
-    return _Variation(S, ScalarField(S, vals), Q)
+    """(the variation, its field): the spline of a cosine series through
+    resolution + 1 uniform nodes."""
+    t = np.linspace(0.0, S.t1, resolution + 1)
+    phi = spline_field(S, 0.15 - 0.1 * np.cos(math.pi * t / S.t1)
+                       + 0.08 * np.cos(2 * math.pi * t / S.t1))
+    return _Variation(S, phi, Q), phi
 
 
 def richardson(f, h):
@@ -629,10 +633,10 @@ def test_taylor_derivatives_match_per_node_loops(name, request):
     the per-node loops of area(s) and volume(s)."""
     S = request.getfixturevalue(name)
     Q = QuadratureSpec(64)
-    var = variation(S, Q)
+    var, phi = variation(S, Q)
     got = var.derivatives()
     for key, ref in (("AREA", ref_area), ("VOLUME", ref_volume)):
-        first, second = richardson(lambda s: ref(var, s, Q), 1e-3)
+        first, second = richardson(lambda s: ref(var, phi, s, Q), 1e-3)
         assert got[key][0] == pytest.approx(first, rel=1e-9), key
         assert got[key][1] == pytest.approx(second, rel=1e-6), key
 
@@ -656,15 +660,15 @@ def test_closed_form_Yp_matches_a_stencil_of_the_jet(name):
     S = (build(YP_CAPS[name]) if name in YP_CAPS else perturb(
         build(YP_CAPS["sphere_cap"]), PerturbationSpec(amplitude=1e-2)))
     Q, h = QuadratureSpec(256), 3e-5
-    x = _grid(S, 64).nodes / S.t1
-    var = _Variation(S, ScalarField(S, 0.5 + x * (0.1 + x * (0.3 * x - 0.6))),
-                     Q)
+    x = np.linspace(0.0, 1.0, 65)
+    phi = spline_field(S, 0.5 + x * (0.1 + x * (0.3 * x - 0.6)))
+    var = _Variation(S, phi, Q)
     t = node_set(S, Q).nodes
     u = (t - 0.8 * S.t1) / (0.2 * S.t1)
     assert np.any((u > -0.05) & (u < 0.0)) and np.any((u > 0.0) & (u < 0.05))
     assert t[-1] + 2.0 * h > S.t1
     w5 = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
-    want = np.array([sum(c * ref_displacement(var, tj + k * h)
+    want = np.array([sum(c * ref_displacement(var, phi, tj + k * h)
                          for c, k in zip(w5, (-2, -1, 1, 2))) for tj in t]).T
     assert abs(var.eta1) > 0.1
     assert np.max(np.abs(var.Yp - want)) <= 1e-9 * np.max(np.abs(want))

@@ -5,7 +5,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -31,7 +31,7 @@ BASE_CONFIG = {
         {"label": "control", "kind": "sphere_cap", "n": 2, "a": 1.0,
          "r": 0.5, "perturbation": {"amplitude": 0.01}},
     ],
-    "numerics": {"quad_order": 64, "grid": 64, "eig_count": 6},
+    "numerics": {"quad_order": 64, "eig_count": 6},
     "output": {"dir": "out", "formats": ["csv", "json"]},
 }
 
@@ -125,10 +125,10 @@ class TestConfigSchema:
 
     def test_numeric_bounds(self):
         # out of range, and of the wrong type: never truncated or coerced
-        for field, value in [("quad_order", 2), ("grid", 4),
+        for field, value in [("quad_order", 2), ("quad_order", 7),
                              ("eig_count", 0), ("stability_tol", -1.0),
                              ("quad_order", "abc"), ("quad_order", 12.7),
-                             ("quad_order", True), ("grid", 64.0),
+                             ("quad_order", True), ("eig_count", 4.0),
                              ("eig_count", None), ("stability_tol", "1e-6"),
                              ("stability_tol", math.nan),
                              ("stability_tol", False)]:
@@ -273,6 +273,20 @@ class TestConfigSchema:
         assert main(["verify", "--config", str(p)]) == 2
         assert f"'{path}': unknown field" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid", [32, 4, "abc"])
+    def test_retired_grid_key_is_ignored(self, grid):
+        # numerics.grid counted the nodes of the deleted field spline; it
+        # is read and ignored, and a misspelt numerics key stays an error
+        raw = {"schema_version": 1, "surfaces": BASE_CONFIG["surfaces"][:1],
+               "numerics": {"quad_order": 16}}
+        want = parse_config(json.loads(json.dumps(raw)))
+        raw["numerics"]["grid"] = grid
+        assert parse_config(raw) == want
+        assert "grid" not in {f.name for f in fields(Numerics)}
+        raw["numerics"]["grd"] = grid
+        with pytest.raises(ConfigError, match=re.escape("'numerics.grd'")):
+            parse_config(raw)
 
     @pytest.mark.parametrize("field,value", [
         ("amplitude", math.nan), ("amplitude", True), ("amplitude", "0.01"),
@@ -468,7 +482,7 @@ class TestReports:
                "surfaces": [{"label": "c", "kind": "sphere_cap", "a": 1.0,
                              "r": 0.5, "perturbation": {"amplitude": 0.01}}],
                "sweep": {"thetas": [1.0], "radii": [0.5]},
-               "numerics": {"quad_order": 16, "grid": 32},
+               "numerics": {"quad_order": 16},
                "output": {"dir": str(tmp_path / "out"), "formats": ["csv"]},
                "seed": 0}
         base = self.manifest_hash(tmp_path, raw)
@@ -492,7 +506,7 @@ class TestReports:
                     changed("output", "formats", value=["csv", "json"]),
                     changed("seed", value=1),
                     changed("sweep", "radii", value=[0.6])]
-        hashes = {base, self.manifest_hash(tmp_path, raw, "--grid", "48")}
+        hashes = {base, self.manifest_hash(tmp_path, raw, "--quad", "24")}
         hashes.update(self.manifest_hash(tmp_path, v) for v in variants)
         assert len(hashes) == 2 + len(variants)
 
@@ -542,7 +556,7 @@ class TestRun:
             tmp_path, surfaces=[],
             sweep={"kind": "sphere_cap", "thetas": [0.2, 1.5],
                    "radii": [2.0]},
-            numerics={"quad_order": 32, "grid": 32, "eig_count": 4}))
+            numerics={"quad_order": 32, "eig_count": 4}))
         manifest = run(cfg, "sweep")
         assert manifest.statuses == {
             "sweep-theta-0.200000-r-2.000000": "ERROR",
@@ -558,7 +572,7 @@ class TestRun:
             tmp_path, surfaces=[],
             sweep={"kind": "equidistant_sphere_cap", "thetas": [1.2],
                    "radii": [0.6]},
-            numerics={"quad_order": 32, "grid": 32, "eig_count": 4}))
+            numerics={"quad_order": 32, "eig_count": 4}))
         manifest = run(cfg, "sweep")
         assert manifest.statuses == {
             "sweep-theta-1.200000-r-0.600000": "ERROR"}
@@ -573,7 +587,7 @@ class TestRun:
     def test_deficit_on_open_charts(self, tmp_path, monkeypatch):
         cfg = load_config(write_config(
             tmp_path, surfaces=OPEN_CHARTS,
-            numerics={"quad_order": 16, "grid": 32, "eig_count": 4}))
+            numerics={"quad_order": 16, "eig_count": 4}))
         # D vanishes, but the boundary integral misses the artificial cut
         manifest = run(cfg, "deficit")
         assert set(manifest.statuses.values()) == {"EXPECTED_FAIL"}
@@ -588,7 +602,7 @@ class TestRun:
     def test_variation_check_on_open_charts_is_a_grid_error(self, tmp_path):
         cfg = load_config(write_config(
             tmp_path, surfaces=OPEN_CHARTS,
-            numerics={"quad_order": 16, "grid": 32, "eig_count": 4}))
+            numerics={"quad_order": 16, "eig_count": 4}))
         manifest = run(cfg, "variation-check")
         assert set(manifest.statuses.values()) == {"ERROR"}
         out = cfg.output.directory
@@ -596,7 +610,25 @@ class TestRun:
         cells = [row.split(",", 2) for row in rows[1:]]
         assert [c[0] for c in cells] == ["plane-vertical", "plane-tilted"]
         for _, _, message in cells:
-            assert message.startswith("GridError:"), message
+            assert message == ("GridError: the modes are spherical harmonics "
+                               "of a rotation orbit and a translation orbit "
+                               "has none"), message
+
+    def test_variation_check_ignores_the_retired_grid(self, tmp_path):
+        """A config with and without numerics.grid writes the same
+        reports, plane ERROR rows included, and the same config hash."""
+        bodies, hashes = [], set()
+        for numerics in ({"quad_order": 32}, {"quad_order": 32, "grid": 16},
+                         {"quad_order": 32, "grid": 1024}):
+            cfg = load_config(write_config(
+                tmp_path, surfaces=BASE_CONFIG["surfaces"] + OPEN_CHARTS[:1],
+                numerics=numerics))
+            hashes.add(run(cfg, "variation-check").config_hash)
+            bodies.append([(cfg.output.directory / report).read_bytes()
+                           for report in ("variation_check.csv",
+                                          "variation_check_errors.csv")])
+        assert bodies[0] == bodies[1] == bodies[2]
+        assert len(hashes) == 1
 
     def test_variation_check_passes_the_minimal_cap(self, tmp_path):
         # H = 0: the ENERGY formula is a cancellation of O(1) boundary terms
@@ -643,7 +675,7 @@ class TestRun:
         cfg = load_config(write_config(
             tmp_path, sweep={"kind": "sphere_cap", "thetas": [1.2],
                              "radii": [0.6]},
-            numerics={"quad_order": 32, "grid": 32, "eig_count": 4}))
+            numerics={"quad_order": 32, "eig_count": 4}))
         for command in ("verify", "deficit", "spectrum", "variation-check",
                         "sweep"):
             calls.clear()
@@ -666,8 +698,7 @@ class TestRun:
 
         monkeypatch.setattr(BumpedCapSurface, "__init__", counting)
         cfg = load_config(write_config(
-            tmp_path, numerics={"quad_order": 32, "grid": 32,
-                                "eig_count": 4}))
+            tmp_path, numerics={"quad_order": 32, "eig_count": 4}))
         for command in ("verify", "deficit", "spectrum", "variation-check"):
             built.clear()
             assert run(cfg, command).ok
@@ -677,7 +708,7 @@ class TestRun:
         """A rerun into one output directory deletes its command's reports
         that it does not write: the errors of a surface the config no
         longer has, and a format it no longer writes."""
-        numerics = {"quad_order": 32, "grid": 32, "eig_count": 4}
+        numerics = {"quad_order": 32, "eig_count": 4}
         cap = BASE_CONFIG["surfaces"][:1]
         cfg = load_config(write_config(tmp_path, surfaces=OPEN_CHARTS[:1]
                                        + cap, numerics=numerics))
@@ -796,7 +827,8 @@ class TestMain:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,flag,value,field",
-                             [("spectrum", "--grid", "4", "numerics.grid"),
+                             [("spectrum", "--quad", "7",
+                               "numerics.quad_order"),
                               ("verify", "--quad", "0",
                                "numerics.quad_order"),
                               ("variation-check", "--seed", "-2", "'seed'")])
@@ -805,6 +837,19 @@ class TestMain:
         p = write_config(tmp_path)
         assert main([command, "--config", str(p), flag, value]) == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_option_is_gone(self, tmp_path, capsys):
+        # --grid is an unknown option (argparse exits 2), and a misspelt
+        # numerics key is still a configuration error
+        p = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(p), "--grid", "32"])
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+        p = write_config(tmp_path, numerics={"quad_order": 64, "gird": 32})
+        assert main(["verify", "--config", str(p)]) == 2
+        assert "'numerics.gird': unknown field" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_exit_one_on_error_status(self, tmp_path, capsys):
@@ -827,7 +872,7 @@ class TestMain:
             "sweep": {"kind": "sphere_cap", "n": 2,
                       "thetas": [math.pi / 3, math.pi / 2],
                       "radii": [0.5, 0.8]},
-            "numerics": {"quad_order": 32, "grid": 32, "eig_count": 4},
+            "numerics": {"quad_order": 32, "eig_count": 4},
             "output": {"dir": str(tmp_path / "sw"), "formats": ["csv"]},
         }
         p = tmp_path / "sweep.json"

@@ -36,7 +36,7 @@ def test_scipy_submodules_load_only_where_used(tmp_path):
                       "a": 1.0, "r": 0.5}],
         "sweep": {"kind": "sphere_cap", "n": 2, "thetas": [1.2],
                   "radii": [0.5]},
-        "numerics": {"quad_order": 16, "grid": 16, "eig_count": 4},
+        "numerics": {"quad_order": 16, "eig_count": 4},
         "output": {"dir": str(tmp_path / "out"), "formats": ["csv"]},
     }
     path = tmp_path / "cfg.json"
@@ -49,8 +49,8 @@ def test_scipy_submodules_load_only_where_used(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    # the eigensolves are numpy.linalg's and the variation fields'
-    # spline solves its slopes in numpy: no command needs scipy, and
+    # the eigensolves are numpy.linalg's and the variation fields are
+    # closed-form numpy expressions: no command needs scipy, and
     # horocap.stability imports it only when it is read (by the benchmark
     # tracer)
     assert seen == {"import": [], "load_config": [], "verify": [],
@@ -79,7 +79,7 @@ def test_no_command_loads_the_halfspace_records(tmp_path):
                       "a": 1.0, "r": 0.5}],
         "sweep": {"kind": "sphere_cap", "n": 2, "thetas": [1.2],
                   "radii": [0.5]},
-        "numerics": {"quad_order": 16, "grid": 16, "eig_count": 4},
+        "numerics": {"quad_order": 16, "eig_count": 4},
         "output": {"dir": str(tmp_path / "out"), "formats": ["csv"]},
     }
     path = tmp_path / "cfg.json"

@@ -1,7 +1,5 @@
 """Fields, the Robin coefficient, the quadratic form, spectra and the deficit."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -13,17 +11,28 @@ from horocap.stability import (GridError, ScalarField, boundary_cancellation,
                                constrained_spectrum, quadratic_form, robin_q,
                                sphere_mode_multiplicity, umbilicity_deficit,
                                ZERO_MODE_TOL)
-from horocap.surfaces import integrate_M, node_set
+from horocap.surfaces import node_set
+
+from conftest import cosine_field, mean_zero
+
+ORBIT_MESSAGE = ("the modes are spherical harmonics of a rotation orbit and "
+                 "a translation orbit has none")
+
+
+def zero_field(S):
+    return ScalarField(S, np.zeros_like, np.zeros_like)
 
 
 class TestDiscreteOperators:
-    def test_grid_too_coarse_rejected(self, ortho_cap):
-        with pytest.raises(GridError):
-            ScalarField(ortho_cap, np.zeros(9))
-
     def test_grid_charts_unsupported(self, vertical_plane):
         with pytest.raises(GridError):
             constrained_spectrum(vertical_plane)
+
+    @pytest.mark.parametrize("name", ["vertical_plane", "tilted_plane"])
+    def test_field_needs_a_rotation_orbit(self, name, request):
+        S = request.getfixturevalue(name)
+        with pytest.raises(GridError, match=f"^{ORBIT_MESSAGE}$"):
+            ScalarField(S, np.cos, np.sin)
 
 
 class TestRobinAndBoundary:
@@ -34,8 +43,7 @@ class TestRobinAndBoundary:
 
 class TestQuadraticForm:
     def test_zero_field(self, ortho_cap):
-        f = ScalarField(ortho_cap, np.zeros(65))
-        assert quadratic_form(ortho_cap, f) == 0.0
+        assert quadratic_form(ortho_cap, zero_field(ortho_cap)) == 0.0
 
     def test_annihilates_the_test_function(self, ortho_cap, tilted_cap,
                                            cap_3d, distinguished_fields,
@@ -59,20 +67,20 @@ class TestQuadraticForm:
         integrates by parts to |dM| f(t1) (f'(t1)/A(t1) - q f(t1)): the
         bulk integrand of quadratic_form against its Robin term, on a
         field where both are large (f is not mean-zero: this says nothing
-        about stability).  want is Q(f) of a callable field at 256 points,
-        to 12 digits.  On the grid of 1024 intervals the spline error is
-        at most 1e-10 of the integral of f^2 (1.4e-7 at 128, on n = 6),
-        against the tolerance 1e-9 of it."""
+        about stability).  want is Q(f) at 256 points, to 12 digits; f and
+        f' are read in closed form."""
         S = build(CapSpec(CapKind.SPHERE_CAP, n=n, a=a, r=r))
 
         def f(t):
             return (r + a * np.cos(t)) / (a + r * np.cos(t))
+
+        def df(t):
+            return np.sin(t) * (r * r - a * a) / (a + r * np.cos(t)) ** 2
         ns = node_set(S, stability.FIELD_RULE)
         assert np.max(np.abs(ns.meridian.gxnu - f(ns.nodes))) < 1e-14
-        phi = ScalarField(S, f(stability._grid(S, 1024).nodes))
+        phi = ScalarField(S, f, df)
         t1, bf = S.t1, S.boundary_frame_at()
-        df1 = math.sin(t1) * (r * r - a * a) / (a + r * math.cos(t1)) ** 2
-        boundary = S.boundary_measure * f(t1) * (df1 / bf.A
+        boundary = S.boundary_measure * f(t1) * (df(t1) / bf.A
                                                  - robin_q(S) * f(t1))
         got = quadratic_form(S, phi)
         assert abs(got - boundary) < 1e-9 * norm_sq(phi)
@@ -81,22 +89,13 @@ class TestQuadraticForm:
 
     def test_nonnegative_on_random_mean_zero_fields(self, tilted_cap, rng,
                                                     norm_sq):
-        from horocap.stability import _grid
-
-        g = _grid(tilted_cap, 64)
-        area = integrate_M(tilted_cap, 1.0, QuadratureSpec(256))
         for _ in range(50):
-            coeffs = rng.standard_normal(5)
-            vals = sum(c * np.cos(m * math.pi * g.nodes / tilted_cap.t1)
-                       for m, c in enumerate(coeffs))
-            vals = vals - ScalarField(tilted_cap, vals).integral_M() / area
-            phi = ScalarField(tilted_cap, vals)
+            phi = mean_zero(cosine_field(tilted_cap, rng.standard_normal(5)))
             assert quadratic_form(tilted_cap, phi) >= -1e-6 * norm_sq(phi)
 
     def test_surface_mismatch_rejected(self, ortho_cap, tilted_cap):
-        f = ScalarField(ortho_cap, np.ones(65))
         with pytest.raises(GridError):
-            quadratic_form(tilted_cap, f)
+            quadratic_form(tilted_cap, zero_field(ortho_cap))
 
 
 class TestSpectra:

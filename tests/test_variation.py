@@ -16,17 +16,21 @@ from horocap.quadrature import QuadratureSpec
 from horocap import stability
 from horocap.stability import (ScalarField, energy_second_difference,
                                fd_variation_check, quadratic_form,
-                               umbilicity_deficit, _grid, _Variation)
-from horocap.surfaces import integrate_M, node_set
+                               umbilicity_deficit, _Variation)
+from horocap.surfaces import integrate_M
+
+from conftest import cosine_field, mean_zero
 
 FUNCTIONALS = ("AREA", "WETTING_AREA", "VOLUME", "ENERGY")
 
 
-def smooth_field(S, resolution=64, coeffs=(0.15, -0.1, 0.08)):
-    g = _grid(S, resolution)
-    vals = sum(c * np.cos(m * math.pi * g.nodes / S.t1)
-               for m, c in enumerate(coeffs))
-    return ScalarField(S, vals)
+def smooth_field(S, coeffs=(0.15, -0.1, 0.08)):
+    return cosine_field(S, coeffs)
+
+
+def constant_field(S, value=1.0):
+    return ScalarField(S, lambda t: np.full(np.shape(t), value),
+                       np.zeros_like)
 
 
 def rel_err(chk):
@@ -34,85 +38,46 @@ def rel_err(chk):
         abs(chk.formula_value), 1e-12)
 
 
-class TestSpline:
-    def test_reproduces_a_cubic(self, tilted_cap):
-        # not-a-knot reproduces every cubic, extrapolated end pieces included
-        x = _grid(tilted_cap, 64).nodes
-        t1 = x[-1]
+class TestField:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 23])
+    def test_variation_field_derivative_is_closed_form(self, tilted_cap,
+                                                       seed):
+        """The CLI's field: df against a central difference of f (the
+        difference's own error, h^2/6 times the third derivative plus
+        rounding, is below 1e-9 at h = 1e-6), and df(0) = 0: a cosine
+        series is flat at the pole."""
+        phi, h = _variation_field(tilted_cap, seed), 1e-6
+        t = np.linspace(h, tilted_cap.t1 - h, 101)
+        fd = (phi.f(t + h) - phi.f(t - h)) / (2.0 * h)
+        assert np.max(np.abs(phi.df(t) - fd)) < 1e-8
+        assert phi.df(np.zeros(1))[0] == 0.0
+        assert phi.boundary_value == phi.f(np.array([tilted_cap.t1]))[0]
 
-        def cubic(t):
-            return ((0.7 * t - 1.3) * t + 0.4) * t - 2.1
+    def test_variation_field_is_seeded(self, tilted_cap):
+        t = np.linspace(0.0, tilted_cap.t1, 9)
+        a, b = (_variation_field(tilted_cap, seed).f(t) for seed in (3, 3))
+        np.testing.assert_array_equal(a, b)
+        assert not np.allclose(a, _variation_field(tilted_cap, 4).f(t))
 
-        t = np.r_[np.linspace(-0.1, t1 + 0.1, 401), t1 - 1e-6, t1 + 1e-6]
-        np.testing.assert_allclose(ScalarField(tilted_cap, cubic(x)).spline(t),
-                                   cubic(t), rtol=1e-12, atol=0.0)
+    def test_reads_once_per_node_set(self, tilted_cap):
+        calls = Counter()
 
-    @pytest.mark.parametrize("seed", [1, 7])
-    def test_matches_scipy(self, tilted_cap, seed):
-        # scipy serves only as the oracle here; no command imports it
-        from scipy.interpolate import CubicSpline
-        phi = _variation_field(tilted_cap, 64, seed)
-        x = phi.nodes
-        t = np.r_[QuadratureSpec(256).rule(0.0, x[-1])[0], x,
-                  x[-1] - 1e-6, x[-1] + 1e-6]
-        got = phi.spline(t)
-        want = CubicSpline(x, phi.values)(t)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        def f(t):
+            calls["f"] += 1
+            return np.cos(t)
 
-    def test_derivatives_reproduce_a_cubic(self, tilted_cap):
-        # the nu-th derivative carries round-off of order eps |y| / h^nu;
-        # on the coarsest grid that stays below the 1e-12 asked here
-        x = _grid(tilted_cap, 16).nodes
-        t = np.linspace(-0.1, x[-1] + 0.1, 401)
-        spline = ScalarField(
-            tilted_cap, ((0.7 * x - 1.3) * x + 0.4) * x - 2.1).spline
-        for nu, want in ((1, (2.1 * t - 2.6) * t + 0.4), (2, 4.2 * t - 2.6)):
-            assert (np.max(np.abs(spline(t, nu) - want))
-                    <= 1e-12 * np.max(np.abs(want))), nu
-
-    @pytest.mark.parametrize("seed", [1, 7])
-    def test_derivatives_match_scipy(self, tilted_cap, seed):
-        from scipy.interpolate import CubicSpline
-        phi = _variation_field(tilted_cap, 64, seed)
-        x = phi.nodes
-        t = np.r_[QuadratureSpec(256).rule(0.0, x[-1])[0], x]
-        for nu in (1, 2):
-            got = phi.spline(t, nu)
-            want = CubicSpline(x, phi.values)(t, nu)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("resolution", [16, 64, 128, 1024])
-    def test_reads_match_scipy_on_every_rule(self, tilted_cap, resolution):
-        # the uniform grid's Thomas elimination against scipy's not-a-knot
-        # solve on the rounded nodes, in values and first derivatives on
-        # the Gauss node sets (8e-14 apart at grid 1024)
-        from scipy.interpolate import CubicSpline
-        phi = _variation_field(tilted_cap, resolution, 3)
-        want = CubicSpline(phi.nodes, phi.values, bc_type="not-a-knot")
-        for order in (32, 64, 256, 512):
-            t = node_set(tilted_cap, QuadratureSpec(order)).nodes
-            for nu, got in enumerate(phi.read(QuadratureSpec(order))):
-                ref = want(t, nu)
-                assert (np.max(np.abs(got - ref))
-                        <= 1e-12 * np.max(np.abs(ref))), (order, nu)
-
-    def test_minus_shares_the_slopes(self, tilted_cap):
-        # the right-hand side of the slopes takes differences of the node
-        # values: phi - c has phi's slopes, and its reads are phi's - c
-        phi, Q = _variation_field(tilted_cap, 128, 5), QuadratureSpec(256)
-        f, df = phi.read(Q)
-        phi0 = phi.minus(0.3)
-        assert phi0.slopes is phi.slopes
-        fresh = ScalarField(tilted_cap, phi.values - 0.3)
-        for got, want in [*zip(phi0.read(Q), fresh.read(Q)),
-                          (phi0.slopes, fresh.slopes)]:
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert phi0.read(Q)[1] is df
+        def df(t):
+            calls["df"] += 1
+            return -np.sin(t)
+        phi = ScalarField(tilted_cap, f, df)
+        for Q in (QuadratureSpec(64), QuadratureSpec(64), QuadratureSpec(32)):
+            assert phi.read(Q) is phi.read(Q)
+        assert calls == {"f": 2, "df": 2}
 
     def test_constant_field_integrates_to_the_area(self, tilted_cap, cap_3d):
         for S in (tilted_cap, cap_3d):
             for Q in (QuadratureSpec(64), QuadratureSpec(256)):
-                one = ScalarField(S, np.ones(65))
+                one = constant_field(S)
                 assert one.integral_M(Q) == pytest.approx(
                     integrate_M(S, 1.0, Q), rel=1e-14)
 
@@ -120,7 +85,7 @@ class TestSpline:
 class TestFirstVariation:
     def test_volume_rate_of_unit_normal_speed_is_area(self, tilted_cap):
         """phi = 1 moves every point at unit normal speed: V'(0) = area."""
-        phi = ScalarField(tilted_cap, np.ones(65))
+        phi = constant_field(tilted_cap)
         chk = fd_variation_check(tilted_cap, phi)["VOLUME"]
         area = integrate_M(tilted_cap, 1.0, QuadratureSpec(256))
         assert chk.formula_value == pytest.approx(area, rel=1e-6)
@@ -163,11 +128,7 @@ class TestFirstVariation:
 class TestSecondVariation:
     def test_matches_quadratic_form_on_caps(self, ortho_cap, tilted_cap):
         for S in (ortho_cap, tilted_cap):
-            phi = smooth_field(S)
-            vals = phi.values - phi.integral_M() / integrate_M(
-                S, 1.0, QuadratureSpec(256))
-            phi0 = ScalarField(S, vals)
-            chk = energy_second_difference(S, phi0)
+            chk = energy_second_difference(S, mean_zero(smooth_field(S)))
             fd2, qf = chk.fd_value, chk.formula_value
             assert abs(fd2 - qf) / max(abs(qf), 1e-12) < 1e-3
 
@@ -180,14 +141,12 @@ class TestSecondVariation:
         (3, 0.1, 0.3, 1), (6, 1.0, 10.0, 0)])
     def test_matches_the_quadratic_form_to_quadrature_accuracy(
             self, n, theta, r, seed):
-        """Q and the exact second derivative read one spline on one rule,
+        """Q and the exact second derivative read one field on one rule,
         so they agree to the quadrature error."""
         S = build(CapSpec(CapKind.SPHERE_CAP, n, a=1.0 - r * math.cos(theta),
                           r=r))
         Q = QuadratureSpec(512)
-        phi = _variation_field(S, 128, seed)
-        phi0 = ScalarField(S, phi.values - phi.integral_M(Q)
-                           / integrate_M(S, 1.0, Q))
+        phi0 = mean_zero(_variation_field(S, seed), Q)
         chk = energy_second_difference(S, phi0, Q=Q)
         assert chk.formula_value == quadratic_form(S, phi0, Q)
         assert rel_err(chk) < 1e-8
@@ -248,7 +207,7 @@ class TestOnePass:
             "schema_version": 1,
             "surfaces": [{"label": "cap", "kind": "sphere_cap", "a": 0.6,
                           "r": 0.7}],
-            "numerics": {"quad_order": 64, "grid": 64},
+            "numerics": {"quad_order": 64},
             "output": {"dir": str(tmp_path), "formats": ["csv"]},
         })
         assert run(cfg, "variation-check").ok
@@ -256,32 +215,6 @@ class TestOnePass:
         # collar of the surface is built once and read by both
         assert calls.pop("derivatives") == 2
         assert list(calls.values()) == [2]
-
-    def test_one_spline_per_cli_surface(self, tmp_path, monkeypatch):
-        # the mean-zero field of the second variation shares the slopes
-        # and reads of the first: one slope solve, and phi and phi' read
-        # once on the one node set
-        calls, slopes, spline = Counter(), stability._slopes, ScalarField.spline
-
-        def solved(x, y):
-            calls["slopes"] += 1
-            return slopes(x, y)
-
-        def read(self, t, nu=0):
-            calls[nu] += 1
-            return spline(self, t, nu)
-
-        monkeypatch.setattr(stability, "_slopes", solved)
-        monkeypatch.setattr(ScalarField, "spline", read)
-        cfg = parse_config({
-            "schema_version": 1,
-            "surfaces": [{"label": "cap", "kind": "sphere_cap", "a": 0.6,
-                          "r": 0.7}],
-            "numerics": {"quad_order": 64, "grid": 64},
-            "output": {"dir": str(tmp_path), "formats": ["csv"]},
-        })
-        assert run(cfg, "variation-check").ok
-        assert calls == {"slopes": 1, 0: 1, 1: 1}
 
     def test_collar_is_shared_and_moves_no_value(self, tilted_cap):
         """Variations of one surface read one collar; a fresh surface
@@ -291,7 +224,7 @@ class TestOnePass:
             tilted_cap, smooth_field(tilted_cap, coeffs=(1.0,)), Q)
         assert a.jet is b.jet
         fresh = build(CapSpec(kind=CapKind.SPHERE_CAP, a=0.6, r=0.7))
-        assert _Variation(fresh, ScalarField(fresh, phi.values),
+        assert _Variation(fresh, ScalarField(fresh, phi.f, phi.df),
                           Q).derivatives() == a.derivatives()
 
     def test_second_variation_row_reads_the_quadratic_form(self, tilted_cap):
@@ -322,10 +255,11 @@ class TestOnePass:
 
 class TestCaching:
     def test_surfaces_freed_without_the_cyclic_collector(self):
-        """Node sets and grids cached on a surface hold it weakly."""
+        """Node sets and field reads cached on a surface or a field hold
+        the surface weakly."""
         Q = QuadratureSpec(32)
         cap = build(CapSpec(kind=CapKind.SPHERE_CAP, a=0.6, r=0.7))
-        phi = smooth_field(cap, 32)
+        phi = smooth_field(cap)
         fd_variation_check(cap, phi, Q=Q)
         suite(cap, Q)
         plane = build(CapSpec(kind=CapKind.TILTED_PLANE_CAP, beta=1.0))
